@@ -68,6 +68,7 @@ from .multicurve import (
 )
 from .options import OptionSpec, fourier_call_price
 from .simulation import (
+    _check_seed,
     export_jumps_csv,
     export_paths_csv,
     mc_bond_price,
@@ -187,7 +188,7 @@ def _resolve_seed(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     if seed is None:
         raise ValueError("simulation requires a seed (config 'seed' or --seed)")
-    return int(seed)
+    return _check_seed(int(seed))
 
 
 def _resolve_paths(cfg: dict, args, default=None) -> int:
@@ -282,11 +283,11 @@ def cmd_simulate(cfg: dict, args) -> int:
     try:
         seed = _resolve_seed(cfg, args)
         n_paths = _resolve_paths(cfg, args)
+        paths = [simulate_path(spec, seed, p) for p in range(n_paths)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     out_dir = _resolve_output(cfg, args)
-    paths = [simulate_path(spec, seed, p) for p in range(n_paths)]
     try:
         export_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
         export_jumps_csv(paths, os.path.join(out_dir, "jumps.csv"))

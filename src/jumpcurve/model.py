@@ -71,8 +71,8 @@ class JumpMeasure(ABC):
         """Tilted first moment  int z exp(b z) nu(dz)."""
 
     @abstractmethod
-    def sample_jump(self, rng, size=None):
-        """Draw jump sizes from the normalized jump-size law."""
+    def jump_quantile(self, u):
+        """Jump sizes at probabilities ``u`` of the normalized jump-size law."""
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ class GammaJumpMeasure(JumpMeasure):
         out = self.alpha * self.epsilon / (self.epsilon - arr) ** 2
         return out if arr.ndim else float(out)
 
-    def sample_jump(self, rng, size=None):
-        """Exponential sizes by inverse CDF, -log(1 - U) / epsilon."""
-        return -np.log1p(-rng.random(size)) / self.epsilon
+    def jump_quantile(self, u):
+        """Exponential inverse CDF, -log(1 - u) / epsilon."""
+        return -np.log1p(-u) / self.epsilon
 
 
 class FloorFunction(ABC):

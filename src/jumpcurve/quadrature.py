@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureError", "gauss_kronrod", "gauss_legendre_rule"]
+__all__ = ["QuadratureError", "gauss_kronrod"]
 
 
 class QuadratureError(RuntimeError):
@@ -104,14 +104,3 @@ def gauss_kronrod(
         value = complex(value)
     return value, error
 
-
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], cached."""
-    rule = _LEGENDRE_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
-        _LEGENDRE_CACHE[order] = rule
-    return rule

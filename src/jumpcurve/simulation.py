@@ -12,33 +12,39 @@ representation
           - sum_k sum_{u_j <= t} sigma_k B_k(u_j, t) z_j.
 
 Every estimator in this module is the independent oracle for an analytic
-formula elsewhere in the library, so the random-number contract is strict:
-draws for (seed, path, factor) come from a counter-based Philox stream keyed
-by exactly that triple, making each path's jump record bit-reproducible
-regardless of how many paths run or in what order.  Worker threads (capped by
-the ``JUMPCURVE_THREADS`` environment variable, 0 = auto) only partition the
-path index range; per-path values and the fixed-order pairwise reduction are
-unchanged by the partitioning.
+formula elsewhere in the library, so the random-number contract is strict.
+Draws come from a Philox4x32-10 counter-based generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) keyed by the seed.
+Jump j of (path p, factor k) always reads counter block (j, p, k, 0), whose
+four words give that jump's exponential gap and its size.  Hence:
+
+* a path's record depends only on (seed, path, factor): results are the
+  same however many paths run and however they are chunked;
+* records are nested across horizons: the record on [0, 1] is the record
+  on [0, 10] cut at 1, times and sizes alike;
+* :func:`simulate_jumps` and :func:`simulate_path` draw one path through the
+  same kernel the estimators batch, so their records are bit-identical.
+
+The estimators draw whole chunks of paths at once, a fixed number of counter
+blocks per chunk so that memory stays bounded whatever the path count, and
+reduce every path to weighted jump sums  sum_{u_j <= t} w(t - u_j) z_j.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .curves import bond_B, bond_price, cumulant_time_integral, tilted_time_integral
-from .model import GammaJumpMeasure, ModelSpec, require_valid
+from .model import JumpMeasure, ModelSpec, require_valid
 
 __all__ = [
     "JumpRecord",
     "SimulatedPath",
     "MonteCarloEstimate",
-    "substream",
     "simulate_jumps",
     "evolve_factor",
     "simulate_path",
@@ -54,7 +60,14 @@ __all__ = [
     "export_jumps_csv",
 ]
 
-_FACTOR_STRIDE = 1 << 16
+# counter blocks drawn per chunk of paths: bounds the working set at a few MB
+_CHUNK = 1 << 14
+_WORD = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+# shift counts as uint64: under NumPy 1.x promotion a uint64 scalar shifted by
+# a Python int becomes float64, which cannot be shifted
+_S5, _S6, _S26, _S32 = (np.uint64(s) for s in (5, 6, 26, 32))
 
 
 @dataclass(frozen=True)
@@ -99,64 +112,122 @@ class MonteCarloEstimate:
     n_paths: int
 
 
-def substream(seed: int, path_index: int, factor_index: int) -> Generator:
-    """Counter-based random stream for one (seed, path, factor) triple."""
-    key = np.array(
-        [seed, path_index * _FACTOR_STRIDE + factor_index], dtype=np.uint64
+def _check_seed(seed) -> int:
+    """The seed as an int; ValueError unless it is an integer in [0, 2**64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _key(seed) -> tuple:
+    """Philox round keys of a seed: its two words, bumped per round."""
+    seed = _check_seed(seed)
+    k0, k1 = seed & 0xFFFFFFFF, seed >> 32
+    return tuple(
+        (np.uint64((k0 + r * _PHILOX_W[0]) & 0xFFFFFFFF),
+         np.uint64((k1 + r * _PHILOX_W[1]) & 0xFFFFFFFF))
+        for r in range(10)
     )
-    return Generator(Philox(key=key))
 
 
-class _StreamPool:
-    """Reuses one Philox generator, rekeying it per (path, factor).
+def _philox(c0, c1, c2, c3, key):
+    """Philox4x32-10 block function on uint64 arrays holding 32-bit words.
 
-    Produces streams bit-identical to :func:`substream` while avoiding the
-    per-path construction cost in tight Monte Carlo loops.
+    The four counter words broadcast against each other; ``key`` holds the
+    round keys from :func:`_key`.  Each product of two 32-bit words is exact
+    in 64 bits.
     """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._bitgen = Philox(key=np.array([0, 0], dtype=np.uint64))
-        self._gen = Generator(self._bitgen)
-        self._state = self._bitgen.state
-
-    def stream(self, path_index: int, factor_index: int) -> Generator:
-        st = self._state
-        st["state"]["key"][0] = self._seed
-        st["state"]["key"][1] = path_index * _FACTOR_STRIDE + factor_index
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        self._bitgen.state = st
-        return self._gen
+    m0, m1 = _PHILOX_M
+    for k0, k1 in key:
+        p0, p1 = m0 * c0, m1 * c2
+        c0, c1, c2, c3 = (p1 >> _S32) ^ c1 ^ k0, p1 & _WORD, (p0 >> _S32) ^ c3 ^ k1, p0 & _WORD
+    return c0, c1, c2, c3
 
 
-def _draw_jumps(measure: GammaJumpMeasure, horizon: float, rng: Generator):
-    """Raw (times, sizes) arrays of one compound-Poisson record."""
-    alpha = measure.alpha
-    mean_count = alpha * horizon
-    block = max(16, int(mean_count + 10.0 * math.sqrt(mean_count) + 16.0))
-    gaps = -np.log1p(-rng.random(block)) / alpha
-    times = np.cumsum(gaps)
-    while times[-1] <= horizon:
-        gaps = -np.log1p(-rng.random(block)) / alpha
-        times = np.concatenate([times, times[-1] + np.cumsum(gaps)])
-    times = times[times <= horizon]
-    sizes = measure.sample_jump(rng, times.size)
-    return times, sizes
+def _uniform(hi, lo):
+    """53-bit uniforms on [0, 1) from two 32-bit words."""
+    return ((hi >> _S5) << _S26 | lo >> _S6).astype(float) * 2.0**-53
+
+
+def _jump_blocks(measure: JumpMeasure, horizon: float, key, factor_index: int, paths: range):
+    """Jump records of a range of path indices, drawn in 2-d blocks.
+
+    Yields ``(rows, times, sizes)``: row i of ``times``/``sizes`` holds
+    consecutive jumps of ``paths[rows[i]]``, times beyond the horizon
+    included.  A block is about three standard deviations wider than the
+    mean jump count; only rows whose last time is still within the horizon
+    draw another.  Each row accumulates its gaps in sequence, so a jump's
+    time does not depend on the block width either.
+    """
+    mean = measure.alpha * horizon
+    width = math.ceil(mean + 3.0 * math.sqrt(mean)) + 2
+    per_chunk = max(1, _CHUNK // width)
+    factor = np.uint64(factor_index)
+    for start in range(0, len(paths), per_chunk):
+        part = paths[start:start + per_chunk]
+        chunk = np.arange(part.start, part.stop, dtype=np.uint64)[:, None]
+        rows = np.arange(chunk.size)
+        last = np.zeros(chunk.size)
+        first = 0
+        while rows.size:
+            jumps = np.arange(first, first + width, dtype=np.uint64)
+            w0, w1, w2, w3 = _philox(jumps, chunk[rows], factor, np.uint64(0), key)
+            gaps = -np.log1p(-_uniform(w0, w1)) / measure.alpha
+            gaps[:, 0] += last
+            times = np.cumsum(gaps, axis=1)
+            yield start + rows, times, measure.jump_quantile(_uniform(w2, w3))
+            more = times[:, -1] <= horizon
+            rows, last, first = rows[more], times[more, -1], first + width
+
+
+def _jump_sums(spec: ModelSpec, seed: int, n_paths: int, evals) -> np.ndarray:
+    """Weighted jump sums of every factor and path, shape (factors, evals, paths).
+
+    Entry (k, m, p) is  sigma_k sum_{u_j <= t} w(t - u_j) z_j  over path p's
+    factor-k jumps for the m-th ``(t, kind)`` of ``evals``: kind "decay"
+    weighs by e^{-lam (t - u)}, the jump's share of X_k(t); kind "bond" by
+    B_k(u, t) = (e^{-lam (t - u)} - 1) / lam, its share of -I_t.
+    """
+    key = _key(seed)
+    horizon = max(t for t, _ in evals)
+    out = np.zeros((spec.n_factors, len(evals), n_paths))
+    for k, f in enumerate(spec.factors):
+        for rows, times, sizes in _jump_blocks(f.measure, horizon, key, k, range(n_paths)):
+            for m, (t, kind) in enumerate(evals):
+                lag = t - times
+                x = -f.lam * np.maximum(lag, 0.0)
+                w = np.exp(x) if kind == "decay" else np.expm1(x) / f.lam
+                out[k, m, rows] += f.sigma * np.sum((lag >= 0) * w * sizes, axis=1)
+    return out
 
 
 def simulate_jumps(
-    measure: GammaJumpMeasure, horizon: float, rng: Generator
+    measure: JumpMeasure,
+    horizon: float,
+    seed: int,
+    path_index: int = 0,
+    factor_index: int = 0,
 ) -> JumpRecord:
-    """Exact compound-Poisson record on [0, horizon].
+    """Exact compound-Poisson record on [0, horizon] of one (seed, path, factor).
 
     Jump epochs accumulate Exp(alpha) inter-arrivals truncated at the
-    horizon; sizes are i.i.d. Exp(epsilon) drawn by inverse CDF.
+    horizon; sizes come from the measure's inverse CDF.  The record is the
+    one every Monte Carlo estimator uses for that path and factor.
     """
     if horizon <= 0:
         raise ValueError("need horizon > 0")
-    times, sizes = _draw_jumps(measure, horizon, rng)
-    return JumpRecord(times=times, sizes=sizes)
+    if not (0 <= path_index < 1 << 32 and 0 <= factor_index < 1 << 32):
+        raise ValueError("path and factor indices must lie in [0, 2**32)")
+    path = range(path_index, path_index + 1)
+    blocks = list(_jump_blocks(measure, horizon, _key(seed), factor_index, path))
+    times = np.concatenate([times[0] for _, times, _ in blocks])
+    sizes = np.concatenate([sizes[0] for _, _, sizes in blocks])
+    keep = times <= horizon
+    return JumpRecord(times=times[keep], sizes=sizes[keep])
 
 
 def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
@@ -199,14 +270,14 @@ def simulate_path(
     path_index: int = 0,
     points_per_year: int = 252,
 ) -> SimulatedPath:
-    """Simulate one exact path with its own substream per factor.
+    """Simulate one exact path from the records of (seed, path_index, k) per factor k.
 
     The evaluation grid unions a regular mesh with every jump epoch, so the
     stored trajectories are exact at the jumps themselves.
     """
     require_valid(spec)
     jumps = tuple(
-        simulate_jumps(f.measure, spec.horizon, substream(seed, path_index, k))
+        simulate_jumps(f.measure, spec.horizon, seed, path_index, k)
         for k, f in enumerate(spec.factors)
     )
     mesh = np.linspace(0.0, spec.horizon, int(round(points_per_year * spec.horizon)) + 1)
@@ -228,20 +299,6 @@ def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     if t < path.grid[0] or t > path.grid[-1]:
         raise ValueError("t outside the path's grid span")
     return _integrated_at(spec, path.jumps, t)
-
-
-def _state_at(spec: ModelSpec, path: SimulatedPath, t: float) -> np.ndarray:
-    state = np.empty(spec.n_factors)
-    for k, (f, rec) in enumerate(zip(spec.factors, path.jumps)):
-        x = f.x0 * math.exp(-f.lam * t)
-        if rec.count:
-            mask = rec.times <= t
-            if np.any(mask):
-                x += f.sigma * float(
-                    np.exp(-f.lam * (t - rec.times[mask])) @ rec.sizes[mask]
-                )
-        state[k] = x
-    return state
 
 
 def bond_path(
@@ -295,40 +352,6 @@ def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -
     return rate
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("JUMPCURVE_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 0:
-        raise ValueError("JUMPCURVE_THREADS must be >= 0")
-    if count == 0:
-        return min(4, os.cpu_count() or 1)
-    return count
-
-
-def _path_values(seed: int, n_paths: int, per_path) -> np.ndarray:
-    """Evaluate a per-path functional for every path index, in path order."""
-    out = np.empty(n_paths)
-    workers = _worker_count()
-    if workers <= 1:
-        pool = _StreamPool(seed)
-        for p in range(n_paths):
-            out[p] = per_path(pool, p)
-        return out
-
-    chunk = (n_paths + workers - 1) // workers
-
-    def run(start: int) -> None:
-        pool = _StreamPool(seed)
-        for p in range(start, min(start + chunk, n_paths)):
-            out[p] = per_path(pool, p)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-        list(pool_exec.map(run, range(0, n_paths, chunk)))
-    return out
-
-
 def _estimate(values: np.ndarray) -> MonteCarloEstimate:
     n = values.size
     mean = float(np.sum(values) / n)
@@ -339,96 +362,59 @@ def _estimate(values: np.ndarray) -> MonteCarloEstimate:
     return MonteCarloEstimate(value=mean, std_error=se, n_paths=n)
 
 
-def _check_mc_args(spec: ModelSpec, T: float, n_paths: int) -> None:
+def _check_mc_args(spec: ModelSpec, T: float, n_paths: int, seed: int) -> None:
     require_valid(spec)
+    _key(seed)
     if T > spec.horizon:
         raise ValueError("maturity exceeds the model horizon")
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
 
 
+def _jump_free_integral(spec: ModelSpec, t: float) -> float:
+    """I_t on a path without jumps: the floor integral plus the decaying start."""
+    return spec.floor.integral(0.0, t) - sum(f.x0 * bond_B(f, 0.0, t) for f in spec.factors)
+
+
+def _discount_and_bond(spec: ModelSpec, seed: int, n_paths: int, t: float, T: float):
+    """Per-path exp(-I_t) and the affine bond price P(t, T) at the state X(t)."""
+    sums = _jump_sums(spec, seed, n_paths, [(t, "decay"), (t, "bond")])
+    i_t = _jump_free_integral(spec, t) - sums[:, 1].sum(axis=0)
+    log_bond = sum(cumulant_time_integral(f, t, T, T) for f in spec.factors)
+    log_bond -= spec.floor.integral(t, T)
+    for k, f in enumerate(spec.factors):
+        log_bond = log_bond + bond_B(f, t, T) * (f.x0 * math.exp(-f.lam * t) + sums[k, 0])
+    return np.exp(-i_t), np.exp(log_bond)
+
+
 def mc_bond_price(spec: ModelSpec, T: float, n_paths: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo bond price: sample mean of exp(-I_T) over exact paths."""
-    _check_mc_args(spec, T, n_paths)
-    floor_part = spec.floor.integral(0.0, T)
-    det = floor_part - sum(f.x0 * bond_B(f, 0.0, T) for f in spec.factors)
-    params = [(f.lam, f.sigma, f.measure) for f in spec.factors]
-
-    def per_path(pool, p):
-        i_T = det
-        for k, (lam, sigma, measure) in enumerate(params):
-            times, sizes = _draw_jumps(measure, T, pool.stream(p, k))
-            if times.size:
-                b = np.expm1(-lam * (T - times)) / lam
-                i_T -= sigma * float(b @ sizes)
-        return math.exp(-i_T)
-
-    return _estimate(_path_values(seed, n_paths, per_path))
+    return mc_bond_curve(spec, [T], n_paths, seed)[0]
 
 
 def mc_bond_curve(spec: ModelSpec, maturities, n_paths: int, seed: int):
     """Bond-price estimates for several maturities from one shared path set."""
     maturities = [float(T) for T in maturities]
-    t_max = max(maturities)
-    _check_mc_args(spec, t_max, n_paths)
-    params = [(f.lam, f.sigma, f.measure) for f in spec.factors]
-    det = np.array(
-        [
-            spec.floor.integral(0.0, T)
-            - sum(f.x0 * bond_B(f, 0.0, T) for f in spec.factors)
-            for T in maturities
-        ]
-    )
-    values = np.empty((len(maturities), n_paths))
-
-    def per_path(pool, p):
-        i_T = det.copy()
-        for k, (lam, sigma, measure) in enumerate(params):
-            times, sizes = _draw_jumps(measure, t_max, pool.stream(p, k))
-            for j, T in enumerate(maturities):
-                mask = times <= T
-                if np.any(mask):
-                    b = np.expm1(-lam * (T - times[mask])) / lam
-                    i_T[j] -= sigma * float(b @ sizes[mask])
-        values[:, p] = np.exp(-i_T)
-        return 0.0
-
-    _path_values(seed, n_paths, per_path)
-    return [_estimate(values[j]) for j in range(len(maturities))]
+    _check_mc_args(spec, max(maturities), n_paths, seed)
+    sums = _jump_sums(spec, seed, n_paths, [(T, "bond") for T in maturities]).sum(axis=0)
+    return [
+        _estimate(np.exp(jumps - _jump_free_integral(spec, T)))
+        for T, jumps in zip(maturities, sums)
+    ]
 
 
 def mc_discounted_bond(
     spec: ModelSpec, t: float, T: float, n_paths: int, seed: int
 ) -> MonteCarloEstimate:
     """Sample mean of exp(-I_t) P(t,T); a martingale check against P(0,T)."""
-    _check_mc_args(spec, T, n_paths)
+    _check_mc_args(spec, T, n_paths, seed)
     if t > T:
         raise ValueError("need t <= T")
     if t == 0.0:
         price = bond_price(spec, 0.0, T)
         return MonteCarloEstimate(value=price, std_error=0.0, n_paths=n_paths)
-    params = [(f.lam, f.sigma, f.measure) for f in spec.factors]
-    floor_part = spec.floor.integral(0.0, t)
-    det = floor_part - sum(f.x0 * bond_B(f, 0.0, t) for f in spec.factors)
-    a_sum = sum(
-        cumulant_time_integral(f, t, T, T) for f in spec.factors
-    ) - spec.floor.integral(t, T)
-    b_coef = [bond_B(f, t, T) for f in spec.factors]
-    decay = [math.exp(-f.lam * t) for f in spec.factors]
-
-    def per_path(pool, p):
-        exponent = -det + a_sum
-        for k, (lam, sigma, measure) in enumerate(params):
-            times, sizes = _draw_jumps(measure, t, pool.stream(p, k))
-            x_t = spec.factors[k].x0 * decay[k]
-            if times.size:
-                d = np.exp(-lam * (t - times))
-                x_t += sigma * float(d @ sizes)
-                exponent += sigma * float(((d - 1.0) / lam) @ sizes)
-            exponent += b_coef[k] * x_t
-        return math.exp(exponent)
-
-    return _estimate(_path_values(seed, n_paths, per_path))
+    discount, bond = _discount_and_bond(spec, seed, n_paths, t, T)
+    return _estimate(discount * bond)
 
 
 def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCarloEstimate:
@@ -439,55 +425,18 @@ def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCa
     through the pathwise expiry state and discount factor.
     """
     tau, T = option.option_maturity, option.bond_maturity
-    _check_mc_args(spec, T, n_paths)
-    strike = option.strike
-    params = [(f.lam, f.sigma, f.measure) for f in spec.factors]
-    det = spec.floor.integral(0.0, tau) - sum(
-        f.x0 * bond_B(f, 0.0, tau) for f in spec.factors
-    )
-    a_sum = sum(
-        cumulant_time_integral(f, tau, T, T) for f in spec.factors
-    ) - spec.floor.integral(tau, T)
-    b_coef = [bond_B(f, tau, T) for f in spec.factors]
-    x_det = [f.x0 * math.exp(-f.lam * tau) for f in spec.factors]
-
-    def per_path(pool, p):
-        i_tau = det
-        log_bond = a_sum
-        for k, (lam, sigma, measure) in enumerate(params):
-            times, sizes = _draw_jumps(measure, tau, pool.stream(p, k))
-            x_tau = x_det[k]
-            if times.size:
-                d = np.exp(-lam * (tau - times))
-                jump_sum = float(d @ sizes)
-                x_tau += sigma * jump_sum
-                i_tau -= sigma * float(((d - 1.0) / lam) @ sizes)
-            log_bond += b_coef[k] * x_tau
-        payoff = math.exp(log_bond) - strike
-        if payoff <= 0.0:
-            return 0.0
-        return math.exp(-i_tau) * payoff
-
-    return _estimate(_path_values(seed, n_paths, per_path))
+    _check_mc_args(spec, T, n_paths, seed)
+    discount, bond = _discount_and_bond(spec, seed, n_paths, tau, T)
+    return _estimate(discount * np.maximum(bond - option.strike, 0.0))
 
 
 def mc_short_rate_samples(spec: ModelSpec, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Exact samples of r(t), one per path index."""
-    _check_mc_args(spec, t, n_paths)
-    params = [(f.lam, f.sigma, f.measure) for f in spec.factors]
+    _check_mc_args(spec, t, n_paths, seed)
     base = float(spec.floor.value(t)) + sum(
         f.x0 * math.exp(-f.lam * t) for f in spec.factors
     )
-
-    def per_path(pool, p):
-        r = base
-        for k, (lam, sigma, measure) in enumerate(params):
-            times, sizes = _draw_jumps(measure, t, pool.stream(p, k))
-            if times.size:
-                r += sigma * float(np.exp(-lam * (t - times)) @ sizes)
-        return r
-
-    return _path_values(seed, n_paths, per_path)
+    return base + _jump_sums(spec, seed, n_paths, [(t, "decay")]).sum(axis=0)[0]
 
 
 def export_paths_csv(paths, destination) -> None:

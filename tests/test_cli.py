@@ -190,8 +190,21 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
         assert main(["--config", cfg, "simulate"]) == 1
 
+    @pytest.mark.parametrize("paths", [2, 0])
+    def test_negative_seed(self, tmp_path, capsys, paths):
+        cfg = write_config(tmp_path, dict(BASELINE, paths=paths, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "--seed", "-3", "simulate"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPriceCommand:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, dict(BASELINE, paths=500))
+        assert main(["--config", cfg, "--seed", seed, "price", "bond", "--maturity", "1.0"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+
     def test_bond_z_score(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASELINE, paths=5000))
         assert main(["--config", cfg, "price", "bond", "--maturity", "1.0"]) == 0

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -27,10 +26,9 @@ from jumpcurve import (
     mc_short_rate_samples,
     simulate_jumps,
     simulate_path,
-    substream,
     yield_curve,
 )
-from jumpcurve.simulation import _StreamPool
+from jumpcurve.simulation import _CHUNK, _jump_blocks, _key, _philox
 
 
 class TestJumpRecord:
@@ -49,66 +47,120 @@ class TestJumpRecord:
 
 class TestSimulateJumps:
     def test_no_jump_limit(self):
-        rec = simulate_jumps(GammaJumpMeasure(1e-12, 10.0), 1.0, substream(5, 0, 0))
+        rec = simulate_jumps(GammaJumpMeasure(1e-12, 10.0), 1.0, seed=5)
         assert rec.count == 0
 
     def test_poisson_count_moments(self):
         m = GammaJumpMeasure(2.0, 10.0)
-        pool = _StreamPool(314)
-        counts = np.array(
-            [simulate_jumps(m, 1.0, pool.stream(p, 0)).count for p in range(30_000)]
-        )
+        counts = np.array([simulate_jumps(m, 1.0, 314, p).count for p in range(30_000)])
         se = math.sqrt(2.0 / counts.size)
         assert abs(counts.mean() - 2.0) < 3.0 * se
         assert counts.var(ddof=1) == pytest.approx(2.0, rel=0.1)
 
     def test_exponential_size_moments(self):
         m = GammaJumpMeasure(2.0, 10.0)
-        pool = _StreamPool(2718)
-        sizes = np.concatenate(
-            [simulate_jumps(m, 1.0, pool.stream(p, 0)).sizes for p in range(10_000)]
-        )
+        sizes = np.concatenate([simulate_jumps(m, 1.0, 2718, p).sizes for p in range(10_000)])
         se = 0.1 / math.sqrt(sizes.size)
         assert abs(sizes.mean() - 0.1) < 3.0 * se
 
     def test_times_within_horizon(self):
-        rec = simulate_jumps(GammaJumpMeasure(5.0, 10.0), 2.5, substream(9, 0, 0))
+        rec = simulate_jumps(GammaJumpMeasure(5.0, 10.0), 2.5, seed=9)
         assert np.all(rec.times > 0)
         assert np.all(rec.times <= 2.5)
         assert np.all(np.diff(rec.times) > 0)
 
 
-class TestReproducibility:
-    def test_substream_bit_identical(self):
-        a = simulate_jumps(GammaJumpMeasure(2.0, 10.0), 5.0, substream(42, 7, 0))
-        b = simulate_jumps(GammaJumpMeasure(2.0, 10.0), 5.0, substream(42, 7, 0))
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.sizes, b.sizes)
+def batched_records(measure, horizon, seed, factor_index, n_paths):
+    """Every path's record as the Monte Carlo estimators draw it, in chunks."""
+    times, sizes = [[] for _ in range(n_paths)], [[] for _ in range(n_paths)]
+    for rows, t, z in _jump_blocks(measure, horizon, _key(seed), factor_index, range(n_paths)):
+        for row, t_row, z_row in zip(rows, t, z):
+            times[row].append(t_row)
+            sizes[row].append(z_row)
+    records = []
+    for t, z in zip(times, sizes):
+        t, z = np.concatenate(t), np.concatenate(z)
+        records.append((t[t <= horizon], z[t <= horizon]))
+    return records
 
-    def test_pool_matches_fresh_streams(self):
-        pool = _StreamPool(42)
-        for p in (0, 3, 11):
-            for k in (0, 1):
-                a = simulate_jumps(GammaJumpMeasure(2.0, 10.0), 5.0, pool.stream(p, k))
-                b = simulate_jumps(GammaJumpMeasure(2.0, 10.0), 5.0, substream(42, p, k))
-                assert np.array_equal(a.times, b.times)
-                assert np.array_equal(a.sizes, b.sizes)
+
+class TestReproducibility:
+    def test_philox_known_answers(self):
+        # Random123 known-answer vectors for Philox4x32-10
+        zero = np.uint64(0)
+        ones = np.uint64(0xFFFFFFFF)
+        assert [int(w) for w in _philox(zero, zero, zero, zero, _key(0))] == [
+            0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8,
+        ]
+        assert [int(w) for w in _philox(ones, ones, ones, ones, _key(2**64 - 1))] == [
+            0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD,
+        ]
+
+    def test_simulate_path_matches_batched_records(self, two_factor_spec):
+        # at horizon 10 each factor's 1000 paths span two or more chunks
+        n_paths = 1_000
+        for k, f in enumerate(two_factor_spec.factors):
+            batched = batched_records(f.measure, 10.0, 42, k, n_paths)
+            for p in (0, 3, 11, n_paths // 2, n_paths - 1):
+                rec = simulate_path(two_factor_spec, seed=42, path_index=p).jumps[k]
+                assert rec.count > 0
+                assert np.array_equal(rec.times, batched[p][0])
+                assert np.array_equal(rec.sizes, batched[p][1])
+
+    def test_records_nested_across_horizons(self):
+        # the horizon-1 record is the horizon-10 record cut at 1, times and sizes alike
+        m = GammaJumpMeasure(2.0, 10.0)
+        seen = 0
+        for p in range(20):
+            short = simulate_jumps(m, 1.0, 5, p)
+            long = simulate_jumps(m, 10.0, 5, p)
+            cut = long.times <= 1.0
+            assert np.array_equal(short.times, long.times[cut])
+            assert np.array_equal(short.sizes, long.sizes[cut])
+            seen += short.count
+        assert seen > 0
+
+    def test_curve_matches_single_maturity_prices(self, two_factor_spec):
+        maturities = (0.5, 1.0, 2.0)
+        curve = mc_bond_curve(two_factor_spec, maturities, 1_000, seed=61)
+        for T, est in zip(maturities, curve):
+            single = mc_bond_price(two_factor_spec, T, 1_000, seed=61)
+            assert abs(est.value / single.value - 1.0) < 1e-14
 
     def test_path_records_independent_of_run_size(self, baseline_spec):
         # the same path index yields the same record however many paths run
-        small = mc_bond_price(baseline_spec, 1.0, 200, seed=77)
-        large = mc_bond_price(baseline_spec, 1.0, 200, seed=77)
-        assert small == large
+        batch = mc_bond_price(baseline_spec, 1.0, 200, seed=77)
+        singles = [
+            math.exp(-integrated_rate(baseline_spec, simulate_path(baseline_spec, 77, p, 1), 1.0))
+            for p in range(200)
+        ]
+        assert batch.value == pytest.approx(np.mean(singles), rel=1e-13)
 
-    def test_thread_partitioning_does_not_change_results(self, baseline_spec):
-        serial = mc_bond_price(baseline_spec, 1.0, 2_000, seed=13)
-        os.environ["JUMPCURVE_THREADS"] = "3"
-        try:
-            threaded = mc_bond_price(baseline_spec, 1.0, 2_000, seed=13)
-        finally:
-            del os.environ["JUMPCURVE_THREADS"]
-        assert serial.value == threaded.value
-        assert serial.std_error == threaded.std_error
+    def test_chunking_does_not_change_results(self, baseline_spec):
+        t = 5.0
+        assert 2_000 * baseline_spec.factors[0].measure.alpha * t > _CHUNK
+        small = mc_short_rate_samples(baseline_spec, t, 200, seed=13)
+        large = mc_short_rate_samples(baseline_spec, t, 2_000, seed=13)
+        assert np.array_equal(large[:200], small)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7"])
+    def test_rejects_invalid_seeds(self, baseline_spec, seed):
+        option = OptionSpec(strike=0.9, option_maturity=0.5, bond_maturity=1.0)
+        calls = (
+            lambda: simulate_path(baseline_spec, seed),
+            lambda: simulate_jumps(baseline_spec.factors[0].measure, 1.0, seed),
+            lambda: mc_bond_price(baseline_spec, 1.0, 100, seed),
+            lambda: mc_bond_curve(baseline_spec, (0.5, 1.0), 100, seed),
+            lambda: mc_discounted_bond(baseline_spec, 0.0, 1.0, 100, seed),
+            lambda: mc_option_price(baseline_spec, option, 100, seed),
+            lambda: mc_short_rate_samples(baseline_spec, 1.0, 100, seed),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="seed"):
+                call()
+
+    def test_largest_seed_accepted(self, baseline_spec):
+        assert mc_bond_price(baseline_spec, 1.0, 100, 2**64 - 1).value > 0
 
 
 class TestEvolveFactor:
@@ -134,10 +186,9 @@ class TestEvolveFactor:
 
     def test_ensemble_mean_matches_moment_formula(self, baseline_spec):
         f = baseline_spec.factors[0]
-        pool = _StreamPool(99)
         values = np.array(
             [
-                evolve_factor(f, simulate_jumps(f.measure, 1.0, pool.stream(p, 0)), [1.0])[0]
+                evolve_factor(f, simulate_jumps(f.measure, 1.0, 99, p), [1.0])[0]
                 for p in range(20_000)
             ]
         )
