@@ -6,7 +6,6 @@ from .model import (
     FactorParams,
     FloorFunction,
     GammaJumpMeasure,
-    JumpMeasure,
     ModelSpec,
     PiecewiseLinearFloor,
     SummedFloor,

@@ -138,40 +138,45 @@ def load_config(path: str) -> dict:
             _parse_factor(node, f"factors[{i}]")
             for i, node in enumerate(raw["factors"])
         )
+        spec = ModelSpec(factors=factors, floor=floor, horizon=horizon)
+        dual = None
+        dual_keys = ("spread_floor", "spread_factors", "shared_factor_count")
+        if any(key in raw for key in dual_keys):
+            spread_factors = tuple(
+                _parse_factor(f, f"spread_factors[{i}]")
+                for i, f in enumerate(raw.get("spread_factors", []))
+            )
+            spread_floor = _parse_floor(
+                raw.get("spread_floor", {"variant": "constant", "level": 0.0}),
+                "spread_floor",
+            )
+            try:
+                dual = DualCurveSpec(
+                    base=spec,
+                    spread_factors=spread_factors,
+                    spread_floor=spread_floor,
+                    shared_factor_count=int(raw.get("shared_factor_count", 0)),
+                )
+            except ValueError as exc:
+                raise ConfigError(f"dual-curve extension: {exc}") from exc
+        grid = raw.get("grid", {})
+        if not isinstance(grid, dict):
+            raise ConfigError("config 'grid' must be an object")
+        start = float(grid.get("start", 0.25))
+        stop = float(grid.get("stop", horizon))
+        count = int(grid.get("count", 20))
+        tenor = float(raw.get("tenor", 0.25))
     except KeyError as exc:
         raise ConfigError(f"config missing key {exc}") from exc
-    spec = ModelSpec(factors=factors, floor=floor, horizon=horizon)
-    dual = None
-    dual_keys = ("spread_floor", "spread_factors", "shared_factor_count")
-    if any(key in raw for key in dual_keys):
-        spread_factors = tuple(
-            _parse_factor(f, f"spread_factors[{i}]")
-            for i, f in enumerate(raw.get("spread_factors", []))
-        )
-        spread_floor = _parse_floor(
-            raw.get("spread_floor", {"variant": "constant", "level": 0.0}),
-            "spread_floor",
-        )
-        try:
-            dual = DualCurveSpec(
-                base=spec,
-                spread_factors=spread_factors,
-                spread_floor=spread_floor,
-                shared_factor_count=int(raw.get("shared_factor_count", 0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"dual-curve extension: {exc}") from exc
-    grid = raw.get("grid", {})
-    start = float(grid.get("start", 0.25))
-    stop = float(grid.get("stop", horizon))
-    count = int(grid.get("count", 20))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
     if count < 1 or start <= 0 or stop < start:
         raise ConfigError("grid needs 0 < start <= stop and count >= 1")
     return {
         "spec": spec,
         "dual": dual,
         "maturities": np.linspace(start, stop, count),
-        "tenor": float(raw.get("tenor", 0.25)),
+        "tenor": tenor,
         "seed": raw.get("seed"),
         "paths": raw.get("paths"),
         "output": raw.get("output", "."),
@@ -201,7 +206,9 @@ def _resolve_paths(cfg: dict, args, default=None) -> int:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    report = validate(cfg["spec"])
+    # a dual-curve model is checked as its effective spec: both floors, all factors
+    spec = cfg["spec"] if cfg["dual"] is None else effective_spec(cfg["dual"])
+    report = validate(spec)
     print(str(report))
     return EXIT_OK if report.valid else EXIT_DOMAIN
 
@@ -247,6 +254,10 @@ def cmd_curve(cfg: dict, args) -> int:
 
 def cmd_calibrate(cfg: dict, args) -> int:
     spec = cfg["spec"]
+    report = validate(spec)
+    if not report.valid:
+        print(f"error: invalid model spec: {'; '.join(report.violations)}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         market = ForwardCurve.from_csv(args.market)
     except OSError as exc:

@@ -37,6 +37,7 @@ from .model import (
     ConstantFloor,
     FactorParams,
     FloorFunction,
+    GammaJumpMeasure,
     ModelSpec,
     require_valid,
 )
@@ -377,7 +378,7 @@ def _unpack_candidate(
                 lam=float(lam),
                 sigma=float(sigma),
                 x0=float(x0s[k]),
-                measure=type(template.factors[k].measure)(float(alpha), float(eps)),
+                measure=GammaJumpMeasure(float(alpha), float(eps)),
             )
         )
     return ModelSpec(

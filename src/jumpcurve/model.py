@@ -1,4 +1,4 @@
-"""Model primitives: jump measures, floor functions, factor parameters.
+"""Model primitives: the gamma jump measure, floor functions, factor parameters.
 
 The short rate is a deterministic floor plus independent pure-jump
 mean-reverting factors,
@@ -7,9 +7,10 @@ mean-reverting factors,
     dX_k = -lambda_k X_k dt + sigma_k dL_k,   X_k(0) = x_k >= 0,
 
 with each L_k an increasing compound Poisson process whose jump-size
-intensity is a Levy measure nu_k.  Only the gamma instance ships: jumps
-arrive at rate alpha and sizes are exponential with rate epsilon, giving the
-Lebesgue density  alpha * epsilon * exp(-epsilon z)  on (0, inf).
+intensity is a Levy measure nu_k.  Gamma is the only jump measure, and the
+closed forms and validation read its parameters directly: jumps arrive at
+rate alpha and sizes are exponential with rate epsilon, giving the Lebesgue
+density  alpha * epsilon * exp(-epsilon z)  on (0, inf).
 
 Every exponential-moment formula in the library reduces to the cumulant
 integral  int (exp(b z) - 1) nu(dz),  which the gamma measure evaluates in
@@ -28,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "JumpMeasure",
     "GammaJumpMeasure",
     "FloorFunction",
     "ConstantFloor",
@@ -46,37 +46,8 @@ __all__ = [
 ]
 
 
-class JumpMeasure(ABC):
-    """Jump-size intensity measure of an increasing compound Poisson driver.
-
-    Implementations must supply the handful of functionals the analytic
-    machinery consumes; anything satisfying this contract (inverse Gaussian,
-    tempered stable, ...) plugs into the rest of the library unchanged.
-    """
-
-    @abstractmethod
-    def mean_jump(self) -> float:
-        """First moment  int z nu(dz)  (the compensator rate)."""
-
-    @abstractmethod
-    def second_moment(self) -> float:
-        """Second moment  int z^2 nu(dz)."""
-
-    @abstractmethod
-    def levy_cumulant(self, b):
-        """Cumulant integral  int (exp(b z) - 1) nu(dz)."""
-
-    @abstractmethod
-    def tilted_mean(self, b):
-        """Tilted first moment  int z exp(b z) nu(dz)."""
-
-    @abstractmethod
-    def jump_quantile(self, u):
-        """Jump sizes at probabilities ``u`` of the normalized jump-size law."""
-
-
 @dataclass(frozen=True)
-class GammaJumpMeasure(JumpMeasure):
+class GammaJumpMeasure:
     """Gamma jump measure with density  alpha * epsilon * exp(-epsilon z).
 
     ``alpha`` is the jump arrival intensity (jumps per unit time) and
@@ -288,11 +259,16 @@ def _floor_violations(floor: FloorFunction, label: str) -> list:
             problems.append(f"{label} has no knots")
         elif len(xs) != len(floor.values):
             problems.append(f"{label} knot times and values differ in length")
+        elif not math.isfinite(sum(xs) + sum(floor.values)):
+            # NaN or inf in any knot makes the sum non-finite (so does an overflowing total)
+            problems.append(f"{label} knots must be finite")
         elif any(b <= a for a, b in zip(xs, xs[1:])):
             problems.append(f"{label} knots not sorted")
-    if isinstance(floor, SummedFloor):
+    elif isinstance(floor, SummedFloor):
         for i, part in enumerate(floor.parts):
             problems.extend(_floor_violations(part, f"{label} part {i}"))
+    elif isinstance(floor, ConstantFloor) and not math.isfinite(floor.level):
+        problems.append(f"{label} level must be finite")
     return problems
 
 
@@ -305,20 +281,22 @@ def validate(spec: ModelSpec) -> ValidationReport:
     problems = []
     if spec.n_factors < 1:
         problems.append("model requires at least one factor")
+    # chained comparisons: NaN fails every one, so each test also rejects NaN
+    inf = math.inf
     for i, f in enumerate(spec.factors, start=1):
-        if not f.lam > 0:
-            problems.append(f"factor {i}: lambda must be positive")
-        if not f.sigma > 0:
-            problems.append(f"factor {i}: sigma must be positive")
-        if f.x0 < 0:
-            problems.append(f"factor {i}: x0 must be nonnegative")
-        if not f.measure.alpha > 0:
-            problems.append(f"factor {i}: alpha must be positive")
-        if not f.measure.epsilon > 0:
-            problems.append(f"factor {i}: epsilon must be positive")
+        if not 0 < f.lam < inf:
+            problems.append(f"factor {i}: lambda must be positive and finite")
+        if not 0 < f.sigma < inf:
+            problems.append(f"factor {i}: sigma must be positive and finite")
+        if not 0 <= f.x0 < inf:
+            problems.append(f"factor {i}: x0 must be nonnegative and finite")
+        if not 0 < f.measure.alpha < inf:
+            problems.append(f"factor {i}: alpha must be positive and finite")
+        if not 0 < f.measure.epsilon < inf:
+            problems.append(f"factor {i}: epsilon must be positive and finite")
     problems.extend(_floor_violations(spec.floor, "floor"))
-    if not spec.horizon > 0:
-        problems.append("horizon must be positive")
+    if not 0 < spec.horizon < inf:
+        problems.append("horizon must be positive and finite")
     return ValidationReport(tuple(problems))
 
 
@@ -328,12 +306,12 @@ def require_valid(spec: ModelSpec) -> None:
         raise ValueError("invalid model spec: " + "; ".join(report.violations))
 
 
-def levy_cumulant(measure: JumpMeasure, b):
+def levy_cumulant(measure: GammaJumpMeasure, b):
     """Cumulant integral  int (exp(b z) - 1) nu(dz)  of a jump measure."""
     return measure.levy_cumulant(b)
 
 
-def tilted_mean(measure: JumpMeasure, b):
+def tilted_mean(measure: GammaJumpMeasure, b):
     """Tilted first moment  int z exp(b z) nu(dz)  of a jump measure."""
     return measure.tilted_mean(b)
 

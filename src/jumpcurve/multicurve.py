@@ -34,6 +34,7 @@ import numpy as np
 
 from .curves import bond_price, cumulant_time_integral, forward_rate
 from .model import ConstantFloor, FloorFunction, ModelSpec, SummedFloor
+from .simulation import _jump_weights
 
 __all__ = [
     "DualCurveSpec",
@@ -224,11 +225,7 @@ def libor_path_closed_form(
     for f, rec in zip(eff.factors, path.jumps):
         log_ratio += cumulant_time_integral(f, 0.0, t, T2)
         log_ratio -= cumulant_time_integral(f, 0.0, t, T1)
-        if rec.count:
-            mask = rec.times <= t
-            if np.any(mask):
-                times, sizes = rec.times[mask], rec.sizes[mask]
-                b1 = np.expm1(-f.lam * (T1 - times)) / f.lam
-                b2 = np.expm1(-f.lam * (T2 - times)) / f.lam
-                log_ratio += f.sigma * float((b1 - b2) @ sizes)
+        b1 = _jump_weights(f, rec.times, t, T1, "bond")
+        b2 = _jump_weights(f, rec.times, t, T2, "bond")
+        log_ratio += f.sigma * float((b1 - b2) @ rec.sizes)
     return (math.exp(log_ratio) - 1.0) / delta

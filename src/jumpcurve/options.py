@@ -36,6 +36,7 @@ from scipy import integrate as _sciint
 from .curves import bond_B, bond_price, cumulant_time_integral
 from .model import FactorParams, ModelSpec, require_valid
 from .quadrature import QuadratureError, gauss_kronrod
+from .simulation import _jump_free_integral, _jump_weights, integrated_rate
 
 __all__ = [
     "OptionSpec",
@@ -141,17 +142,22 @@ def call_jump_exponent(
     return out if y_arr.ndim else complex(out)
 
 
+def _theta_parts(spec: ModelSpec, option: OptionSpec) -> tuple:
+    """The y-independent pieces of Theta: the floor term and the compensator.
+
+    floor term = int_0^tau mu - sum_k x_k B_k(0,tau), the jump-free I_tau;
+    compensator = sum_k int_0^tau cum_k( sigma_k B_k(s,T) ) ds.
+    """
+    tau, T = option.option_maturity, option.bond_maturity
+    compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)
+    return _jump_free_integral(spec, tau), compensator
+
+
 def call_drift_exponent(spec: ModelSpec, option: OptionSpec, y) -> complex:
     """Deterministic exponent Theta(y) of the dampened payoff transform."""
-    tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
+    floor_term, compensator = _theta_parts(spec, option)
     y_arr = np.asarray(y, dtype=float)
-    u = a + 1j * y_arr
-    floor_term = spec.floor.integral(0.0, tau) - sum(
-        f.x0 * bond_B(f, 0.0, tau) for f in spec.factors
-    )
-    compensator = sum(
-        cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors
-    )
+    u = option.dampening + 1j * y_arr
     out = (u - 1.0) * floor_term - u * compensator
     return out if y_arr.ndim else complex(out)
 
@@ -172,33 +178,39 @@ def payoff_fourier_weight(y, option: OptionSpec, p0T: float) -> complex:
     return out if y_arr.ndim else complex(out)
 
 
-def _integrand_factory(spec: ModelSpec, option: OptionSpec, extra_exponent=None):
-    """Vectorized integrand y -> w(y) exp(Theta + sum Psi_k [+ extra])."""
-    p0T = bond_price(spec, 0.0, option.bond_maturity)
+def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path=None):
+    """Vectorized integrand y -> w(y) exp(Theta + sum_k Psi_k [+ path terms]), and its slope.
+
+    Psi_k runs from t to expiry.  Given a path, the exponent gains the time-t
+    terms  I_t + (a+iy) S_T - (a+iy-1) S_tau  with
+    S_m = sum_k sum_{u_j <= t} sigma_k B_k(u_j, m) z_j;  they are linear in
+    (a+iy), so the two jump sums are collected once.  The slope is the
+    asymptotic d/dy of the phase, the Fourier frequency of the tail.
+    """
+    tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
+    p0T = bond_price(spec, 0.0, T)
+    floor_term, compensator = _theta_parts(spec, option)
+    slope = floor_term - compensator + math.log(p0T / option.strike)
+    if path is not None:
+        i_t = integrated_rate(spec, path, t)
+        sum_long = sum_short = 0.0
+        for f, rec in zip(spec.factors, path.jumps):
+            sum_long += f.sigma * float(_jump_weights(f, rec.times, t, T, "bond") @ rec.sizes)
+            sum_short += f.sigma * float(_jump_weights(f, rec.times, t, tau, "bond") @ rec.sizes)
+        slope = slope + sum_long - sum_short
 
     def integrand(y):
-        y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        exponent = call_drift_exponent(spec, option, y_arr)
+        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        u = a + 1j * y_arr
+        exponent = (u - 1.0) * floor_term - u * compensator
         for f in spec.factors:
-            exponent = exponent + call_jump_exponent(f, 0.0, y_arr, option)
-        if extra_exponent is not None:
-            exponent = exponent + extra_exponent(y_arr)
+            exponent = exponent + call_jump_exponent(f, t, y_arr, option)
+        if path is not None:
+            exponent = exponent + (i_t + u * sum_long - (u - 1.0) * sum_short)
         out = payoff_fourier_weight(y_arr, option, p0T) * np.exp(exponent)
-        return out[0] if scalar else out
+        return out if np.ndim(y) else out[0]
 
-    return integrand, p0T
-
-
-def _phase_slope(spec: ModelSpec, option: OptionSpec, p0T: float) -> float:
-    """Asymptotic d/dy of the integrand's phase; the tail's Fourier frequency."""
-    tau, T = option.option_maturity, option.bond_maturity
-    floor_term = spec.floor.integral(0.0, tau) - sum(
-        f.x0 * bond_B(f, 0.0, tau) for f in spec.factors
-    )
-    compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)
-    return floor_term - compensator + math.log(p0T / option.strike)
+    return integrand, slope
 
 
 def _half_line_integral(
@@ -271,21 +283,10 @@ def fourier_call_price(
     The full-line integral is computed as twice the real part of the
     half-line integral (the integrand is conjugate-symmetric in y); the
     imaginary part of the half-line result only checks internal consistency.
-    A result below -imag_tol is reported as a numerical failure.
+    A result below -imag_tol is reported as a numerical failure.  This is
+    the time-0, path-free case of :func:`fourier_call_price_at`.
     """
-    require_valid(spec)
-    if option.bond_maturity > spec.horizon:
-        raise ValueError("bond maturity exceeds the model horizon")
-    integrand, p0T = _integrand_factory(spec, option)
-    slope = _phase_slope(spec, option, p0T)
-    total = _half_line_integral(integrand, slope, settings)
-    price = 2.0 * total.real
-    if price < -settings.imag_tol:
-        raise PricingError(
-            f"Fourier price {price} is negative beyond tolerance; "
-            "the quadrature did not converge"
-        )
-    return max(price, 0.0)
+    return fourier_call_price_at(spec, option, None, 0.0, settings)
 
 
 def fourier_call_price_at(
@@ -301,56 +302,12 @@ def fourier_call_price_at(
     sum_k sum_{u_j <= t} gamma_k(u_j, y) z_j and the integrated-rate factor
     exp(I_t); at t = 0 this reduces exactly to :func:`fourier_call_price`.
     """
-    from .simulation import integrated_rate
-
     require_valid(spec)
-    tau = option.option_maturity
-    if not 0 <= t <= tau:
+    if not 0 <= t <= option.option_maturity:
         raise ValueError("need 0 <= t <= option maturity")
     if option.bond_maturity > spec.horizon:
         raise ValueError("bond maturity exceeds the model horizon")
-    i_t = integrated_rate(spec, path, t)
-    a = option.dampening
-
-    # sum_k sum_j eta_k(u_j, z_j, y) is linear in (a + iy): collect the two
-    # bond-slope weighted jump sums once.
-    sum_long = 0.0
-    sum_short = 0.0
-    for f, rec in zip(spec.factors, path.jumps):
-        if rec.count:
-            mask = rec.times <= t
-            if np.any(mask):
-                times, sizes = rec.times[mask], rec.sizes[mask]
-                b_long = np.expm1(-f.lam * (option.bond_maturity - times)) / f.lam
-                b_short = np.expm1(-f.lam * (tau - times)) / f.lam
-                sum_long += f.sigma * float(b_long @ sizes)
-                sum_short += f.sigma * float(b_short @ sizes)
-
-    def extra(y_arr):
-        u = a + 1j * y_arr
-        return i_t + u * sum_long - (u - 1.0) * sum_short
-
-    def jump_exponent(y_arr):
-        total = np.zeros(y_arr.shape, dtype=complex)
-        for f in spec.factors:
-            total = total + call_jump_exponent(f, t, y_arr, option)
-        return total
-
-    p0T = bond_price(spec, 0.0, option.bond_maturity)
-
-    def integrand(y):
-        y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        exponent = (
-            call_drift_exponent(spec, option, y_arr)
-            + jump_exponent(y_arr)
-            + extra(y_arr)
-        )
-        out = payoff_fourier_weight(y_arr, option, p0T) * np.exp(exponent)
-        return out[0] if scalar else out
-
-    slope = _phase_slope(spec, option, p0T) + sum_long - sum_short
+    integrand, slope = _integrand_factory(spec, option, t, path)
     total = _half_line_integral(integrand, slope, settings)
     price = 2.0 * total.real
     if price < -settings.imag_tol:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import bond_B, bond_price, cumulant_time_integral, tilted_time_integral
-from .model import JumpMeasure, ModelSpec, require_valid
+from .model import GammaJumpMeasure, ModelSpec, require_valid
 
 __all__ = [
     "JumpRecord",
@@ -153,7 +153,7 @@ def _uniform(hi, lo):
     return ((hi >> _S5) << _S26 | lo >> _S6).astype(float) * 2.0**-53
 
 
-def _jump_blocks(measure: JumpMeasure, horizon: float, key, factor_index: int, paths: range):
+def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: int, paths: range):
     """Jump records of a range of path indices, drawn in 2-d blocks.
 
     Yields ``(rows, times, sizes)``: row i of ``times``/``sizes`` holds
@@ -184,13 +184,25 @@ def _jump_blocks(measure: JumpMeasure, horizon: float, key, factor_index: int, p
             rows, last, first = rows[more], times[more, -1], first + width
 
 
+def _jump_weights(factor, times, t, T, kind: str) -> np.ndarray:
+    """Weights 1{u_j <= t} w(T - u_j) of jumps at ``times``; t and T broadcast.
+
+    Kind "decay" weighs by e^{-lam (T - u)}, the jump's share of X(T); kind
+    "bond" by B(u, T) = (e^{-lam (T - u)} - 1) / lam, its share of the bond
+    exponent.  Every pathwise quantity is sigma times these weights
+    contracted with the jump sizes.
+    """
+    x = -factor.lam * np.maximum(T - times, 0.0)
+    w = np.exp(x) if kind == "decay" else np.expm1(x) / factor.lam
+    return (times <= t) * w
+
+
 def _jump_sums(spec: ModelSpec, seed: int, n_paths: int, evals) -> np.ndarray:
     """Weighted jump sums of every factor and path, shape (factors, evals, paths).
 
     Entry (k, m, p) is  sigma_k sum_{u_j <= t} w(t - u_j) z_j  over path p's
-    factor-k jumps for the m-th ``(t, kind)`` of ``evals``: kind "decay"
-    weighs by e^{-lam (t - u)}, the jump's share of X_k(t); kind "bond" by
-    B_k(u, t) = (e^{-lam (t - u)} - 1) / lam, its share of -I_t.
+    factor-k jumps for the m-th ``(t, kind)`` of ``evals``, with the weights
+    of :func:`_jump_weights`: "decay" gives X_k(t), "bond" gives -I_t.
     """
     key = _key(seed)
     horizon = max(t for t, _ in evals)
@@ -198,15 +210,13 @@ def _jump_sums(spec: ModelSpec, seed: int, n_paths: int, evals) -> np.ndarray:
     for k, f in enumerate(spec.factors):
         for rows, times, sizes in _jump_blocks(f.measure, horizon, key, k, range(n_paths)):
             for m, (t, kind) in enumerate(evals):
-                lag = t - times
-                x = -f.lam * np.maximum(lag, 0.0)
-                w = np.exp(x) if kind == "decay" else np.expm1(x) / f.lam
-                out[k, m, rows] += f.sigma * np.sum((lag >= 0) * w * sizes, axis=1)
+                weights = _jump_weights(f, times, t, t, kind)
+                out[k, m, rows] += f.sigma * np.sum(weights * sizes, axis=1)
     return out
 
 
 def simulate_jumps(
-    measure: JumpMeasure,
+    measure: GammaJumpMeasure,
     horizon: float,
     seed: int,
     path_index: int = 0,
@@ -235,32 +245,18 @@ def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     x = factor.x0 * np.exp(-factor.lam * grid)
     if jumps.count:
-        lag = grid[:, None] - jumps.times[None, :]
-        decayed = (lag >= 0) * np.exp(-factor.lam * np.maximum(lag, 0.0))
-        x = x + factor.sigma * decayed @ jumps.sizes
+        at = grid[:, None]
+        x = x + factor.sigma * _jump_weights(factor, jumps.times, at, at, "decay") @ jumps.sizes
     return x
-
-
-def _integrated_at(spec: ModelSpec, jumps, t: float) -> float:
-    total = spec.floor.integral(0.0, t)
-    for f, rec in zip(spec.factors, jumps):
-        total -= f.x0 * bond_B(f, 0.0, t)
-        if rec.count:
-            mask = rec.times <= t
-            if np.any(mask):
-                b = np.expm1(-f.lam * (t - rec.times[mask])) / f.lam
-                total -= f.sigma * float(b @ rec.sizes[mask])
-    return total
 
 
 def _integrated_on_grid(spec: ModelSpec, jumps, grid: np.ndarray) -> np.ndarray:
     total = np.array([spec.floor.integral(0.0, float(g)) for g in grid])
+    at = grid[:, None]
     for f, rec in zip(spec.factors, jumps):
         total -= f.x0 * np.expm1(-f.lam * grid) / f.lam
         if rec.count:
-            lag = grid[:, None] - rec.times[None, :]
-            b = np.expm1(-f.lam * np.maximum(lag, 0.0)) / f.lam
-            total -= f.sigma * ((lag >= 0) * b) @ rec.sizes
+            total -= f.sigma * _jump_weights(f, rec.times, at, at, "bond") @ rec.sizes
     return total
 
 
@@ -298,7 +294,7 @@ def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     """Exact integrated short rate I_t from the path's jump records."""
     if t < path.grid[0] or t > path.grid[-1]:
         raise ValueError("t outside the path's grid span")
-    return _integrated_at(spec, path.jumps, t)
+    return float(_integrated_on_grid(spec, path.jumps, np.array([float(t)]))[0])
 
 
 def bond_path(
@@ -321,11 +317,7 @@ def bond_path(
     log_p += integrated_rate(spec, path, t)
     for f, rec in zip(spec.factors, path.jumps):
         log_p -= cumulant_time_integral(f, 0.0, t, T, method=method)
-        if rec.count:
-            mask = rec.times <= t
-            if np.any(mask):
-                b = np.expm1(-f.lam * (T - rec.times[mask])) / f.lam
-                log_p += f.sigma * float(b @ rec.sizes[mask])
+        log_p += f.sigma * float(_jump_weights(f, rec.times, t, T, "bond") @ rec.sizes)
     return math.exp(log_p)
 
 
@@ -343,13 +335,8 @@ def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -
     rate = forward_rate(spec, 0.0, T)
     for f, rec in zip(spec.factors, path.jumps):
         rate -= tilted_time_integral(f, 0.0, t, T)
-        if rec.count:
-            mask = rec.times <= t
-            if np.any(mask):
-                rate += f.sigma * float(
-                    np.exp(-f.lam * (T - rec.times[mask])) @ rec.sizes[mask]
-                )
-    return rate
+        rate += f.sigma * float(_jump_weights(f, rec.times, t, T, "decay") @ rec.sizes)
+    return float(rate)
 
 
 def _estimate(values: np.ndarray) -> MonteCarloEstimate:

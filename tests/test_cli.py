@@ -64,6 +64,47 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, bad)
         assert main(["--config", cfg, "validate"]) == 2
 
+    @pytest.mark.parametrize(
+        "change, report",
+        [
+            (
+                {
+                    "factors": [dict(BASELINE["factors"][0], x0=math.nan)],
+                    "floor": {"variant": "constant", "level": math.nan},
+                },
+                "factor 1: x0 must be nonnegative and finite\nfloor level must be finite",
+            ),
+            (
+                {"spread_floor": {"variant": "constant", "level": math.nan}},
+                "floor part 1 level must be finite",
+            ),
+        ],
+        ids=["nan-x0-and-floor", "nan-spread-floor"],
+    )
+    def test_nonfinite_config_rejected(self, tmp_path, capsys, change, report):
+        cfg = write_config(tmp_path, dict(BASELINE, output=str(tmp_path / "out"), **change))
+        assert main(["--config", cfg, "validate"]) == 1
+        assert capsys.readouterr().out.strip() == report
+        assert main(["--config", cfg, "curve"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"factors": [dict(BASELINE["factors"][0], **{"lambda": "abc"})]},
+            {"factors": 7},
+            {"grid": {"start": "x"}},
+            {"grid": 5},
+            {"grid": {"count": math.inf}},
+        ],
+        ids=["string-lambda", "integer-factors", "string-grid-start", "integer-grid",
+             "infinite-grid-count"],
+    )
+    def test_malformed_types(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, dict(BASELINE, **change))
+        assert main(["--config", cfg, "validate"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCurveCommand:
     def test_deterministic_discounting(self, tmp_path, capsys):
@@ -144,6 +185,16 @@ class TestCalibrateCommand:
         rows = (tmp_path / "out" / "floor.csv").read_text().splitlines()[1:]
         for row in rows:
             assert float(row.split(",")[1]) == pytest.approx(0.03, abs=1e-10)
+
+    @pytest.mark.parametrize("field, value", [("lambda", 0.0), ("x0", math.nan)])
+    def test_invalid_model_reports_error(self, tmp_path, capsys, field, value):
+        payload = dict(BASELINE, factors=[dict(BASELINE["factors"][0], **{field: value})])
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        market = tmp_path / "market.csv"
+        market.write_text("maturity,forward_rate\n1.0,0.03\n2.0,0.031\n")
+        assert main(["--config", cfg, "calibrate", "--market", str(market)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid model spec: factor 1: {field}")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_market_csv(self, tmp_path):
         cfg = write_config(tmp_path, BASELINE)

@@ -21,6 +21,8 @@ from jumpcurve import (
 
 from oracles import cumulant_z_oracle, tilted_z_oracle
 
+NONFINITE = [math.nan, math.inf, -math.inf]
+
 
 class TestValidate:
     def test_baseline_valid(self, baseline_spec):
@@ -58,6 +60,37 @@ class TestValidate:
             horizon=-1.0,
         )
         assert len(validate(bad).violations) == 6
+
+    @pytest.mark.parametrize("value", NONFINITE)
+    @pytest.mark.parametrize(
+        "name, least",
+        [("lambda", "positive"), ("sigma", "positive"), ("x0", "nonnegative"),
+         ("alpha", "positive"), ("epsilon", "positive")],
+    )
+    def test_nonfinite_factor_flagged(self, name, least, value):
+        p = {"lambda": 1.0, "sigma": 1.0, "x0": 0.01, "alpha": 2.0, "epsilon": 10.0, name: value}
+        factor = FactorParams(
+            lam=p["lambda"], sigma=p["sigma"], x0=p["x0"],
+            measure=GammaJumpMeasure(p["alpha"], p["epsilon"]),
+        )
+        report = validate(ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0))
+        assert report.violations == (f"factor 1: {name} must be {least} and finite",)
+
+    @pytest.mark.parametrize("value", NONFINITE)
+    def test_nonfinite_floor_and_horizon_flagged(self, baseline_factor, value):
+        # the dual-curve floor is a SummedFloor, so every part is checked
+        floor = SummedFloor((
+            ConstantFloor(value),
+            PiecewiseLinearFloor((0.0, 1.0), (0.01, value)),
+            PiecewiseLinearFloor((0.0, value), (0.01, 0.02)),
+        ))
+        report = validate(ModelSpec(factors=(baseline_factor,), floor=floor, horizon=value))
+        assert report.violations == (
+            "floor part 0 level must be finite",
+            "floor part 1 knots must be finite",
+            "floor part 2 knots must be finite",
+            "horizon must be positive and finite",
+        )
 
 
 class TestLevyCumulant:
