@@ -1,20 +1,15 @@
 """Pure-jump mean-reverting multi-factor short-rate model toolkit."""
 
 from .model import (
-    CalibratedFloor,
     ConstantFloor,
     FactorParams,
     FloorFunction,
     GammaJumpMeasure,
+    InvalidModelError,
     ModelSpec,
     PiecewiseLinearFloor,
     SummedFloor,
-    ValidationReport,
     conditional_moments,
-    levy_cumulant,
-    require_valid,
-    tilted_mean,
-    validate,
 )
 from .curves import (
     AffineCoefficients,
@@ -76,7 +71,6 @@ from .multicurve import (
     BondOrdering,
     DualCurveSpec,
     bond_ordering_check,
-    effective_spec,
     effective_state,
     fictitious_bond_price,
     forward_spread,

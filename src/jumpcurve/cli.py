@@ -52,15 +52,13 @@ from .model import (
     ConstantFloor,
     FactorParams,
     GammaJumpMeasure,
+    InvalidModelError,
     ModelSpec,
     PiecewiseLinearFloor,
-    CalibratedFloor,
     conditional_moments,
-    validate,
 )
 from .multicurve import (
     DualCurveSpec,
-    effective_spec,
     fictitious_bond_price,
     forward_spread,
     libor_forward,
@@ -101,8 +99,9 @@ def _parse_floor(node, label: str):
     if variant in ("piecewise_linear", "calibrated"):
         if "times" not in node or "values" not in node:
             raise ConfigError(f"{label}: piecewise floor needs 'times' and 'values'")
-        cls = CalibratedFloor if variant == "calibrated" else PiecewiseLinearFloor
-        return cls(tuple(map(float, node["times"])), tuple(map(float, node["values"])))
+        return PiecewiseLinearFloor(
+            tuple(map(float, node["times"])), tuple(map(float, node["values"]))
+        )
     raise ConfigError(f"{label}: unknown floor variant {variant!r}")
 
 
@@ -119,7 +118,11 @@ def _parse_factor(node, label: str) -> FactorParams:
 
 
 def load_config(path: str) -> dict:
-    """Parse the JSON model file into specs plus run settings."""
+    """Parse the JSON model file into specs plus run settings.
+
+    Raises :class:`ConfigError` for unreadable or malformed input and lets
+    :class:`InvalidModelError` through for a well-formed but invalid model.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -138,44 +141,50 @@ def load_config(path: str) -> dict:
             _parse_factor(node, f"factors[{i}]")
             for i, node in enumerate(raw["factors"])
         )
-        spec = ModelSpec(factors=factors, floor=floor, horizon=horizon)
-        dual = None
+        spread = None
         dual_keys = ("spread_floor", "spread_factors", "shared_factor_count")
         if any(key in raw for key in dual_keys):
-            spread_factors = tuple(
-                _parse_factor(f, f"spread_factors[{i}]")
-                for i, f in enumerate(raw.get("spread_factors", []))
+            spread = dict(
+                spread_factors=tuple(
+                    _parse_factor(f, f"spread_factors[{i}]")
+                    for i, f in enumerate(raw.get("spread_factors", []))
+                ),
+                spread_floor=_parse_floor(
+                    raw.get("spread_floor", {"variant": "constant", "level": 0.0}),
+                    "spread_floor",
+                ),
+                shared_factor_count=int(raw.get("shared_factor_count", 0)),
             )
-            spread_floor = _parse_floor(
-                raw.get("spread_floor", {"variant": "constant", "level": 0.0}),
-                "spread_floor",
-            )
-            try:
-                dual = DualCurveSpec(
-                    base=spec,
-                    spread_factors=spread_factors,
-                    spread_floor=spread_floor,
-                    shared_factor_count=int(raw.get("shared_factor_count", 0)),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"dual-curve extension: {exc}") from exc
         grid = raw.get("grid", {})
         if not isinstance(grid, dict):
             raise ConfigError("config 'grid' must be an object")
         start = float(grid.get("start", 0.25))
         stop = float(grid.get("stop", horizon))
         count = int(grid.get("count", 20))
+        # chained comparison: a NaN start or stop fails it too
+        if count < 1 or not 0 < start <= stop:
+            raise ConfigError("grid needs 0 < start <= stop and count >= 1")
+        maturities = np.linspace(start, stop, count)  # raises ValueError for a count too large
         tenor = float(raw.get("tenor", 0.25))
+        if not math.isfinite(tenor):
+            raise ConfigError("config 'tenor' must be finite")
     except KeyError as exc:
         raise ConfigError(f"config missing key {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
-    if count < 1 or start <= 0 or stop < start:
-        raise ConfigError("grid needs 0 < start <= stop and count >= 1")
+    spec = ModelSpec(factors=factors, floor=floor, horizon=horizon)
+    dual = None
+    if spread is not None:
+        try:
+            dual = DualCurveSpec(base=spec, **spread)
+        except InvalidModelError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"dual-curve extension: {exc}") from exc
     return {
         "spec": spec,
         "dual": dual,
-        "maturities": np.linspace(start, stop, count),
+        "maturities": maturities,
         "tenor": tenor,
         "seed": raw.get("seed"),
         "paths": raw.get("paths"),
@@ -206,58 +215,53 @@ def _resolve_paths(cfg: dict, args, default=None) -> int:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    # a dual-curve model is checked as its effective spec: both floors, all factors
-    spec = cfg["spec"] if cfg["dual"] is None else effective_spec(cfg["dual"])
-    report = validate(spec)
-    print(str(report))
-    return EXIT_OK if report.valid else EXIT_DOMAIN
+    # load_config built the specs, so the model (and a dual-curve fictitious model) is valid
+    print("OK")
+    return EXIT_OK
 
 
 def cmd_curve(cfg: dict, args) -> int:
-    spec, dual = cfg["spec"], cfg["dual"]
-    out_dir = _resolve_output(cfg, args)
-    destination = os.path.join(out_dir, "curve.csv")
-    tenor = cfg["tenor"]
+    spec, dual, tenor = cfg["spec"], cfg["dual"], cfg["tenor"]
+    # every row is computed before the output directory is made, so a failure
+    # leaves no partial output
+    rows = []
     try:
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+        for T in cfg["maturities"]:
             if dual is None:
-                handle.write("maturity,P,f,R\n")
-                for T in cfg["maturities"]:
-                    row = (
-                        bond_price(spec, 0.0, T),
-                        forward_rate(spec, 0.0, T),
-                        yield_curve(spec, 0.0, T),
-                    )
-                    handle.write(",".join([_fmt(T)] + [_fmt(v) for v in row]) + "\n")
-            else:
-                eff = effective_spec(dual)
-                handle.write("maturity,P,P_bar,f,f_bar,g,F_ois,L_libor\n")
-                for T in cfg["maturities"]:
-                    f_val = forward_rate(spec, 0.0, T)
-                    f_bar = forward_rate(eff, 0.0, T)
-                    row = (
-                        bond_price(spec, 0.0, T),
-                        fictitious_bond_price(dual, 0.0, T),
-                        f_val,
-                        f_bar,
-                        f_bar - f_val,
-                        ois_forward(dual, 0.0, T, T + tenor),
-                        libor_forward(dual, 0.0, T, T + tenor),
-                    )
-                    handle.write(",".join([_fmt(T)] + [_fmt(v) for v in row]) + "\n")
-    except ValueError as exc:
+                rows.append((T, bond_price(spec, 0.0, T), forward_rate(spec, 0.0, T),
+                             yield_curve(spec, 0.0, T)))
+                continue
+            f_val = forward_rate(spec, 0.0, T)
+            f_bar = forward_rate(dual.fictitious, 0.0, T)
+            rows.append((
+                T,
+                bond_price(spec, 0.0, T),
+                fictitious_bond_price(dual, 0.0, T),
+                f_val,
+                f_bar,
+                f_bar - f_val,
+                ois_forward(dual, 0.0, T, T + tenor),
+                libor_forward(dual, 0.0, T, T + tenor),
+            ))
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a bond price that underflows to 0 or overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if not np.all(np.isfinite(rows)):
+        print("error: curve values overflow double precision", file=sys.stderr)
+        return EXIT_DOMAIN
+    header = "maturity,P,f,R" if dual is None else "maturity,P,P_bar,f,f_bar,g,F_ois,L_libor"
+    destination = os.path.join(_resolve_output(cfg, args), "curve.csv")
+    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(_fmt(v) for v in row) + "\n")
     print(f"wrote {destination}")
     return EXIT_OK
 
 
 def cmd_calibrate(cfg: dict, args) -> int:
     spec = cfg["spec"]
-    report = validate(spec)
-    if not report.valid:
-        print(f"error: invalid model spec: {'; '.join(report.violations)}", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
         market = ForwardCurve.from_csv(args.market)
     except OSError as exc:
@@ -270,7 +274,11 @@ def cmd_calibrate(cfg: dict, args) -> int:
         print("error: market maturities exceed the model horizon", file=sys.stderr)
         return EXIT_DOMAIN
     floor = calibrate_floor(spec.factors, market)
-    refitted = ModelSpec(factors=spec.factors, floor=floor, horizon=spec.horizon)
+    try:
+        refitted = ModelSpec(factors=spec.factors, floor=floor, horizon=spec.horizon)
+    except InvalidModelError as exc:  # the fitted floor overflowed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     worst = max(
         abs(forward_rate(refitted, 0.0, T) - f_mkt)
         for T, f_mkt in zip(market.maturities, market.rates)
@@ -290,7 +298,7 @@ def cmd_calibrate(cfg: dict, args) -> int:
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    spec = cfg["spec"] if cfg["dual"] is None else effective_spec(cfg["dual"])
+    spec = cfg["spec"] if cfg["dual"] is None else cfg["dual"].fictitious
     try:
         seed = _resolve_seed(cfg, args)
         n_paths = _resolve_paths(cfg, args)
@@ -379,6 +387,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InvalidModelError as exc:
+        if args.command == "validate":
+            print("\n".join(exc.violations))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     if args.command == "price" and args.instrument == "option":
         if args.strike is None or args.expiry is None:
             print("error: option pricing needs --strike and --expiry", file=sys.stderr)

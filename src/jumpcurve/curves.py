@@ -33,13 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    CalibratedFloor,
     ConstantFloor,
     FactorParams,
     FloorFunction,
     GammaJumpMeasure,
     ModelSpec,
-    require_valid,
+    PiecewiseLinearFloor,
 )
 from .quadrature import gauss_kronrod
 
@@ -240,7 +239,6 @@ def bond_price(
     t = 0.  Strictly positive; equals 1 at t = T; bounded above by
     exp(-int_t^T mu) whenever every factor value is nonnegative.
     """
-    require_valid(spec)
     if T > spec.horizon:
         raise ValueError("T exceeds the model horizon")
     state = _state_or_initial(spec, state)
@@ -265,7 +263,6 @@ def forward_rate(
     which collapses to mu(T) - sum_k cum(sigma B_k(t,T)) + decayed state in
     closed form.  Satisfies f(t,t) = r(t).
     """
-    require_valid(spec)
     _check_interval(t, T)
     if T > spec.horizon:
         raise ValueError("T exceeds the model horizon")
@@ -334,7 +331,7 @@ class ForwardCurve:
 def calibrate_floor(
     factors: Sequence[FactorParams],
     market: ForwardCurve,
-) -> CalibratedFloor:
+) -> PiecewiseLinearFloor:
     """Floor that reproduces a given initial forward curve exactly.
 
     mu(T) = f_M(0,T) - sum_k ( x_k e^{-lam T} + tilted compensator over [0,T] ),
@@ -352,7 +349,7 @@ def calibrate_floor(
             adj += f.x0 * math.exp(-f.lam * T)
             adj += tilted_time_integral(f, 0.0, T, T)
         levels.append(f_mkt - adj)
-    return CalibratedFloor(tuple(market.maturities), tuple(levels))
+    return PiecewiseLinearFloor(tuple(market.maturities), tuple(levels))
 
 
 @dataclass(frozen=True)

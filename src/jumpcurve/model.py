@@ -12,6 +12,11 @@ closed forms and validation read its parameters directly: jumps arrive at
 rate alpha and sizes are exponential with rate epsilon, giving the Lebesgue
 density  alpha * epsilon * exp(-epsilon z)  on (0, inf).
 
+A :class:`ModelSpec` is valid by construction: it checks every constraint
+when it is built and raises :class:`InvalidModelError`, listing all the
+violations, if any fails.  The pricing, transform and simulation functions
+therefore take a spec as given and do not check it again.
+
 Every exponential-moment formula in the library reduces to the cumulant
 integral  int (exp(b z) - 1) nu(dz),  which the gamma measure evaluates in
 closed form as  alpha * b / (epsilon - b)  for Re(b) < epsilon.  Since the
@@ -33,15 +38,10 @@ __all__ = [
     "FloorFunction",
     "ConstantFloor",
     "PiecewiseLinearFloor",
-    "CalibratedFloor",
     "SummedFloor",
     "FactorParams",
     "ModelSpec",
-    "ValidationReport",
-    "validate",
-    "require_valid",
-    "levy_cumulant",
-    "tilted_mean",
+    "InvalidModelError",
     "conditional_moments",
 ]
 
@@ -172,10 +172,6 @@ class PiecewiseLinearFloor(FloorFunction):
         return float(min(self.values))
 
 
-class CalibratedFloor(PiecewiseLinearFloor):
-    """Piecewise-linear floor produced by market-consistent calibration."""
-
-
 @dataclass(frozen=True)
 class SummedFloor(FloorFunction):
     """Pointwise sum of floors; used for the dual-curve combined floor."""
@@ -215,7 +211,12 @@ class FactorParams:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full short-rate model: ordered factors, floor, and time horizon."""
+    """Full short-rate model: ordered factors, floor, and time horizon.
+
+    Construction checks every model constraint and raises
+    :class:`InvalidModelError` listing each violation, so every
+    ``ModelSpec`` that exists is valid.
+    """
 
     factors: tuple
     floor: FloorFunction
@@ -223,6 +224,27 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        problems = []
+        if not self.factors:
+            problems.append("model requires at least one factor")
+        # chained comparisons: NaN fails every one, so each test also rejects NaN
+        inf = math.inf
+        for i, f in enumerate(self.factors, start=1):
+            if not 0 < f.lam < inf:
+                problems.append(f"factor {i}: lambda must be positive and finite")
+            if not 0 < f.sigma < inf:
+                problems.append(f"factor {i}: sigma must be positive and finite")
+            if not 0 <= f.x0 < inf:
+                problems.append(f"factor {i}: x0 must be nonnegative and finite")
+            if not 0 < f.measure.alpha < inf:
+                problems.append(f"factor {i}: alpha must be positive and finite")
+            if not 0 < f.measure.epsilon < inf:
+                problems.append(f"factor {i}: epsilon must be positive and finite")
+        problems.extend(_floor_violations(self.floor, "floor"))
+        if not 0 < self.horizon < inf:
+            problems.append("horizon must be positive and finite")
+        if problems:
+            raise InvalidModelError(problems)
 
     @property
     def n_factors(self) -> int:
@@ -232,23 +254,12 @@ class ModelSpec:
         return np.array([f.x0 for f in self.factors], dtype=float)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Constraint check outcome; an empty violation list means valid."""
+class InvalidModelError(ValueError):
+    """A model constraint failed; ``violations`` lists every failed one."""
 
-    violations: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.valid:
-            return "OK"
-        return "\n".join(self.violations)
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        super().__init__("invalid model spec: " + "; ".join(self.violations))
 
 
 def _floor_violations(floor: FloorFunction, label: str) -> list:
@@ -270,50 +281,6 @@ def _floor_violations(floor: FloorFunction, label: str) -> list:
     elif isinstance(floor, ConstantFloor) and not math.isfinite(floor.level):
         problems.append(f"{label} level must be finite")
     return problems
-
-
-def validate(spec: ModelSpec) -> ValidationReport:
-    """Collect every violated model constraint into a report.
-
-    Reports rather than raises so a caller can surface all problems at once;
-    operations that cannot run on an invalid spec call :func:`require_valid`.
-    """
-    problems = []
-    if spec.n_factors < 1:
-        problems.append("model requires at least one factor")
-    # chained comparisons: NaN fails every one, so each test also rejects NaN
-    inf = math.inf
-    for i, f in enumerate(spec.factors, start=1):
-        if not 0 < f.lam < inf:
-            problems.append(f"factor {i}: lambda must be positive and finite")
-        if not 0 < f.sigma < inf:
-            problems.append(f"factor {i}: sigma must be positive and finite")
-        if not 0 <= f.x0 < inf:
-            problems.append(f"factor {i}: x0 must be nonnegative and finite")
-        if not 0 < f.measure.alpha < inf:
-            problems.append(f"factor {i}: alpha must be positive and finite")
-        if not 0 < f.measure.epsilon < inf:
-            problems.append(f"factor {i}: epsilon must be positive and finite")
-    problems.extend(_floor_violations(spec.floor, "floor"))
-    if not 0 < spec.horizon < inf:
-        problems.append("horizon must be positive and finite")
-    return ValidationReport(tuple(problems))
-
-
-def require_valid(spec: ModelSpec) -> None:
-    report = validate(spec)
-    if not report.valid:
-        raise ValueError("invalid model spec: " + "; ".join(report.violations))
-
-
-def levy_cumulant(measure: GammaJumpMeasure, b):
-    """Cumulant integral  int (exp(b z) - 1) nu(dz)  of a jump measure."""
-    return measure.levy_cumulant(b)
-
-
-def tilted_mean(measure: GammaJumpMeasure, b):
-    """Tilted first moment  int z exp(b z) nu(dz)  of a jump measure."""
-    return measure.tilted_mean(b)
 
 
 def factor_mean_term(lam: float, sigma: float, mean_jump: float, x_u: float, dt: float) -> float:

@@ -39,7 +39,6 @@ from .simulation import _jump_weights
 __all__ = [
     "DualCurveSpec",
     "BondOrdering",
-    "effective_spec",
     "effective_state",
     "fictitious_bond_price",
     "bond_ordering_check",
@@ -58,12 +57,17 @@ class DualCurveSpec:
     factors also appear in the spread sum.  State vectors for the dual-curve
     operations hold one entry per distinct factor: base factors first, then
     the new spread factors.
+
+    ``fictitious`` is the affine model of the fictitious short rate r_bar,
+    built and validated once at construction: shared factors enter doubled
+    (sigma and x0 scaled by two) and the floor is the pointwise sum mu + mu*.
     """
 
     base: ModelSpec
     spread_factors: tuple = ()
     spread_floor: FloorFunction = field(default_factory=lambda: ConstantFloor(0.0))
     shared_factor_count: int = 0
+    fictitious: ModelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spread_factors", tuple(self.spread_factors))
@@ -71,6 +75,17 @@ class DualCurveSpec:
             raise ValueError("shared factor count must lie in [0, n]")
         if self.spread_floor.minimum() < 0:
             raise ValueError("spread floor must be nonnegative everywhere")
+        shared_from = self.n_base - self.shared_factor_count
+        factors = tuple(
+            replace(f, sigma=2.0 * f.sigma, x0=2.0 * f.x0) if k >= shared_from else f
+            for k, f in enumerate(self.base.factors)
+        )
+        fictitious = ModelSpec(
+            factors=factors + self.spread_factors,
+            floor=SummedFloor((self.base.floor, self.spread_floor)),
+            horizon=self.base.horizon,
+        )
+        object.__setattr__(self, "fictitious", fictitious)
 
     @property
     def n_base(self) -> int:
@@ -79,27 +94,6 @@ class DualCurveSpec:
     @property
     def n_distinct(self) -> int:
         return self.base.n_factors + len(self.spread_factors)
-
-
-def effective_spec(dual: DualCurveSpec) -> ModelSpec:
-    """Affine model of the fictitious short rate r_bar.
-
-    Shared factors enter doubled (sigma and x0 scaled by two); the floor is
-    the pointwise sum mu + mu*.
-    """
-    shared_from = dual.n_base - dual.shared_factor_count
-    factors = []
-    for k, f in enumerate(dual.base.factors):
-        if k >= shared_from:
-            factors.append(replace(f, sigma=2.0 * f.sigma, x0=2.0 * f.x0))
-        else:
-            factors.append(f)
-    factors.extend(dual.spread_factors)
-    return ModelSpec(
-        factors=tuple(factors),
-        floor=SummedFloor((dual.base.floor, dual.spread_floor)),
-        horizon=dual.base.horizon,
-    )
 
 
 def effective_state(dual: DualCurveSpec, state) -> np.ndarray:
@@ -127,7 +121,7 @@ def _states(dual: DualCurveSpec, state):
 def fictitious_bond_price(dual: DualCurveSpec, t: float, T: float, state=None) -> float:
     """Nontraded discount bond P_bar(t,T) of the spread-augmented rate."""
     _, eff_state = _states(dual, state)
-    return bond_price(effective_spec(dual), t, T, eff_state)
+    return bond_price(dual.fictitious, t, T, eff_state)
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ def bond_ordering_check(
     makes the ordering a theorem), so it raises rather than returning.
     """
     base_state, eff_state = _states(dual, state)
-    p_bar = bond_price(effective_spec(dual), t, T, eff_state)
+    p_bar = bond_price(dual.fictitious, t, T, eff_state)
     p = bond_price(dual.base, t, T, base_state)
     ordered = p_bar <= p * (1.0 + slack) + slack
     if not ordered:
@@ -162,7 +156,7 @@ def bond_ordering_check(
 def forward_spread(dual: DualCurveSpec, t: float, T: float, state=None) -> float:
     """Forward-rate spread g(t,T) = f_bar(t,T) - f(t,T) >= 0, with g(t,t) = s(t)."""
     base_state, eff_state = _states(dual, state)
-    f_bar = forward_rate(effective_spec(dual), t, T, eff_state)
+    f_bar = forward_rate(dual.fictitious, t, T, eff_state)
     f = forward_rate(dual.base, t, T, base_state)
     spread = f_bar - f
     if spread < -1e-12:
@@ -196,7 +190,7 @@ def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=Non
     """
     _check_tenor(t, T1, T2)
     _, eff_state = _states(dual, state)
-    eff = effective_spec(dual)
+    eff = dual.fictitious
     delta = T2 - T1
     p1 = bond_price(eff, t, T1, eff_state)
     p2 = bond_price(eff, t, T2, eff_state)
@@ -217,7 +211,7 @@ def libor_path_closed_form(
     Must match the bond-ratio definition at the path's state exactly.
     """
     _check_tenor(t, T1, T2)
-    eff = effective_spec(dual)
+    eff = dual.fictitious
     delta = T2 - T1
     log_ratio = math.log(
         bond_price(eff, 0.0, T1) / bond_price(eff, 0.0, T2)

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from .curves import bond_B, bond_price, cumulant_time_integral
-from .model import FactorParams, ModelSpec, require_valid
+from .model import FactorParams, ModelSpec
 from .quadrature import QuadratureError, gauss_kronrod
 from .simulation import _jump_free_integral, _jump_weights, integrated_rate
 
@@ -302,7 +302,6 @@ def fourier_call_price_at(
     sum_k sum_{u_j <= t} gamma_k(u_j, y) z_j and the integrated-rate factor
     exp(I_t); at t = 0 this reduces exactly to :func:`fourier_call_price`.
     """
-    require_valid(spec)
     if not 0 <= t <= option.option_maturity:
         raise ValueError("need 0 <= t <= option maturity")
     if option.bond_maturity > spec.horizon:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import bond_B, bond_price, cumulant_time_integral, tilted_time_integral
-from .model import GammaJumpMeasure, ModelSpec, require_valid
+from .model import GammaJumpMeasure, ModelSpec
 
 __all__ = [
     "JumpRecord",
@@ -271,7 +271,6 @@ def simulate_path(
     The evaluation grid unions a regular mesh with every jump epoch, so the
     stored trajectories are exact at the jumps themselves.
     """
-    require_valid(spec)
     jumps = tuple(
         simulate_jumps(f.measure, spec.horizon, seed, path_index, k)
         for k, f in enumerate(spec.factors)
@@ -350,7 +349,6 @@ def _estimate(values: np.ndarray) -> MonteCarloEstimate:
 
 
 def _check_mc_args(spec: ModelSpec, T: float, n_paths: int, seed: int) -> None:
-    require_valid(spec)
     _key(seed)
     if T > spec.horizon:
         raise ValueError("maturity exceeds the model horizon")

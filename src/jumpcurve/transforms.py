@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _sciint
 
-from .model import FactorParams, GammaJumpMeasure, ModelSpec, require_valid
+from .model import FactorParams, GammaJumpMeasure, ModelSpec
 from .quadrature import QuadratureError, gauss_kronrod
 
 __all__ = [
@@ -105,7 +105,6 @@ def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
 
     Modulus is at most 1 for real u, with equality at u = 0.
     """
-    require_valid(spec)
     if t < 0 or t > spec.horizon:
         raise ValueError("need 0 <= t <= horizon")
     exponent = 1j * u * float(spec.floor.value(t))
@@ -122,7 +121,6 @@ def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
          + sum_k v e^{-lam t} x_k ),
     defined for v below min_k eps_k / sigma_k.
     """
-    require_valid(spec)
     if t < 0 or t > spec.horizon:
         raise ValueError("need 0 <= t <= horizon")
     bound = min(f.measure.epsilon / f.sigma for f in spec.factors)

@@ -242,7 +242,7 @@ def test_criterion_09_hjm_identity():
 
 
 def test_criterion_10_multicurve():
-    from jumpcurve import bond_ordering_check, effective_spec, libor_forward, libor_path_closed_form
+    from jumpcurve import bond_ordering_check, libor_forward, libor_path_closed_form
 
     rng = np.random.default_rng(10_001)
     ok = True
@@ -260,7 +260,7 @@ def test_criterion_10_multicurve():
         ),
         spread_floor=ConstantFloor(0.005),
     )
-    eff = effective_spec(dual)
+    eff = dual.fictitious
     worst = 0.0
     for p in range(20):
         path = simulate_path(eff, seed=10_002, path_index=p, points_per_year=4)

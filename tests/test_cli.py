@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpcurve.cli import main
 
@@ -106,6 +110,99 @@ class TestValidateCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestInvalidModelLeavesNoOutput:
+    @pytest.mark.parametrize("command", ["curve", "simulate"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"floor": {"variant": "constant", "level": math.nan}},
+            {"factors": [dict(BASELINE["factors"][0], **{"lambda": 0})]},
+        ],
+        ids=["nan-floor-level", "zero-lambda"],
+    )
+    def test_fails_before_writing(self, tmp_path, capsys, command, change):
+        cfg = write_config(tmp_path, dict(BASELINE, paths=2, output=str(tmp_path / "out"), **change))
+        assert main(["--config", cfg, command]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid model spec: ")
+        assert not (tmp_path / "out").exists()
+
+
+# Valid configs, which random mutations below then break.
+_RATES = st.floats(-0.05, 0.1)
+_FACTOR = st.fixed_dictionaries({
+    "lambda": st.floats(0.05, 5.0), "sigma": st.floats(0.05, 3.0), "x0": st.floats(0.0, 0.1),
+    "alpha": st.floats(0.01, 10.0), "epsilon": st.floats(1.0, 50.0),
+})
+_KNOTS = st.lists(st.tuples(st.floats(0.0, 12.0), _RATES), min_size=1, max_size=4,
+                  unique_by=lambda knot: knot[0]).map(sorted)
+_FLOOR = st.one_of(
+    st.fixed_dictionaries({"variant": st.just("constant"), "level": _RATES}),
+    st.builds(lambda variant, knots: {"variant": variant, "times": [t for t, _ in knots],
+                                      "values": [v for _, v in knots]},
+              st.sampled_from(["piecewise_linear", "calibrated"]), _KNOTS),
+)
+_CONFIG = st.fixed_dictionaries(
+    {"version": st.just(1), "horizon": st.floats(8.0, 15.0), "floor": _FLOOR,
+     "factors": st.lists(_FACTOR, min_size=1, max_size=3)},
+    optional={
+        "spread_floor": _FLOOR, "spread_factors": st.lists(_FACTOR, max_size=2),
+        "shared_factor_count": st.integers(0, 1), "tenor": st.floats(0.01, 1.0),
+        "grid": st.fixed_dictionaries({}, optional={
+            "start": st.floats(0.01, 3.0), "stop": st.floats(3.0, 8.0), "count": st.integers(1, 12)}),
+    },
+)
+_BAD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, -1e308, 5e-324, "abc", None]),
+    st.floats(allow_nan=False),
+    st.builds(list),
+)
+# no grid count large enough to be allocated and priced for minutes (about 1e6 and up) is drawn
+_BAD_COUNT = st.one_of(st.integers(-3, 40), st.sampled_from([math.nan, math.inf, 2.5, 1e20, "abc"]))
+
+
+def _node_paths(node, path=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def _adversarial_configs(draw):
+    raw = draw(_CONFIG)
+    targets = draw(st.lists(st.sampled_from(list(_node_paths(raw))), max_size=2, unique=True))
+    # deepest first, so no later target lies inside a node already replaced
+    for path in sorted(targets, key=len, reverse=True):
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(_BAD_COUNT if path[-1] == "count" else _BAD)
+    return raw
+
+
+class TestConfigProperties:
+    @given(raw=_adversarial_configs())
+    @settings(max_examples=50, deadline=None)
+    def test_exit_codes_and_curve_output(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            cfg = os.path.join(tmp, "model.json")
+            with open(cfg, "w", encoding="utf-8") as handle:
+                json.dump(dict(raw, output=out), handle)
+            validate_code = main(["--config", cfg, "validate"])
+            curve_code = main(["--config", cfg, "curve"])
+            assert validate_code in (0, 1, 2)
+            assert curve_code in (0, 1, 2)
+            if validate_code != 0:
+                assert curve_code == validate_code
+            if curve_code == 0:
+                with open(os.path.join(out, "curve.csv"), encoding="utf-8") as handle:
+                    rows = handle.read().splitlines()[1:]
+                assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+            else:
+                assert not os.path.exists(out)
+
+
 class TestCurveCommand:
     def test_deterministic_discounting(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(DETERMINISTIC, output=str(tmp_path / "out")))
@@ -194,6 +291,16 @@ class TestCalibrateCommand:
         market.write_text("maturity,forward_rate\n1.0,0.03\n2.0,0.031\n")
         assert main(["--config", cfg, "calibrate", "--market", str(market)]) == 1
         assert capsys.readouterr().err.startswith(f"error: invalid model spec: factor 1: {field}")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_floor_reports_error(self, tmp_path, capsys):
+        # alpha * epsilon overflows, so the fitted floor levels are NaN
+        factor = dict(BASELINE["factors"][0], alpha=1e308, epsilon=1e308)
+        cfg = write_config(tmp_path, dict(BASELINE, factors=[factor], output=str(tmp_path / "out")))
+        market = tmp_path / "market.csv"
+        market.write_text("maturity,forward_rate\n1.0,0.03\n2.0,0.031\n")
+        assert main(["--config", cfg, "calibrate", "--market", str(market)]) == 1
+        assert capsys.readouterr().err == "error: invalid model spec: floor knots must be finite\n"
         assert not (tmp_path / "out").exists()
 
     def test_empty_market_csv(self, tmp_path):

@@ -11,6 +11,7 @@ from jumpcurve import (
     ForwardCurve,
     GammaJumpMeasure,
     ModelSpec,
+    PiecewiseLinearFloor,
     affine_coefficients,
     bond_A,
     bond_A_dT,
@@ -177,6 +178,47 @@ class TestForwardRate:
         closed = forward_rate(baseline_spec, 0.25, 2.0)
         quad = forward_rate(baseline_spec, 0.25, 2.0, method="quadrature")
         assert closed == pytest.approx(quad, rel=1e-10)
+
+
+_FACTORS = st.lists(
+    st.builds(
+        FactorParams,
+        lam=st.floats(0.05, 5.0),
+        sigma=st.floats(0.05, 3.0),
+        x0=st.floats(0.0, 0.1),
+        measure=st.builds(GammaJumpMeasure, st.floats(0.01, 10.0), st.floats(1.0, 50.0)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_NONNEGATIVE_FLOORS = st.one_of(
+    st.builds(ConstantFloor, st.floats(0.0, 0.1)),
+    st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 0.1)), min_size=1, max_size=4,
+             unique_by=lambda knot: knot[0]).map(
+        lambda knots: PiecewiseLinearFloor(*zip(*sorted(knots)))),
+)
+
+
+class TestValidSpecProperties:
+    @given(
+        factors=_FACTORS,
+        floor=_NONNEGATIVE_FLOORS,
+        t=st.floats(0.0, 5.0),
+        dt=st.floats(0.0, 5.0),
+        state=st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bond_and_forward_contract(self, factors, floor, t, dt, state):
+        spec = ModelSpec(factors=factors, floor=floor, horizon=10.0)
+        x = state[: spec.n_factors]
+        T = t + dt
+        p = bond_price(spec, t, T, x)
+        assert 0.0 < p <= 1.0
+        assert p == pytest.approx(bond_price(spec, t, T, x, method="quadrature"), rel=1e-10)
+        f = forward_rate(spec, t, T, x)
+        assert f == pytest.approx(forward_rate(spec, t, T, x, method="quadrature"), rel=1e-10, abs=1e-14)
+        # f(t, t) = r(t) = mu(t) + sum_k X_k(t)
+        assert forward_rate(spec, t, t, x) == pytest.approx(floor.value(t) + sum(x), rel=1e-14)
 
 
 class TestYieldCurve:

@@ -9,14 +9,12 @@ from jumpcurve import (
     ConstantFloor,
     FactorParams,
     GammaJumpMeasure,
+    InvalidModelError,
     ModelSpec,
     PiecewiseLinearFloor,
     SummedFloor,
     conditional_moments,
-    levy_cumulant,
     mc_short_rate_samples,
-    tilted_mean,
-    validate,
 )
 
 from oracles import cumulant_z_oracle, tilted_z_oracle
@@ -24,42 +22,46 @@ from oracles import cumulant_z_oracle, tilted_z_oracle
 NONFINITE = [math.nan, math.inf, -math.inf]
 
 
+def violations(*args, **kwargs):
+    """The violations a ModelSpec built from these arguments reports."""
+    with pytest.raises(InvalidModelError) as info:
+        ModelSpec(*args, **kwargs)
+    assert str(info.value) == "invalid model spec: " + "; ".join(info.value.violations)
+    return info.value.violations
+
+
 class TestValidate:
     def test_baseline_valid(self, baseline_spec):
-        report = validate(baseline_spec)
-        assert report.valid
-        assert str(report) == "OK"
+        rebuilt = ModelSpec(baseline_spec.factors, baseline_spec.floor, baseline_spec.horizon)
+        assert rebuilt == baseline_spec
 
     def test_zero_lambda_flagged(self, baseline_spec):
-        bad = ModelSpec(
+        found = violations(
             factors=(
                 FactorParams(lam=0.0, sigma=0.5, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0)),
             ),
             floor=baseline_spec.floor,
             horizon=baseline_spec.horizon,
         )
-        report = validate(bad)
-        assert not report.valid
-        assert any("lambda must be positive" in v for v in report.violations)
+        assert any("lambda must be positive" in v for v in found)
 
     def test_unsorted_floor_knots_flagged(self, baseline_factor):
-        bad = ModelSpec(
+        found = violations(
             factors=(baseline_factor,),
             floor=PiecewiseLinearFloor((0.0, 2.0, 1.0), (0.01, 0.02, 0.03)),
             horizon=5.0,
         )
-        report = validate(bad)
-        assert any("knots not sorted" in v for v in report.violations)
+        assert any("knots not sorted" in v for v in found)
 
     def test_all_violations_listed(self):
-        bad = ModelSpec(
+        found = violations(
             factors=(
                 FactorParams(lam=-1.0, sigma=0.0, x0=-0.5, measure=GammaJumpMeasure(0.0, -1.0)),
             ),
             floor=ConstantFloor(0.0),
             horizon=-1.0,
         )
-        assert len(validate(bad).violations) == 6
+        assert len(found) == 6
 
     @pytest.mark.parametrize("value", NONFINITE)
     @pytest.mark.parametrize(
@@ -73,8 +75,8 @@ class TestValidate:
             lam=p["lambda"], sigma=p["sigma"], x0=p["x0"],
             measure=GammaJumpMeasure(p["alpha"], p["epsilon"]),
         )
-        report = validate(ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0))
-        assert report.violations == (f"factor 1: {name} must be {least} and finite",)
+        found = violations(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
+        assert found == (f"factor 1: {name} must be {least} and finite",)
 
     @pytest.mark.parametrize("value", NONFINITE)
     def test_nonfinite_floor_and_horizon_flagged(self, baseline_factor, value):
@@ -84,8 +86,8 @@ class TestValidate:
             PiecewiseLinearFloor((0.0, 1.0), (0.01, value)),
             PiecewiseLinearFloor((0.0, value), (0.01, 0.02)),
         ))
-        report = validate(ModelSpec(factors=(baseline_factor,), floor=floor, horizon=value))
-        assert report.violations == (
+        found = violations(factors=(baseline_factor,), floor=floor, horizon=value)
+        assert found == (
             "floor part 0 level must be finite",
             "floor part 1 knots must be finite",
             "floor part 2 knots must be finite",
@@ -95,35 +97,35 @@ class TestValidate:
 
 class TestLevyCumulant:
     def test_zero_argument(self):
-        assert levy_cumulant(GammaJumpMeasure(2.0, 10.0), 0.0) == 0.0
+        assert GammaJumpMeasure(2.0, 10.0).levy_cumulant(0.0) == 0.0
 
     def test_real_negative_argument(self):
         m = GammaJumpMeasure(2.0, 10.0)
-        assert levy_cumulant(m, -5.0) == pytest.approx(-2.0 / 3.0, rel=1e-15)
-        assert levy_cumulant(m, -5.0) == pytest.approx(
+        assert m.levy_cumulant(-5.0) == pytest.approx(-2.0 / 3.0, rel=1e-15)
+        assert m.levy_cumulant(-5.0) == pytest.approx(
             cumulant_z_oracle(m, -5.0), rel=1e-12
         )
 
     def test_complex_argument(self):
         m = GammaJumpMeasure(1.0, 4.0)
-        got = levy_cumulant(m, 2.0 + 1.0j)
+        got = m.levy_cumulant(2.0 + 1.0j)
         assert got == pytest.approx((2.0 + 1.0j) / (2.0 - 1.0j), rel=1e-15)
         assert got == pytest.approx(cumulant_z_oracle(m, 2.0 + 1.0j), rel=1e-11)
 
     def test_domain_error(self):
         m = GammaJumpMeasure(2.0, 10.0)
         with pytest.raises(ValueError):
-            levy_cumulant(m, 10.0)
+            m.levy_cumulant(10.0)
         with pytest.raises(ValueError):
-            levy_cumulant(m, 11.0 + 3.0j)
+            m.levy_cumulant(11.0 + 3.0j)
 
     @given(b=st.floats(min_value=-40.0, max_value=-1e-3))
     @settings(max_examples=50, deadline=None)
     def test_real_negative_is_real_negative_increasing(self, b):
         m = GammaJumpMeasure(2.0, 10.0)
-        value = levy_cumulant(m, b)
+        value = m.levy_cumulant(b)
         assert value < 0
-        assert levy_cumulant(m, b / 2.0) > value
+        assert m.levy_cumulant(b / 2.0) > value
         assert value == pytest.approx(cumulant_z_oracle(m, b), rel=1e-10)
 
     def test_compensator_identity(self):
@@ -136,23 +138,23 @@ class TestLevyCumulant:
 class TestTiltedMean:
     def test_zero_argument_is_mean(self):
         m = GammaJumpMeasure(2.0, 10.0)
-        assert tilted_mean(m, 0.0) == pytest.approx(0.2, rel=1e-15)
+        assert m.tilted_mean(0.0) == pytest.approx(0.2, rel=1e-15)
 
     def test_negative_argument(self):
         m = GammaJumpMeasure(2.0, 10.0)
-        assert tilted_mean(m, -10.0) == pytest.approx(0.05, rel=1e-15)
-        assert tilted_mean(m, -10.0) == pytest.approx(
+        assert m.tilted_mean(-10.0) == pytest.approx(0.05, rel=1e-15)
+        assert m.tilted_mean(-10.0) == pytest.approx(
             tilted_z_oracle(m, -10.0), rel=1e-12
         )
 
     def test_interior_argument(self):
         m = GammaJumpMeasure(1.0, 1.0)
-        assert tilted_mean(m, 0.5) == pytest.approx(4.0, rel=1e-15)
-        assert tilted_mean(m, 0.5) == pytest.approx(tilted_z_oracle(m, 0.5), rel=1e-12)
+        assert m.tilted_mean(0.5) == pytest.approx(4.0, rel=1e-15)
+        assert m.tilted_mean(0.5) == pytest.approx(tilted_z_oracle(m, 0.5), rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            tilted_mean(GammaJumpMeasure(1.0, 1.0), 1.0)
+            GammaJumpMeasure(1.0, 1.0).tilted_mean(1.0)
 
 
 class TestSecondMoment:

@@ -12,7 +12,6 @@ from jumpcurve import (
     bond_B,
     bond_ordering_check,
     bond_price,
-    effective_spec,
     effective_state,
     evolve_factor,
     fictitious_bond_price,
@@ -98,7 +97,7 @@ class TestDualCurveSpec:
         )
         mapped = effective_state(dual, [0.03, 0.007])
         assert np.allclose(mapped, [0.06, 0.007])
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         assert eff.factors[0].sigma == 2.0 * baseline_spec.factors[0].sigma
         assert eff.factors[0].x0 == 2.0 * baseline_spec.factors[0].x0
 
@@ -115,20 +114,20 @@ class TestFictitiousBond:
         assert fictitious_bond_price(dual, 2.0, 2.0, [0.1, 0.01]) == 1.0
 
     def test_monte_carlo_oracle(self, dual):
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         est = mc_bond_price(eff, 1.0, 20_000, seed=17)
         analytic = fictitious_bond_price(dual, 0.0, 1.0)
         assert abs(est.value - analytic) < 3.0 * est.std_error
 
     def test_discounted_fictitious_bond_is_martingale(self, dual):
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         analytic = fictitious_bond_price(dual, 0.0, 1.0)
         est = mc_discounted_bond(eff, 0.5, 1.0, 20_000, seed=19)
         assert abs(est.value - analytic) < 3.0 * est.std_error
 
     def test_floor_bound(self, dual):
         p_bar = fictitious_bond_price(dual, 0.0, 2.0)
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         assert 0.0 < p_bar <= math.exp(-eff.floor.integral(0.0, 2.0))
 
 
@@ -246,7 +245,7 @@ class TestLiborForward:
 
 class TestLiborPathClosedForm:
     def test_initial_condition(self, dual):
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         path = simulate_path(eff, seed=23, path_index=0)
         got = libor_path_closed_form(dual, path, 0.0, 1.0, 1.5)
         p1 = fictitious_bond_price(dual, 0.0, 1.0)
@@ -254,7 +253,7 @@ class TestLiborPathClosedForm:
         assert got == pytest.approx((p1 / p2 - 1.0) / 0.5, rel=1e-12)
 
     def test_pathwise_identity(self, dual):
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         worst = 0.0
         for p in range(30):
             path = simulate_path(eff, seed=29, path_index=p)
@@ -280,7 +279,7 @@ class TestLiborPathClosedForm:
             spread_floor=ConstantFloor(0.002),
             shared_factor_count=1,
         )
-        eff = effective_spec(dual)
+        eff = dual.fictitious
         path = simulate_path(eff, seed=31, path_index=2)
         t = 0.5
         eff_state = np.array(
