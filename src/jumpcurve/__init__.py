@@ -30,7 +30,6 @@ from .curves import (
 )
 from .transforms import (
     AffineExponent,
-    DensitySettings,
     factor_exponent,
     levy_char_fn,
     levy_density,
@@ -57,7 +56,6 @@ from .simulation import (
     simulate_path,
 )
 from .options import (
-    FourierSettings,
     OptionSpec,
     PricingError,
     call_drift_exponent,

@@ -21,7 +21,7 @@ Model configuration file (JSON, schema version 1)::
       "spread_floor": {"variant": "constant", "level": 0.005},   # optional:
       "spread_factors": [ ... ],     # presence of any spread_* key or
       "shared_factor_count": 0,      # shared_factor_count enables dual-curve
-      "grid": {"start": 0.25, "stop": 5.0, "count": 20},
+      "grid": {"start": 0.25, "stop": 5.0, "count": 20},   # count <= 100000
       "tenor": 0.25,                 # OIS/LIBOR accrual period in the curve table
       "seed": 42,
       "paths": 10000,
@@ -33,8 +33,9 @@ Floor variants: ``constant`` (``level``) and ``piecewise_linear`` /
 
 All numeric CSV fields are written with 17 significant digits, '.' decimal
 separator, and LF line endings, so reruns with the same seed are
-byte-identical.  Exit codes: 0 success, 1 domain or validation failure,
-2 unreadable or unparseable input.
+byte-identical.  Exit codes: 0 success, 1 domain or validation failure
+(including a model whose closed forms overflow double precision), 2
+unreadable or unparseable input, a grid ``count`` above 100000 among it.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ from .multicurve import (
     libor_forward,
     ois_forward,
 )
-from .options import OptionSpec, fourier_call_price
+from .options import OptionSpec, PricingError, fourier_call_price
+from .quadrature import QuadratureError
 from .simulation import (
     _check_seed,
     export_jumps_csv,
@@ -78,6 +80,8 @@ from .simulation import (
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
+# curve holds every row in memory until all are computed
+MAX_GRID_COUNT = 100_000
 
 
 class ConfigError(Exception):
@@ -164,7 +168,9 @@ def load_config(path: str) -> dict:
         # chained comparison: a NaN start or stop fails it too
         if count < 1 or not 0 < start <= stop:
             raise ConfigError("grid needs 0 < start <= stop and count >= 1")
-        maturities = np.linspace(start, stop, count)  # raises ValueError for a count too large
+        if count > MAX_GRID_COUNT:
+            raise ConfigError(f"grid count must not exceed {MAX_GRID_COUNT}")
+        maturities = np.linspace(start, stop, count)
         tenor = float(raw.get("tenor", 0.25))
         if not math.isfinite(tenor):
             raise ConfigError("config 'tenor' must be finite")
@@ -225,28 +231,23 @@ def cmd_curve(cfg: dict, args) -> int:
     # every row is computed before the output directory is made, so a failure
     # leaves no partial output
     rows = []
-    try:
-        for T in cfg["maturities"]:
-            if dual is None:
-                rows.append((T, bond_price(spec, 0.0, T), forward_rate(spec, 0.0, T),
-                             yield_curve(spec, 0.0, T)))
-                continue
-            f_val = forward_rate(spec, 0.0, T)
-            f_bar = forward_rate(dual.fictitious, 0.0, T)
-            rows.append((
-                T,
-                bond_price(spec, 0.0, T),
-                fictitious_bond_price(dual, 0.0, T),
-                f_val,
-                f_bar,
-                f_bar - f_val,
-                ois_forward(dual, 0.0, T, T + tenor),
-                libor_forward(dual, 0.0, T, T + tenor),
-            ))
-    except (ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a bond price that underflows to 0 or overflows
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    for T in cfg["maturities"]:
+        if dual is None:
+            rows.append((T, bond_price(spec, 0.0, T), forward_rate(spec, 0.0, T),
+                         yield_curve(spec, 0.0, T)))
+            continue
+        f_val = forward_rate(spec, 0.0, T)
+        f_bar = forward_rate(dual.fictitious, 0.0, T)
+        rows.append((
+            T,
+            bond_price(spec, 0.0, T),
+            fictitious_bond_price(dual, 0.0, T),
+            f_val,
+            f_bar,
+            f_bar - f_val,
+            ois_forward(dual, 0.0, T, T + tenor),
+            libor_forward(dual, 0.0, T, T + tenor),
+        ))
     if not np.all(np.isfinite(rows)):
         print("error: curve values overflow double precision", file=sys.stderr)
         return EXIT_DOMAIN
@@ -274,11 +275,8 @@ def cmd_calibrate(cfg: dict, args) -> int:
         print("error: market maturities exceed the model horizon", file=sys.stderr)
         return EXIT_DOMAIN
     floor = calibrate_floor(spec.factors, market)
-    try:
-        refitted = ModelSpec(factors=spec.factors, floor=floor, horizon=spec.horizon)
-    except InvalidModelError as exc:  # the fitted floor overflowed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # an overflowing fit fails here with InvalidModelError, before any output
+    refitted = ModelSpec(factors=spec.factors, floor=floor, horizon=spec.horizon)
     worst = max(
         abs(forward_rate(refitted, 0.0, T) - f_mkt)
         for T, f_mkt in zip(market.maturities, market.rates)
@@ -299,13 +297,9 @@ def cmd_calibrate(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     spec = cfg["spec"] if cfg["dual"] is None else cfg["dual"].fictitious
-    try:
-        seed = _resolve_seed(cfg, args)
-        n_paths = _resolve_paths(cfg, args)
-        paths = [simulate_path(spec, seed, p) for p in range(n_paths)]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    seed = _resolve_seed(cfg, args)
+    n_paths = _resolve_paths(cfg, args)
+    paths = [simulate_path(spec, seed, p) for p in range(n_paths)]
     out_dir = _resolve_output(cfg, args)
     try:
         export_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
@@ -331,24 +325,20 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_price(cfg: dict, args) -> int:
     spec = cfg["spec"]
-    try:
-        seed = _resolve_seed(cfg, args)
-        n_paths = _resolve_paths(cfg, args, default=100_000)
-        if args.instrument == "bond":
-            analytic = bond_price(spec, 0.0, args.maturity)
-            mc = mc_bond_price(spec, args.maturity, n_paths, seed)
-        else:
-            option = OptionSpec(
-                strike=args.strike,
-                option_maturity=args.expiry,
-                bond_maturity=args.maturity,
-                dampening=args.dampening,
-            )
-            analytic = fourier_call_price(spec, option)
-            mc = mc_option_price(spec, option, n_paths, seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    seed = _resolve_seed(cfg, args)
+    n_paths = _resolve_paths(cfg, args, default=100_000)
+    if args.instrument == "bond":
+        analytic = bond_price(spec, 0.0, args.maturity)
+        mc = mc_bond_price(spec, args.maturity, n_paths, seed)
+    else:
+        option = OptionSpec(
+            strike=args.strike,
+            option_maturity=args.expiry,
+            bond_maturity=args.maturity,
+            dampening=args.dampening,
+        )
+        analytic = fourier_call_price(spec, option)
+        mc = mc_option_price(spec, option, n_paths, seed)
     z = abs(analytic - mc.value) / mc.std_error if mc.std_error > 0 else 0.0
     print(f"analytic {_fmt(analytic)}")
     print(f"monte-carlo {_fmt(mc.value)} +/- {_fmt(mc.std_error)} ({mc.n_paths} paths)")
@@ -404,7 +394,13 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
         "price": cmd_price,
     }
-    return handlers[args.command](cfg, args)
+    try:
+        return handlers[args.command](cfg, args)
+    except (ValueError, ArithmeticError, QuadratureError, PricingError) as exc:
+        # a domain failure (an overflowing model among them) in any command;
+        # every command computes its results before it writes
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .model import (
     ConstantFloor,
@@ -39,6 +40,8 @@ from .model import (
     GammaJumpMeasure,
     ModelSpec,
     PiecewiseLinearFloor,
+    factor_mean_term,
+    factor_var_term,
 )
 from .quadrature import gauss_kronrod
 
@@ -237,7 +240,8 @@ def bond_price(
 
     ``state`` defaults to the time-0 factor values, which prices the bond at
     t = 0.  Strictly positive; equals 1 at t = T; bounded above by
-    exp(-int_t^T mu) whenever every factor value is nonnegative.
+    exp(-int_t^T mu) whenever every factor value is nonnegative.  Raises
+    OverflowError when the closed forms overflow double precision.
     """
     if T > spec.horizon:
         raise ValueError("T exceeds the model horizon")
@@ -246,6 +250,8 @@ def bond_price(
     for f, x in zip(spec.factors, state):
         log_p += cumulant_time_integral(f, t, T, T, method=method)
         log_p += bond_B(f, t, T) * x
+    if not math.isfinite(log_p):
+        raise OverflowError(f"log P({t}, {T}) = {log_p} overflows double precision")
     return math.exp(log_p)
 
 
@@ -261,7 +267,8 @@ def forward_rate(
     f(t,T) = mu(T) + sum_k int_t^T sigma e^{-lam(T-s)} tilted-mean ds
            + sum_k X_k e^{-lam (T-t)},
     which collapses to mu(T) - sum_k cum(sigma B_k(t,T)) + decayed state in
-    closed form.  Satisfies f(t,t) = r(t).
+    closed form.  Satisfies f(t,t) = r(t).  Raises OverflowError when the
+    closed forms overflow double precision.
     """
     _check_interval(t, T)
     if T > spec.horizon:
@@ -271,6 +278,8 @@ def forward_rate(
     for f, x in zip(spec.factors, state):
         rate += tilted_time_integral(f, t, T, T, method=method)
         rate += x * math.exp(-f.lam * (T - t))
+    if not math.isfinite(rate):
+        raise OverflowError(f"f({t}, {T}) = {rate} overflows double precision")
     return rate
 
 
@@ -354,35 +363,18 @@ def calibrate_floor(
 
 @dataclass(frozen=True)
 class MomentFitResult:
-    """Outcome of a moment-matching fit."""
+    """Outcome of a moment-matching fit.
+
+    ``residual`` is the sum of squared relative moment errors at ``spec``,
+    ``converged`` whether a solver tolerance was met within the budget, and
+    ``evaluations`` the number of residual-vector evaluations the solver made
+    outside its finite-difference Jacobians.
+    """
 
     spec: ModelSpec
     residual: float
     converged: bool
     evaluations: int
-
-
-def _unpack_candidate(
-    params: np.ndarray, n: int, x0s: np.ndarray, template: ModelSpec
-) -> ModelSpec:
-    """Spec for packed parameters: per factor (lam, sigma, alpha, eps), then
-    the constant floor level."""
-    factors = []
-    for k in range(n):
-        lam, sigma, alpha, eps = params[4 * k: 4 * k + 4]
-        factors.append(
-            FactorParams(
-                lam=float(lam),
-                sigma=float(sigma),
-                x0=float(x0s[k]),
-                measure=GammaJumpMeasure(float(alpha), float(eps)),
-            )
-        )
-    return ModelSpec(
-        factors=tuple(factors),
-        floor=ConstantFloor(float(params[-1])),
-        horizon=template.horizon,
-    )
 
 
 def match_moments(
@@ -392,122 +384,75 @@ def match_moments(
     max_iterations: int = 10_000,
     rel_tol: float = 1e-10,
 ) -> MomentFitResult:
-    """Fit (lam, sigma, alpha, eps) per factor plus a constant floor level to
-    observed (t, mean, variance) triples by coordinate-wise golden-section
-    descent on the squared relative moment error.
+    """Fit (lam, sigma, alpha) per factor plus a constant floor level to
+    observed (t, mean, variance) triples by nonlinear least squares on the
+    relative moment errors (m - m_obs)/|m_obs| and (v - v_obs)/|v_obs|.
 
     The moment curves depend on (sigma, alpha, eps) only through
     sigma*alpha/eps and sigma^2*alpha/eps^2, so alpha and the ratio
-    sigma/eps are identified while sigma and eps individually are not;
-    the fit stays near the initial guess along that flat direction.
-    Initial factor values x_k are taken from ``initial`` and held fixed.
-    Never raises on a poor fit: the result reports the residual and whether
-    the descent converged.
+    sigma/eps are identified while sigma and eps individually are not.
+    The law of the model depends on them only through sigma/eps as well
+    (sigma times an Exp(eps) jump is an Exp(eps/sigma) jump), so eps is held
+    at its initial value and sigma carries the ratio; fitting both would
+    leave the solver an exactly flat direction to drift along.  Initial
+    factor values x_k are also taken from ``initial`` and held fixed.
+
+    Positive parameters move multiplicatively from the initial guess
+    (p = p0 exp(x)) and the floor level additively, so an exact initial
+    guess comes back unchanged.  The trust-region-reflective solver of
+    ``scipy.optimize.least_squares`` stops after ``max_iterations`` residual
+    evaluations, or once the cost change, the step or the gradient falls
+    below ``rel_tol``.  Never raises on a poor fit: the result reports the
+    residual and whether the solver converged.
     """
     obs = np.asarray([(t, m, v) for (t, m, v) in observations], dtype=float)
     if obs.shape[0] < 8 * n:
         raise ValueError(f"need at least {8 * n} observations to identify {n} factor(s)")
     if initial.n_factors != n:
         raise ValueError("initial guess must have n factors")
-    times, means_obs, vars_obs = obs[:, 0], obs[:, 1], obs[:, 2]
+    times, moments_obs = obs[:, 0], obs[:, 1:]
     if times.max() > initial.horizon:
         raise ValueError("observation times exceed the model horizon")
     x0s = initial.initial_state()
+    scale = np.where(np.abs(moments_obs) > 1e-12, np.abs(moments_obs), 1.0)
+    start = np.array(
+        [(f.lam, f.sigma, f.measure.alpha, f.measure.epsilon) for f in initial.factors]
+    )
+    level0 = initial.floor.value(0.0)
+    level_step = max(abs(level0), 0.01)
 
-    mean_scale = np.where(np.abs(means_obs) > 1e-12, np.abs(means_obs), 1.0)
-    var_scale = np.where(np.abs(vars_obs) > 1e-12, np.abs(vars_obs), 1.0)
+    def unpack(x: np.ndarray) -> tuple:
+        steps = np.zeros((n, 4))
+        steps[:, :3] = x[:-1].reshape(n, 3)  # eps stays at its initial value
+        return start * np.exp(steps), level0 + x[-1] * level_step
 
-    evaluations = 0
+    def residuals(x: np.ndarray) -> np.ndarray:
+        params, level = unpack(x)
+        moments = np.empty_like(moments_obs)
+        for i, t in enumerate(times):
+            m, v = level, 0.0
+            for (lam, sigma, alpha, eps), x0 in zip(params, x0s):
+                m += factor_mean_term(lam, sigma, alpha / eps, x0, t)
+                v += factor_var_term(lam, sigma, 2.0 * alpha / eps**2, t)
+            moments[i] = m, v
+        # all mean errors, then all variance errors
+        return ((moments - moments_obs) / scale).ravel(order="F")
 
-    from .model import factor_mean_term, factor_var_term
-
-    obs_rows = [
-        (float(t), float(m), float(v), float(ms), float(vs))
-        for t, m, v, ms, vs in zip(times, means_obs, vars_obs, mean_scale, var_scale)
-    ]
-    x0_list = [float(x) for x in x0s]
-
-    def objective(params: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        level = params[-1]
-        facs = []
-        for k in range(n):
-            lam, sigma, alpha, eps = params[4 * k: 4 * k + 4]
-            facs.append((lam, sigma, alpha / eps, 2.0 * alpha / eps**2))
-        total = 0.0
-        for t, m_obs, v_obs, m_sc, v_sc in obs_rows:
-            m = level
-            v = 0.0
-            for (lam, sigma, mean_jump, second), x0 in zip(facs, x0_list):
-                m += factor_mean_term(lam, sigma, mean_jump, x0, t)
-                v += factor_var_term(lam, sigma, second, t)
-            total += ((m - m_obs) / m_sc) ** 2 + ((v - v_obs) / v_sc) ** 2
-        return total
-
-    params = np.empty(4 * n + 1)
-    for k, f in enumerate(initial.factors):
-        params[4 * k: 4 * k + 4] = (f.lam, f.sigma, f.measure.alpha, f.measure.epsilon)
-    params[-1] = initial.floor.value(0.0)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden_line(idx: int, best: float) -> float:
-        # positive parameters move multiplicatively, the floor level additively
-        multiplicative = idx < 4 * n
-        center = params[idx]
-        level_step = max(abs(center), 0.01)
-        width = 0.6
-        for _ in range(6):
-            lo, hi = -width, width
-            trial = params.copy()
-
-            def along(offset):
-                if multiplicative:
-                    trial[idx] = center * math.exp(offset)
-                else:
-                    trial[idx] = center + offset * level_step
-                return objective(trial)
-
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-            fc, fd = along(c), along(d)
-            while hi - lo > 1e-7:
-                if fc < fd:
-                    hi, d, fd = d, c, fc
-                    c = hi - invphi * (hi - lo)
-                    fc = along(c)
-                else:
-                    lo, c, fc = c, d, fd
-                    d = lo + invphi * (hi - lo)
-                    fd = along(d)
-            offset_star = 0.5 * (lo + hi)
-            f_star = along(offset_star)
-            if f_star < best:
-                if multiplicative:
-                    params[idx] = center * math.exp(offset_star)
-                else:
-                    params[idx] = center + offset_star * level_step
-                return f_star
-            width *= 2.0
-        return best
-
-    best = objective(params)
-    converged = best == 0.0
-    searches = 0
-    while not converged and searches < max_iterations:
-        before = best
-        for idx in range(params.size):
-            best = golden_line(idx, best)
-            searches += 1
-            if searches >= max_iterations:
-                break
-        if before > 0 and (before - best) / before < rel_tol:
-            converged = True
-
+    fit = least_squares(
+        residuals, np.zeros(3 * n + 1), max_nfev=max_iterations,
+        ftol=rel_tol, xtol=rel_tol, gtol=rel_tol,
+    )
+    params, level = unpack(fit.x)
+    factors = tuple(
+        FactorParams(
+            lam=float(lam), sigma=float(sigma), x0=float(x0),
+            measure=GammaJumpMeasure(float(alpha), float(eps)),
+        )
+        for (lam, sigma, alpha, eps), x0 in zip(params, x0s)
+    )
     return MomentFitResult(
-        spec=_unpack_candidate(params, n, x0s, initial),
-        residual=best,
-        converged=converged,
-        evaluations=evaluations,
+        spec=ModelSpec(factors=factors, floor=ConstantFloor(float(level)), horizon=initial.horizon),
+        residual=2.0 * fit.cost,
+        converged=fit.status > 0,
+        evaluations=fit.nfev,
     )

@@ -40,7 +40,6 @@ from .simulation import _jump_free_integral, _jump_weights, integrated_rate
 
 __all__ = [
     "OptionSpec",
-    "FourierSettings",
     "PricingError",
     "call_jump_coefficient",
     "call_jump_exponent",
@@ -49,6 +48,14 @@ __all__ = [
     "fourier_call_price",
     "fourier_call_price_at",
 ]
+
+# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE], QAWFE beyond it.
+_HEAD_RANGE = 200.0
+_HEAD_ABS_TOL = 1e-11
+_TAIL_ABS_TOL = 1e-11
+_TAIL_LIMIT = 1000
+# a price below -_NEGATIVE_PRICE_TOL is a quadrature failure, not a small price
+_NEGATIVE_PRICE_TOL = 1e-9
 
 
 class PricingError(RuntimeError):
@@ -71,17 +78,6 @@ class OptionSpec:
             raise ValueError("need 0 < option maturity <= bond maturity")
         if self.dampening <= 1:
             raise ValueError("dampening must exceed 1 for an integrable payoff")
-
-
-@dataclass(frozen=True)
-class FourierSettings:
-    """Controls for the dampened Fourier integral over y."""
-
-    head_range: float = 200.0
-    abs_tol: float = 1e-11
-    tail_abs_tol: float = 1e-11
-    tail_limit: int = 1000
-    imag_tol: float = 1e-9
 
 
 def call_jump_coefficient(
@@ -213,80 +209,53 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     return integrand, slope
 
 
-def _half_line_integral(
-    integrand, slope: float, settings: FourierSettings
-) -> complex:
+def _half_line_integral(integrand, slope: float) -> complex:
     """int_0^inf integrand(y) dy: adaptive head plus Fourier-weighted tail."""
-    head, _ = gauss_kronrod(
-        integrand, 0.0, settings.head_range, abs_tol=settings.abs_tol, rel_tol=0.0
-    )
+    head, _ = gauss_kronrod(integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL, rel_tol=0.0)
 
     def residual(y, part):
         value = integrand(y) * cmath.exp(-1j * slope * y)
         return value.real if part == "re" else value.imag
 
+    def tail(part, **weight):
+        value, _ = _sciint.quad(
+            residual, _HEAD_RANGE, np.inf, args=(part,),
+            epsabs=_TAIL_ABS_TOL, limit=_TAIL_LIMIT, **weight,
+        )
+        return value
+
     try:
         if abs(slope) > 1e-8:
-            wvar = abs(slope)
+            cos = dict(weight="cos", wvar=abs(slope))
+            sin = dict(weight="sin", wvar=abs(slope))
             flip = -1.0 if slope < 0 else 1.0
-            re_cos, _ = _sciint.quad(
-                residual, settings.head_range, np.inf, args=("re",),
-                weight="cos", wvar=wvar, epsabs=settings.tail_abs_tol,
-                limit=settings.tail_limit,
-            )
-            im_sin, _ = _sciint.quad(
-                residual, settings.head_range, np.inf, args=("im",),
-                weight="sin", wvar=wvar, epsabs=settings.tail_abs_tol,
-                limit=settings.tail_limit,
-            )
-            re_sin, _ = _sciint.quad(
-                residual, settings.head_range, np.inf, args=("re",),
-                weight="sin", wvar=wvar, epsabs=settings.tail_abs_tol,
-                limit=settings.tail_limit,
-            )
-            im_cos, _ = _sciint.quad(
-                residual, settings.head_range, np.inf, args=("im",),
-                weight="cos", wvar=wvar, epsabs=settings.tail_abs_tol,
-                limit=settings.tail_limit,
-            )
-            tail_re = re_cos - flip * im_sin
-            tail_im = flip * re_sin + im_cos
+            tail_re = tail("re", **cos) - flip * tail("im", **sin)
+            tail_im = flip * tail("re", **sin) + tail("im", **cos)
         else:
-            tail_re, _ = _sciint.quad(
-                residual, settings.head_range, np.inf, args=("re",),
-                epsabs=settings.tail_abs_tol, limit=settings.tail_limit,
-            )
-            tail_im, _ = _sciint.quad(
-                residual, settings.head_range, np.inf, args=("im",),
-                epsabs=settings.tail_abs_tol, limit=settings.tail_limit,
-            )
+            tail_re, tail_im = tail("re"), tail("im")
     except Exception as exc:
         raise QuadratureError(
-            f"Fourier tail integration failed beyond y={settings.head_range} "
+            f"Fourier tail integration failed beyond y={_HEAD_RANGE} "
             f"(phase slope {slope}): {exc}"
         ) from exc
     if not (math.isfinite(tail_re) and math.isfinite(tail_im)):
         raise QuadratureError(
-            f"Fourier tail integration diverged beyond y={settings.head_range} "
+            f"Fourier tail integration diverged beyond y={_HEAD_RANGE} "
             f"(phase slope {slope})"
         )
     return head + complex(tail_re, tail_im)
 
 
-def fourier_call_price(
-    spec: ModelSpec,
-    option: OptionSpec,
-    settings: FourierSettings = FourierSettings(),
-) -> float:
+def fourier_call_price(spec: ModelSpec, option: OptionSpec) -> float:
     """Time-0 call price from the dampened Fourier representation.
 
-    The full-line integral is computed as twice the real part of the
-    half-line integral (the integrand is conjugate-symmetric in y); the
-    imaginary part of the half-line result only checks internal consistency.
-    A result below -imag_tol is reported as a numerical failure.  This is
-    the time-0, path-free case of :func:`fourier_call_price_at`.
+    The full-line integral is twice the real part of the half-line integral,
+    since the integrand is conjugate-symmetric in y; the imaginary part of
+    the half-line result is not used.  A price below -1e-9 raises
+    :class:`PricingError`, and a smaller negative one is clipped to 0.  This
+    is the time-0, path-free case of :func:`fourier_call_price_at`.
     """
-    return fourier_call_price_at(spec, option, None, 0.0, settings)
+    return fourier_call_price_at(spec, option, None, 0.0)
 
 
 def fourier_call_price_at(
@@ -294,7 +263,6 @@ def fourier_call_price_at(
     option: OptionSpec,
     path,
     t: float,
-    settings: FourierSettings = FourierSettings(),
 ) -> float:
     """Time-t call price along a simulated path.
 
@@ -307,9 +275,8 @@ def fourier_call_price_at(
     if option.bond_maturity > spec.horizon:
         raise ValueError("bond maturity exceeds the model horizon")
     integrand, slope = _integrand_factory(spec, option, t, path)
-    total = _half_line_integral(integrand, slope, settings)
-    price = 2.0 * total.real
-    if price < -settings.imag_tol:
+    price = 2.0 * _half_line_integral(integrand, slope).real
+    if price < -_NEGATIVE_PRICE_TOL:
         raise PricingError(
             f"Fourier price {price} is negative beyond tolerance; "
             "the quadrature did not converge"

@@ -33,7 +33,6 @@ from .quadrature import QuadratureError, gauss_kronrod
 
 __all__ = [
     "AffineExponent",
-    "DensitySettings",
     "factor_exponent",
     "short_rate_char_fn",
     "short_rate_mgf",
@@ -41,6 +40,10 @@ __all__ = [
     "levy_zero_atom",
     "levy_density",
 ]
+
+# QAWFE controls for the density's Fourier inversion
+_DENSITY_ABS_TOL = 1e-10
+_DENSITY_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -152,20 +155,7 @@ def levy_zero_atom(measure: GammaJumpMeasure, t: float) -> float:
     return math.exp(-measure.alpha * t)
 
 
-@dataclass(frozen=True)
-class DensitySettings:
-    """Controls for the oscillatory Fourier inversion."""
-
-    abs_tol: float = 1e-10
-    limit: int = 400
-
-
-def levy_density(
-    measure: GammaJumpMeasure,
-    t: float,
-    x: float,
-    settings: DensitySettings = DensitySettings(),
-) -> float:
+def levy_density(measure: GammaJumpMeasure, t: float, x: float) -> float:
     """Absolutely continuous density of the subordinator law at x > 0.
 
     Inverts the atom-subtracted characteristic function over the full real
@@ -190,11 +180,11 @@ def levy_density(
 
     real_part, real_err = _sciint.quad(
         lambda u: cf_ac(u).real, 0.0, np.inf,
-        weight="cos", wvar=x, epsabs=settings.abs_tol, limit=settings.limit,
+        weight="cos", wvar=x, epsabs=_DENSITY_ABS_TOL, limit=_DENSITY_LIMIT,
     )
     imag_part, imag_err = _sciint.quad(
         lambda u: cf_ac(u).imag, 0.0, np.inf,
-        weight="sin", wvar=x, epsabs=settings.abs_tol, limit=settings.limit,
+        weight="sin", wvar=x, epsabs=_DENSITY_ABS_TOL, limit=_DENSITY_LIMIT,
     )
     if not (math.isfinite(real_part) and math.isfinite(imag_part)):
         raise QuadratureError("Fourier inversion did not converge")

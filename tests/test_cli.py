@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumpcurve import cli
 from jumpcurve.cli import main
+from jumpcurve.options import PricingError
+from jumpcurve.quadrature import QuadratureError
 
 BASELINE = {
     "version": 1,
@@ -203,7 +206,49 @@ class TestConfigProperties:
                 assert not os.path.exists(out)
 
 
+# finite parameters whose closed forms overflow: alpha * T jumps do not fit a float
+OVERFLOWING = dict(
+    BASELINE,
+    factors=[{"lambda": 3.2, "sigma": 0.25, "x0": 0.01, "alpha": 1e308, "epsilon": 24.0}],
+)
+
+
+class TestDomainFailuresExitOne:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--paths", "2", "simulate"],
+            ["price", "option", "--strike", "0.9", "--expiry", "0.5", "--maturity", "1.0"],
+        ],
+        ids=["simulate", "price-option"],
+    )
+    def test_overflowing_model(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, dict(OVERFLOWING, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [QuadratureError, PricingError])
+    def test_numerical_failure(self, tmp_path, capsys, monkeypatch, error):
+        def failing(spec, option):
+            raise error("did not converge")
+
+        monkeypatch.setattr(cli, "fourier_call_price", failing)
+        cfg = write_config(tmp_path, BASELINE)
+        argv = ["price", "option", "--strike", "0.9", "--expiry", "0.5", "--maturity", "1.0"]
+        assert main(["--config", cfg, *argv]) == 1
+        assert capsys.readouterr().err == "error: did not converge\n"
+
+
 class TestCurveCommand:
+    def test_grid_count_cap(self, tmp_path, capsys):
+        grid = dict(BASELINE["grid"], count=cli.MAX_GRID_COUNT + 1)
+        cfg = write_config(tmp_path, dict(BASELINE, grid=grid, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "curve"]) == 2
+        assert capsys.readouterr().err == "error: grid count must not exceed 100000\n"
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_discounting(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(DETERMINISTIC, output=str(tmp_path / "out")))
         assert main(["--config", cfg, "curve"]) == 0

@@ -248,6 +248,20 @@ class TestYieldCurve:
             yield_curve(baseline_spec, 1.0, 1.0)
 
 
+class TestOverflow:
+    """Finite parameters whose closed forms overflow fail loudly, not with inf/nan."""
+
+    @pytest.fixture
+    def overflowing_spec(self):
+        factor = FactorParams(lam=3.2, sigma=0.25, x0=0.01, measure=GammaJumpMeasure(1e308, 24.0))
+        return ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
+
+    @pytest.mark.parametrize("function", [bond_price, forward_rate, yield_curve])
+    def test_raises_overflow_error(self, overflowing_spec, function):
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            function(overflowing_spec, 0.0, 0.25)
+
+
 class TestCalibration:
     def test_flat_market_no_jumps(self):
         factors = (
@@ -357,3 +371,17 @@ class TestMatchMoments:
         obs = self.observations(baseline_spec, np.linspace(0.5, 2.0, 4))
         with pytest.raises(ValueError):
             match_moments(obs, 1, baseline_spec)
+
+    def test_two_factor_fixed_point(self, two_factor_spec):
+        obs = self.observations(two_factor_spec, np.linspace(0.25, 6.0, 16))
+        fit = match_moments(obs, 2, two_factor_spec)
+        assert fit.residual == 0.0
+        assert fit.converged
+        assert fit.spec == two_factor_spec
+
+    def test_small_budget_reports_no_convergence(self, two_factor_spec, baseline_spec):
+        obs = self.observations(two_factor_spec, np.linspace(0.25, 6.0, 16))
+        fit = match_moments(obs, 1, baseline_spec, max_iterations=5)
+        assert not fit.converged
+        assert math.isfinite(fit.residual)
+        assert fit.evaluations <= 5

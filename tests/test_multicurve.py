@@ -301,3 +301,23 @@ class TestLiborPathClosedForm:
                 b2 = bond_B(f, s, 1.5)
                 assert math.exp(f.sigma * b2 * z) - math.exp(f.sigma * b1 * z) < 0
                 assert f.sigma * (b1 - b2) * z > 0
+
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            (fictitious_bond_price, (0.0, 1.0)),
+            (forward_spread, (0.0, 1.0)),
+            (ois_forward, (0.0, 1.0, 1.25)),
+            (libor_forward, (0.0, 1.0, 1.25)),
+        ],
+    )
+    def test_inherits_overflow_error(self, spread_factor, function, args):
+        factor = FactorParams(lam=3.2, sigma=0.25, x0=0.01, measure=GammaJumpMeasure(1e308, 24.0))
+        base = ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
+        dual = DualCurveSpec(base=base, spread_factors=(spread_factor,),
+                             spread_floor=ConstantFloor(0.005))
+        with pytest.raises(OverflowError):
+            function(dual, *args)
