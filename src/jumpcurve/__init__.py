@@ -12,12 +12,8 @@ from .model import (
     conditional_moments,
 )
 from .curves import (
-    AffineCoefficients,
     ForwardCurve,
     MomentFitResult,
-    affine_coefficients,
-    bond_A,
-    bond_A_dT,
     bond_B,
     bond_B_dT,
     bond_price,

@@ -61,7 +61,6 @@ from .model import (
 from .multicurve import (
     DualCurveSpec,
     fictitious_bond_price,
-    forward_spread,
     libor_forward,
     ois_forward,
 )
@@ -73,7 +72,6 @@ from .simulation import (
     export_paths_csv,
     mc_bond_price,
     mc_option_price,
-    mc_short_rate_samples,
     simulate_path,
 )
 
@@ -274,8 +272,8 @@ def cmd_calibrate(cfg: dict, args) -> int:
     if market.maturities[-1] > spec.horizon:
         print("error: market maturities exceed the model horizon", file=sys.stderr)
         return EXIT_DOMAIN
+    # an overflowing fit raises OverflowError here, before any output
     floor = calibrate_floor(spec.factors, market)
-    # an overflowing fit fails here with InvalidModelError, before any output
     refitted = ModelSpec(factors=spec.factors, floor=floor, horizon=spec.horizon)
     worst = max(
         abs(forward_rate(refitted, 0.0, T) - f_mkt)

@@ -6,22 +6,36 @@ Bond prices are exponential-affine in the factors,
     B_k(t,T) = (exp(-lam_k (T-t)) - 1) / lam_k  <= 0,
     A_k(t,T) = int_t^T ( -mu(s)/n + int (exp(sigma_k B_k(s,T) z) - 1) nu_k(dz) ) ds.
 
-For the gamma jump measure the s-integral of the cumulant has a closed form:
-substituting w = exp(-lam (T-s)) reduces it to a rational-plus-logarithmic
-antiderivative,
+The jump part of A, the option exponents of :mod:`.options` and the transform
+constant of :mod:`.transforms` are all one integral: the gamma cumulant
+cum(g) = alpha g / (eps - g) along a path  g(s) = c0 + c1 e^{lam s}.  With
+d = eps - c0 the one antiderivative is
 
-    int_{t1}^{t2} cum(sigma B(s,T)) ds
-        = -alpha sigma (t2-t1) / (eps lam + sigma)
-          - alpha eps / (eps lam + sigma)
-            * log( (eps - sigma B(t2,T)) / (eps - sigma B(t1,T)) ),
+    int ds / (d - c1 e^{lam s}) = [lam s - log(d - c1 e^{lam s})] / (d lam),
 
-and similarly the maturity-tilted integral behind forward rates collapses to
+so that, with  shift = -lam c0  and  scale = eps lam + shift,
+
+    int_{t1}^{t2} cum(g(s)) ds
+        = -alpha shift (t2-t1) / scale
+          - alpha eps / scale * log( (eps - g(t2)) / (eps - g(t1)) ).
+
+The bond path g = sigma B(s,T) and the option paths have c0 = -sigma/lam, so
+shift = sigma; the transform path i u sigma e^{-lam (t-s)} has c0 = 0, so
+shift = 0.  The logarithm is taken as log1p((g(t1) - g(t2)) / (eps - g(t1))),
+which stays exact as t1 -> t2.  For complex g it is the principal branch, and
+that is the right one when Re(eps - g) > 0 at both ends: Re g is monotone in
+s, so the two ends certify the whole path, and the ratio of two right
+half-plane numbers has argument in (-pi, pi) (Lord & Kahl, "Complex logarithms
+in Heston-like models", Math. Finance 2010).  Real bond paths have g <= 0 and
+need no check.
+
+The maturity-tilted integral behind forward rates collapses to
 
     int_{t1}^{t2} sigma e^{-lam(T-s)} alpha eps / (eps - sigma B(s,T))^2 ds
         = alpha eps / (eps - sigma B(t2,T)) - alpha eps / (eps - sigma B(t1,T)).
 
-Both integrals keep an adaptive-quadrature twin (``method="quadrature"``) as a
-permanent oracle against derivation errors.
+Both closed forms keep an adaptive-quadrature twin (``method="quadrature"``) as
+a permanent oracle against derivation errors.
 """
 
 from __future__ import annotations
@@ -36,7 +50,6 @@ from scipy.optimize import least_squares
 from .model import (
     ConstantFloor,
     FactorParams,
-    FloorFunction,
     GammaJumpMeasure,
     ModelSpec,
     PiecewiseLinearFloor,
@@ -46,16 +59,12 @@ from .model import (
 from .quadrature import gauss_kronrod
 
 __all__ = [
-    "AffineCoefficients",
     "ForwardCurve",
     "MomentFitResult",
     "bond_B",
     "bond_B_dT",
-    "bond_A",
-    "bond_A_dT",
     "cumulant_time_integral",
     "tilted_time_integral",
-    "affine_coefficients",
     "bond_price",
     "forward_rate",
     "yield_curve",
@@ -79,6 +88,16 @@ def _check_method(method: str) -> None:
         raise ValueError(f"method must be one of {_METHODS}")
 
 
+def _slope(lam: float, tau):
+    """(exp(-lam tau) - 1) / lam for a scalar or array time to maturity tau.
+
+    Scalars stay on math.expm1: numpy's expm1 differs from it in the last bit
+    on a few percent of inputs, and the closed forms are bit-stable.
+    """
+    x = -lam * tau
+    return (math.expm1(x) if isinstance(x, float) else np.expm1(x)) / lam
+
+
 def bond_B(factor: FactorParams, t: float, T: float) -> float:
     """Affine slope B(t,T) = (exp(-lam (T-t)) - 1) / lam <= 0."""
     _check_interval(t, T)
@@ -91,6 +110,32 @@ def bond_B_dT(factor: FactorParams, t: float, T: float) -> float:
     return -math.exp(-factor.lam * (T - t))
 
 
+def _cumulant_integral(factor: FactorParams, g, shift: float, t1: float, t2: float, method: str):
+    """int_{t1}^{t2} cum(g(s)) ds along g(s) = c0 + c1 e^{lam s}, shift = -lam c0.
+
+    ``g`` maps scalar or array times to the cumulant argument, real or
+    complex.  The closed form is the module docstring's antiderivative; the
+    quadrature twin integrates the cumulant adaptively.  A complex or array
+    path must keep Re(eps - g) > 0 at both ends, or ValueError is raised.
+    """
+    alpha, eps = factor.measure.alpha, factor.measure.epsilon
+    g1, g2 = g(t1), g(t2)
+    # a real scalar path is a bond path, g <= 0, and skips the numpy check
+    real = isinstance(g1, float)
+    if not real and (np.count_nonzero(g1.real >= eps) or np.count_nonzero(g2.real >= eps)):
+        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
+    if method != "closed":
+        _check_method(method)
+        value, _ = gauss_kronrod(
+            lambda s: factor.measure.levy_cumulant(g(s)), t1, t2, abs_tol=_QUAD_TOL
+        )
+        return value
+    scale = eps * factor.lam + shift
+    ratio = (g1 - g2) / (eps - g1)
+    log_ratio = math.log1p(ratio) if real else np.log1p(ratio)
+    return -alpha * shift * (t2 - t1) / scale - alpha * eps / scale * log_ratio
+
+
 def cumulant_time_integral(
     factor: FactorParams,
     t1: float,
@@ -100,27 +145,14 @@ def cumulant_time_integral(
 ) -> float:
     """int_{t1}^{t2} cum(sigma B(s,T)) ds, the jump part of A over [t1, t2].
 
-    Requires t1 <= t2 <= T.  ``method="quadrature"`` integrates the gamma
-    cumulant adaptively and must agree with the closed form.
+    Requires t1 <= t2 <= T.  The bond path of the module docstring (shift
+    sigma); ``method="quadrature"`` runs its twin, which must agree.
     """
-    _check_method(method)
-    _check_interval(t1, t2)
-    _check_interval(t2, T)
+    if not 0 <= t1 <= t2 <= T:  # one comparison on the hot path; the checks name the fault
+        _check_interval(t1, t2)
+        _check_interval(t2, T)
     lam, sigma = factor.lam, factor.sigma
-    alpha, eps = factor.measure.alpha, factor.measure.epsilon
-    if method == "quadrature":
-        def integrand(s):
-            b = sigma * np.expm1(-lam * (T - s)) / lam
-            return factor.measure.levy_cumulant(b)
-
-        value, _ = gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL)
-        return value
-    scale = eps * lam + sigma
-    b1 = sigma * bond_B(factor, t1, T)
-    b2 = sigma * bond_B(factor, t2, T)
-    # log((eps - b2)/(eps - b1)) via log1p keeps t1 ~ t2 fully accurate
-    ratio = (b1 - b2) / (eps - b1)
-    return -alpha * sigma * (t2 - t1) / scale - alpha * eps / scale * math.log1p(ratio)
+    return _cumulant_integral(factor, lambda s: sigma * _slope(lam, T - s), sigma, t1, t2, method)
 
 
 def tilted_time_integral(
@@ -143,7 +175,7 @@ def tilted_time_integral(
     eps = factor.measure.epsilon
     if method == "quadrature":
         def integrand(s):
-            b = sigma * np.expm1(-lam * (T - s)) / lam
+            b = sigma * _slope(lam, T - s)
             return sigma * np.exp(-lam * (T - s)) * factor.measure.tilted_mean(b)
 
         value, _ = gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL)
@@ -152,72 +184,6 @@ def tilted_time_integral(
     b1 = sigma * bond_B(factor, t1, T)
     b2 = sigma * bond_B(factor, t2, T)
     return alpha * eps / (eps - b2) - alpha * eps / (eps - b1)
-
-
-def bond_A(
-    factor: FactorParams,
-    floor: FloorFunction,
-    n_factors: int,
-    t: float,
-    T: float,
-    method: str = "closed",
-) -> float:
-    """Affine intercept A(t,T) with the floor shared equally across factors.
-
-    A(t,T) = -(1/n) int_t^T mu(s) ds + int_t^T cum(sigma B(s,T)) ds.
-    """
-    _check_interval(t, T)
-    return (
-        -floor.integral(t, T) / n_factors
-        + cumulant_time_integral(factor, t, T, T, method=method)
-    )
-
-
-def bond_A_dT(
-    factor: FactorParams,
-    floor: FloorFunction,
-    n_factors: int,
-    t: float,
-    T: float,
-    method: str = "closed",
-) -> float:
-    """Maturity derivative of A: -mu(T)/n minus the tilted compensator.
-
-    In closed form the tilted integral over [t, T] telescopes to
-    -cum(sigma B(t,T)), so  dA/dT = -mu(T)/n + cum(sigma B(t,T)).
-    """
-    _check_interval(t, T)
-    share = -floor.value(T) / n_factors
-    if method == "quadrature":
-        return share - tilted_time_integral(factor, t, T, T, method="quadrature")
-    b = factor.sigma * bond_B(factor, t, T)
-    return share + float(factor.measure.levy_cumulant(b))
-
-
-@dataclass(frozen=True)
-class AffineCoefficients:
-    """Per-factor affine intercepts and slopes of log P(t,T)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def log_price(self, state: np.ndarray) -> float:
-        return float(np.sum(self.a) + self.b @ state)
-
-
-def affine_coefficients(
-    spec: ModelSpec,
-    t: float,
-    T: float,
-    method: str = "closed",
-) -> AffineCoefficients:
-    _check_interval(t, T)
-    n = spec.n_factors
-    a = np.array(
-        [bond_A(f, spec.floor, n, t, T, method=method) for f in spec.factors]
-    )
-    b = np.array([bond_B(f, t, T) for f in spec.factors])
-    return AffineCoefficients(a=a, b=b)
 
 
 def _state_or_initial(spec: ModelSpec, state) -> np.ndarray:
@@ -247,7 +213,8 @@ def bond_price(
         raise ValueError("T exceeds the model horizon")
     state = _state_or_initial(spec, state)
     log_p = -spec.floor.integral(t, T)
-    for f, x in zip(spec.factors, state):
+    # Python floats: the same IEEE products as numpy scalars, at less overhead
+    for f, x in zip(spec.factors, state.tolist()):
         log_p += cumulant_time_integral(f, t, T, T, method=method)
         log_p += bond_B(f, t, T) * x
     if not math.isfinite(log_p):
@@ -346,7 +313,8 @@ def calibrate_floor(
     mu(T) = f_M(0,T) - sum_k ( x_k e^{-lam T} + tilted compensator over [0,T] ),
     evaluated on the market grid and stored as a piecewise-linear floor.
     Rebuilding the model with this floor returns f(0,T) = f_M(0,T) at every
-    knot up to roundoff.
+    knot up to roundoff.  Raises OverflowError, naming the first maturity,
+    when a level is not finite.
     """
     factors = tuple(factors)
     if not factors:
@@ -357,7 +325,10 @@ def calibrate_floor(
         for f in factors:
             adj += f.x0 * math.exp(-f.lam * T)
             adj += tilted_time_integral(f, 0.0, T, T)
-        levels.append(f_mkt - adj)
+        level = f_mkt - adj
+        if not math.isfinite(level):
+            raise OverflowError(f"calibrated floor level at maturity {T} is {level}, not finite")
+        levels.append(level)
     return PiecewiseLinearFloor(tuple(market.maturities), tuple(levels))
 
 

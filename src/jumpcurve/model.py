@@ -147,12 +147,11 @@ class PiecewiseLinearFloor(FloorFunction):
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def _knots(self):
-        return np.asarray(self.times), np.asarray(self.values)
+        # converted once: every value and integral reads the knots as arrays
+        object.__setattr__(self, "_arrays", (np.asarray(self.times), np.asarray(self.values)))
 
     def value(self, t):
-        xs, ys = self._knots()
+        xs, ys = self._arrays
         t = np.asarray(t, dtype=float)
         out = np.interp(t, xs, ys)
         return out if t.ndim else float(out)
@@ -162,11 +161,16 @@ class PiecewiseLinearFloor(FloorFunction):
             raise ValueError("integral requires t0 <= t1")
         if t1 == t0:
             return 0.0
-        xs, _ = self._knots()
+        xs, _ = self._arrays
         interior = xs[(xs > t0) & (xs < t1)]
         breaks = np.concatenate([[t0], interior, [t1]])
         heights = self.value(breaks)
-        return float(np.sum(0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)))
+        # huge knots overflow the trapezoid sum: raise, rather than warn and return inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)))
+        if not math.isfinite(total):
+            raise OverflowError(f"floor integral over [{t0}, {t1}] overflows double precision")
+        return total
 
     def minimum(self) -> float:
         return float(min(self.values))

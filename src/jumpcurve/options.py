@@ -13,11 +13,11 @@ with dampening a > 1 and
     Psi_k(y) = int_t^tau cum_k( gamma_k(s,y) ) ds,
     gamma_k(s,y) = sigma_k [ (a+iy) B_k(s,T) - (a+iy-1) B_k(s,tau) ].
 
-Re(gamma) <= 0 for a > 1 (B is more negative at the longer maturity), so
-every gamma cumulant converges; moreover Re(eps - gamma) > 0 along the whole
-integration path, which makes the principal-log antiderivative of the
-cumulant valid for complex arguments.  The closed form is the default route;
-the adaptive time-quadrature route stays available as its oracle twin.
+Re(gamma) <= 0 for a > 1 (B is more negative at the longer maturity).
+gamma_k(., y) is a cumulant path with c0 = -sigma/lam, so Psi_k is the one
+cumulant-path integral of :mod:`.curves`, whose module docstring states the
+antiderivative and its principal-branch argument.  The closed form is the
+default route; the time-quadrature twin stays available as its oracle.
 
 The y-integral is folded onto [0, inf) by conjugate symmetry, integrated
 adaptively on a head interval, and finished with Fourier-weighted
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _sciint
 
-from .curves import bond_B, bond_price, cumulant_time_integral
+from .curves import _cumulant_integral, _slope, bond_price, cumulant_time_integral
 from .model import FactorParams, ModelSpec
 from .quadrature import QuadratureError, gauss_kronrod
 from .simulation import _jump_free_integral, _jump_weights, integrated_rate
@@ -85,12 +85,15 @@ def call_jump_coefficient(
 ) -> complex:
     """z-coefficient gamma_k(s, y) of the dampened payoff's jump exponent.
 
+    Takes s in [0, option maturity] and y, either of them an array.
     Guaranteed Re <= 0: B(s,T) <= B(s,tau) <= 0 and a > 1.
     """
-    a = option.dampening
-    b_long = bond_B(factor, s, option.bond_maturity)
-    b_short = bond_B(factor, s, option.option_maturity)
-    return factor.sigma * ((a + 1j * y) * b_long - (a + 1j * y - 1.0) * b_short)
+    if not isinstance(s, np.ndarray) and not 0 <= s <= option.option_maturity:
+        raise ValueError("need 0 <= s <= option maturity")
+    u = option.dampening + 1j * y
+    b_long = _slope(factor.lam, option.bond_maturity - s)
+    b_short = _slope(factor.lam, option.option_maturity - s)
+    return factor.sigma * (u * b_long - (u - 1.0) * b_short)
 
 
 def call_jump_exponent(
@@ -102,39 +105,18 @@ def call_jump_exponent(
 ) -> complex:
     """Time integral of the cumulant along gamma_k(s, y) from t to expiry.
 
-    The closed form reuses the rational-log antiderivative; since
-    Re(gamma(s,y)) is monotone along s, checking Re(eps - gamma) > 0 at both
-    endpoints certifies the whole path and the principal branch.  Accepts a
-    scalar or array y in closed form.
+    The cumulant-path integral of :mod:`.curves` with shift sigma, which
+    checks that Re(eps - gamma) > 0 at both ends.  Accepts a scalar or array
+    y in closed form and a scalar y in quadrature.
     """
     tau = option.option_maturity
     if not 0 <= t <= tau:
         raise ValueError("need 0 <= t <= option maturity")
-    alpha, eps = factor.measure.alpha, factor.measure.epsilon
-    lam, sigma = factor.lam, factor.sigma
-    if method == "quadrature":
-        y_c = complex(y)
-
-        def integrand(s):
-            a = option.dampening
-            b_long = np.expm1(-lam * (option.bond_maturity - s)) / lam
-            b_short = np.expm1(-lam * (tau - s)) / lam
-            g = sigma * ((a + 1j * y_c) * b_long - (a + 1j * y_c - 1.0) * b_short)
-            return factor.measure.levy_cumulant(g)
-
-        value, _ = gauss_kronrod(integrand, t, tau, abs_tol=1e-12, rel_tol=1e-10)
-        return complex(value)
-    if method != "closed":
-        raise ValueError("method must be 'closed' or 'quadrature'")
     y_arr = np.asarray(y, dtype=complex)
-    g_start = call_jump_coefficient(factor, t, y_arr, option)
-    g_end = call_jump_coefficient(factor, tau, y_arr, option)
-    if np.any((eps - g_start).real <= 0) or np.any((eps - g_end).real <= 0):
-        raise ValueError("cumulant argument left the convergence half-plane")
-    scale = eps * lam + sigma
-    # log((eps - g_end)/(eps - g_start)) written so equal endpoints give 0
-    delta = (g_start - g_end) / (eps - g_start)
-    out = -alpha * sigma * (tau - t) / scale - (alpha * eps / scale) * np.log(1.0 + delta)
+    out = _cumulant_integral(
+        factor, lambda s: call_jump_coefficient(factor, s, y_arr, option),
+        factor.sigma, t, tau, method,
+    )
     return out if y_arr.ndim else complex(out)
 
 

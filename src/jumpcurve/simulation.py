@@ -164,6 +164,11 @@ def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: i
     time does not depend on the block width either.
     """
     mean = measure.alpha * horizon
+    if not math.isfinite(mean):
+        raise OverflowError(
+            f"factor index {factor_index}: expected jump count alpha * horizon overflows "
+            f"(alpha={measure.alpha}, horizon={horizon})"
+        )
     width = math.ceil(mean + 3.0 * math.sqrt(mean)) + 2
     per_chunk = max(1, _CHUNK // width)
     factor = np.uint64(factor_index)

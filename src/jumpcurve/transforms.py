@@ -6,14 +6,11 @@ The short rate at time t has the affine characteristic function
     psi_k(t,u) = i u e^{-lam_k t},
     rho_k(t,u) = int_0^t cum_k( i u sigma_k e^{-lam_k (t-s)} ) ds,
 
-where cum_k is the jump-measure cumulant.  For the gamma measure the time
-integral also has the closed form
-
-    rho_k(t,u) = (alpha/lam) * Log( (eps - i u sigma e^{-lam t}) / (eps - i u sigma) ),
-
-valid with the principal logarithm because the argument stays in the right
-half-plane whenever Re(i u) sigma < eps; on the real axis u = -i v this is
-the moment-generating-function form used by :func:`short_rate_mgf`.
+where cum_k is the jump-measure cumulant.  The path i u sigma e^{-lam (t-s)}
+has c0 = 0, so rho_k is the one cumulant-path integral of :mod:`.curves`
+with shift 0; its module docstring states the antiderivative and the
+principal-branch argument, which holds whenever Re(i u) sigma < eps.  On the
+real axis u = -i v the same closed form gives :func:`short_rate_mgf`.
 The driving subordinator itself has CF  exp( i u alpha t / (eps - i u) ),
 an atom of mass exp(-alpha t) at zero, and an absolutely continuous part
 recovered here by Fourier inversion of the atom-subtracted CF.
@@ -28,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _sciint
 
+from .curves import _cumulant_integral
 from .model import FactorParams, GammaJumpMeasure, ModelSpec
-from .quadrature import QuadratureError, gauss_kronrod
+from .quadrature import QuadratureError
 
 __all__ = [
     "AffineExponent",
@@ -54,17 +52,6 @@ class AffineExponent:
     rho: complex
 
 
-def _check_exponent_domain(factor: FactorParams, u: complex) -> None:
-    # cum(i u sigma e^{-lam (t-s)}) needs Re(i u) sigma < eps along [0, t];
-    # the decay factor lies in (0, 1], so s = t is the binding point.
-    growth = (1j * u).real * factor.sigma
-    if growth >= factor.measure.epsilon:
-        raise ValueError(
-            "characteristic exponent undefined: Re(i u) * sigma must stay "
-            f"below epsilon={factor.measure.epsilon}"
-        )
-
-
 def factor_exponent(
     factor: FactorParams,
     t: float,
@@ -76,31 +63,15 @@ def factor_exponent(
     The constant term is the time integral of the gamma cumulant along the
     decaying argument i u sigma e^{-lam (t-s)}, evaluated adaptively by
     default; ``method="closed"`` uses the principal-log antiderivative.
+    Raises ValueError unless Re(i u) sigma < eps, where the cumulant converges.
     """
     if t < 0:
         raise ValueError("need t >= 0")
-    _check_exponent_domain(factor, u)
     lam, sigma = factor.lam, factor.sigma
-    psi = 1j * u * math.exp(-lam * t)
-    if t == 0:
-        return AffineExponent(psi=complex(psi), rho=0j)
-    if method == "closed":
-        eps = factor.measure.epsilon
-        alpha = factor.measure.alpha
-        num = eps - 1j * u * sigma * math.exp(-lam * t)
-        den = eps - 1j * u * sigma
-        rho = (alpha / lam) * cmath.log(num / den)
-        return AffineExponent(psi=complex(psi), rho=complex(rho))
-    if method != "quadrature":
-        raise ValueError("method must be 'closed' or 'quadrature'")
-
-    def integrand(s):
-        return factor.measure.levy_cumulant(
-            1j * u * sigma * np.exp(-lam * (t - s))
-        )
-
-    rho, _ = gauss_kronrod(integrand, 0.0, t, abs_tol=1e-13, rel_tol=1e-11)
-    return AffineExponent(psi=complex(psi), rho=complex(rho))
+    rho = _cumulant_integral(
+        factor, lambda s: 1j * u * sigma * np.exp(-lam * (t - s)), 0.0, 0.0, t, method
+    )
+    return AffineExponent(psi=complex(1j * u * math.exp(-lam * t)), rho=complex(rho))
 
 
 def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
@@ -118,11 +89,9 @@ def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
 
 
 def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
-    """E[exp(v r_t)] from the gamma closed forms.
+    """E[exp(v r_t)]: the characteristic function at u = -i v, in closed form.
 
-    exp( v mu(t) + sum_k (alpha/lam) log|(eps - v sigma e^{-lam t})/(eps - v sigma)|
-         + sum_k v e^{-lam t} x_k ),
-    defined for v below min_k eps_k / sigma_k.
+    Defined for v below min_k eps_k / sigma_k.
     """
     if t < 0 or t > spec.horizon:
         raise ValueError("need 0 <= t <= horizon")
@@ -131,13 +100,8 @@ def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
         raise ValueError(f"mgf diverges: v must stay below min eps/sigma = {bound}")
     exponent = v * float(spec.floor.value(t))
     for f in spec.factors:
-        lam, sigma = f.lam, f.sigma
-        eps, alpha = f.measure.epsilon, f.measure.alpha
-        decay = math.exp(-lam * t)
-        exponent += alpha / lam * math.log(
-            abs((eps - v * sigma * decay) / (eps - v * sigma))
-        )
-        exponent += v * decay * f.x0
+        part = factor_exponent(f, t, -1j * v, method="closed")
+        exponent += (part.psi * f.x0 + part.rho).real
     return math.exp(exponent)
 
 

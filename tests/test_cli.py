@@ -227,6 +227,9 @@ class TestDomainFailuresExitOne:
         assert main(["--config", cfg, *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "simulate" in argv:
+            # the jump-count overflow names the factor and its intensity
+            assert "factor index 0" in err and "alpha=1e+308" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("error", [QuadratureError, PricingError])
@@ -339,13 +342,15 @@ class TestCalibrateCommand:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_floor_reports_error(self, tmp_path, capsys):
-        # alpha * epsilon overflows, so the fitted floor levels are NaN
+        # alpha * epsilon overflows, so the fitted floor levels would be NaN
         factor = dict(BASELINE["factors"][0], alpha=1e308, epsilon=1e308)
         cfg = write_config(tmp_path, dict(BASELINE, factors=[factor], output=str(tmp_path / "out")))
         market = tmp_path / "market.csv"
         market.write_text("maturity,forward_rate\n1.0,0.03\n2.0,0.031\n")
         assert main(["--config", cfg, "calibrate", "--market", str(market)]) == 1
-        assert capsys.readouterr().err == "error: invalid model spec: floor knots must be finite\n"
+        assert capsys.readouterr().err == (
+            "error: calibrated floor level at maturity 1.0 is nan, not finite\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_empty_market_csv(self, tmp_path):

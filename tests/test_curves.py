@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,9 +13,6 @@ from jumpcurve import (
     GammaJumpMeasure,
     ModelSpec,
     PiecewiseLinearFloor,
-    affine_coefficients,
-    bond_A,
-    bond_A_dT,
     bond_B,
     bond_B_dT,
     bond_price,
@@ -73,18 +71,20 @@ class TestBondB:
 
 
 class TestBondA:
-    def test_terminal(self, baseline_spec, baseline_factor):
-        assert bond_A(baseline_factor, baseline_spec.floor, 1, 1.0, 1.0) == 0.0
+    """The intercept A(t,T) = log P(t,T) at the zero state."""
+
+    def test_terminal(self, baseline_spec):
+        assert math.log(bond_price(baseline_spec, 1.0, 1.0, [0.0])) == 0.0
 
     def test_no_jump_limit(self):
         spec = deterministic_spec(level=0.03)
-        a = bond_A(spec.factors[0], spec.floor, 1, 0.5, 2.0)
+        a = math.log(bond_price(spec, 0.5, 2.0, [0.0]))
         assert a == pytest.approx(-0.03 * 1.5, rel=1e-10)
 
     def test_closed_vs_quadrature(self, baseline_factor):
-        floor = ConstantFloor(0.0)
-        closed = bond_A(baseline_factor, floor, 1, 0.0, 1.0, method="closed")
-        quad = bond_A(baseline_factor, floor, 1, 0.0, 1.0, method="quadrature")
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(0.0), horizon=10.0)
+        closed = math.log(bond_price(spec, 0.0, 1.0, [0.0], method="closed"))
+        quad = math.log(bond_price(spec, 0.0, 1.0, [0.0], method="quadrature"))
         assert closed == pytest.approx(quad, rel=1e-10)
 
     def test_closed_vs_quadrature_grid(self, two_factor_spec):
@@ -111,16 +111,17 @@ class TestBondDerivatives:
             assert bond_B_dT(baseline_factor, t, T) == pytest.approx(fd, abs=1e-8)
 
     def test_intercept_derivative_finite_difference(self, baseline_spec):
-        f = baseline_spec.factors[0]
+        # dA/dT is minus the forward rate at the zero state
+        zero = [0.0]
         h = 1e-6
         for (t, T) in ((0.0, 1.0), (0.5, 3.0)):
             fd = (
-                bond_A(f, baseline_spec.floor, 1, t, T + h)
-                - bond_A(f, baseline_spec.floor, 1, t, T - h)
+                math.log(bond_price(baseline_spec, t, T + h, zero))
+                - math.log(bond_price(baseline_spec, t, T - h, zero))
             ) / (2 * h)
-            closed = bond_A_dT(f, baseline_spec.floor, 1, t, T)
+            closed = -forward_rate(baseline_spec, t, T, zero)
             assert closed == pytest.approx(fd, abs=1e-6)
-            quad = bond_A_dT(f, baseline_spec.floor, 1, t, T, method="quadrature")
+            quad = -forward_rate(baseline_spec, t, T, zero, method="quadrature")
             assert closed == pytest.approx(quad, rel=1e-10)
 
 
@@ -236,9 +237,11 @@ class TestYieldCurve:
 
     def test_affine_form_identity(self, baseline_spec):
         t, T = 0.5, 3.0
-        state = np.array([0.07])
-        coeffs = affine_coefficients(baseline_spec, t, T)
-        affine = coeffs.log_price(state) / (t - T)
+        x = 0.07
+        f = baseline_spec.factors[0]
+        intercept = math.log(bond_price(baseline_spec, t, T, [0.0]))
+        affine = (intercept + bond_B(f, t, T) * x) / (t - T)
+        state = np.array([x])
         assert yield_curve(baseline_spec, t, T, state) == pytest.approx(
             affine, rel=1e-12
         )
@@ -260,6 +263,13 @@ class TestOverflow:
     def test_raises_overflow_error(self, overflowing_spec, function):
         with pytest.raises(OverflowError, match="overflows double precision"):
             function(overflowing_spec, 0.0, 0.25)
+
+    def test_calibrated_level_names_maturity(self):
+        # alpha * epsilon overflows, so every fitted level would be NaN
+        factor = FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(1e308, 1e308))
+        market = ForwardCurve(np.array([1.0, 2.0]), np.array([0.03, 0.031]))
+        with pytest.raises(OverflowError, match="level at maturity 1.0 is nan"):
+            calibrate_floor((factor,), market)
 
 
 class TestCalibration:
@@ -314,6 +324,78 @@ class TestCalibration:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             ForwardCurve(np.array([1.0, 0.5]), np.array([0.01, 0.02]))
+
+
+def _pinned_factors():
+    return (
+        FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0)),
+        FactorParams(lam=0.4, sigma=0.6, x0=0.02, measure=GammaJumpMeasure(1.5, 25.0)),
+        FactorParams(lam=3.0, sigma=0.2, x0=0.0, measure=GammaJumpMeasure(5.0, 40.0)),
+    )
+
+
+def _pinned_spec(n):
+    floor = {
+        1: ConstantFloor(0.02),
+        2: ConstantFloor(0.015),
+        3: PiecewiseLinearFloor((0.0, 1.0, 3.0, 7.0), (0.01, 0.015, 0.012, 0.02)),
+    }[n]
+    return ModelSpec(factors=_pinned_factors()[:n], floor=floor, horizon=10.0)
+
+
+class TestBitExactness:
+    """Closed-form outputs pinned to the bit; a refactor must not move them."""
+
+    @pytest.mark.parametrize(
+        "n, t, T, state, price, rate",
+        [
+            (1, 0.0, 1.0, None, "0x1.d0cf804a0e971p-1", "0x1.240464c94c6adp-3"),
+            (1, 0.5, 0.5 + 1e-9, (0.07,), "0x1.ffffffff3a168p-1", "0x1.70a3d7132c6ccp-4"),
+            (2, 0.25, 4.0, None, "0x1.d7ff3e954cf08p-2", "0x1.0ec55f44149d1p-2"),
+            (2, 1.0, 1.0 + 1e-6, (0.03, 0.01), "0x1.fffffe278d809p-1", "0x1.c28fc89b9cf84p-5"),
+            (3, 0.0, 5.0, None, "0x1.46d72bbfc7011p-2", "0x1.208aacd34dd3cp-2"),
+            (3, 2.5, 6.5, (0.02, 0.0, 0.05), "0x1.b202e4bcc1651p-2", "0x1.199e7d80096b3p-2"),
+            (3, 2.9999999, 3.0, None, "0x1.ffffffdbec198p-1", "0x1.58106f59971bap-5"),
+        ],
+    )
+    def test_bond_price_and_forward_rate(self, n, t, T, state, price, rate):
+        spec = _pinned_spec(n)
+        assert bond_price(spec, t, T, state).hex() == price
+        assert forward_rate(spec, t, T, state).hex() == rate
+
+    def test_dense_grid_digest(self):
+        # 120 distinct times to maturity per spec: numpy's log1p/expm1 differ from
+        # math's in the last bit on a few percent of inputs, which a handful of
+        # pinned values can miss; the heavy-jump factor puts log1p's argument near -0.5
+        heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
+        specs = [_pinned_spec(n) for n in (1, 2, 3)]
+        specs.append(ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0))
+        digest = hashlib.sha256()
+        for spec in specs:
+            for i in range(60):
+                t = 0.07 * i
+                for dT in (1e-9 * (i + 1), 0.05 + 0.0917 * i):
+                    digest.update(bond_price(spec, t, t + dT).hex().encode())
+                    digest.update(forward_rate(spec, t, t + dT).hex().encode())
+        assert digest.hexdigest() == (
+            "56227414d097b49235b5939b87e358b93483c149d9546a25b298ed632425af7e"
+        )
+
+    @pytest.mark.parametrize(
+        "n, levels",
+        [
+            (1, ["-0x1.f1e8f7643f4f2p-5", "-0x1.93cf71823687ep-4",
+                 "-0x1.0f687098a1920p-3", "-0x1.32bb39f24e7b7p-3"]),
+            (2, ["-0x1.7e212ba32f4eep-4", "-0x1.20f30adf7c6fcp-3",
+                 "-0x1.8410db98186dep-3", "-0x1.cfca04be174cdp-3"]),
+            (3, ["-0x1.989cc8d9bdc6ep-4", "-0x1.312405924c57cp-3",
+                 "-0x1.950fdc65a3d1ep-3", "-0x1.e0d3d06f4fe0dp-3"]),
+        ],
+    )
+    def test_calibrated_floor(self, n, levels):
+        market = ForwardCurve(np.array([0.5, 1.0, 2.0, 5.0]), np.array([0.021, 0.024, 0.028, 0.031]))
+        floor = calibrate_floor(_pinned_factors()[:n], market)
+        assert [v.hex() for v in floor.values] == levels
 
 
 class TestMatchMoments:

@@ -183,6 +183,17 @@ class TestFloors:
         ref = np.trapezoid(floor.value(grid), grid)
         assert floor.integral(0.2, 2.7) == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [(1e308, 1.7e308, 1e308, 1e308), (1.7e308, 1.7e308, -1.7e308, -1.7e308)],
+        ids=["overflow", "inf-minus-inf"],
+    )
+    def test_overflowing_integral_raises_without_warning(self, values):
+        floor = PiecewiseLinearFloor((0.0, 1.0, 2.0, 3.0), values)
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            floor.integral(0.0, 3.0)
+
     def test_flat_extrapolation(self):
         floor = PiecewiseLinearFloor((1.0, 2.0), (0.01, 0.02))
         assert floor.value(0.0) == 0.01
