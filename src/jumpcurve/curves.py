@@ -120,9 +120,10 @@ def _cumulant_integral(factor: FactorParams, g, shift: float, t1: float, t2: flo
     """
     alpha, eps = factor.measure.alpha, factor.measure.epsilon
     g1, g2 = g(t1), g(t2)
-    # a real scalar path is a bond path, g <= 0, and skips the numpy check
+    # a real scalar path is a bond path, g <= 0, and needs no check
     real = isinstance(g1, float)
-    if not real and (np.count_nonzero(g1.real >= eps) or np.count_nonzero(g2.real >= eps)):
+    if not real and eps <= (max(g1.real, g2.real) if isinstance(g1, complex)
+                            else max(g1.real.max(), g2.real.max())):
         raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
     if method != "closed":
         _check_method(method)

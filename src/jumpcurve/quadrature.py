@@ -98,9 +98,5 @@ def gauss_kronrod(
         total_panels += int(np.count_nonzero(~ok))
     value = np.sum(np.asarray(done_values))
     error = float(np.sum(np.asarray(done_errors)))
-    if not np.iscomplexobj(value):
-        value = float(value)
-    else:
-        value = complex(value)
-    return value, error
+    return (complex(value) if np.iscomplexobj(value) else float(value)), error
 

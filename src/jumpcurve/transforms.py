@@ -56,20 +56,22 @@ def factor_exponent(
     factor: FactorParams,
     t: float,
     u: complex,
-    method: str = "quadrature",
+    method: str = "closed",
 ) -> AffineExponent:
     """Affine exponent (psi, rho) of one factor at transform argument u.
 
     The constant term is the time integral of the gamma cumulant along the
-    decaying argument i u sigma e^{-lam (t-s)}, evaluated adaptively by
-    default; ``method="closed"`` uses the principal-log antiderivative.
+    decaying argument i u sigma e^{-lam (t-s)}, by the principal-log
+    antiderivative; ``method="quadrature"`` runs its adaptive twin.
     Raises ValueError unless Re(i u) sigma < eps, where the cumulant converges.
     """
     if t < 0:
         raise ValueError("need t >= 0")
     lam, sigma = factor.lam, factor.sigma
     rho = _cumulant_integral(
-        factor, lambda s: 1j * u * sigma * np.exp(-lam * (t - s)), 0.0, 0.0, t, method
+        factor,  # math.exp at the two scalar ends, numpy on the quadrature twin's nodes
+        lambda s: 1j * u * sigma * (math.exp if isinstance(s, float) else np.exp)(-lam * (t - s)),
+        0.0, 0.0, t, method,
     )
     return AffineExponent(psi=complex(1j * u * math.exp(-lam * t)), rho=complex(rho))
 
@@ -93,16 +95,10 @@ def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
 
     Defined for v below min_k eps_k / sigma_k.
     """
-    if t < 0 or t > spec.horizon:
-        raise ValueError("need 0 <= t <= horizon")
     bound = min(f.measure.epsilon / f.sigma for f in spec.factors)
     if v >= bound:
         raise ValueError(f"mgf diverges: v must stay below min eps/sigma = {bound}")
-    exponent = v * float(spec.floor.value(t))
-    for f in spec.factors:
-        part = factor_exponent(f, t, -1j * v, method="closed")
-        exponent += (part.psi * f.x0 + part.rho).real
-    return math.exp(exponent)
+    return short_rate_char_fn(spec, t, -1j * v).real
 
 
 def levy_char_fn(measure: GammaJumpMeasure, t: float, u: float) -> complex:

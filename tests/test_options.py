@@ -25,7 +25,9 @@ from jumpcurve import (
     payoff_fourier_weight,
     simulate_path,
 )
+from jumpcurve.options import _integrand_factory
 from jumpcurve.quadrature import gauss_kronrod
+from oracles import qawfe_call_price
 
 
 @pytest.fixture
@@ -267,3 +269,110 @@ class TestFourierCallPriceAt:
             values[p] = math.exp(-integrated_rate(baseline_spec, path, t)) * c_t
         se = values.std(ddof=1) / math.sqrt(n)
         assert abs(values.mean() - c0) < 3.0 * se
+
+
+def _path_state(spec, path, t):
+    return np.array([evolve_factor(f, rec, [t])[0] for f, rec in zip(spec.factors, path.jumps)])
+
+
+def _no_jump_bond(spec, state, t, tau, T):
+    """P_nj: P(tau, T) along the jump-free path from ``state`` at t, the supremum of P(tau, T)."""
+    decayed = [x * math.exp(-f.lam * (tau - t)) for f, x in zip(spec.factors, state)]
+    return bond_price(spec, tau, T, decayed)
+
+
+NEAR_SUPREMUM = (1e-6, 2e-8, 1e-9, 1e-12, 0.0, -1e-12, -1e-6)
+
+
+class TestNearSupremumStrike:
+    """K = P_nj (1 - delta): the phase slope log(P_nj/K) is about delta.
+
+    P(tau,T) <= P_nj almost surely, so C_t <= P(t,tau) (P_nj - K)^+, a bound
+    that is sharp: the no-jump outcome has positive probability.  A price
+    below -1e-9 would raise PricingError and fail the test.
+    """
+
+    @staticmethod
+    def check(price_at_dampening, bound):
+        prices = [price_at_dampening(a) for a in (1.5, 2.0, 3.0)]
+        for price in prices:
+            assert 0.0 <= price <= bound + 1e-10
+        assert max(prices) - min(prices) < 1e-7
+
+    @pytest.mark.parametrize("delta", NEAR_SUPREMUM)
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    def test_time_zero(self, request, spec_name, delta):
+        spec = request.getfixturevalue(spec_name)
+        tau, T = 0.5, 1.5
+        p_nj = _no_jump_bond(spec, spec.initial_state(), 0.0, tau, T)
+        strike = p_nj * (1.0 - delta)
+        bound = bond_price(spec, 0.0, tau) * max(p_nj - strike, 0.0)
+        self.check(lambda a: fourier_call_price(spec, OptionSpec(strike, tau, T, a)), bound)
+
+    @pytest.mark.parametrize("delta", NEAR_SUPREMUM)
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    def test_along_path(self, request, spec_name, delta):
+        spec = request.getfixturevalue(spec_name)
+        tau, T, t = 0.5, 1.5, 0.25
+        path = simulate_path(spec, seed=7, path_index=0)
+        state = _path_state(spec, path, t)
+        p_nj = _no_jump_bond(spec, state, t, tau, T)
+        strike = p_nj * (1.0 - delta)
+        bound = bond_price(spec, t, tau, state) * max(p_nj - strike, 0.0)
+        self.check(
+            lambda a: fourier_call_price_at(spec, OptionSpec(strike, tau, T, a), path, t), bound
+        )
+
+
+ALPHA_50 = FactorParams(lam=2.0, sigma=0.5, x0=0.0, measure=GammaJumpMeasure(50.0, 400.0))
+
+
+def _oracle_specs(baseline_spec, two_factor_spec):
+    return {
+        "one_factor": baseline_spec,
+        "two_factor": two_factor_spec,
+        "alpha_50": ModelSpec(
+            factors=(baseline_spec.factors[0], ALPHA_50), floor=ConstantFloor(0.01), horizon=10.0
+        ),
+        "negative_floor": ModelSpec(
+            factors=baseline_spec.factors, floor=ConstantFloor(-0.01), horizon=10.0
+        ),
+    }
+
+
+class TestQawfeOracle:
+    """The double-exponential tail against scipy's QAWFE route, to 1e-9 in price."""
+
+    @pytest.mark.parametrize("name", ["one_factor", "two_factor", "alpha_50", "negative_floor"])
+    def test_time_zero_grid(self, baseline_spec, two_factor_spec, name):
+        spec = _oracle_specs(baseline_spec, two_factor_spec)[name]
+        signs = set()
+        for tau, T in ((0.25, 0.26), (0.5, 1.5), (2.0, 5.0)):
+            forward = bond_price(spec, 0.0, T) / bond_price(spec, 0.0, tau)
+            for moneyness in (0.9, 1.0, 1.1):
+                for a in (1.5, 2.0, 3.0):
+                    option = OptionSpec(forward * moneyness, tau, T, a)
+                    slope = _integrand_factory(spec, option)[1]
+                    assert abs(slope) >= 1e-6
+                    signs.add(slope > 0)
+                    assert fourier_call_price(spec, option) == pytest.approx(
+                        qawfe_call_price(spec, option), abs=1e-9
+                    )
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    def test_along_path(self, request, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        tau, T = 0.5, 1.5
+        path = simulate_path(spec, seed=11, path_index=3)
+        for t in (0.1, 0.4, tau):
+            state = _path_state(spec, path, t)
+            forward = bond_price(spec, t, T, state) / bond_price(spec, t, tau, state)
+            # at t = tau the forward is P_nj itself, where the slope is 0
+            for moneyness in (0.9, 0.98, 1.02, 1.1):
+                for a in (1.5, 3.0):
+                    option = OptionSpec(forward * moneyness, tau, T, a)
+                    assert abs(_integrand_factory(spec, option, t, path)[1]) >= 1e-6
+                    assert fourier_call_price_at(spec, option, path, t) == pytest.approx(
+                        qawfe_call_price(spec, option, path, t), abs=1e-9
+                    )

@@ -106,6 +106,15 @@ class TestShortRateCharFn:
             analytic = short_rate_char_fn(baseline_spec, 1.0, u)
             assert abs(empirical - analytic) < 4.0 / math.sqrt(m)
 
+    def test_closed_default_matches_quadrature_twin(self, two_factor_spec):
+        for t in (0.25, 1.0, 5.0):
+            for u in (-20.0, -3.0, 1.0, 17.0):
+                exponent = 1j * u * float(two_factor_spec.floor.value(t))
+                for f in two_factor_spec.factors:
+                    part = factor_exponent(f, t, u, method="quadrature")
+                    exponent += part.psi * f.x0 + part.rho
+                assert abs(short_rate_char_fn(two_factor_spec, t, u) - cmath.exp(exponent)) < 1e-12
+
     @given(u=st.floats(min_value=-60.0, max_value=60.0))
     @settings(max_examples=60, deadline=None)
     def test_modulus_bounded_and_hermitian(self, u):
