@@ -256,7 +256,7 @@ def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
 
 
 def _integrated_on_grid(spec: ModelSpec, jumps, grid: np.ndarray) -> np.ndarray:
-    total = np.array([spec.floor.integral(0.0, float(g)) for g in grid])
+    total = spec.floor.cumulative(grid)
     at = grid[:, None]
     for f, rec in zip(spec.factors, jumps):
         total -= f.x0 * np.expm1(-f.lam * grid) / f.lam
@@ -269,18 +269,23 @@ def simulate_path(
     spec: ModelSpec,
     seed: int,
     path_index: int = 0,
-    points_per_year: int = 252,
+    points_per_year: float = 252,
 ) -> SimulatedPath:
     """Simulate one exact path from the records of (seed, path_index, k) per factor k.
 
     The evaluation grid unions a regular mesh with every jump epoch, so the
-    stored trajectories are exact at the jumps themselves.
+    stored trajectories are exact at the jumps themselves.  The mesh has
+    ``round(points_per_year * horizon)`` steps, and at least one, so the grid
+    always holds both 0 and the horizon.
     """
+    if not 0 < points_per_year < math.inf:
+        raise ValueError(f"points_per_year must be finite and positive, got {points_per_year!r}")
     jumps = tuple(
         simulate_jumps(f.measure, spec.horizon, seed, path_index, k)
         for k, f in enumerate(spec.factors)
     )
-    mesh = np.linspace(0.0, spec.horizon, int(round(points_per_year * spec.horizon)) + 1)
+    steps = max(1, int(round(points_per_year * spec.horizon)))
+    mesh = np.linspace(0.0, spec.horizon, steps + 1)
     grid = np.union1d(mesh, np.concatenate([rec.times for rec in jumps]))
     factors = np.vstack([evolve_factor(f, rec, grid) for f, rec in zip(spec.factors, jumps)])
     short_rate = np.asarray(spec.floor.value(grid)) + factors.sum(axis=0)
@@ -294,10 +299,21 @@ def simulate_path(
     )
 
 
+def _check_path_time(path: SimulatedPath, t: float, T: float = math.inf) -> None:
+    """ValueError unless t is a finite time in the path's grid span and t <= T."""
+    # chained comparisons: NaN fails each one
+    start, end = path.grid[0], path.grid[-1]
+    if not start <= t <= end:
+        raise ValueError(
+            f"t must be finite and inside the path's grid span [{start}, {end}], got {t!r}"
+        )
+    if not t <= T:
+        raise ValueError(f"need t <= T, got t={t!r}, T={T!r}")
+
+
 def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     """Exact integrated short rate I_t from the path's jump records."""
-    if t < path.grid[0] or t > path.grid[-1]:
-        raise ValueError("t outside the path's grid span")
+    _check_path_time(path, t)
     return float(_integrated_on_grid(spec, path.jumps, np.array([float(t)]))[0])
 
 
@@ -315,8 +331,7 @@ def bond_path(
     which must coincide with the affine formula evaluated at the path's
     state; that identity is the module's central correctness check.
     """
-    if t > T:
-        raise ValueError("need t <= T")
+    _check_path_time(path, t, T)
     log_p = math.log(bond_price(spec, 0.0, T, method=method))
     log_p += integrated_rate(spec, path, t)
     for f, rec in zip(spec.factors, path.jumps):
@@ -334,8 +349,7 @@ def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -
     """
     from .curves import forward_rate
 
-    if t > T:
-        raise ValueError("need t <= T")
+    _check_path_time(path, t, T)
     rate = forward_rate(spec, 0.0, T)
     for f, rec in zip(spec.factors, path.jumps):
         rate -= tilted_time_integral(f, 0.0, t, T)
@@ -429,18 +443,30 @@ def mc_short_rate_samples(spec: ModelSpec, t: float, n_paths: int, seed: int) ->
     return base + _jump_sums(spec, seed, n_paths, [(t, "decay")]).sum(axis=0)[0]
 
 
+def _column(values: np.ndarray) -> list:
+    """Each value of a float array as ``.17g`` text, formatted from Python floats."""
+    return [f"{v:.17g}" for v in values.tolist()]
+
+
 def export_paths_csv(paths, destination) -> None:
-    """Write trajectories as ``path_id,time,factor_index,X,short_rate,integrated_rate``."""
+    """Write trajectories as ``path_id,time,factor_index,X,short_rate,integrated_rate``.
+
+    One row per grid point and factor.  Each column of a path is formatted
+    once, and each path's rows are written in one piece, so memory holds
+    one path's text at a time.
+    """
     with open(destination, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("path_id,time,factor_index,X,short_rate,integrated_rate\n")
         for path_id, path in enumerate(paths):
-            n = path.factors.shape[0]
-            for i, t in enumerate(path.grid):
-                for k in range(n):
-                    handle.write(
-                        f"{path_id},{t:.17g},{k + 1},{path.factors[k, i]:.17g},"
-                        f"{path.short_rate[i]:.17g},{path.integrated[i]:.17g}\n"
-                    )
+            times = _column(path.grid)
+            rates = zip(_column(path.short_rate), _column(path.integrated))
+            tails = [f"{r},{i}\n" for r, i in rates]
+            factors = [_column(x) for x in path.factors]
+            handle.write("".join(
+                f"{path_id},{t},{k},{x},{tail}"
+                for t, tail, *xs in zip(times, tails, *factors)
+                for k, x in enumerate(xs, 1)
+            ))
 
 
 def export_jumps_csv(paths, destination) -> None:

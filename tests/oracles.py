@@ -87,3 +87,29 @@ def qawfe_call_price(spec, option, path=None, t=0.0):
     """Time-t call price through :func:`qawfe_half_line_integral`."""
     integrand, slope = _integrand_factory(spec, option, t, path)
     return 2.0 * qawfe_half_line_integral(integrand, slope).real
+
+
+def pointwise_cumulative(floor, grid):
+    """int_0^g mu at every grid point, one scalar ``floor.integral(0, g)`` per point.
+
+    The per-point loop that ``FloorFunction.cumulative`` replaced in the
+    path engine, kept as the reference for it.
+    """
+    return np.array([floor.integral(0.0, float(g)) for g in grid])
+
+
+def rowwise_export_paths_csv(paths, destination):
+    """Row-by-row trajectory writer that formats every cell from a numpy scalar.
+
+    The writer that ``export_paths_csv`` replaced, kept as its byte reference.
+    """
+    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("path_id,time,factor_index,X,short_rate,integrated_rate\n")
+        for path_id, path in enumerate(paths):
+            n = path.factors.shape[0]
+            for i, t in enumerate(path.grid):
+                for k in range(n):
+                    handle.write(
+                        f"{path_id},{t:.17g},{k + 1},{path.factors[k, i]:.17g},"
+                        f"{path.short_rate[i]:.17g},{path.integrated[i]:.17g}\n"
+                    )

@@ -17,7 +17,7 @@ from jumpcurve import (
     mc_short_rate_samples,
 )
 
-from oracles import cumulant_z_oracle, tilted_z_oracle
+from oracles import cumulant_z_oracle, pointwise_cumulative, tilted_z_oracle
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 
@@ -194,6 +194,20 @@ class TestFloors:
         with pytest.raises(OverflowError, match="overflows double precision"):
             floor.integral(0.0, 3.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [(1e308, 1.7e308, 1e308, 1e308), (1.7e308, 1.7e308, -1.7e308, -1.7e308)],
+        ids=["overflow", "inf-minus-inf"],
+    )
+    def test_overflowing_cumulative_raises_like_integral(self, values):
+        floor = PiecewiseLinearFloor((0.0, 1.0, 2.0, 3.0), values)
+        with pytest.raises(OverflowError) as scalar:
+            floor.integral(0.0, 0.5)
+        with pytest.raises(OverflowError) as vector:
+            floor.cumulative(np.array([0.0, 0.5, 3.0]))
+        assert str(vector.value) == str(scalar.value)
+
     def test_flat_extrapolation(self):
         floor = PiecewiseLinearFloor((1.0, 2.0), (0.01, 0.02))
         assert floor.value(0.0) == 0.01
@@ -227,6 +241,55 @@ class TestFloors:
         split = floor.integral(a, b) + floor.integral(b, c)
         assert whole == pytest.approx(split, abs=1e-12)
         assert floor.integral(b, b) == 0.0
+
+    @given(
+        level=st.floats(min_value=-0.05, max_value=0.08),
+        points=st.lists(st.floats(min_value=0.0, max_value=15.0), max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constant_cumulative_is_pointwise_integral(self, level, points):
+        grid = np.array(points)
+        expected = pointwise_cumulative(ConstantFloor(level), grid)
+        assert ConstantFloor(level).cumulative(grid).tobytes() == expected.tobytes()
+
+    @given(
+        # knot times reach past the grid's end at 12, and may start above 0
+        # (flat extrapolation below the first knot) or below it
+        knots=st.lists(
+            st.tuples(
+                st.floats(min_value=-2.0, max_value=15.0),
+                st.floats(min_value=-0.05, max_value=0.08),
+            ),
+            min_size=1,
+            max_size=12,
+            unique_by=lambda kv: kv[0],
+        ),
+        points=st.lists(st.floats(min_value=0.0, max_value=12.0), max_size=20),
+        level=st.floats(min_value=-0.05, max_value=0.08),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_piecewise_cumulative_is_pointwise_integral(self, knots, points, level):
+        knots = sorted(knots)
+        xs = np.array([t for t, _ in knots])
+        ys = np.array([v for _, v in knots])
+        floor = PiecewiseLinearFloor(tuple(xs), tuple(ys))
+        # a regular mesh, extra points, and every knot inside the grid's span
+        grid = np.union1d(np.linspace(0.0, 12.0, 49), np.concatenate([points, xs[xs >= 0]]))
+        grid = grid[grid <= 12.0]
+        expected = pointwise_cumulative(floor, grid)
+        got = floor.cumulative(grid)
+        # integral(0, g) adds one trapezoid per knot in (0, g) plus one; np.sum
+        # adds fewer than 8 terms in sequence, as cumulative does
+        terms = 1 + np.count_nonzero((xs > 0) & (xs < grid[:, None]), axis=1)
+        exact = terms < 8
+        assert got[exact].tobytes() == expected[exact].tobytes()
+        summed = SummedFloor((floor, ConstantFloor(level)))
+        expected_sum = pointwise_cumulative(summed, grid)
+        assert summed.cumulative(grid)[exact].tobytes() == expected_sum[exact].tobytes()
+        # beyond that np.sum adds pairwise: two orders of n terms differ by at
+        # most (n - 1) eps times the sum of the terms' magnitudes
+        magnitude = pointwise_cumulative(PiecewiseLinearFloor(tuple(xs), tuple(np.abs(ys))), grid)
+        assert np.all(np.abs(got - expected) <= terms * np.finfo(float).eps * magnitude)
 
     def test_summed_floor(self):
         total = SummedFloor((ConstantFloor(0.01), ConstantFloor(0.005)))

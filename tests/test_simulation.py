@@ -10,6 +10,8 @@ from jumpcurve import (
     JumpRecord,
     ModelSpec,
     OptionSpec,
+    PiecewiseLinearFloor,
+    SummedFloor,
     bond_path,
     bond_price,
     conditional_moments,
@@ -29,6 +31,7 @@ from jumpcurve import (
     yield_curve,
 )
 from jumpcurve.simulation import _CHUNK, _jump_blocks, _key, _philox
+from oracles import pointwise_cumulative, rowwise_export_paths_csv
 
 
 class TestJumpRecord:
@@ -248,6 +251,42 @@ class TestIntegratedRate:
         with pytest.raises(ValueError):
             integrated_rate(baseline_spec, path, baseline_spec.horizon + 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf, -math.inf])
+    def test_pathwise_entry_points_reject_bad_times(self, baseline_spec, t):
+        path = simulate_path(baseline_spec, seed=8)
+        calls = (
+            lambda: integrated_rate(baseline_spec, path, t),
+            lambda: bond_path(baseline_spec, path, t, 5.0),
+            lambda: hjm_forward_path(baseline_spec, path, t, 5.0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="t must be finite and inside the path's grid span"):
+                call()
+
+    @pytest.mark.parametrize("T", [1.0, math.nan])
+    def test_pathwise_entry_points_need_t_before_maturity(self, baseline_spec, T):
+        path = simulate_path(baseline_spec, seed=8)
+        for fn in (bond_path, hjm_forward_path):
+            with pytest.raises(ValueError, match="need t <= T"):
+                fn(baseline_spec, path, 2.0, T)
+
+
+class TestSimulatePathGrid:
+    @pytest.mark.parametrize("points_per_year", [0.01, 0.04, 1, 252])
+    def test_grid_spans_horizon(self, baseline_spec, points_per_year):
+        # at 0.01 or 0.04 per year a 10-year mesh rounds to 0 steps: it keeps one
+        path = simulate_path(baseline_spec, seed=8, points_per_year=points_per_year)
+        assert path.grid[0] == 0.0
+        assert path.grid[-1] == baseline_spec.horizon
+        steps = max(1, round(points_per_year * baseline_spec.horizon))
+        mesh = np.linspace(0.0, baseline_spec.horizon, steps + 1)
+        assert np.array_equal(path.grid, np.union1d(mesh, path.jumps[0].times))
+
+    @pytest.mark.parametrize("points_per_year", [0, -1, -0.5, math.nan, math.inf])
+    def test_rejects_bad_points_per_year(self, baseline_spec, points_per_year):
+        with pytest.raises(ValueError, match="points_per_year"):
+            simulate_path(baseline_spec, seed=8, points_per_year=points_per_year)
+
 
 class TestPathInvariants:
     def test_rate_stays_above_floor(self, baseline_spec, two_factor_spec):
@@ -421,3 +460,47 @@ class TestCsvExports:
         first = p_csv.read_bytes()
         export_paths_csv(paths, p_csv)
         assert p_csv.read_bytes() == first
+
+
+def _factor(lam, sigma, x0, alpha, epsilon):
+    return FactorParams(lam=lam, sigma=sigma, x0=x0, measure=GammaJumpMeasure(alpha, epsilon))
+
+
+_TWO_FACTORS = (_factor(1.0, 1.0, 0.01, 2.0, 10.0), _factor(0.4, 0.6, 0.02, 1.5, 25.0))
+_KNOTTED = PiecewiseLinearFloor((0.5, 2.0, 5.0, 9.0), (0.01, 0.02, -0.005, 0.03))
+_EXPORT_SPECS = {
+    "piecewise-floor": ModelSpec(factors=_TWO_FACTORS, floor=_KNOTTED, horizon=10.0),
+    "summed-floor": ModelSpec(
+        factors=_TWO_FACTORS, floor=SummedFloor((_KNOTTED, ConstantFloor(0.004))), horizon=10.0
+    ),
+    "jump-free": ModelSpec(
+        factors=(_factor(2.0, 1.0, 0.3, 1e-12, 10.0),), floor=ConstantFloor(0.05), horizon=4.0
+    ),
+}
+
+
+class TestExportMatchesRowwiseOracle:
+    """CSV bytes equal the row-by-row reference writer's, and the floor
+    integral on each path's grid equals the per-point reference to the bit."""
+
+    def _check(self, spec, tmp_path, n_paths=3):
+        paths = [simulate_path(spec, seed=19, path_index=p) for p in range(n_paths)]
+        for path in paths:
+            expected = pointwise_cumulative(spec.floor, path.grid)
+            assert spec.floor.cumulative(path.grid).tobytes() == expected.tobytes()
+        export_paths_csv(paths, tmp_path / "paths.csv")
+        rowwise_export_paths_csv(paths, tmp_path / "reference.csv")
+        assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        return paths
+
+    def test_one_factor(self, baseline_spec, tmp_path):
+        self._check(baseline_spec, tmp_path)
+
+    def test_two_factors(self, two_factor_spec, tmp_path):
+        self._check(two_factor_spec, tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(_EXPORT_SPECS))
+    def test_floors_and_jump_free_paths(self, name, tmp_path):
+        paths = self._check(_EXPORT_SPECS[name], tmp_path)
+        if name == "jump-free":
+            assert all(rec.count == 0 for path in paths for rec in path.jumps)
