@@ -67,9 +67,11 @@ from .multicurve import (
 from .options import OptionSpec, PricingError, fourier_call_price
 from .quadrature import QuadratureError
 from .simulation import (
+    _JUMPS_CSV_HEADER,
+    _PATHS_CSV_HEADER,
     _check_seed,
-    export_jumps_csv,
-    export_paths_csv,
+    _jump_csv_rows,
+    _path_csv_rows,
     mc_bond_price,
     mc_option_price,
     simulate_path,
@@ -297,20 +299,35 @@ def cmd_simulate(cfg: dict, args) -> int:
     spec = cfg["spec"] if cfg["dual"] is None else cfg["dual"].fictitious
     seed = _resolve_seed(cfg, args)
     n_paths = _resolve_paths(cfg, args)
-    paths = [simulate_path(spec, seed, p) for p in range(n_paths)]
+    if n_paths < 1:
+        raise ValueError(f"simulate needs at least one path, got {n_paths}")
+    # each path is written as it is simulated and only r at the horizon is
+    # kept, so memory holds one path; path 0 runs before the output directory
+    # is made, so a model that cannot be simulated leaves no output
+    path = simulate_path(spec, seed, 0)
     out_dir = _resolve_output(cfg, args)
+    finals = np.empty(n_paths)
     try:
-        export_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
-        export_jumps_csv(paths, os.path.join(out_dir, "jumps.csv"))
+        with (
+            open(os.path.join(out_dir, "paths.csv"), "w", encoding="utf-8", newline="\n") as rows,
+            open(os.path.join(out_dir, "jumps.csv"), "w", encoding="utf-8", newline="\n") as jumps,
+        ):
+            rows.write(_PATHS_CSV_HEADER)
+            jumps.write(_JUMPS_CSV_HEADER)
+            for p in range(n_paths):
+                if p:
+                    path = simulate_path(spec, seed, p)
+                rows.write(_path_csv_rows(p, path))
+                jumps.write(_jump_csv_rows(p, path))
+                finals[p] = path.short_rate[-1]
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     horizon = spec.horizon
-    finals = np.array([p.short_rate[-1] for p in paths])
     mean_hat = float(np.mean(finals))
     var_hat = float(np.var(finals, ddof=1)) if n_paths > 1 else 0.0
     mean_th, var_th = conditional_moments(spec, 0.0, horizon, spec.initial_state())
-    se = math.sqrt(var_th / n_paths) if n_paths else float("inf")
+    se = math.sqrt(var_th / n_paths)
     print(
         f"r({_fmt(horizon)}): empirical mean {_fmt(mean_hat)} vs {_fmt(mean_th)}, "
         f"empirical var {_fmt(var_hat)} vs {_fmt(var_th)}"

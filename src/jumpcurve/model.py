@@ -110,8 +110,8 @@ class FloorFunction(ABC):
     knots in (0, g)).  Beyond that only the order of one sum differs:
     ``integral`` adds the trapezoids with ``np.sum``, which switches to
     pairwise order at eight terms, and ``cumulative`` adds them in sequence.
-    For piecewise-linear floors both raise :class:`OverflowError` where the
-    trapezoid sum leaves double precision.
+    Both raise :class:`OverflowError` where the integral leaves double
+    precision.
     """
 
     @abstractmethod
@@ -143,10 +143,18 @@ class ConstantFloor(FloorFunction):
     def integral(self, t0: float, t1: float) -> float:
         if t1 < t0:
             raise ValueError("integral requires t0 <= t1")
-        return self.level * (t1 - t0)
+        total = self.level * (t1 - t0)
+        if not math.isfinite(total):
+            raise OverflowError(f"floor integral over [{t0}, {t1}] overflows double precision")
+        return total
 
     def cumulative(self, grid) -> np.ndarray:
-        return self.level * np.asarray(grid, dtype=float)
+        grid = np.asarray(grid, dtype=float)
+        # grid points are >= 0, so the largest has the largest integral
+        if grid.size and math.isinf(self.level * float(grid.max())):
+            first = next(g for g in grid.tolist() if math.isinf(self.level * g))
+            raise OverflowError(f"floor integral over [0.0, {first}] overflows double precision")
+        return self.level * grid
 
     def minimum(self) -> float:
         return self.level
@@ -173,7 +181,35 @@ class PiecewiseLinearFloor(FloorFunction):
         xs, ys = self._arrays
         t = np.asarray(t, dtype=float)
         out = np.interp(t, xs, ys)
-        return out if t.ndim else float(out)
+        low, high, steep = self._interp_guard
+        if steep:
+            # the slope of a span a subnormal width apart overflows in np.interp
+            bad = ~np.isfinite(out) & ~np.isnan(t)
+            if t.ndim:
+                out[bad] = self._by_fraction(t[bad])
+            elif bad:
+                out = self._by_fraction(t)
+        # np.interp adds slope * (t - x0) to y0, which can round just outside
+        # the knot values; clamped, mu stays within [minimum(), max(values)]
+        if t.ndim:
+            return np.minimum(np.maximum(out, low, out=out), high, out=out)
+        return min(max(float(out), low), high)
+
+    @functools.cached_property
+    def _interp_guard(self):
+        """The knot values' range, and whether any knot span's slope overflows."""
+        xs, ys = self._arrays
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            steep = not np.all(np.isfinite(np.diff(ys) / np.diff(xs)))
+        return float(ys.min()), float(ys.max()), steep
+
+    def _by_fraction(self, t):
+        """y0 + f (y1 - y0) with f the fraction of the knot span, clipped to [y0, y1]."""
+        xs, ys = self._arrays
+        i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, xs.size - 2)
+        frac = np.clip((t - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+        y0, y1 = ys[i], ys[i + 1]
+        return np.clip(y0 + frac * (y1 - y0), np.minimum(y0, y1), np.maximum(y0, y1))
 
     def integral(self, t0: float, t1: float) -> float:
         if t1 < t0:

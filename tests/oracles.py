@@ -113,3 +113,16 @@ def rowwise_export_paths_csv(paths, destination):
                         f"{path_id},{t:.17g},{k + 1},{path.factors[k, i]:.17g},"
                         f"{path.short_rate[i]:.17g},{path.integrated[i]:.17g}\n"
                     )
+
+
+def rowwise_export_jumps_csv(paths, destination):
+    """Row-by-row jump writer that formats every cell from a numpy scalar.
+
+    The writer that ``export_jumps_csv`` replaced, kept as its byte reference.
+    """
+    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("path_id,factor_index,jump_time,jump_size\n")
+        for path_id, path in enumerate(paths):
+            for k, rec in enumerate(path.jumps):
+                for t, z in zip(rec.times, rec.sizes):
+                    handle.write(f"{path_id},{k + 1},{t:.17g},{z:.17g}\n")

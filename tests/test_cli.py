@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpcurve import cli
+from jumpcurve import cli, simulate_path
 from jumpcurve.cli import main
 from jumpcurve.options import PricingError
 from jumpcurve.quadrature import QuadratureError
+from oracles import rowwise_export_jumps_csv, rowwise_export_paths_csv
 
 BASELINE = {
     "version": 1,
@@ -371,7 +372,46 @@ class TestCalibrateCommand:
         assert main(["--config", cfg, "calibrate", "--market", str(tmp_path / "no.csv")]) == 2
 
 
+PIECEWISE_TWO_FACTORS = dict(
+    BASELINE,
+    floor={"variant": "piecewise_linear", "times": [0.5, 2.0, 5.0, 9.0],
+           "values": [0.01, 0.02, -0.005, 0.03]},
+    factors=[
+        {"lambda": 1.0, "sigma": 1.0, "x0": 0.01, "alpha": 2.0, "epsilon": 10.0},
+        {"lambda": 0.4, "sigma": 0.6, "x0": 0.02, "alpha": 1.5, "epsilon": 25.0},
+    ],
+)
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("payload", [BASELINE, PIECEWISE_TWO_FACTORS], ids=["one", "two"])
+    def test_streamed_csvs_match_rowwise_writers(self, tmp_path, payload):
+        # the CSVs are written path by path; their bytes are the row-by-row writers'
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "--seed", "11", "--paths", "3", "simulate"]) == 0
+        spec = cli.load_config(cfg)["spec"]
+        paths = [simulate_path(spec, 11, p) for p in range(3)]
+        rowwise_export_paths_csv(paths, tmp_path / "paths.csv")
+        rowwise_export_jumps_csv(paths, tmp_path / "jumps.csv")
+        for name in ("paths.csv", "jumps.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_overflowing_constant_floor(self, tmp_path, capsys):
+        # a finite level whose integral over the horizon is not finite
+        payload = dict(BASELINE, floor={"variant": "constant", "level": 1e308})
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "--seed", "3", "--paths", "2", "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: floor integral") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("paths", ["0", "-2"])
+    def test_needs_a_path(self, tmp_path, capsys, paths):
+        cfg = write_config(tmp_path, dict(BASELINE, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "--paths", paths, "simulate"]) == 1
+        assert capsys.readouterr().err == f"error: simulate needs at least one path, got {paths}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_rerun(self, tmp_path):
         payload = dict(BASELINE, paths=2, output=str(tmp_path / "out"))
         cfg = write_config(tmp_path, payload)

@@ -208,6 +208,30 @@ class TestFloors:
             floor.cumulative(np.array([0.0, 0.5, 3.0]))
         assert str(vector.value) == str(scalar.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_constant_floor_raises(self):
+        floor = ConstantFloor(1e308)
+        assert floor.integral(0.0, 1.5) == 1.5e308
+        with pytest.raises(OverflowError, match=r"over \[0.0, 2.0\] overflows double precision"):
+            floor.integral(0.0, 2.0)
+        with pytest.raises(OverflowError, match=r"over \[0.0, 2.0\] overflows double precision"):
+            floor.cumulative(np.array([0.0, 1.5, 2.0, 3.0]))
+
+    def test_subnormal_knot_spacing_interpolates(self):
+        # np.interp's slope 0.0625 / 2.2e-311 overflows; the value stays in [0, 0.0625]
+        floor = PiecewiseLinearFloor((-2.225073858507e-311, 2.2250738585e-313), (0.0, 0.0625))
+        value = floor.value(0.0)
+        assert 0.0 <= value <= 0.0625
+        assert np.array_equal(floor.value(np.array([0.0, 1.0])), [value, 0.0625])
+        assert math.isfinite(floor.integral(0.0, 1.0))
+
+    def test_value_stays_within_knot_values(self):
+        # np.interp rounds mu(0) to -6.9e-18 here, below both knot values
+        floor = PiecewiseLinearFloor((-0.18514970683766732, 5.989711946797296e-110), (0.0546875, 0.0))
+        assert floor.value(0.0) == 0.0 == floor.minimum()
+        assert np.all(floor.value(np.linspace(-1.0, 1.0, 101)) >= 0.0)
+        assert floor.integral(0.0, 1.0) >= 0.0
+
     def test_flat_extrapolation(self):
         floor = PiecewiseLinearFloor((1.0, 2.0), (0.01, 0.02))
         assert floor.value(0.0) == 0.01

@@ -30,7 +30,18 @@ from jumpcurve import (
     simulate_path,
     yield_curve,
 )
-from jumpcurve.simulation import _CHUNK, _jump_blocks, _key, _philox
+from jumpcurve.simulation import (
+    _CHUNK,
+    _discount_and_bond,
+    _estimate,
+    _jump_blocks,
+    _jump_free_integral,
+    _jump_moments,
+    _jump_sums,
+    _key,
+    _philox,
+)
+from jumpcurve.quadrature import gauss_kronrod
 from oracles import pointwise_cumulative, rowwise_export_paths_csv
 
 
@@ -132,12 +143,30 @@ class TestReproducibility:
 
     def test_path_records_independent_of_run_size(self, baseline_spec):
         # the same path index yields the same record however many paths run
-        batch = mc_bond_price(baseline_spec, 1.0, 200, seed=77)
-        singles = [
-            math.exp(-integrated_rate(baseline_spec, simulate_path(baseline_spec, 77, p, 1), 1.0))
-            for p in range(200)
+        T = 1.0
+        batch = mc_bond_price(baseline_spec, T, 200, seed=77)
+        f = baseline_spec.factors[0]
+        singles, jumps = [], []
+        for p in range(200):
+            path = simulate_path(baseline_spec, 77, p, 1)
+            singles.append(math.exp(-integrated_rate(baseline_spec, path, T)))
+            times, sizes = path.jumps[0].times, path.jumps[0].sizes
+            slopes = np.expm1(-f.lam * (T - times[times <= T])) / f.lam
+            jumps.append(f.sigma * np.sum(slopes * sizes[times <= T]))
+        singles, jumps = np.array(singles), np.array(jumps)
+        assert batch.plain_value == pytest.approx(np.mean(singles), rel=1e-13)
+        # the cross-fitted regression: each half takes the other half's beta
+        mean, var = _jump_moments(baseline_spec, T, T)
+        halves = (slice(0, 100), slice(100, 200))
+        betas = [
+            np.cov(singles[h], jumps[h])[0, 1] / max(np.var(jumps[h], ddof=1), var)
+            for h in halves
         ]
-        assert batch.value == pytest.approx(np.mean(singles), rel=1e-13)
+        adjusted = np.concatenate([
+            singles[h] - b * (jumps[h] - mean) for h, b in zip(halves, betas[::-1])
+        ])
+        assert batch.beta == pytest.approx(np.mean(betas), rel=1e-10)
+        assert batch.value == pytest.approx(np.mean(adjusted), rel=1e-13)
 
     def test_chunking_does_not_change_results(self, baseline_spec):
         t = 5.0
@@ -421,7 +450,7 @@ class TestMonteCarloEstimators:
     def test_option_degenerate_strike_is_bond(self, baseline_spec):
         option = OptionSpec(strike=1e-12, option_maturity=0.5, bond_maturity=1.0)
         est = mc_option_price(baseline_spec, option, 20_000, seed=71)
-        analytic = bond_price(baseline_spec, 0.0, 1.0)
+        analytic = bond_price(baseline_spec, 0.0, 1.0) - 1e-12 * bond_price(baseline_spec, 0.0, 0.5)
         assert abs(est.value - analytic) < 3.0 * est.std_error
 
     def test_option_dominated_strike_is_zero(self, baseline_spec):
@@ -443,6 +472,115 @@ class TestMonteCarloEstimators:
     def test_rejects_tiny_path_counts(self, baseline_spec):
         with pytest.raises(ValueError):
             mc_bond_price(baseline_spec, 1.0, 50, seed=1)
+
+
+def plain_mean(values):
+    """The sample mean as the estimators computed it before the control variates."""
+    return float(np.sum(values) / values.size)
+
+
+class TestControlVariates:
+    """Regression-adjusted estimators against their plain means and controls."""
+
+    def test_never_worse_than_plain(self, baseline_spec):
+        option = OptionSpec(strike=0.94, option_maturity=0.5, bond_maturity=1.0)
+        estimates = (
+            mc_bond_price(baseline_spec, 1.0, 20_000, seed=111),
+            mc_discounted_bond(baseline_spec, 0.5, 1.0, 20_000, seed=112),
+            mc_option_price(baseline_spec, option, 20_000, seed=113),
+        )
+        for est in estimates:
+            assert 0.0 < est.std_error <= est.plain_std_error
+            assert est.beta != 0.0
+
+    @pytest.mark.parametrize("T, ratio", [(1.0, 100.0), (5.0, 10.0)])
+    def test_bond_variance_ratio(self, baseline_spec, T, ratio):
+        # the control is linear in the jump sum J and the value is exp(J):
+        # the reduction falls with the spread of J, from about 200-fold at
+        # T = 1 to about 17-fold at T = 5
+        est = mc_bond_price(baseline_spec, T, 50_000, seed=121)
+        assert (est.plain_std_error / est.std_error) ** 2 >= ratio
+        analytic = bond_price(baseline_spec, 0.0, T)
+        assert abs(est.value - analytic) < 3.0 * est.std_error
+
+    @pytest.mark.parametrize("t, T", [(5.0, 5.0), (0.5, 1.0), (1.0, 3.0)])
+    def test_control_moments_match_samples(self, two_factor_spec, t, T):
+        # t = T is the bond control, t < T the martingale control; both are
+        # the third array of _discount_and_bond
+        n = 200_000
+        _, _, jumps = _discount_and_bond(two_factor_spec, 131, n, t, T)
+        mean, var = _jump_moments(two_factor_spec, t, T)
+        for sample, expected in ((jumps, mean), ((jumps - mean) ** 2, var)):
+            se = sample.std(ddof=1) / math.sqrt(n)
+            assert abs(sample.mean() - expected) < 5.0 * se
+
+    @pytest.mark.parametrize("lam", [3.0, 1.0, 1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("t, T", [(1.0, 2.0), (5.0, 5.0)])
+    def test_jump_moments_match_quadrature(self, lam, t, T):
+        # at small lam the differences of exponentials cancel; the result must not
+        f = _factor(lam, 0.7, 0.01, 2.0, 10.0)
+        spec = ModelSpec(factors=(f,), floor=ConstantFloor(0.02), horizon=10.0)
+        slope = lambda u: np.expm1(-lam * (T - u)) / lam
+        first, _ = gauss_kronrod(slope, 0.0, t, abs_tol=1e-15)
+        second, _ = gauss_kronrod(lambda u: slope(u) ** 2, 0.0, t, abs_tol=1e-15)
+        mean, var = _jump_moments(spec, t, T)
+        assert mean == pytest.approx(0.7 * 0.2 * first, rel=1e-12)
+        assert var == pytest.approx(0.49 * 0.04 * second, rel=1e-12)
+
+    def test_bond_control_is_the_bond_jump_sum(self, two_factor_spec):
+        _, _, jumps = _discount_and_bond(two_factor_spec, 132, 1_000, 2.0, 2.0)
+        bond = _jump_sums(two_factor_spec, 132, 1_000, [(2.0, "bond")]).sum(axis=0)[0]
+        assert np.array_equal(jumps, bond)
+
+    def test_plain_value_is_the_old_mean(self, two_factor_spec):
+        n, t, T = 5_000, 0.5, 2.0
+        curve = mc_bond_curve(two_factor_spec, (t, T), n, seed=141)
+        sums = _jump_sums(two_factor_spec, 141, n, [(t, "bond"), (T, "bond")]).sum(axis=0)
+        for maturity, jumps, est in zip((t, T), sums, curve):
+            values = np.exp(jumps - _jump_free_integral(two_factor_spec, maturity))
+            assert est.plain_value == plain_mean(values)
+        discount, bond, _ = _discount_and_bond(two_factor_spec, 142, n, t, T)
+        est = mc_discounted_bond(two_factor_spec, t, T, n, seed=142)
+        assert est.plain_value == plain_mean(discount * bond)
+        option = OptionSpec(strike=0.95, option_maturity=t, bond_maturity=T)
+        discount, bond, _ = _discount_and_bond(two_factor_spec, 143, n, t, T)
+        est = mc_option_price(two_factor_spec, option, n, seed=143)
+        assert est.plain_value == plain_mean(discount * np.maximum(bond - 0.95, 0.0))
+
+    def test_deterministic_limit_uses_no_control(self):
+        spec = ModelSpec(
+            factors=(_factor(1.0, 1.0, 0.0, 1e-13, 10.0),), floor=ConstantFloor(0.03), horizon=5.0
+        )
+        est = mc_bond_price(spec, 2.0, 500, seed=3)
+        assert est.beta == 0.0
+        assert est.value == est.plain_value
+
+    def test_control_constant_up_to_rounding_gets_no_coefficient(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(1.0, 0.1, 1_000)
+        control = 0.3 + rng.integers(-4, 5, values.size) * np.spacing(0.3)
+        est = _estimate(values, control, 0.3)
+        assert est.beta == 0.0
+        assert est.value == est.plain_value == plain_mean(values)
+        assert est.std_error == est.plain_std_error
+
+    def test_known_variance_bounds_the_coefficient(self):
+        # a sample whose control spread is a tenth of the known one
+        rng = np.random.default_rng(7)
+        control = rng.normal(0.0, 0.1, 1_000)
+        values = 2.0 * control + rng.normal(0.0, 0.01, control.size)
+        assert _estimate(values, control, 0.0).beta == pytest.approx(2.0, rel=0.01)
+        shrunk = 2.0 * np.var(control, ddof=1)
+        assert _estimate(values, control, 0.0, 1.0).beta == pytest.approx(shrunk, rel=0.05)
+
+    def test_standard_error_not_below_rounding(self):
+        # a perfect control leaves residuals that differ only by rounding
+        rng = np.random.default_rng(6)
+        control = rng.uniform(0.5, 1.5, 1_000)
+        est = _estimate(control - 1e-12, control, 1.0)
+        assert est.beta == pytest.approx(1.0, rel=1e-12)
+        assert est.std_error >= 2.0**-53 * np.mean(control)
+        assert abs(est.value - (1.0 - 1e-12)) < 3.0 * est.std_error
 
 
 class TestCsvExports:
