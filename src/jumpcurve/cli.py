@@ -165,12 +165,12 @@ def load_config(path: str) -> dict:
         start = float(grid.get("start", 0.25))
         stop = float(grid.get("stop", horizon))
         count = int(grid.get("count", 20))
-        # chained comparison: a NaN start or stop fails it too
-        if count < 1 or not 0 < start <= stop:
+        # chained comparison: a NaN start or stop fails it too; the model flags an infinite horizon
+        if count < 1 or not 0 < start <= stop or (stop == math.inf and "stop" in grid):
             raise ConfigError("grid needs 0 < start <= stop and count >= 1")
         if count > MAX_GRID_COUNT:
             raise ConfigError(f"grid count must not exceed {MAX_GRID_COUNT}")
-        maturities = np.linspace(start, stop, count)
+        maturities = np.linspace(start, stop, count) if stop < math.inf else None
         tenor = float(raw.get("tenor", 0.25))
         if not math.isfinite(tenor):
             raise ConfigError("config 'tenor' must be finite")

@@ -19,16 +19,18 @@ cumulant-path integral of :mod:`.curves`, whose module docstring states the
 antiderivative and its principal-branch argument.  The closed form is the
 default route; the time-quadrature twin stays available as its oracle.
 
-The y-integral is folded onto [0, inf) by conjugate symmetry and integrated
-adaptively on the head [0, A], A = 200.  Beyond it the integrand is the phase
-e^{isy} of the asymptotic slope s times an amplitude c/y^2 + O(1/y^3), where c
-weighs the no-jump outcome P(tau,T) = P_nj, the supremum of P(tau,T).  The
-c/y^2 term is integrated in closed form, c E_2(-isA)/A, and the remainder by
-one double-exponential Fourier rule on 482 fixed nodes (Ooura & Mori, J.
-Comput. Appl. Math. 112, 1999) in one vectorized call.  As K -> P_nj, s =
-log(P_nj/K) -> 0; below |s| = 1e-10 the rule runs at frequency 1e-10, which
-moves the tail by at most 1e-10 int_0^inf x |r(A+x)| dx.  So prices keep to the
-sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj included.
+The y-integral is folded onto [0, inf) by conjugate symmetry.  Adaptive
+Gauss-Kronrod integrates the head [0, A], A = 200, from the mesh 0, A 2^-k
+(k = 10..0), graded toward the poles of w at y = ia and i(a-1); it settles in
+two or three integrand calls.  Beyond A the integrand is the phase e^{isy} of
+the asymptotic slope s times an amplitude c/y^2 + O(1/y^3), where c weighs the
+no-jump outcome P(tau,T) = P_nj, the supremum of P(tau,T).  The c/y^2 term is
+integrated in closed form, c E_2(-isA)/A, and the remainder by the DE Fourier
+rule of :mod:`.quadrature` on 482 fixed nodes in one vectorized call.  As
+K -> P_nj, s = log(P_nj/K) -> 0; below |s| = 1e-10 the rule runs at frequency
+1e-10, which moves the tail by at most 1e-10 int_0^inf x |r(A+x)| dx.  So prices
+keep to the sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj
+included.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.special import exp1
 
 from .curves import _cumulant_integral, _slope, bond_price, cumulant_time_integral
 from .model import FactorParams, ModelSpec
-from .quadrature import QuadratureError, gauss_kronrod
+from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
 from .simulation import _jump_free_integral, _jump_weights, integrated_rate
 
 __all__ = [
@@ -57,9 +58,10 @@ __all__ = [
     "fourier_call_price_at",
 ]
 
-# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE], a DE rule beyond it at
-# frequency >= _MIN_FREQUENCY, with the amplitude's 1/y^2 coefficient read at _FAR_Y.
+# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE] from _HEAD_MESH, a DE rule
+# beyond it at frequency >= _MIN_FREQUENCY, with the amplitude's 1/y^2 coefficient at _FAR_Y.
 _HEAD_RANGE = 200.0
+_HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** -np.arange(10.0, 0.0, -1.0))
 _HEAD_ABS_TOL = 1e-11
 _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
@@ -196,32 +198,11 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     return integrand, slope
 
 
-@cache
-def _fourier_rule() -> tuple:
-    """Nodes x and weights w with int_0^inf f(x) e^{ix} dx ~ sum w f(x), built once.
-
-    x = M phi(t), phi(t) = t / (1 - exp(-2t - a(1 - e^-t) - b(e^t - 1))), M h = pi,
-    at t = n h (sine part) and t = (n - 1/2) h (cosine part): the nodes fall
-    double-exponentially fast onto the zeros of each part.
-    """
-    h, b = 0.05, 0.25
-    m = math.pi / h
-    a = b / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
-    n = np.arange(-140, 101)  # t in [-7, 5]; the end weights are below 1e-14 of the peak
-    t = np.concatenate([n * h, (n - 0.5) * h])
-    zero, c = t == 0.0, 2.0 + a + b  # phi is 0/0 at t = 0: take its limits there
-    d = np.where(zero, 1.0, -np.expm1(-2.0 * t + a * np.expm1(-t) - b * np.expm1(t)))
-    phi = np.where(zero, 1.0 / c, t / d)
-    dphi = np.where(zero, 0.5 + (a - b) / (2.0 * c * c),
-                    (d - t * (1.0 - d) * (2.0 + a * np.exp(-t) + b * np.exp(t))) / d**2)
-    x = m * phi
-    return x, m * h * dphi * np.where(np.arange(t.size) < n.size, 1j * np.sin(x), np.cos(x))
-
-
 def _half_line_integral(integrand, slope: float) -> complex:
-    """int_0^inf integrand(y) dy: adaptive head plus the module docstring's DE tail."""
-    head, _ = gauss_kronrod(integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL, rel_tol=0.0)
-    nodes, weights = _fourier_rule()
+    """int_0^inf integrand(y) dy: graded-mesh head plus the module docstring's DE tail."""
+    head, _ = gauss_kronrod(integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL, rel_tol=0.0,
+                            breakpoints=_HEAD_MESH)
+    nodes, weights = fourier_rule()
     freq = max(abs(slope), _MIN_FREQUENCY)
     y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
     amplitude = integrand(y) * np.exp(-1j * slope * y)
@@ -247,12 +228,7 @@ def fourier_call_price(spec: ModelSpec, option: OptionSpec) -> float:
     return fourier_call_price_at(spec, option, None, 0.0)
 
 
-def fourier_call_price_at(
-    spec: ModelSpec,
-    option: OptionSpec,
-    path,
-    t: float,
-) -> float:
+def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -> float:
     """Time-t call price along a simulated path.
 
     Extends the time-0 integrand with the accumulated jump exponent

@@ -1,7 +1,14 @@
-"""Shared fixtures and independent numerical oracles."""
+"""Shared fixtures, independent numerical oracles and the Hypothesis profiles.
+
+The default profile draws the same examples on every run and keeps no example
+database, so the suite's result depends on the code alone.  Random search runs
+under ``--hypothesis-profile=explore``; a failure it finds is pinned with
+``@example`` in the test it broke.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jumpcurve import (
     ConstantFloor,
@@ -10,6 +17,10 @@ from jumpcurve import (
     ModelSpec,
 )
 from jumpcurve.quadrature import gauss_kronrod
+
+settings.register_profile("default", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None, print_blob=True)
+settings.load_profile("default")
 
 
 @pytest.fixture

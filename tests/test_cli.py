@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jumpcurve
 from jumpcurve import cli, simulate_path
 from jumpcurve.cli import main
 from jumpcurve.options import PricingError
@@ -95,6 +98,26 @@ class TestValidateCommand:
         assert capsys.readouterr().out.strip() == report
         assert main(["--config", cfg, "curve"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "grid, code, stdout, stderr",
+        [
+            ({}, 1, "horizon must be positive and finite\n", ""),
+            ({"start": 0.5, "count": 4}, 1, "horizon must be positive and finite\n", ""),
+            ({"stop": math.inf}, 2, "", "error: grid needs 0 < start <= stop and count >= 1\n"),
+        ],
+        ids=["no-grid", "grid-without-stop", "infinite-stop"],
+    )
+    def test_infinite_grid_end_warns_nothing(self, tmp_path, grid, code, stdout, stderr):
+        # "horizon": Infinity with no grid stop once built a grid up to inf, and
+        # NumPy's RuntimeWarning reached stderr ahead of the report
+        cfg = write_config(tmp_path, dict(BASELINE, horizon=math.inf, grid=grid))
+        src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "jumpcurve.cli", "--config", cfg, "validate"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, stdout, stderr)
 
     @pytest.mark.parametrize(
         "change",
@@ -186,6 +209,10 @@ def _adversarial_configs(draw):
 
 class TestConfigProperties:
     @given(raw=_adversarial_configs())
+    # shrunk from a failure: an infinite horizon and no grid stop
+    @example(raw={"version": 1, "horizon": math.inf, "floor": {"variant": "constant", "level": 0.0},
+                  "factors": [{"lambda": 0.05, "sigma": 0.05, "x0": 0.0, "alpha": 0.01,
+                               "epsilon": 1.0}]})
     @settings(max_examples=50, deadline=None)
     def test_exit_codes_and_curve_output(self, raw):
         with tempfile.TemporaryDirectory() as tmp:

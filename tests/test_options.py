@@ -25,6 +25,7 @@ from jumpcurve import (
     payoff_fourier_weight,
     simulate_path,
 )
+from jumpcurve import options
 from jumpcurve.options import _integrand_factory
 from jumpcurve.quadrature import gauss_kronrod
 from oracles import qawfe_call_price
@@ -376,3 +377,25 @@ class TestQawfeOracle:
                     assert fourier_call_price_at(spec, option, path, t) == pytest.approx(
                         qawfe_call_price(spec, option, path, t), abs=1e-9
                     )
+
+
+class TestIntegrandCalls:
+    """The graded head mesh settles in two or three calls, and the tail takes one."""
+
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    def test_at_most_four_calls_per_price(self, request, monkeypatch, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        calls = []
+
+        def counting_factory(*args):
+            integrand, slope = _integrand_factory(*args)
+            return (lambda y: calls.append(y.size) or integrand(y)), slope
+
+        monkeypatch.setattr(options, "_integrand_factory", counting_factory)
+        for tau, T in ((0.25, 0.26), (0.5, 1.5), (2.0, 5.0)):
+            forward = bond_price(spec, 0.0, T) / bond_price(spec, 0.0, tau)
+            for moneyness in (0.9, 1.0, 1.1):
+                for a in (1.5, 2.0, 3.0):
+                    calls.clear()
+                    fourier_call_price(spec, OptionSpec(forward * moneyness, tau, T, a))
+                    assert 2 <= len(calls) <= 4

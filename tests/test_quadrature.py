@@ -43,3 +43,72 @@ def test_reverse_orientation():
     fwd, _ = gauss_kronrod(lambda x: x**3, 0.0, 1.5)
     bwd, _ = gauss_kronrod(lambda x: x**3, 1.5, 0.0)
     assert bwd == pytest.approx(-fwd, abs=1e-13)
+
+
+# (integrand, a, b, keywords) -> (value, error) bits from the single-panel
+# integrator as it was before the initial mesh option, frozen with float.hex
+FROZEN_SINGLE_PANEL = [
+    ((lambda x: np.sin(7.3 * x) * np.exp(-0.2 * x), 0.0, 20.0, dict(abs_tol=1e-13)),
+     ("0x1.17c428f6aeec1p-3", "0x1.034fc00000000p-45")),
+    ((lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0, {}),
+     ("0x1.356610a59f02dp+8", "0x1.a064800000000p-35")),
+    ((lambda x: np.exp((2.0 + 5j) * x) / (1.0 + x * x), -1.0, 2.0, dict(rel_tol=1e-10)),
+     (complex(float.fromhex("-0x1.8a824b5f14f69p+0"), float.fromhex("0x1.790331dce9258p+0")),
+      "0x1.e2630fb1b6625p-36")),
+]
+
+
+@pytest.mark.parametrize(
+    "case, frozen", FROZEN_SINGLE_PANEL, ids=["oscillatory", "peak", "complex"]
+)
+def test_without_breakpoints_bits_unchanged(case, frozen):
+    f, a, b, keywords = case
+    value, err = gauss_kronrod(f, a, b, **keywords)
+    expected = frozen[0] if isinstance(frozen[0], complex) else float.fromhex(frozen[0])
+    assert value == expected and err == float.fromhex(frozen[1])
+    assert gauss_kronrod(f, a, b, breakpoints=(), **keywords) == (value, err)
+
+
+def _peak_exact(delta=1e-4, centre=0.3):
+    root = math.sqrt(delta)
+    return (math.atan((1.0 - centre) / root) + math.atan(centre / root)) / root
+
+
+@pytest.mark.parametrize(
+    "f, exact, breakpoints",
+    [
+        (lambda x: np.abs(x - 0.3), 0.29, (0.3,)),
+        (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), _peak_exact(), (0.1, 0.25, 0.3, 0.35, 0.5)),
+        (lambda x: np.exp(-x), -math.expm1(-1.0), 2.0 ** -np.arange(10.0, 0.0, -1.0)),
+        (lambda x: np.exp(1j * 40.0 * x), (np.exp(40j) - 1.0) / 40j, np.linspace(0.1, 0.9, 9)),
+    ],
+    ids=["kink", "peak", "graded", "complex-oscillatory"],
+)
+def test_breakpoints_match_single_panel(f, exact, breakpoints):
+    single, _ = gauss_kronrod(f, 0.0, 1.0)
+    meshed, err = gauss_kronrod(f, 0.0, 1.0, breakpoints=breakpoints)
+    assert meshed == pytest.approx(single, rel=1e-11, abs=1e-12)
+    assert meshed == pytest.approx(exact, rel=1e-11, abs=1e-12)
+    assert err < 1e-10
+
+
+def test_breakpoint_at_a_kink_settles_in_one_call():
+    calls = []
+
+    def kink(x):
+        calls.append(x.size)
+        return np.abs(x - 0.3)
+
+    value, _ = gauss_kronrod(kink, 0.0, 1.0, breakpoints=(0.3,))
+    assert calls == [30] and value == pytest.approx(0.29, abs=1e-15)
+    calls.clear()
+    gauss_kronrod(kink, 0.0, 1.0)
+    assert len(calls) > 10
+
+
+def test_breakpoints_reverse_orientation():
+    f = lambda x: np.cos(3.0 * x) + x**2
+    fwd, _ = gauss_kronrod(f, 0.0, 2.0, breakpoints=(0.5, 1.0, 1.5))
+    bwd, _ = gauss_kronrod(f, 2.0, 0.0, breakpoints=(1.5, 1.0, 0.5))
+    assert bwd == pytest.approx(-fwd, abs=1e-13)
+    assert fwd == pytest.approx(math.sin(6.0) / 3.0 + 8.0 / 3.0, abs=1e-13)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import iv
+from scipy.special import i1e
 
 from jumpcurve import (
     ConstantFloor,
@@ -21,18 +21,19 @@ from jumpcurve import (
     short_rate_char_fn,
     short_rate_mgf,
 )
+from oracles import qawf_levy_density
 
 
 def gamma_density_series(measure, t, x):
     """Closed-form density of the subordinator law: Bessel-I series.
 
     Conditioning on the Poisson jump count m gives a Gamma(m, eps) mixture,
-    e^{-alpha t - eps x} sqrt(alpha t eps / x) I_1(2 sqrt(alpha t eps x)).
+    e^{-alpha t - eps x} sqrt(alpha t eps / x) I_1(2 sqrt(alpha t eps x)),
+    evaluated through the scaled i1e so that it stays finite for heavy factors.
     """
     a = measure.alpha * t * measure.epsilon
-    return math.exp(-measure.alpha * t - measure.epsilon * x) * math.sqrt(a / x) * iv(
-        1, 2.0 * math.sqrt(a * x)
-    )
+    exponent = -((math.sqrt(measure.epsilon * x) - math.sqrt(measure.alpha * t)) ** 2)
+    return math.exp(exponent) * math.sqrt(a / x) * i1e(2.0 * math.sqrt(a * x))
 
 
 class TestFactorExponent:
@@ -200,6 +201,35 @@ class TestLevyDensity:
             assert inverted == pytest.approx(
                 gamma_density_series(m, 1.0, x), rel=1e-7, abs=1e-9
             )
+
+    @pytest.mark.parametrize("alpha, epsilon", [(2.0, 10.0), (50.0, 400.0)])
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0])
+    def test_matches_bessel_closed_form(self, alpha, epsilon, t):
+        # from x = 1e-9 through the bulk; 1e-6 relative wherever the density
+        # is at least 1e-8, and 1e-14 absolute below that
+        m = GammaJumpMeasure(alpha, epsilon)
+        mean, sd = alpha * t / epsilon, math.sqrt(2.0 * alpha * t) / epsilon
+        bulk = mean + sd * np.linspace(0.25, 8.0, 32)
+        for x in np.concatenate([np.geomspace(1e-9, mean, 40), bulk, [5e-4]]):
+            exact = gamma_density_series(m, t, x)
+            assert levy_density(m, t, x) == pytest.approx(exact, rel=1e-6, abs=1e-14)
+
+    def test_bessel_closed_form_far_beyond_qawf_range(self):
+        # alpha t = 800 overflows the untilted CF; kappa = 800 runs Gauss-Kronrod
+        m = GammaJumpMeasure(400.0, 400.0)
+        for x in (1.5, 1.9, 2.0, 2.1, 2.5):
+            exact = gamma_density_series(m, 2.0, x)
+            assert levy_density(m, 2.0, x) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha, epsilon", [(2.0, 10.0), (0.5, 3.0), (50.0, 400.0)])
+    def test_matches_qawf_oracle(self, alpha, epsilon):
+        m = GammaJumpMeasure(alpha, epsilon)
+        for t in (0.1, 1.0, 2.0):
+            mean = alpha * t / epsilon
+            for x in mean * np.array([0.05, 0.3, 1.0, 1.6, 2.5]):
+                assert levy_density(m, t, x) == pytest.approx(
+                    qawf_levy_density(m, t, x), rel=1e-8, abs=1e-10
+                )
 
     def test_total_mass(self):
         m = GammaJumpMeasure(2.0, 10.0)
