@@ -53,6 +53,7 @@ from .model import (
     GammaJumpMeasure,
     ModelSpec,
     PiecewiseLinearFloor,
+    _check_interval,
     factor_mean_term,
     factor_var_term,
 )
@@ -74,13 +75,6 @@ __all__ = [
 
 _METHODS = ("closed", "quadrature")
 _QUAD_TOL = 1e-13
-
-
-def _check_interval(t: float, T: float) -> None:
-    if t < 0:
-        raise ValueError("need t >= 0")
-    if t > T:
-        raise ValueError("need t <= T")
 
 
 def _check_method(method: str) -> None:
@@ -149,9 +143,8 @@ def cumulant_time_integral(
     Requires t1 <= t2 <= T.  The bond path of the module docstring (shift
     sigma); ``method="quadrature"`` runs its twin, which must agree.
     """
-    if not 0 <= t1 <= t2 <= T:  # one comparison on the hot path; the checks name the fault
-        _check_interval(t1, t2)
-        _check_interval(t2, T)
+    if not 0 <= t1 <= t2 <= T:  # inline on the hot path; the check names the fault
+        _check_interval(t1, t2, T, ("t1", "t2", "T"))
     lam, sigma = factor.lam, factor.sigma
     return _cumulant_integral(factor, lambda s: sigma * _slope(lam, T - s), sigma, t1, t2, method)
 
@@ -170,8 +163,7 @@ def tilted_time_integral(
     Requires t1 <= t2 <= T.
     """
     _check_method(method)
-    _check_interval(t1, t2)
-    _check_interval(t2, T)
+    _check_interval(t1, t2, T, ("t1", "t2", "T"))
     lam, sigma = factor.lam, factor.sigma
     eps = factor.measure.epsilon
     if method == "quadrature":
@@ -182,8 +174,8 @@ def tilted_time_integral(
         value, _ = gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL)
         return value
     alpha = factor.measure.alpha
-    b1 = sigma * bond_B(factor, t1, T)
-    b2 = sigma * bond_B(factor, t2, T)
+    b1 = sigma * _slope(lam, T - t1)
+    b2 = sigma * _slope(lam, T - t2)
     return alpha * eps / (eps - b2) - alpha * eps / (eps - b1)
 
 
@@ -210,14 +202,13 @@ def bond_price(
     exp(-int_t^T mu) whenever every factor value is nonnegative.  Raises
     OverflowError when the closed forms overflow double precision.
     """
-    if T > spec.horizon:
-        raise ValueError("T exceeds the model horizon")
+    _check_interval(t, T, spec.horizon)
     state = _state_or_initial(spec, state)
     log_p = -spec.floor.integral(t, T)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
     for f, x in zip(spec.factors, state.tolist()):
         log_p += cumulant_time_integral(f, t, T, T, method=method)
-        log_p += bond_B(f, t, T) * x
+        log_p += _slope(f.lam, T - t) * x
     if not math.isfinite(log_p):
         raise OverflowError(f"log P({t}, {T}) = {log_p} overflows double precision")
     return math.exp(log_p)
@@ -238,9 +229,7 @@ def forward_rate(
     closed form.  Satisfies f(t,t) = r(t).  Raises OverflowError when the
     closed forms overflow double precision.
     """
-    _check_interval(t, T)
-    if T > spec.horizon:
-        raise ValueError("T exceeds the model horizon")
+    _check_interval(t, T, spec.horizon)
     state = _state_or_initial(spec, state)
     rate = float(spec.floor.value(T))
     for f, x in zip(spec.factors, state):

@@ -374,6 +374,23 @@ def _floor_violations(floor: FloorFunction, label: str) -> list:
     return problems
 
 
+def _check_interval(t: float, T: float, bound: float = math.inf,
+                    names: tuple = ("t", "T", "horizon")) -> None:
+    """ValueError unless 0 <= t <= T <= bound, naming the first link that fails.
+
+    One chained comparison on the hot path, which NaN fails; a single time is
+    the interval [t, t].
+    """
+    if 0 <= t <= T <= bound:
+        return
+    a, b, c = names
+    if not 0 <= t:
+        raise ValueError(f"need {a} >= 0, got {a}={t}")
+    if not t <= T:
+        raise ValueError(f"need {a} <= {b}, got {a}={t}, {b}={T}")
+    raise ValueError(f"need {b} <= {c} = {bound}, got {b}={T}")
+
+
 def factor_mean_term(lam: float, sigma: float, mean_jump: float, x_u: float, dt: float) -> float:
     """One factor's contribution to the conditional mean of r over a span dt."""
     return (
@@ -401,10 +418,7 @@ def conditional_moments(
 
     With u = 0 and the initial state this gives the unconditional moments.
     """
-    if u < 0 or u > t:
-        raise ValueError("need 0 <= u <= t")
-    if t > spec.horizon:
-        raise ValueError("t exceeds the model horizon")
+    _check_interval(u, t, spec.horizon, ("u", "t", "horizon"))
     state = np.asarray(state, dtype=float)
     if state.shape != (spec.n_factors,):
         raise ValueError("state must hold one value per factor")

@@ -83,12 +83,12 @@ class OptionSpec:
     dampening: float = 1.5
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise ValueError("strike must be positive")
+        if not 0 < self.strike < math.inf:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
         if not 0 < self.option_maturity <= self.bond_maturity:
             raise ValueError("need 0 < option maturity <= bond maturity")
-        if self.dampening <= 1:
-            raise ValueError("dampening must exceed 1 for an integrable payoff")
+        if not 1 < self.dampening < math.inf:  # an integrable payoff needs a > 1
+            raise ValueError(f"dampening must be finite and exceed 1, got {self.dampening}")
 
 
 def call_jump_coefficient(

@@ -7,7 +7,7 @@ panels in one vectorized call, and bisects panels whose local Gauss/Kronrod
 discrepancy exceeds a width-proportional share of the tolerance.  This
 numerical route is kept alive permanently as the cross-check twin of every
 closed-form integral.  The Fourier rule (Ooura & Mori, J. Comput. Appl. Math.
-112, 1999) serves the option-price tail and the Levy density.
+112, 1999) serves the option-price tail.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import bond_B, bond_price, cumulant_time_integral, tilted_time_integral
-from .model import GammaJumpMeasure, ModelSpec
+from .model import GammaJumpMeasure, ModelSpec, _check_interval
 
 __all__ = [
     "JumpRecord",
@@ -448,10 +448,15 @@ def _estimate(
     )
 
 
-def _check_mc_args(spec: ModelSpec, T: float, n_paths: int, seed: int) -> None:
+def _check_mc_args(spec: ModelSpec, times, n_paths: int, seed: int, name: str = "t") -> None:
+    """ValueError unless the seed is valid, n_paths >= 100, and ``times`` (named ``name``)
+    is nonempty and within [0, horizon].
+    """
     _key(seed)
-    if T > spec.horizon:
-        raise ValueError("maturity exceeds the model horizon")
+    if len(times) == 0:
+        raise ValueError(f"need at least one {name}")
+    for t in times:
+        _check_interval(t, t, spec.horizon, (name, name, "horizon"))
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
 
@@ -536,7 +541,7 @@ def mc_bond_curve(spec: ModelSpec, maturities, n_paths: int, seed: int):
     estimate checks.
     """
     maturities = [float(T) for T in maturities]
-    _check_mc_args(spec, max(maturities), n_paths, seed)
+    _check_mc_args(spec, maturities, n_paths, seed, "maturity")
     sums = _jump_sums(spec, seed, n_paths, [(T, "bond") for T in maturities]).sum(axis=0)
     return [
         _estimate(np.exp(jumps - _jump_free_integral(spec, T)), jumps, *_jump_moments(spec, T, T))
@@ -553,9 +558,8 @@ def mc_discounted_bond(
     control, with its mean and variance from the jump moments; the check
     stays independent of the affine formula at time 0.
     """
-    _check_mc_args(spec, T, n_paths, seed)
-    if t > T:
-        raise ValueError("need t <= T")
+    _check_mc_args(spec, [T], n_paths, seed, "T")
+    _check_interval(t, T)
     if t == 0.0:
         price = bond_price(spec, 0.0, T)
         return MonteCarloEstimate(
@@ -574,7 +578,7 @@ def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCa
     the discounted bond exp(-I_tau) P(tau,T), a martingale with mean P(0,T).
     """
     tau, T = option.option_maturity, option.bond_maturity
-    _check_mc_args(spec, T, n_paths, seed)
+    _check_mc_args(spec, [T], n_paths, seed, "bond maturity")  # OptionSpec keeps 0 < tau <= T
     discount, bond, _ = _discount_and_bond(spec, seed, n_paths, tau, T)
     payoff = discount * np.maximum(bond - option.strike, 0.0)
     return _estimate(payoff, discount * bond, bond_price(spec, 0.0, T))
@@ -582,7 +586,7 @@ def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCa
 
 def mc_short_rate_samples(spec: ModelSpec, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Exact samples of r(t), one per path index."""
-    _check_mc_args(spec, t, n_paths, seed)
+    _check_mc_args(spec, [t], n_paths, seed)
     base = float(spec.floor.value(t)) + sum(
         f.x0 * math.exp(-f.lam * t) for f in spec.factors
     )

@@ -1,4 +1,4 @@
-"""Characteristic functions, moment generating functions, density recovery.
+"""Characteristic functions, moment generating functions, the subordinator density.
 
 The short rate at time t has the affine characteristic function
 
@@ -11,9 +11,11 @@ has c0 = 0, so rho_k is the one cumulant-path integral of :mod:`.curves`
 with shift 0; its module docstring states the antiderivative and the
 principal-branch argument, which holds whenever Re(i u) sigma < eps.  On the
 real axis u = -i v the same closed form gives :func:`short_rate_mgf`.
-The driving subordinator itself has CF  exp( i u alpha t / (eps - i u) ),
-an atom of mass exp(-alpha t) at zero, and an absolutely continuous part
-recovered here by Fourier inversion of the atom-subtracted CF.
+The driving subordinator itself has CF  exp( i u alpha t / (eps - i u) ):
+a Poisson(alpha t) mixture of Gamma(m, eps) laws, with an atom exp(-alpha t)
+at zero (:func:`levy_zero_atom`) and on x > 0 the randomized gamma density
+e^{-alpha t - eps x} sqrt(alpha t eps / x) I_1(2 sqrt(alpha t eps x)) of Feller
+(Vol. II, ch. II), in closed form in :func:`levy_density`.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i1e
 
 from .curves import _cumulant_integral
-from .model import FactorParams, GammaJumpMeasure, ModelSpec
-from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
+from .model import FactorParams, GammaJumpMeasure, ModelSpec, _check_interval
 
 __all__ = [
     "AffineExponent",
@@ -60,8 +62,7 @@ def factor_exponent(
     antiderivative; ``method="quadrature"`` runs its adaptive twin.
     Raises ValueError unless Re(i u) sigma < eps, where the cumulant converges.
     """
-    if t < 0:
-        raise ValueError("need t >= 0")
+    _check_interval(t, t)
     lam, sigma = factor.lam, factor.sigma
     rho = _cumulant_integral(
         factor,  # math.exp at the two scalar ends, numpy on the quadrature twin's nodes
@@ -76,8 +77,9 @@ def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
 
     Modulus is at most 1 for real u, with equality at u = 0.
     """
-    if t < 0 or t > spec.horizon:
-        raise ValueError("need 0 <= t <= horizon")
+    _check_interval(t, t, spec.horizon, ("t", "t", "horizon"))
+    if not cmath.isfinite(u):
+        raise ValueError(f"need a finite u, got u={u}")
     exponent = 1j * u * float(spec.floor.value(t))
     for f in spec.factors:
         part = factor_exponent(f, t, u)
@@ -91,60 +93,49 @@ def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
     Defined for v below min_k eps_k / sigma_k.
     """
     bound = min(f.measure.epsilon / f.sigma for f in spec.factors)
-    if v >= bound:
-        raise ValueError(f"mgf diverges: v must stay below min eps/sigma = {bound}")
+    if not -math.inf < v < bound:
+        raise ValueError(f"need a finite v below min eps/sigma = {bound}, got v={v}")
     return short_rate_char_fn(spec, t, -1j * v).real
 
 
 def levy_char_fn(measure: GammaJumpMeasure, t: float, u: float) -> complex:
     """CF of the subordinator at time t: exp( i u alpha t / (eps - i u) )."""
-    if t < 0:
-        raise ValueError("need t >= 0")
+    _check_interval(t, t)
     return cmath.exp(1j * u * measure.alpha * t / (measure.epsilon - 1j * u))
 
 
 def levy_zero_atom(measure: GammaJumpMeasure, t: float) -> float:
     """Mass of the atom at zero, exp(-alpha t): the no-jump probability."""
-    if t < 0:
-        raise ValueError("need t >= 0")
+    _check_interval(t, t)
     return math.exp(-measure.alpha * t)
 
 
 def levy_density(measure: GammaJumpMeasure, t: float, x: float) -> float:
     """Absolutely continuous density of the subordinator law at x > 0.
 
-    Inverts CF_ac(u) = exp(-alpha t) (exp(alpha t eps / (eps - i u)) - 1), the
-    atom-subtracted CF, along Im u = kappa/x - eps, kappa = sqrt(alpha t eps x):
-    an Esscher tilt that centres the law on x and keeps relative accuracy in
-    both tails.  With v = u x and z = kappa^2 / (kappa - i v), and the one-jump
-    term z inverted in closed form,
+    Given m >= 1 jumps by time t, the sum of m Exp(eps) sizes is Gamma(m, eps),
+    and m is Poisson(alpha t).  Summing the mixture over m gives the modified
+    Bessel series of the randomized gamma law (Feller, An Introduction to
+    Probability Theory and Its Applications, Vol. II, ch. II):
 
-        f(x) = alpha t eps e^{-alpha t - eps x} + e^{-(sqrt(eps x) - sqrt(alpha t))^2}
-               / (pi x) Re int_0^inf e^{-kappa} (e^z - 1 - z) e^{-iv} dv,
+        f(x) = e^{-alpha t - eps x} sqrt(alpha t eps / x) I_1(2 sqrt(alpha t eps x))
+             = e^{-(sqrt(eps x) - sqrt(alpha t))^2} (kappa / x) i1e(2 kappa),
 
-    whose O(1/v^2) integrand takes one call of the DE Fourier rule.  Above
-    kappa = 200 it is e^{-v^2/(kappa - iv)} up to e^{-kappa}: a bump of width
-    sqrt(kappa) with no oscillation for the rule to match, integrated by
-    Gauss-Kronrod on [0, 10 sqrt(kappa)].  The atom exp(-alpha t) at zero is
-    reported by :func:`levy_zero_atom`, never folded into the density.
+    with kappa = sqrt(alpha t eps x) and the scaled Bessel function
+    i1e(z) = e^{-z} I_1(z).  Each square root is taken factor by factor, so
+    the form stays finite from subnormal x to heavy factors; OverflowError is
+    raised only once alpha t eps x or alpha t eps / x leaves double range.  The
+    atom exp(-alpha t) at zero is reported by :func:`levy_zero_atom`, never
+    folded into the density.
     """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    if x <= 0:
-        raise ValueError("density defined on the support interior x > 0")
-    alpha, eps = measure.alpha, measure.epsilon
-    root_ex, root_at = math.sqrt(eps) * math.sqrt(x), math.sqrt(alpha) * math.sqrt(t)  # finite
+    if not 0 < t < math.inf:
+        raise ValueError(f"need 0 < t < inf, got t={t}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"density defined on the support interior 0 < x < inf, got x={x}")
+    root_ex = math.sqrt(measure.epsilon) * math.sqrt(x)
+    root_at = math.sqrt(measure.alpha) * math.sqrt(t)
     kappa, gap = root_ex * root_at, root_ex - root_at
-    if kappa <= 200.0:
-        nodes, weights = fourier_rule()
-        z = kappa * kappa / (kappa - 1j * nodes)
-        body = math.exp(-kappa) * ((np.expm1(z) - z) @ weights.conj()).real
-    else:
-        w = math.sqrt(kappa)
-        body = gauss_kronrod(lambda v: np.exp(-v * v / (kappa - 1j * v)).real, 0.0, 10.0 * w,
-                             abs_tol=0.0, rel_tol=1e-13, breakpoints=w * np.arange(1.0, 10.0))[0]
-    density = alpha * t * eps * math.exp(-alpha * t - eps * x)
-    density += math.exp(-gap * gap) * body / (math.pi * x)
-    if not math.isfinite(density):
-        raise QuadratureError("Fourier inversion did not converge")
+    density = math.exp(-gap * gap) * kappa / x * float(i1e(2.0 * kappa))
+    if not math.isfinite(density):  # kappa or kappa / x beyond double range
+        raise OverflowError(f"density at t={t}, x={x} overflows double precision")
     return density

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import integrate
 
 from jumpcurve.options import _integrand_factory
-from jumpcurve.quadrature import gauss_kronrod
+from jumpcurve.quadrature import QuadratureError, fourier_rule, gauss_kronrod
 
 
 def _support_cutoff(measure, b) -> float:
@@ -110,6 +110,49 @@ def qawf_levy_density(measure, t, x):
     ]
     assert all(math.isfinite(p) for p in parts)
     return sum(parts) / math.pi
+
+
+def tilted_levy_density(measure, t, x):
+    """Subordinator density at x > 0 by DE Fourier inversion along an Esscher-tilted line.
+
+    The inversion that ``levy_density``'s closed Bessel form replaced, kept as
+    its reference.
+
+    Inverts CF_ac(u) = exp(-alpha t) (exp(alpha t eps / (eps - i u)) - 1), the
+    atom-subtracted CF, along Im u = kappa/x - eps, kappa = sqrt(alpha t eps x):
+    an Esscher tilt that centres the law on x and keeps relative accuracy in
+    both tails.  With v = u x and z = kappa^2 / (kappa - i v), and the one-jump
+    term z inverted in closed form,
+
+        f(x) = alpha t eps e^{-alpha t - eps x} + e^{-(sqrt(eps x) - sqrt(alpha t))^2}
+               / (pi x) Re int_0^inf e^{-kappa} (e^z - 1 - z) e^{-iv} dv,
+
+    whose O(1/v^2) integrand takes one call of the DE Fourier rule.  Above
+    kappa = 200 it is e^{-v^2/(kappa - iv)} up to e^{-kappa}: a bump of width
+    sqrt(kappa) with no oscillation for the rule to match, integrated by
+    Gauss-Kronrod on [0, 10 sqrt(kappa)].  The atom exp(-alpha t) at zero is
+    reported by ``levy_zero_atom``, never folded into the density.
+    """
+    if t <= 0:
+        raise ValueError("need t > 0")
+    if x <= 0:
+        raise ValueError("density defined on the support interior x > 0")
+    alpha, eps = measure.alpha, measure.epsilon
+    root_ex, root_at = math.sqrt(eps) * math.sqrt(x), math.sqrt(alpha) * math.sqrt(t)  # finite
+    kappa, gap = root_ex * root_at, root_ex - root_at
+    if kappa <= 200.0:
+        nodes, weights = fourier_rule()
+        z = kappa * kappa / (kappa - 1j * nodes)
+        body = math.exp(-kappa) * ((np.expm1(z) - z) @ weights.conj()).real
+    else:
+        w = math.sqrt(kappa)
+        body = gauss_kronrod(lambda v: np.exp(-v * v / (kappa - 1j * v)).real, 0.0, 10.0 * w,
+                             abs_tol=0.0, rel_tol=1e-13, breakpoints=w * np.arange(1.0, 10.0))[0]
+    density = alpha * t * eps * math.exp(-alpha * t - eps * x)
+    density += math.exp(-gap * gap) * body / (math.pi * x)
+    if not math.isfinite(density):
+        raise QuadratureError("Fourier inversion did not converge")
+    return density
 
 
 def pointwise_cumulative(floor, grid):

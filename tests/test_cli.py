@@ -514,6 +514,15 @@ class TestPriceCommand:
         assert analytic <= 1e-9
         assert float(mc_line[1]) == 0.0
 
+    def test_option_rejects_nan_strike(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASELINE)
+        argv = ["--config", cfg, "price", "option", "--maturity", "1.0", "--expiry", "0.5",
+                "--strike", "nan"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: strike must be positive and finite")
+
     def test_option_requires_strike_and_expiry(self, tmp_path):
         cfg = write_config(tmp_path, BASELINE)
         assert main(["--config", cfg, "price", "option", "--maturity", "1.0"]) == 1

@@ -152,6 +152,29 @@ class TestBondPrice:
                 assert math.expm1(baseline_factor.sigma * b * z) <= 0.0
 
 
+class TestTimeContract:
+    @pytest.mark.parametrize("function", [bond_price, forward_rate, yield_curve])
+    @pytest.mark.parametrize("t, T, message", [
+        (math.nan, 1.0, "need t >= 0, got t=nan"),
+        (-0.5, 1.0, "need t >= 0, got t=-0.5"),
+        (0.0, math.nan, "need t <= T, got t=0.0, T=nan"),
+        (0.0, 11.0, "need T <= horizon = 10.0, got T=11.0"),
+        (0.0, math.inf, "need T <= horizon = 10.0, got T=inf"),
+    ])
+    def test_bad_times_name_the_argument(self, baseline_spec, function, t, T, message):
+        with pytest.raises(ValueError, match=message):
+            function(baseline_spec, t, T)
+
+    @pytest.mark.parametrize("function", [bond_price, forward_rate])
+    def test_reversed_times_name_both(self, baseline_spec, function):
+        with pytest.raises(ValueError, match="need t <= T, got t=2.0, T=1.0"):
+            function(baseline_spec, 2.0, 1.0)
+
+    def test_horizon_itself_is_inside(self, baseline_spec):
+        assert 0.0 < bond_price(baseline_spec, 0.0, 10.0) < 1.0
+        assert math.isfinite(forward_rate(baseline_spec, 10.0, 10.0))
+
+
 class TestForwardRate:
     def test_short_maturity_is_short_rate(self, baseline_spec):
         got = forward_rate(baseline_spec, 0.7, 0.7, [0.04])

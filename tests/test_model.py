@@ -362,6 +362,16 @@ class TestConditionalMoments:
         with pytest.raises(ValueError):
             conditional_moments(baseline_spec, 2.0, 1.0, [0.01])
 
+    @pytest.mark.parametrize("u, t, message", [
+        (math.nan, 1.0, "need u >= 0, got u=nan"),
+        (0.0, math.nan, "need u <= t, got u=0.0, t=nan"),
+        (0.0, math.inf, "need t <= horizon = 10.0, got t=inf"),
+        (0.0, 11.0, "need t <= horizon = 10.0, got t=11.0"),
+    ])
+    def test_rejects_bad_times_by_name(self, baseline_spec, u, t, message):
+        with pytest.raises(ValueError, match=message):
+            conditional_moments(baseline_spec, u, t, [0.01])
+
     def test_variance_positive_and_increasing(self, baseline_spec):
         spans = [0.1, 0.5, 1.0, 3.0, 8.0]
         variances = [

@@ -47,11 +47,20 @@ class TestOptionSpec:
             dict(strike=1.0, option_maturity=0.0, bond_maturity=1.0),
             dict(strike=1.0, option_maturity=2.0, bond_maturity=1.0),
             dict(strike=1.0, option_maturity=0.5, bond_maturity=1.0, dampening=1.0),
+            dict(strike=1.0, option_maturity=math.nan, bond_maturity=1.0),
+            dict(strike=1.0, option_maturity=0.5, bond_maturity=math.nan),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             OptionSpec(**kwargs)
+
+    @pytest.mark.parametrize("name", ["strike", "dampening"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        kwargs = dict(strike=0.94, option_maturity=0.5, bond_maturity=1.0, dampening=1.5)
+        with pytest.raises(ValueError, match=f"{name} must be .*finite.*got {value}"):
+            OptionSpec(**{**kwargs, name: value})
 
 
 class TestJumpCoefficient:

@@ -473,6 +473,27 @@ class TestMonteCarloEstimators:
         with pytest.raises(ValueError):
             mc_bond_price(baseline_spec, 1.0, 50, seed=1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: mc_bond_price(s, -1.0, 400, 1), "need maturity >= 0, got maturity=-1.0"),
+        (lambda s: mc_bond_price(s, math.nan, 400, 1), "need maturity >= 0, got maturity=nan"),
+        (lambda s: mc_bond_curve(s, [], 400, 1), "need at least one maturity"),
+        (lambda s: mc_bond_curve(s, [-1.0, 1.0], 400, 1), "got maturity=-1.0"),
+        (lambda s: mc_bond_curve(s, [1.0, math.nan], 400, 1), "got maturity=nan"),
+        (lambda s: mc_bond_curve(s, [1.0, 11.0], 400, 1), "need maturity <= horizon"),
+        (lambda s: mc_discounted_bond(s, -1.0, 1.0, 400, 1), "need t >= 0, got t=-1.0"),
+        (lambda s: mc_discounted_bond(s, math.nan, 1.0, 400, 1), "got t=nan"),
+        (lambda s: mc_discounted_bond(s, 0.5, math.nan, 400, 1), "got T=nan"),
+        (lambda s: mc_discounted_bond(s, 2.0, 1.0, 400, 1), "need t <= T"),
+        (lambda s: mc_short_rate_samples(s, -1.0, 400, 1), "need t >= 0, got t=-1.0"),
+        (lambda s: mc_short_rate_samples(s, math.nan, 400, 1), "got t=nan"),
+        (lambda s: mc_short_rate_samples(s, math.inf, 400, 1), "need t <= horizon"),
+        (lambda s: mc_option_price(s, OptionSpec(0.9, 0.5, 11.0), 400, 1),
+         "need bond maturity <= horizon"),
+    ])
+    def test_rejects_bad_times_by_name(self, baseline_spec, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(baseline_spec)
+
 
 def plain_mean(values):
     """The sample mean as the estimators computed it before the control variates."""

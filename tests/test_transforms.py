@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import i1e
 
 from jumpcurve import (
     ConstantFloor,
@@ -21,19 +20,7 @@ from jumpcurve import (
     short_rate_char_fn,
     short_rate_mgf,
 )
-from oracles import qawf_levy_density
-
-
-def gamma_density_series(measure, t, x):
-    """Closed-form density of the subordinator law: Bessel-I series.
-
-    Conditioning on the Poisson jump count m gives a Gamma(m, eps) mixture,
-    e^{-alpha t - eps x} sqrt(alpha t eps / x) I_1(2 sqrt(alpha t eps x)),
-    evaluated through the scaled i1e so that it stays finite for heavy factors.
-    """
-    a = measure.alpha * t * measure.epsilon
-    exponent = -((math.sqrt(measure.epsilon * x) - math.sqrt(measure.alpha * t)) ** 2)
-    return math.exp(exponent) * math.sqrt(a / x) * i1e(2.0 * math.sqrt(a * x))
+from oracles import qawf_levy_density, tilted_levy_density
 
 
 class TestFactorExponent:
@@ -132,6 +119,22 @@ class TestShortRateCharFn:
         assert mirrored == pytest.approx(value.conjugate(), rel=1e-9, abs=1e-12)
 
 
+class TestShortRateCharFnContract:
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "need t >= 0, got t=nan"),
+        (-1.0, "need t >= 0, got t=-1.0"),
+        (math.inf, "need t <= horizon = 10.0, got t=inf"),
+    ])
+    def test_rejects_bad_time(self, baseline_spec, t, message):
+        with pytest.raises(ValueError, match=message):
+            short_rate_char_fn(baseline_spec, t, 1.0)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_argument(self, baseline_spec, u):
+        with pytest.raises(ValueError, match=f"need a finite u, got u={u}"):
+            short_rate_char_fn(baseline_spec, 1.0, u)
+
+
 class TestShortRateMgf:
     def test_at_zero(self, baseline_spec):
         assert short_rate_mgf(baseline_spec, 1.0, 0.0) == 1.0
@@ -155,6 +158,11 @@ class TestShortRateMgf:
     def test_domain_error(self, baseline_spec):
         with pytest.raises(ValueError):
             short_rate_mgf(baseline_spec, 1.0, 10.0)
+
+    @pytest.mark.parametrize("v", [math.nan, -math.inf, math.inf])
+    def test_rejects_non_finite_argument(self, baseline_spec, v):
+        with pytest.raises(ValueError, match=f"got v={v}"):
+            short_rate_mgf(baseline_spec, 1.0, v)
 
     def test_jensen_lower_bound(self, baseline_spec):
         for v in (-2.0, -0.5, 0.5, 2.0, 5.0):
@@ -189,17 +197,18 @@ class TestLevyCharFn:
 class TestLevyDensity:
     def test_rejects_bad_arguments(self):
         m = GammaJumpMeasure(2.0, 10.0)
-        with pytest.raises(ValueError):
-            levy_density(m, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            levy_density(m, 0.0, 0.1)
+        for t in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="got t="):
+                levy_density(m, t, 0.1)
+        for x in (0.0, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="got x="):
+                levy_density(m, 1.0, x)
 
     def test_matches_series_oracle(self):
         m = GammaJumpMeasure(2.0, 10.0)
         for x in (0.02, 0.1, 0.25, 0.6, 1.2):
-            inverted = levy_density(m, 1.0, x)
-            assert inverted == pytest.approx(
-                gamma_density_series(m, 1.0, x), rel=1e-7, abs=1e-9
+            assert levy_density(m, 1.0, x) == pytest.approx(
+                tilted_levy_density(m, 1.0, x), rel=1e-7, abs=1e-9
             )
 
     @pytest.mark.parametrize("alpha, epsilon", [(2.0, 10.0), (50.0, 400.0)])
@@ -211,15 +220,46 @@ class TestLevyDensity:
         mean, sd = alpha * t / epsilon, math.sqrt(2.0 * alpha * t) / epsilon
         bulk = mean + sd * np.linspace(0.25, 8.0, 32)
         for x in np.concatenate([np.geomspace(1e-9, mean, 40), bulk, [5e-4]]):
-            exact = gamma_density_series(m, t, x)
+            exact = tilted_levy_density(m, t, x)
             assert levy_density(m, t, x) == pytest.approx(exact, rel=1e-6, abs=1e-14)
 
     def test_bessel_closed_form_far_beyond_qawf_range(self):
-        # alpha t = 800 overflows the untilted CF; kappa = 800 runs Gauss-Kronrod
+        # alpha t = 800 overflows the untilted CF; kappa = 800 runs the
+        # oracle's Gauss-Kronrod branch
         m = GammaJumpMeasure(400.0, 400.0)
         for x in (1.5, 1.9, 2.0, 2.1, 2.5):
-            exact = gamma_density_series(m, 2.0, x)
+            exact = tilted_levy_density(m, 2.0, x)
             assert levy_density(m, 2.0, x) == pytest.approx(exact, rel=1e-10)
+
+    def test_subnormal_point_is_the_one_jump_limit(self):
+        # f(x) -> alpha t eps e^{-alpha t} as x -> 0
+        m = GammaJumpMeasure(2.0, 10.0)
+        assert levy_density(m, 1.0, 5e-324) == pytest.approx(20.0 * math.exp(-2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, epsilon, t, x", [
+        (1e200, 1e200, 1e200, 1e200),  # kappa = inf
+        (1.0, 1e308, 1.0, 1e-310),  # kappa / x = inf
+    ])
+    def test_overflow_is_an_error_not_nan(self, alpha, epsilon, t, x):
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            levy_density(GammaJumpMeasure(alpha, epsilon), t, x)
+
+    @given(
+        log_alpha=st.floats(-3.0, 3.0),
+        log_epsilon=st.floats(-1.0, 3.0),
+        t=st.floats(0.01, 5.0),
+        log_ratio=st.floats(-6.0, 1.0),
+    )
+    @settings(deadline=None)
+    def test_matches_inversion_oracle_property(self, log_alpha, log_epsilon, t, log_ratio):
+        # alpha in [1e-3, 1e3], eps in [0.1, 1e3], x in mean * [1e-6, 10]
+        m = GammaJumpMeasure(10.0**log_alpha, 10.0**log_epsilon)
+        x = m.mean_jump() * t * 10.0**log_ratio
+        density = levy_density(m, t, x)
+        assert math.isfinite(density) and density >= 0.0
+        exact = tilted_levy_density(m, t, x)
+        if exact > 1e-300:
+            assert density == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("alpha, epsilon", [(2.0, 10.0), (0.5, 3.0), (50.0, 400.0)])
     def test_matches_qawf_oracle(self, alpha, epsilon):
