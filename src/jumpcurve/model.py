@@ -110,25 +110,45 @@ class FloorFunction(ABC):
     knots in (0, g)).  Beyond that only the order of one sum differs:
     ``integral`` adds the trapezoids with ``np.sum``, which switches to
     pairwise order at eight terms, and ``cumulative`` adds them in sequence.
-    Both raise :class:`OverflowError` where the integral leaves double
-    precision.
+    Variants implement arithmetic only (value, minimum, ``_integral``,
+    ``_cumulative``); the t0 <= t1 and overflow checks live here, once.
     """
 
     @abstractmethod
     def value(self, t):
         """mu(t); accepts scalars or arrays."""
 
-    @abstractmethod
     def integral(self, t0: float, t1: float) -> float:
         """Exact  int_{t0}^{t1} mu(s) ds  for t0 <= t1."""
+        if t1 < t0:
+            raise ValueError("integral requires t0 <= t1")
+        total = self._integral(t0, t1)
+        if not math.isfinite(total):
+            raise OverflowError(f"floor integral over [{t0}, {t1}] overflows double precision")
+        return total
 
-    @abstractmethod
     def cumulative(self, grid) -> np.ndarray:
         """Exact  int_0^g mu(s) ds  at every point g >= 0 of ``grid``, as a new array."""
+        grid = np.asarray(grid, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self._cumulative(grid)
+        finite = np.isfinite(total)
+        if not finite.all():
+            first = grid[~finite][0]
+            raise OverflowError(f"floor integral over [0.0, {first}] overflows double precision")
+        return total
 
     @abstractmethod
     def minimum(self) -> float:
         """Greatest lower bound of mu over all of [0, inf)."""
+
+    @abstractmethod
+    def _integral(self, t0: float, t1: float) -> float:
+        """int_{t0}^{t1} mu(s) ds for t0 <= t1, inf or NaN where it overflows."""
+
+    @abstractmethod
+    def _cumulative(self, grid: np.ndarray) -> np.ndarray:
+        """int_0^g mu(s) ds on a float grid as a new array, run with NumPy warnings off."""
 
 
 @dataclass(frozen=True)
@@ -140,20 +160,10 @@ class ConstantFloor(FloorFunction):
         out = np.full(t.shape, self.level)
         return out if t.ndim else float(out)
 
-    def integral(self, t0: float, t1: float) -> float:
-        if t1 < t0:
-            raise ValueError("integral requires t0 <= t1")
-        total = self.level * (t1 - t0)
-        if not math.isfinite(total):
-            raise OverflowError(f"floor integral over [{t0}, {t1}] overflows double precision")
-        return total
+    def _integral(self, t0: float, t1: float) -> float:
+        return self.level * (t1 - t0)
 
-    def cumulative(self, grid) -> np.ndarray:
-        grid = np.asarray(grid, dtype=float)
-        # grid points are >= 0, so the largest has the largest integral
-        if grid.size and math.isinf(self.level * float(grid.max())):
-            first = next(g for g in grid.tolist() if math.isinf(self.level * g))
-            raise OverflowError(f"floor integral over [0.0, {first}] overflows double precision")
+    def _cumulative(self, grid: np.ndarray) -> np.ndarray:
         return self.level * grid
 
     def minimum(self) -> float:
@@ -211,50 +221,36 @@ class PiecewiseLinearFloor(FloorFunction):
         y0, y1 = ys[i], ys[i + 1]
         return np.clip(y0 + frac * (y1 - y0), np.minimum(y0, y1), np.maximum(y0, y1))
 
-    def integral(self, t0: float, t1: float) -> float:
-        if t1 < t0:
-            raise ValueError("integral requires t0 <= t1")
+    def _trapezoids(self, breaks):
+        """mu at the sorted breaks and the trapezoid over each span; callers silence overflow."""
+        heights = self.value(breaks)
+        return heights, 0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)
+
+    def _integral(self, t0: float, t1: float) -> float:
         if t1 == t0:
             return 0.0
         xs, _ = self._arrays
-        interior = xs[(xs > t0) & (xs < t1)]
-        breaks = np.concatenate([[t0], interior, [t1]])
-        heights = self.value(breaks)
-        # huge knots overflow the trapezoid sum: raise, rather than warn and return inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)))
-        if not math.isfinite(total):
-            raise OverflowError(f"floor integral over [{t0}, {t1}] overflows double precision")
-        return total
+        breaks = np.concatenate([[t0], xs[(xs > t0) & (xs < t1)], [t1]])
+        with np.errstate(over="ignore", invalid="ignore"):  # integral raises on inf or nan
+            return float(np.sum(self._trapezoids(breaks)[1]))
 
     @functools.cached_property
     def _running_sums(self):
         """The breaks 0 and every knot above it, mu there, and int_0 mu up to each break."""
         xs, _ = self._arrays
         breaks = np.concatenate(([0.0], xs[xs > 0]))
-        heights = self.value(breaks)
-        with np.errstate(over="ignore", invalid="ignore"):
-            whole = 0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)
-            # in sequence: the order of np.sum in integral while it has fewer than 8 terms
-            sums = np.cumsum(np.concatenate(([0.0], whole)))
-        return breaks, heights, sums
+        heights, whole = self._trapezoids(breaks)
+        # in sequence: the order of np.sum in _integral while it has fewer than 8 terms
+        return breaks, heights, np.cumsum(np.concatenate(([0.0], whole)))
 
-    def cumulative(self, grid) -> np.ndarray:
+    def _cumulative(self, grid: np.ndarray) -> np.ndarray:
         breaks, heights, sums = self._running_sums
-        grid = np.asarray(grid, dtype=float)
         # integral(0, g) adds the whole trapezoids up to the last break below g,
         # then the partial one from that break to g
         below = np.maximum(np.searchsorted(breaks, grid) - 1, 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            last = 0.5 * (self.value(grid) + heights[below]) * (grid - breaks[below])
-            # integral(0, 0) is 0.0 however large the floor is there
-            total = np.where(grid > 0.0, sums[below] + last, 0.0)
-        bad = ~np.isfinite(total)
-        if bad.any():
-            raise OverflowError(
-                f"floor integral over [0.0, {grid[bad][0]}] overflows double precision"
-            )
-        return total
+        last = 0.5 * (self.value(grid) + heights[below]) * (grid - breaks[below])
+        # integral(0, 0) is 0.0 however large the floor is there
+        return np.where(grid > 0.0, sums[below] + last, 0.0)
 
     def minimum(self) -> float:
         return float(min(self.values))
@@ -275,11 +271,11 @@ class SummedFloor(FloorFunction):
             total = total + part.value(t)
         return total
 
-    def integral(self, t0: float, t1: float) -> float:
-        return sum(part.integral(t0, t1) for part in self.parts)
+    def _integral(self, t0: float, t1: float) -> float:
+        return sum(part._integral(t0, t1) for part in self.parts)
 
-    def cumulative(self, grid) -> np.ndarray:
-        return sum(part.cumulative(grid) for part in self.parts)
+    def _cumulative(self, grid: np.ndarray) -> np.ndarray:
+        return sum(part._cumulative(grid) for part in self.parts)
 
     def minimum(self) -> float:
         return sum(part.minimum() for part in self.parts)
@@ -376,19 +372,22 @@ def _floor_violations(floor: FloorFunction, label: str) -> list:
 
 def _check_interval(t: float, T: float, bound: float = math.inf,
                     names: tuple = ("t", "T", "horizon")) -> None:
-    """ValueError unless 0 <= t <= T <= bound, naming the first link that fails.
+    """ValueError unless 0 <= t <= T <= bound with T finite, naming the first link that fails.
 
     One chained comparison on the hot path, which NaN fails; a single time is
     the interval [t, t].
     """
-    if 0 <= t <= T <= bound:
+    if 0 <= t <= T <= bound and T < math.inf:
         return
     a, b, c = names
     if not 0 <= t:
         raise ValueError(f"need {a} >= 0, got {a}={t}")
     if not t <= T:
         raise ValueError(f"need {a} <= {b}, got {a}={t}, {b}={T}")
-    raise ValueError(f"need {b} <= {c} = {bound}, got {b}={T}")
+    if not T <= bound:
+        raise ValueError(f"need {b} <= {c} = {bound}, got {b}={T}")
+    name = a if t == T else b  # the first of the two that is infinite
+    raise ValueError(f"need a finite {name}, got {name}={T}")
 
 
 def factor_mean_term(lam: float, sigma: float, mean_jump: float, x_u: float, dt: float) -> float:

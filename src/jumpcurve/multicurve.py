@@ -73,8 +73,6 @@ class DualCurveSpec:
         object.__setattr__(self, "spread_factors", tuple(self.spread_factors))
         if not 0 <= self.shared_factor_count <= self.base.n_factors:
             raise ValueError("shared factor count must lie in [0, n]")
-        if self.spread_floor.minimum() < 0:
-            raise ValueError("spread floor must be nonnegative everywhere")
         shared_from = self.n_base - self.shared_factor_count
         factors = tuple(
             replace(f, sigma=2.0 * f.sigma, x0=2.0 * f.x0) if k >= shared_from else f
@@ -85,6 +83,8 @@ class DualCurveSpec:
             floor=SummedFloor((self.base.floor, self.spread_floor)),
             horizon=self.base.horizon,
         )
+        if self.spread_floor.minimum() < 0:
+            raise ValueError("spread floor must be nonnegative everywhere")
         object.__setattr__(self, "fictitious", fictitious)
 
     @property

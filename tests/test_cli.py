@@ -75,6 +75,14 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, bad)
         assert main(["--config", cfg, "validate"]) == 2
 
+    def test_negative_spread_floor(self, tmp_path, capsys):
+        spread = {"variant": "piecewise_linear", "times": [1.0, 2.0], "values": [0.01, -0.01]}
+        cfg = write_config(tmp_path, dict(BASELINE, spread_floor=spread))
+        assert main(["--config", cfg, "validate"]) == 2
+        assert capsys.readouterr().err == (
+            "error: dual-curve extension: spread floor must be nonnegative everywhere\n"
+        )
+
     @pytest.mark.parametrize(
         "change, report",
         [
@@ -89,8 +97,13 @@ class TestValidateCommand:
                 {"spread_floor": {"variant": "constant", "level": math.nan}},
                 "floor part 1 level must be finite",
             ),
+            # the model check runs before the spread floor's minimum is read
+            (
+                {"spread_floor": {"variant": "piecewise_linear", "times": [], "values": []}},
+                "floor part 1 has no knots",
+            ),
         ],
-        ids=["nan-x0-and-floor", "nan-spread-floor"],
+        ids=["nan-x0-and-floor", "nan-spread-floor", "empty-spread-floor"],
     )
     def test_nonfinite_config_rejected(self, tmp_path, capsys, change, report):
         cfg = write_config(tmp_path, dict(BASELINE, output=str(tmp_path / "out"), **change))
@@ -423,13 +436,19 @@ class TestSimulateCommand:
         for name in ("paths.csv", "jumps.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
-    def test_overflowing_constant_floor(self, tmp_path, capsys):
-        # a finite level whose integral over the horizon is not finite
-        payload = dict(BASELINE, floor={"variant": "constant", "level": 1e308})
-        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+    @pytest.mark.parametrize("floors", [
+        {"floor": {"variant": "constant", "level": 1e308}},
+        # each floor integrates to 1e308 over the horizon, the dual-curve sum overflows
+        {"floor": {"variant": "constant", "level": 1e307},
+         "spread_floor": {"variant": "constant", "level": 1e307}},
+    ], ids=["one", "dual-curve-sum"])
+    def test_overflowing_constant_floor(self, tmp_path, capsys, floors):
+        # finite levels whose integral over the horizon is not finite
+        cfg = write_config(tmp_path, dict(BASELINE, output=str(tmp_path / "out"), **floors))
         assert main(["--config", cfg, "--seed", "3", "--paths", "2", "simulate"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: floor integral") and err.count("\n") == 1
+        assert err.startswith("error: floor integral over [0.0, ")
+        assert err.endswith("] overflows double precision\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("paths", ["0", "-2"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpcurve import (
@@ -20,6 +20,22 @@ from jumpcurve import (
 from oracles import cumulant_z_oracle, pointwise_cumulative, tilted_z_oracle
 
 NONFINITE = [math.nan, math.inf, -math.inf]
+
+KNOT_TIMES = (0.0, 1.0, 2.0, 3.0)
+
+# floors of every variant with levels up to the edge of double range
+LEVELS = st.floats(min_value=-1.7e308, max_value=1.7e308)
+TIMES = st.floats(min_value=0.0, max_value=1e3)
+CONSTANT_FLOORS = st.builds(ConstantFloor, LEVELS)
+PIECEWISE_FLOORS = st.lists(
+    st.tuples(st.floats(min_value=-5.0, max_value=1e3), LEVELS),
+    min_size=1, max_size=10, unique_by=lambda kv: kv[0],
+).map(lambda knots: PiecewiseLinearFloor(*zip(*sorted(knots))))
+ANY_FLOOR = st.one_of(
+    CONSTANT_FLOORS,
+    PIECEWISE_FLOORS,
+    st.lists(st.one_of(CONSTANT_FLOORS, PIECEWISE_FLOORS), min_size=1, max_size=3).map(SummedFloor),
+)
 
 
 def violations(*args, **kwargs):
@@ -196,16 +212,20 @@ class TestFloors:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "values",
-        [(1e308, 1.7e308, 1e308, 1e308), (1.7e308, 1.7e308, -1.7e308, -1.7e308)],
-        ids=["overflow", "inf-minus-inf"],
+        "floor, end",
+        [
+            (PiecewiseLinearFloor(KNOT_TIMES, (1e308, 1.7e308, 1e308, 1e308)), 0.5),
+            (PiecewiseLinearFloor(KNOT_TIMES, (1.7e308, 1.7e308, -1.7e308, -1.7e308)), 0.5),
+            # each part's integral is finite, only their sum overflows
+            (SummedFloor((ConstantFloor(1e307),) * 2), 10.0),
+        ],
+        ids=["overflow", "inf-minus-inf", "summed"],
     )
-    def test_overflowing_cumulative_raises_like_integral(self, values):
-        floor = PiecewiseLinearFloor((0.0, 1.0, 2.0, 3.0), values)
+    def test_overflowing_cumulative_raises_like_integral(self, floor, end):
         with pytest.raises(OverflowError) as scalar:
-            floor.integral(0.0, 0.5)
+            floor.integral(0.0, end)
         with pytest.raises(OverflowError) as vector:
-            floor.cumulative(np.array([0.0, 0.5, 3.0]))
+            floor.cumulative(np.array([0.0, end, 6.0 * end]))
         assert str(vector.value) == str(scalar.value)
 
     @pytest.mark.filterwarnings("error")
@@ -314,6 +334,25 @@ class TestFloors:
         # most (n - 1) eps times the sum of the terms' magnitudes
         magnitude = pointwise_cumulative(PiecewiseLinearFloor(tuple(xs), tuple(np.abs(ys))), grid)
         assert np.all(np.abs(got - expected) <= terms * np.finfo(float).eps * magnitude)
+
+    @pytest.mark.filterwarnings("error")
+    @given(floor=ANY_FLOOR, times=st.tuples(TIMES, TIMES).map(sorted))
+    @example(floor=SummedFloor((ConstantFloor(1e307),) * 2), times=[0.0, 10.0])
+    @settings(max_examples=150, deadline=None)
+    def test_integrals_are_finite_or_overflow_errors(self, floor, times):
+        t0, t1 = times
+        try:
+            total = floor.integral(t0, t1)
+        except OverflowError:
+            pass
+        else:
+            assert type(total) is float and math.isfinite(total)
+        try:
+            totals = floor.cumulative(np.array([0.0, t0, t1]))
+        except OverflowError:
+            pass
+        else:
+            assert totals.dtype == float and np.all(np.isfinite(totals))
 
     def test_summed_floor(self):
         total = SummedFloor((ConstantFloor(0.01), ConstantFloor(0.005)))

@@ -431,6 +431,17 @@ class TestMonteCarloEstimators:
         assert est.value == pytest.approx(math.exp(-0.06), rel=1e-9)
         assert est.std_error < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_summed_floor_raises(self, baseline_factor):
+        # each part integrates to 1e308 over the horizon; their sum overflows
+        spec = ModelSpec(
+            factors=(baseline_factor,),
+            floor=SummedFloor((ConstantFloor(1e307),) * 2),
+            horizon=10.0,
+        )
+        with pytest.raises(OverflowError, match=r"over \[0.0, 10.0\] overflows"):
+            mc_bond_price(spec, 10.0, 400, seed=1)
+
     def test_against_analytic(self, baseline_spec):
         est = mc_bond_price(baseline_spec, 1.0, 20_000, seed=41)
         analytic = bond_price(baseline_spec, 0.0, 1.0)

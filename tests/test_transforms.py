@@ -194,6 +194,18 @@ class TestLevyCharFn:
             assert abs(empirical - levy_char_fn(m, 1.0, u)) < 4.0 / math.sqrt(n)
 
 
+class TestInfiniteTime:
+    # the closed forms take inf - inf at t = inf; the shared time check rejects it
+    @pytest.mark.parametrize("call", [
+        lambda f: factor_exponent(f, math.inf, 1.0),
+        lambda f: levy_char_fn(f.measure, math.inf, 1.0),
+        lambda f: levy_zero_atom(f.measure, math.inf),
+    ], ids=["factor_exponent", "levy_char_fn", "levy_zero_atom"])
+    def test_rejected_by_name(self, baseline_factor, call):
+        with pytest.raises(ValueError, match="need a finite t, got t=inf"):
+            call(baseline_factor)
+
+
 class TestLevyDensity:
     def test_rejects_bad_arguments(self):
         m = GammaJumpMeasure(2.0, 10.0)
