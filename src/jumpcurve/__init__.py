@@ -39,8 +39,6 @@ from .simulation import (
     SimulatedPath,
     bond_path,
     evolve_factor,
-    export_jumps_csv,
-    export_paths_csv,
     hjm_forward_path,
     integrated_rate,
     mc_bond_curve,

@@ -22,7 +22,8 @@ Model configuration file (JSON, schema version 1)::
       "spread_factors": [ ... ],     # presence of any spread_* key or
       "shared_factor_count": 0,      # shared_factor_count enables dual-curve
       "grid": {"start": 0.25, "stop": 5.0, "count": 20},   # count <= 100000
-      "tenor": 0.25,                 # OIS/LIBOR accrual period in the curve table
+      "tenor": 0.25,                 # OIS/LIBOR accrual period in the curve table;
+                                     # a dual-curve grid stops at horizon - tenor by default
       "seed": 42,
       "paths": 10000,
       "output": "out"
@@ -66,16 +67,7 @@ from .multicurve import (
 )
 from .options import OptionSpec, PricingError, fourier_call_price
 from .quadrature import QuadratureError
-from .simulation import (
-    _JUMPS_CSV_HEADER,
-    _PATHS_CSV_HEADER,
-    _check_seed,
-    _jump_csv_rows,
-    _path_csv_rows,
-    mc_bond_price,
-    mc_option_price,
-    simulate_path,
-)
+from .simulation import SimulatedPath, _check_seed, mc_bond_price, mc_option_price, simulate_path
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -90,6 +82,11 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _column(values: np.ndarray) -> list:
+    """Each value of a float array as ``.17g`` text, formatted from Python floats."""
+    return [f"{v:.17g}" for v in values.tolist()]
 
 
 def _parse_floor(node, label: str):
@@ -159,11 +156,19 @@ def load_config(path: str) -> dict:
                 ),
                 shared_factor_count=int(raw.get("shared_factor_count", 0)),
             )
+        tenor = float(raw.get("tenor", 0.25))
+        if not 0 < tenor < math.inf:
+            raise ConfigError("config 'tenor' must be positive and finite")
         grid = raw.get("grid", {})
         if not isinstance(grid, dict):
             raise ConfigError("config 'grid' must be an object")
         start = float(grid.get("start", 0.25))
         stop = float(grid.get("stop", horizon))
+        if spread is not None and "stop" not in grid:
+            # dual-curve rows read T + tenor, so by default the grid stops a tenor short
+            stop = horizon - tenor
+            if stop + tenor > horizon:  # rounded up
+                stop = math.nextafter(stop, 0.0)
         count = int(grid.get("count", 20))
         # chained comparison: a NaN start or stop fails it too; the model flags an infinite horizon
         if count < 1 or not 0 < start <= stop or (stop == math.inf and "stop" in grid):
@@ -171,9 +176,6 @@ def load_config(path: str) -> dict:
         if count > MAX_GRID_COUNT:
             raise ConfigError(f"grid count must not exceed {MAX_GRID_COUNT}")
         maturities = np.linspace(start, stop, count) if stop < math.inf else None
-        tenor = float(raw.get("tenor", 0.25))
-        if not math.isfinite(tenor):
-            raise ConfigError("config 'tenor' must be finite")
     except KeyError as exc:
         raise ConfigError(f"config missing key {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
@@ -228,6 +230,10 @@ def cmd_validate(cfg: dict, args) -> int:
 
 def cmd_curve(cfg: dict, args) -> int:
     spec, dual, tenor = cfg["spec"], cfg["dual"], cfg["tenor"]
+    stop = float(cfg["maturities"][-1])
+    if dual is not None and stop + tenor > spec.horizon:
+        # the OIS and LIBOR columns read the curves up to stop + tenor
+        raise ValueError(f"grid stop {stop} plus tenor {tenor} exceeds the horizon {spec.horizon}")
     # every row is computed before the output directory is made, so a failure
     # leaves no partial output
     rows = []
@@ -293,6 +299,36 @@ def cmd_calibrate(cfg: dict, args) -> int:
         print("error: refit error exceeds 1e-8", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK
+
+
+_PATHS_CSV_HEADER = "path_id,time,factor_index,X,short_rate,integrated_rate\n"
+_JUMPS_CSV_HEADER = "path_id,factor_index,jump_time,jump_size\n"
+
+
+def _path_csv_rows(path_id: int, path: SimulatedPath) -> str:
+    """One path's rows of ``paths.csv``: one per grid point and factor.
+
+    Each column is formatted once, and ``short_rate``/``integrated`` once
+    per grid point rather than once per factor row.
+    """
+    times = _column(path.grid)
+    rates = zip(_column(path.short_rate), _column(path.integrated))
+    tails = [f"{r},{i}\n" for r, i in rates]
+    factors = [_column(x) for x in path.factors]
+    return "".join(
+        f"{path_id},{t},{k},{x},{tail}"
+        for t, tail, *xs in zip(times, tails, *factors)
+        for k, x in enumerate(xs, 1)
+    )
+
+
+def _jump_csv_rows(path_id: int, path: SimulatedPath) -> str:
+    """One path's rows of ``jumps.csv``: one per jump of each factor."""
+    return "".join(
+        f"{path_id},{k},{t},{z}\n"
+        for k, rec in enumerate(path.jumps, 1)
+        for t, z in zip(_column(rec.times), _column(rec.sizes))
+    )
 
 
 def cmd_simulate(cfg: dict, args) -> int:

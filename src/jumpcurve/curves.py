@@ -54,6 +54,7 @@ from .model import (
     ModelSpec,
     PiecewiseLinearFloor,
     _check_interval,
+    _check_state,
     factor_mean_term,
     factor_var_term,
 )
@@ -179,15 +180,6 @@ def tilted_time_integral(
     return alpha * eps / (eps - b2) - alpha * eps / (eps - b1)
 
 
-def _state_or_initial(spec: ModelSpec, state) -> np.ndarray:
-    if state is None:
-        return spec.initial_state()
-    state = np.asarray(state, dtype=float)
-    if state.shape != (spec.n_factors,):
-        raise ValueError("state must hold one value per factor")
-    return state
-
-
 def bond_price(
     spec: ModelSpec,
     t: float,
@@ -203,10 +195,10 @@ def bond_price(
     OverflowError when the closed forms overflow double precision.
     """
     _check_interval(t, T, spec.horizon)
-    state = _state_or_initial(spec, state)
-    log_p = -spec.floor.integral(t, T)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
-    for f, x in zip(spec.factors, state.tolist()):
+    state = spec.initial_state().tolist() if state is None else _check_state(state, spec.n_factors)
+    log_p = -spec.floor.integral(t, T)
+    for f, x in zip(spec.factors, state):
         log_p += cumulant_time_integral(f, t, T, T, method=method)
         log_p += _slope(f.lam, T - t) * x
     if not math.isfinite(log_p):
@@ -230,7 +222,7 @@ def forward_rate(
     closed forms overflow double precision.
     """
     _check_interval(t, T, spec.horizon)
-    state = _state_or_initial(spec, state)
+    state = spec.initial_state().tolist() if state is None else _check_state(state, spec.n_factors)
     rate = float(spec.floor.value(T))
     for f, x in zip(spec.factors, state):
         rate += tilted_time_integral(f, t, T, T, method=method)
@@ -241,10 +233,16 @@ def forward_rate(
 
 
 def yield_curve(spec: ModelSpec, t: float, T: float, state=None) -> float:
-    """Continuously-compounded spot rate R(t,T) = log P(t,T) / (t - T)."""
+    """Continuously-compounded spot rate R(t,T) = log P(t,T) / (t - T).
+
+    Raises OverflowError when P(t,T) underflows to 0.
+    """
     if T <= t:
         raise ValueError("need T > t")
-    return math.log(bond_price(spec, t, T, state)) / (t - T)
+    price = bond_price(spec, t, T, state)
+    if price == 0.0:
+        raise OverflowError(f"P({t}, {T}) underflows to 0.0, so its yield overflows")
+    return math.log(price) / (t - T)
 
 
 @dataclass(frozen=True)

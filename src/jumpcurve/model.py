@@ -122,7 +122,8 @@ class FloorFunction(ABC):
         """Exact  int_{t0}^{t1} mu(s) ds  for t0 <= t1."""
         if t1 < t0:
             raise ValueError("integral requires t0 <= t1")
-        total = self._integral(t0, t1)
+        # Python floats: NumPy scalar times would warn on overflow before the error below
+        total = self._integral(float(t0), float(t1))
         if not math.isfinite(total):
             raise OverflowError(f"floor integral over [{t0}, {t1}] overflows double precision")
         return total
@@ -390,6 +391,17 @@ def _check_interval(t: float, T: float, bound: float = math.inf,
     raise ValueError(f"need a finite {name}, got {name}={T}")
 
 
+def _check_state(state, n: int) -> list:
+    """The n factor values of ``state`` as Python floats; ValueError unless all are finite."""
+    # math.isfinite over the list: a NumPy reduction would cost a quarter of a bond price
+    values = np.asarray(state, dtype=float)
+    if values.shape == (n,):
+        values = values.tolist()
+        if all(map(math.isfinite, values)):
+            return values
+    raise ValueError(f"state must hold a finite value per factor, {n} in all, got {state!r}")
+
+
 def factor_mean_term(lam: float, sigma: float, mean_jump: float, x_u: float, dt: float) -> float:
     """One factor's contribution to the conditional mean of r over a span dt."""
     return (
@@ -418,9 +430,7 @@ def conditional_moments(
     With u = 0 and the initial state this gives the unconditional moments.
     """
     _check_interval(u, t, spec.horizon, ("u", "t", "horizon"))
-    state = np.asarray(state, dtype=float)
-    if state.shape != (spec.n_factors,):
-        raise ValueError("state must hold one value per factor")
+    state = _check_state(state, spec.n_factors)
     dt = t - u
     mean = spec.floor.value(t)
     var = 0.0

@@ -34,6 +34,7 @@ import numpy as np
 
 from .curves import bond_price, cumulant_time_integral, forward_rate
 from .model import ConstantFloor, FloorFunction, ModelSpec, SummedFloor
+from .model import _check_interval, _check_state
 from .simulation import _jump_weights
 
 __all__ = [
@@ -98,30 +99,23 @@ class DualCurveSpec:
 
 def effective_state(dual: DualCurveSpec, state) -> np.ndarray:
     """Map a distinct-factor state onto the effective (doubled) factors."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (dual.n_distinct,):
-        raise ValueError("state must hold one value per distinct factor")
-    out = state.copy()
+    out = np.array(_check_state(state, dual.n_distinct))
     shared_from = dual.n_base - dual.shared_factor_count
     out[shared_from: dual.n_base] *= 2.0
     return out
 
 
 def _states(dual: DualCurveSpec, state):
+    """The base and the fictitious model's states; None for both initial states."""
     if state is None:
-        base_state = dual.base.initial_state()
-        eff_state = None
-    else:
-        state = np.asarray(state, dtype=float)
-        base_state = state[: dual.n_base]
-        eff_state = effective_state(dual, state)
-    return base_state, eff_state
+        return None, None
+    eff_state = effective_state(dual, state)
+    return np.asarray(state, dtype=float)[: dual.n_base], eff_state
 
 
 def fictitious_bond_price(dual: DualCurveSpec, t: float, T: float, state=None) -> float:
     """Nontraded discount bond P_bar(t,T) of the spread-augmented rate."""
-    _, eff_state = _states(dual, state)
-    return bond_price(dual.fictitious, t, T, eff_state)
+    return bond_price(dual.fictitious, t, T, _states(dual, state)[1])
 
 
 @dataclass(frozen=True)
@@ -166,21 +160,17 @@ def forward_spread(dual: DualCurveSpec, t: float, T: float, state=None) -> float
     return spread
 
 
-def _check_tenor(t: float, T1: float, T2: float) -> None:
-    if not 0 <= t <= T1:
-        raise ValueError("need 0 <= t <= T1")
-    if T1 >= T2:
-        raise ValueError("need T1 < T2")
+def _simple_forward(spec: ModelSpec, t: float, T1: float, T2: float, state) -> float:
+    """( P(t,T1)/P(t,T2) - 1 ) / (T2 - T1) on one affine model, for 0 <= t <= T1 < T2."""
+    _check_interval(t, T1, T2, ("t", "T1", "T2"))
+    if not T1 < T2 <= spec.horizon:
+        raise ValueError(f"need T1 < T2 <= horizon = {spec.horizon}, got T1={T1}, T2={T2}")
+    return (bond_price(spec, t, T1, state) / bond_price(spec, t, T2, state) - 1.0) / (T2 - T1)
 
 
 def ois_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:
     """Simple-compounding forward from the traded discount curve."""
-    _check_tenor(t, T1, T2)
-    base_state, _ = _states(dual, state)
-    delta = T2 - T1
-    p1 = bond_price(dual.base, t, T1, base_state)
-    p2 = bond_price(dual.base, t, T2, base_state)
-    return (p1 / p2 - 1.0) / delta
+    return _simple_forward(dual.base, t, T1, T2, _states(dual, state)[0])
 
 
 def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:
@@ -188,13 +178,7 @@ def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=Non
 
     Never below the OIS forward when the spread floor is nonnegative.
     """
-    _check_tenor(t, T1, T2)
-    _, eff_state = _states(dual, state)
-    eff = dual.fictitious
-    delta = T2 - T1
-    p1 = bond_price(eff, t, T1, eff_state)
-    p2 = bond_price(eff, t, T2, eff_state)
-    return (p1 / p2 - 1.0) / delta
+    return _simple_forward(dual.fictitious, t, T1, T2, _states(dual, state)[1])
 
 
 def libor_path_closed_form(
@@ -210,8 +194,10 @@ def libor_path_closed_form(
     where ``path`` is a simulated path of the effective (l-factor) model.
     Must match the bond-ratio definition at the path's state exactly.
     """
-    _check_tenor(t, T1, T2)
     eff = dual.fictitious
+    _check_interval(t, T1, T2, ("t", "T1", "T2"))
+    if not T1 < T2 <= eff.horizon:
+        raise ValueError(f"need T1 < T2 <= horizon = {eff.horizon}, got T1={T1}, T2={T2}")
     delta = T2 - T1
     log_ratio = math.log(
         bond_price(eff, 0.0, T1) / bond_price(eff, 0.0, T2)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .curves import _cumulant_integral, _slope, bond_price, cumulant_time_integral
-from .model import FactorParams, ModelSpec
+from .model import FactorParams, ModelSpec, _check_interval
 from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
 from .simulation import _jump_free_integral, _jump_weights, integrated_rate
 
@@ -99,8 +99,8 @@ def call_jump_coefficient(
     Takes s in [0, option maturity] and y, either of them an array.
     Guaranteed Re <= 0: B(s,T) <= B(s,tau) <= 0 and a > 1.
     """
-    if not isinstance(s, np.ndarray) and not 0 <= s <= option.option_maturity:
-        raise ValueError("need 0 <= s <= option maturity")
+    if not isinstance(s, np.ndarray):
+        _check_interval(s, s, option.option_maturity, ("s", "s", "option maturity"))
     u = option.dampening + 1j * y
     b_long = _slope(factor.lam, option.bond_maturity - s)
     b_short = _slope(factor.lam, option.option_maturity - s)
@@ -121,8 +121,7 @@ def call_jump_exponent(
     y in closed form and a scalar y in quadrature.
     """
     tau = option.option_maturity
-    if not 0 <= t <= tau:
-        raise ValueError("need 0 <= t <= option maturity")
+    _check_interval(t, t, tau, ("t", "t", "option maturity"))
     y_arr = np.asarray(y, dtype=complex)
     out = _cumulant_integral(
         factor, lambda s: call_jump_coefficient(factor, s, y_arr, option),
@@ -233,12 +232,11 @@ def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -
 
     Extends the time-0 integrand with the accumulated jump exponent
     sum_k sum_{u_j <= t} gamma_k(u_j, y) z_j and the integrated-rate factor
-    exp(I_t); at t = 0 this reduces exactly to :func:`fourier_call_price`.
+    exp(I_t); at t = 0, the one time that needs no path, it is :func:`fourier_call_price`.
     """
-    if not 0 <= t <= option.option_maturity:
-        raise ValueError("need 0 <= t <= option maturity")
-    if option.bond_maturity > spec.horizon:
-        raise ValueError("bond maturity exceeds the model horizon")
+    _check_interval(t, t, option.option_maturity, ("t", "t", "option maturity"))
+    if path is None and t:
+        raise ValueError(f"a time-t price needs a path, got path=None at t={t}")
     integrand, slope = _integrand_factory(spec, option, t, path)
     price = 2.0 * _half_line_integral(integrand, slope).real
     if price < -_NEGATIVE_PRICE_TOL:

@@ -66,8 +66,6 @@ __all__ = [
     "mc_discounted_bond",
     "mc_option_price",
     "mc_short_rate_samples",
-    "export_paths_csv",
-    "export_jumps_csv",
 ]
 
 # counter blocks drawn per chunk of paths: bounds the working set at a few MB
@@ -322,21 +320,9 @@ def simulate_path(
     )
 
 
-def _check_path_time(path: SimulatedPath, t: float, T: float = math.inf) -> None:
-    """ValueError unless t is a finite time in the path's grid span and t <= T."""
-    # chained comparisons: NaN fails each one
-    start, end = path.grid[0], path.grid[-1]
-    if not start <= t <= end:
-        raise ValueError(
-            f"t must be finite and inside the path's grid span [{start}, {end}], got {t!r}"
-        )
-    if not t <= T:
-        raise ValueError(f"need t <= T, got t={t!r}, T={T!r}")
-
-
 def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     """Exact integrated short rate I_t from the path's jump records."""
-    _check_path_time(path, t)
+    _check_interval(t, t, path.grid[-1], ("t", "t", "horizon"))
     return float(_integrated_on_grid(spec, path.jumps, np.array([float(t)]))[0])
 
 
@@ -354,7 +340,7 @@ def bond_path(
     which must coincide with the affine formula evaluated at the path's
     state; that identity is the module's central correctness check.
     """
-    _check_path_time(path, t, T)
+    _check_interval(t, T, path.grid[-1])
     log_p = math.log(bond_price(spec, 0.0, T, method=method))
     log_p += integrated_rate(spec, path, t)
     for f, rec in zip(spec.factors, path.jumps):
@@ -372,7 +358,7 @@ def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -
     """
     from .curves import forward_rate
 
-    _check_path_time(path, t, T)
+    _check_interval(t, T, path.grid[-1])
     rate = forward_rate(spec, 0.0, T)
     for f, rec in zip(spec.factors, path.jumps):
         rate -= tilted_time_integral(f, 0.0, t, T)
@@ -591,58 +577,3 @@ def mc_short_rate_samples(spec: ModelSpec, t: float, n_paths: int, seed: int) ->
         f.x0 * math.exp(-f.lam * t) for f in spec.factors
     )
     return base + _jump_sums(spec, seed, n_paths, [(t, "decay")]).sum(axis=0)[0]
-
-
-def _column(values: np.ndarray) -> list:
-    """Each value of a float array as ``.17g`` text, formatted from Python floats."""
-    return [f"{v:.17g}" for v in values.tolist()]
-
-
-_PATHS_CSV_HEADER = "path_id,time,factor_index,X,short_rate,integrated_rate\n"
-_JUMPS_CSV_HEADER = "path_id,factor_index,jump_time,jump_size\n"
-
-
-def _path_csv_rows(path_id: int, path: SimulatedPath) -> str:
-    """One path's rows of ``paths.csv``: one per grid point and factor.
-
-    Each column is formatted once, and ``short_rate``/``integrated`` once
-    per grid point rather than once per factor row.
-    """
-    times = _column(path.grid)
-    rates = zip(_column(path.short_rate), _column(path.integrated))
-    tails = [f"{r},{i}\n" for r, i in rates]
-    factors = [_column(x) for x in path.factors]
-    return "".join(
-        f"{path_id},{t},{k},{x},{tail}"
-        for t, tail, *xs in zip(times, tails, *factors)
-        for k, x in enumerate(xs, 1)
-    )
-
-
-def _jump_csv_rows(path_id: int, path: SimulatedPath) -> str:
-    """One path's rows of ``jumps.csv``: one per jump of each factor."""
-    return "".join(
-        f"{path_id},{k},{t},{z}\n"
-        for k, rec in enumerate(path.jumps, 1)
-        for t, z in zip(_column(rec.times), _column(rec.sizes))
-    )
-
-
-def export_paths_csv(paths, destination) -> None:
-    """Write trajectories as ``path_id,time,factor_index,X,short_rate,integrated_rate``.
-
-    Each path's rows are written in one piece (:func:`_path_csv_rows`), so
-    memory holds one path's text at a time.
-    """
-    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_PATHS_CSV_HEADER)
-        for path_id, path in enumerate(paths):
-            handle.write(_path_csv_rows(path_id, path))
-
-
-def export_jumps_csv(paths, destination) -> None:
-    """Write jump records as ``path_id,factor_index,jump_time,jump_size``."""
-    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_JUMPS_CSV_HEADER)
-        for path_id, path in enumerate(paths):
-            handle.write(_jump_csv_rows(path_id, path))

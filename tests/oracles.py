@@ -167,7 +167,7 @@ def pointwise_cumulative(floor, grid):
 def rowwise_export_paths_csv(paths, destination):
     """Row-by-row trajectory writer that formats every cell from a numpy scalar.
 
-    The writer that ``export_paths_csv`` replaced, kept as its byte reference.
+    The writer that CLI ``simulate``'s ``paths.csv`` writer replaced, kept as its byte reference.
     """
     with open(destination, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("path_id,time,factor_index,X,short_rate,integrated_rate\n")
@@ -184,7 +184,7 @@ def rowwise_export_paths_csv(paths, destination):
 def rowwise_export_jumps_csv(paths, destination):
     """Row-by-row jump writer that formats every cell from a numpy scalar.
 
-    The writer that ``export_jumps_csv`` replaced, kept as its byte reference.
+    The writer that CLI ``simulate``'s ``jumps.csv`` writer replaced, kept as its byte reference.
     """
     with open(destination, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("path_id,factor_index,jump_time,jump_size\n")

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jumpcurve
-from jumpcurve import cli, simulate_path
+from jumpcurve import SummedFloor, cli, simulate_path
 from jumpcurve.cli import main
 from jumpcurve.options import PricingError
 from jumpcurve.quadrature import QuadratureError
-from oracles import rowwise_export_jumps_csv, rowwise_export_paths_csv
+from oracles import pointwise_cumulative, rowwise_export_jumps_csv, rowwise_export_paths_csv
 
 BASELINE = {
     "version": 1,
@@ -285,6 +285,15 @@ class TestDomainFailuresExitOne:
         assert capsys.readouterr().err == "error: did not converge\n"
 
 
+DUAL_CURVE = dict(
+    BASELINE,
+    grid={"start": 0.5, "stop": 3.0, "count": 6},
+    spread_floor={"variant": "constant", "level": 0.005},
+    spread_factors=[{"lambda": 2.0, "sigma": 0.5, "x0": 0.005, "alpha": 1.0, "epsilon": 20.0}],
+    shared_factor_count=0,
+)
+
+
 class TestCurveCommand:
     def test_grid_count_cap(self, tmp_path, capsys):
         grid = dict(BASELINE["grid"], count=cli.MAX_GRID_COUNT + 1)
@@ -319,16 +328,7 @@ class TestCurveCommand:
         assert (tmp_path / "out" / "curve.csv").read_bytes() == first
 
     def test_dual_curve_columns(self, tmp_path):
-        payload = dict(
-            BASELINE,
-            grid={"start": 0.5, "stop": 3.0, "count": 6},
-            spread_floor={"variant": "constant", "level": 0.005},
-            spread_factors=[
-                {"lambda": 2.0, "sigma": 0.5, "x0": 0.005, "alpha": 1.0, "epsilon": 20.0}
-            ],
-            shared_factor_count=0,
-        )
-        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        cfg = write_config(tmp_path, dict(DUAL_CURVE, output=str(tmp_path / "out")))
         assert main(["--config", cfg, "curve"]) == 0
         rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()
         assert rows[0] == "maturity,P,P_bar,f,f_bar,g,F_ois,L_libor"
@@ -338,6 +338,47 @@ class TestCurveCommand:
             assert P_bar <= P + 1e-12
             assert g == pytest.approx(f_bar - f, abs=1e-12)
             assert L >= F - 1e-12
+
+
+    @pytest.mark.parametrize("horizon, tenor", [(10.0, 0.25), (7.3, 0.246)])
+    def test_dual_curve_default_grid_stops_a_tenor_short(self, tmp_path, horizon, tenor):
+        # the grid once stopped at the horizon, so the last OIS column read past it;
+        # 7.3 - 0.246 + 0.246 rounds up past 7.3
+        payload = {k: v for k, v in DUAL_CURVE.items() if k != "grid"}
+        cfg = write_config(tmp_path, dict(payload, horizon=horizon, tenor=tenor,
+                                          output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "curve"]) == 0
+        rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 20
+        last = float(rows[-1].split(",")[0])
+        assert horizon - tenor - last <= 1e-15 and last + tenor <= horizon
+
+    def test_dual_curve_grid_past_horizon_minus_tenor(self, tmp_path, capsys):
+        grid = {"start": 0.5, "stop": 9.9, "count": 4}
+        cfg = write_config(tmp_path, dict(DUAL_CURVE, grid=grid, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "curve"]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid stop 9.9 plus tenor 0.25 exceeds the horizon 10.0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("start, error", [
+        # P(0, 0.25) underflows to 0.0; its log once failed with "math domain error"
+        (0.25, "error: P(0.0, 0.25) underflows to 0.0, so its yield overflows\n"),
+        # NumPy's scalar-multiply RuntimeWarning once came first
+        (2.0, "error: floor integral over [0.0, 2.0] overflows double precision\n"),
+    ])
+    def test_huge_floor_gives_one_error_line(self, tmp_path, start, error):
+        grid = {"start": start, "stop": 5.0, "count": 4}
+        payload = dict(BASELINE, floor={"variant": "constant", "level": 1e308}, grid=grid)
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "jumpcurve.cli", "--config", cfg, "curve"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", error)
+        assert not (tmp_path / "out").exists()
 
 
 class TestCalibrateCommand:
@@ -423,19 +464,68 @@ PIECEWISE_TWO_FACTORS = dict(
 )
 
 
-class TestSimulateCommand:
-    @pytest.mark.parametrize("payload", [BASELINE, PIECEWISE_TWO_FACTORS], ids=["one", "two"])
-    def test_streamed_csvs_match_rowwise_writers(self, tmp_path, payload):
-        # the CSVs are written path by path; their bytes are the row-by-row writers'
-        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
-        assert main(["--config", cfg, "--seed", "11", "--paths", "3", "simulate"]) == 0
-        spec = cli.load_config(cfg)["spec"]
-        paths = [simulate_path(spec, 11, p) for p in range(3)]
+# the simulated model of each: one and two factors, a knotted floor, the
+# dual-curve sum of a knotted and a constant floor, and paths without jumps
+EXPORT_CONFIGS = {
+    "one-factor": BASELINE,
+    "two-factors": dict(PIECEWISE_TWO_FACTORS, floor={"variant": "constant", "level": 0.015}),
+    "piecewise-floor": PIECEWISE_TWO_FACTORS,
+    "summed-floor": dict(PIECEWISE_TWO_FACTORS,
+                         spread_floor={"variant": "constant", "level": 0.004}),
+    "jump-free": dict(
+        BASELINE, horizon=4.0, floor={"variant": "constant", "level": 0.05},
+        factors=[{"lambda": 2.0, "sigma": 1.0, "x0": 0.3, "alpha": 1e-12, "epsilon": 10.0}],
+    ),
+}
+
+
+def simulated_model(cfg):
+    """The model ``simulate`` draws from: the base model, or the fictitious one of a dual curve."""
+    loaded = cli.load_config(cfg)
+    return loaded["spec"] if loaded["dual"] is None else loaded["dual"].fictitious
+
+
+class TestCsvExports:
+    def test_formats_and_determinism(self, tmp_path):
+        cfg = write_config(tmp_path, dict(BASELINE, output=str(tmp_path / "out")))
+        argv = ["--config", cfg, "--seed", "5", "--paths", "2", "simulate"]
+        assert main(argv) == 0
+        paths = [simulate_path(simulated_model(cfg), seed=5, path_index=p) for p in range(2)]
+        p_csv, j_csv = tmp_path / "out" / "paths.csv", tmp_path / "out" / "jumps.csv"
+        lines = p_csv.read_text().splitlines()
+        assert lines[0] == "path_id,time,factor_index,X,short_rate,integrated_rate"
+        assert len(lines) == 1 + sum(len(p.grid) for p in paths)
+        jlines = j_csv.read_text().splitlines()
+        assert jlines[0] == "path_id,factor_index,jump_time,jump_size"
+        assert len(jlines) == 1 + sum(p.jumps[0].count for p in paths)
+        first = p_csv.read_bytes()
+        assert main(argv) == 0
+        assert p_csv.read_bytes() == first
+
+
+class TestExportMatchesRowwiseOracle:
+    """``simulate``'s CSV bytes equal the row-by-row reference writers', and the
+    floor integral on each path's grid equals the per-point reference to the bit."""
+
+    @pytest.mark.parametrize("name", sorted(EXPORT_CONFIGS))
+    def test_streamed_csvs(self, tmp_path, name):
+        cfg = write_config(tmp_path, dict(EXPORT_CONFIGS[name], output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "--seed", "19", "--paths", "3", "simulate"]) == 0
+        spec = simulated_model(cfg)
+        assert isinstance(spec.floor, SummedFloor) == (name == "summed-floor")
+        paths = [simulate_path(spec, seed=19, path_index=p) for p in range(3)]
+        for path in paths:
+            expected = pointwise_cumulative(spec.floor, path.grid)
+            assert spec.floor.cumulative(path.grid).tobytes() == expected.tobytes()
         rowwise_export_paths_csv(paths, tmp_path / "paths.csv")
         rowwise_export_jumps_csv(paths, tmp_path / "jumps.csv")
-        for name in ("paths.csv", "jumps.csv"):
-            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+        for csv in ("paths.csv", "jumps.csv"):
+            assert (tmp_path / "out" / csv).read_bytes() == (tmp_path / csv).read_bytes()
+        if name == "jump-free":
+            assert all(rec.count == 0 for path in paths for rec in path.jumps)
 
+
+class TestSimulateCommand:
     @pytest.mark.parametrize("floors", [
         {"floor": {"variant": "constant", "level": 1e308}},
         # each floor integrates to 1e308 over the horizon, the dual-curve sum overflows

@@ -170,6 +170,20 @@ class TestTimeContract:
         with pytest.raises(ValueError, match="need t <= T, got t=2.0, T=1.0"):
             function(baseline_spec, 2.0, 1.0)
 
+    @pytest.mark.parametrize("function", [bond_price, forward_rate, yield_curve])
+    @pytest.mark.parametrize("state", [[math.nan], [math.inf], [-math.inf], [0.01, 0.02]])
+    def test_bad_state_names_the_argument(self, baseline_spec, function, state):
+        # a NaN state once made bond_price raise "log P(0.0, 1.0) = nan overflows"
+        with pytest.raises(ValueError, match="state must hold a finite value per factor, 1 in all"):
+            function(baseline_spec, 0.0, 1.0, state)
+
+    def test_underflowing_price_names_its_yield(self, baseline_factor):
+        # P underflows to 0.0, whose log once failed with "math domain error"
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(1e308), horizon=10.0)
+        assert bond_price(spec, 0.0, 0.25) == 0.0
+        with pytest.raises(OverflowError, match=r"P\(0.0, 0.25\) underflows to 0.0"):
+            yield_curve(spec, 0.0, 0.25)
+
     def test_horizon_itself_is_inside(self, baseline_spec):
         assert 0.0 < bond_price(baseline_spec, 0.0, 10.0) < 1.0
         assert math.isfinite(forward_rate(baseline_spec, 10.0, 10.0))

@@ -336,11 +336,14 @@ class TestFloors:
         assert np.all(np.abs(got - expected) <= terms * np.finfo(float).eps * magnitude)
 
     @pytest.mark.filterwarnings("error")
-    @given(floor=ANY_FLOOR, times=st.tuples(TIMES, TIMES).map(sorted))
-    @example(floor=SummedFloor((ConstantFloor(1e307),) * 2), times=[0.0, 10.0])
+    @given(floor=ANY_FLOOR, times=st.tuples(TIMES, TIMES).map(sorted), numpy_times=st.booleans())
+    @example(floor=SummedFloor((ConstantFloor(1e307),) * 2), times=[0.0, 10.0], numpy_times=False)
+    # NumPy scalar times once warned "overflow encountered in scalar multiply" first
+    @example(floor=ConstantFloor(1e308), times=[0.0, 2.0], numpy_times=True)
     @settings(max_examples=150, deadline=None)
-    def test_integrals_are_finite_or_overflow_errors(self, floor, times):
-        t0, t1 = times
+    def test_integrals_are_finite_or_overflow_errors(self, floor, times, numpy_times):
+        # CLI grids are np.linspace arrays, so times arrive as np.float64 too
+        t0, t1 = map(np.float64, times) if numpy_times else times
         try:
             total = floor.integral(t0, t1)
         except OverflowError:
@@ -400,6 +403,12 @@ class TestConditionalMoments:
     def test_rejects_reversed_times(self, baseline_spec):
         with pytest.raises(ValueError):
             conditional_moments(baseline_spec, 2.0, 1.0, [0.01])
+
+    @pytest.mark.parametrize("state", [[math.nan], [math.inf], [-math.inf], [0.01, 0.02], []])
+    def test_rejects_bad_state_by_name(self, baseline_spec, state):
+        # a NaN state once returned (nan, 0.0173)
+        with pytest.raises(ValueError, match=r"state must hold a finite value per factor, 1 in all"):
+            conditional_moments(baseline_spec, 0.0, 1.0, state)
 
     @pytest.mark.parametrize("u, t, message", [
         (math.nan, 1.0, "need u >= 0, got u=nan"),

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpcurve import (
     ConstantFloor,
@@ -11,12 +14,15 @@ from jumpcurve import (
     ModelSpec,
     bond_B,
     bond_ordering_check,
+    bond_path,
     bond_price,
     effective_state,
     evolve_factor,
     fictitious_bond_price,
     forward_rate,
     forward_spread,
+    hjm_forward_path,
+    integrated_rate,
     libor_forward,
     libor_path_closed_form,
     mc_bond_price,
@@ -321,3 +327,69 @@ class TestOverflow:
                              spread_floor=ConstantFloor(0.005))
         with pytest.raises(OverflowError):
             function(dual, *args)
+
+
+class TestArgumentContract:
+    @pytest.mark.parametrize(
+        "state", [[math.nan, 0.01], [0.01, math.inf], [-math.inf, 0.01], [0.01]])
+    def test_fictitious_bond_rejects_bad_state(self, dual, state):
+        with pytest.raises(ValueError, match="state must hold a finite value per factor, 2 in all"):
+            fictitious_bond_price(dual, 0.0, 1.0, state)
+
+    @pytest.mark.parametrize("T2, message", [
+        (2.0, r"need T1 < T2 <= horizon = 10.0, got T1=2.0, T2=2.0"),
+        (math.nan, r"need T1 <= T2 = nan, got T1=2.0"),
+        (math.inf, r"need T1 < T2 <= horizon = 10.0, got T1=2.0, T2=inf"),
+    ])
+    def test_forwards_reject_bad_tenor_by_name(self, dual, T2, message):
+        path = simulate_path(dual.fictitious, seed=3)
+        calls = (
+            lambda: ois_forward(dual, 0.5, 2.0, T2),
+            lambda: libor_forward(dual, 0.5, 2.0, T2),
+            lambda: libor_path_closed_form(dual, path, 0.5, 2.0, T2),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def _contract_model():
+    base = ModelSpec(
+        factors=(FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0)),),
+        floor=ConstantFloor(0.02),
+        horizon=10.0,
+    )
+    spread = FactorParams(lam=2.0, sigma=0.5, x0=0.005, measure=GammaJumpMeasure(1.0, 20.0))
+    dual = DualCurveSpec(base=base, spread_factors=(spread,), spread_floor=ConstantFloor(0.005))
+    return dual, simulate_path(dual.fictitious, seed=3)
+
+
+_DUAL, _PATH = _contract_model()
+_SPEC = _DUAL.fictitious
+# each entry point and the names of its time arguments, in order
+_TIMED_ENTRY_POINTS = {
+    "ois_forward": (lambda t, T1, T2: ois_forward(_DUAL, t, T1, T2), ("t", "T1", "T2")),
+    "libor_forward": (lambda t, T1, T2: libor_forward(_DUAL, t, T1, T2), ("t", "T1", "T2")),
+    "libor_path_closed_form": (
+        lambda t, T1, T2: libor_path_closed_form(_DUAL, _PATH, t, T1, T2), ("t", "T1", "T2")),
+    "integrated_rate": (lambda t: integrated_rate(_SPEC, _PATH, t), ("t",)),
+    "bond_path": (lambda t, T: bond_path(_SPEC, _PATH, t, T), ("t", "T")),
+    "hjm_forward_path": (lambda t, T: hjm_forward_path(_SPEC, _PATH, t, T), ("t", "T")),
+}
+_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=12.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 10.0]),
+)
+
+
+@given(name=st.sampled_from(sorted(_TIMED_ENTRY_POINTS)),
+       times=st.lists(_TIMES, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_times_give_finite_values_or_errors_that_name_them(name, times):
+    call, names = _TIMED_ENTRY_POINTS[name]
+    try:
+        value = call(*times[: len(names)])
+    except (ValueError, ArithmeticError) as exc:
+        assert re.search(rf"\b({'|'.join(names)})=", str(exc)), str(exc)
+    else:
+        assert math.isfinite(value)

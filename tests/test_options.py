@@ -245,6 +245,32 @@ class TestFourierCallPrice:
 
 
 class TestFourierCallPriceAt:
+    def test_needs_a_path_after_time_zero(self, baseline_spec, baseline_option):
+        # without a path the time-t terms were dropped: t = 0.3 once gave 0.012538610654000257
+        with pytest.raises(ValueError, match="a time-t price needs a path, got path=None at t=0.3"):
+            fourier_call_price_at(baseline_spec, baseline_option, None, 0.3)
+
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "need {} >= 0, got {}=nan"),
+        (-0.1, "need {} >= 0, got {}=-0.1"),
+        (0.7, "need {} <= option maturity = 0.5, got {}=0.7"),
+        (math.inf, "need {} <= option maturity = 0.5, got {}=inf"),
+    ])
+    def test_bad_times_name_the_argument(self, baseline_spec, baseline_factor, baseline_option,
+                                         t, message):
+        path = simulate_path(baseline_spec, seed=7)
+        with pytest.raises(ValueError, match=message.format("t", "t")):
+            fourier_call_price_at(baseline_spec, baseline_option, path, t)
+        with pytest.raises(ValueError, match=message.format("t", "t")):
+            call_jump_exponent(baseline_factor, t, 0.3, baseline_option)
+        with pytest.raises(ValueError, match=message.format("s", "s")):
+            call_jump_coefficient(baseline_factor, t, 0.3, baseline_option)
+
+    def test_bond_maturity_past_the_horizon(self, baseline_spec):
+        option = OptionSpec(strike=0.9, option_maturity=0.5, bond_maturity=12.0)
+        with pytest.raises(ValueError, match="need T <= horizon = 10.0, got T=12.0"):
+            fourier_call_price_at(baseline_spec, option, None, 0.0)
+
     def test_time_zero_reduction(self, baseline_spec, baseline_option):
         path = simulate_path(baseline_spec, seed=7, path_index=0)
         c0 = fourier_call_price(baseline_spec, baseline_option)
