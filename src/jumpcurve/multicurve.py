@@ -27,15 +27,14 @@ the affine family with those factors' sigma and x0 doubled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import bond_price, cumulant_time_integral, forward_rate
+from .curves import bond_price, forward_rate
 from .model import ConstantFloor, FloorFunction, ModelSpec, SummedFloor
 from .model import _check_interval, _check_state
-from .simulation import _jump_weights
+from .simulation import bond_path
 
 __all__ = [
     "DualCurveSpec",
@@ -160,17 +159,18 @@ def forward_spread(dual: DualCurveSpec, t: float, T: float, state=None) -> float
     return spread
 
 
-def _simple_forward(spec: ModelSpec, t: float, T1: float, T2: float, state) -> float:
-    """( P(t,T1)/P(t,T2) - 1 ) / (T2 - T1) on one affine model, for 0 <= t <= T1 < T2."""
+def _simple_forward(spec: ModelSpec, t: float, T1: float, T2: float, bond) -> float:
+    """( P(t,T1)/P(t,T2) - 1 ) / (T2 - T1) on one model from bond(T) = P(t,T), for 0 <= t <= T1 < T2."""
     _check_interval(t, T1, T2, ("t", "T1", "T2"))
     if not T1 < T2 <= spec.horizon:
         raise ValueError(f"need T1 < T2 <= horizon = {spec.horizon}, got T1={T1}, T2={T2}")
-    return (bond_price(spec, t, T1, state) / bond_price(spec, t, T2, state) - 1.0) / (T2 - T1)
+    return (bond(T1) / bond(T2) - 1.0) / (T2 - T1)
 
 
 def ois_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:
     """Simple-compounding forward from the traded discount curve."""
-    return _simple_forward(dual.base, t, T1, T2, _states(dual, state)[0])
+    state = _states(dual, state)[0]
+    return _simple_forward(dual.base, t, T1, T2, lambda T: bond_price(dual.base, t, T, state))
 
 
 def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:
@@ -178,34 +178,17 @@ def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=Non
 
     Never below the OIS forward when the spread floor is nonnegative.
     """
-    return _simple_forward(dual.fictitious, t, T1, T2, _states(dual, state)[1])
+    eff, state = dual.fictitious, _states(dual, state)[1]
+    return _simple_forward(eff, t, T1, T2, lambda T: bond_price(eff, t, T, state))
 
 
-def libor_path_closed_form(
-    dual: DualCurveSpec, path, t: float, T1: float, T2: float
-) -> float:
-    """Pathwise LIBOR forward from the two-maturity jump representation.
+def libor_path_closed_form(dual: DualCurveSpec, path, t: float, T1: float, T2: float) -> float:
+    """Pathwise LIBOR forward from two :func:`.simulation.bond_path` values of the fictitious model.
 
-    L(t,T1,T2) = ( P_bar(0,T1)/P_bar(0,T2)
-                   * prod_k exp( int_0^t [cum_k(sigma B(s,T2)) - cum_k(sigma B(s,T1))] ds
-                                 + sum_{u_j <= t} sigma_k (B_k(u_j,T1) - B_k(u_j,T2)) z_j )
-                   - 1 ) / delta,
-
-    where ``path`` is a simulated path of the effective (l-factor) model.
-    Must match the bond-ratio definition at the path's state exactly.
+    I_t cancels in their ratio, which leaves the two-maturity jump representation
+    P_bar(0,T1)/P_bar(0,T2) prod_k exp( int_0^t [cum_k(sigma B(s,T2)) - cum_k(sigma B(s,T1))] ds
+    + sum_{u_j <= t} sigma_k (B_k(u_j,T1) - B_k(u_j,T2)) z_j ).  ``path`` must be simulated
+    from ``dual.fictitious``, the effective (l-factor) model.
     """
     eff = dual.fictitious
-    _check_interval(t, T1, T2, ("t", "T1", "T2"))
-    if not T1 < T2 <= eff.horizon:
-        raise ValueError(f"need T1 < T2 <= horizon = {eff.horizon}, got T1={T1}, T2={T2}")
-    delta = T2 - T1
-    log_ratio = math.log(
-        bond_price(eff, 0.0, T1) / bond_price(eff, 0.0, T2)
-    )
-    for f, rec in zip(eff.factors, path.jumps):
-        log_ratio += cumulant_time_integral(f, 0.0, t, T2)
-        log_ratio -= cumulant_time_integral(f, 0.0, t, T1)
-        b1 = _jump_weights(f, rec.times, t, T1, "bond")
-        b2 = _jump_weights(f, rec.times, t, T2, "bond")
-        log_ratio += f.sigma * float((b1 - b2) @ rec.sizes)
-    return (math.exp(log_ratio) - 1.0) / delta
+    return _simple_forward(eff, t, T1, T2, lambda T: bond_path(eff, path, t, T))

@@ -45,7 +45,7 @@ from scipy.special import exp1
 from .curves import _cumulant_integral, _slope, bond_price, cumulant_time_integral
 from .model import FactorParams, ModelSpec, _check_interval
 from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
-from .simulation import _jump_free_integral, _jump_weights, integrated_rate
+from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
 
 __all__ = [
     "OptionSpec",
@@ -179,10 +179,8 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     slope = floor_term - compensator + math.log(p0T / option.strike)
     if path is not None:
         i_t = integrated_rate(spec, path, t)
-        sum_long = sum_short = 0.0
-        for f, rec in zip(spec.factors, path.jumps):
-            sum_long += f.sigma * float(_jump_weights(f, rec.times, t, T, "bond") @ rec.sizes)
-            sum_short += f.sigma * float(_jump_weights(f, rec.times, t, tau, "bond") @ rec.sizes)
+        sum_long = _path_jump_sum(spec, path, t, T, "bond")
+        sum_short = _path_jump_sum(spec, path, t, tau, "bond")
         slope = slope + sum_long - sum_short
 
     def integrand(y):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import bond_B, bond_price, cumulant_time_integral, tilted_time_integral
+from .curves import bond_B, bond_price, cumulant_time_integral, forward_rate, tilted_time_integral
 from .model import GammaJumpMeasure, ModelSpec, _check_interval
 
 __all__ = [
@@ -223,6 +223,26 @@ def _jump_weights(factor, times, t, T, kind: str) -> np.ndarray:
     return (times <= t) * w
 
 
+def _records(spec: ModelSpec, jumps) -> zip:
+    """The (factor, record) pairs of a path's records; ValueError unless one per factor.
+
+    The only place a path's jump records meet a model's factors, so a path
+    simulated from another model fails here instead of pricing wrong.
+    """
+    if len(jumps) != spec.n_factors:
+        raise ValueError(f"need one jump record per model factor: the path has {len(jumps)}, "
+                         f"the model {spec.n_factors}")
+    return zip(spec.factors, jumps)
+
+
+def _path_jump_sum(spec: ModelSpec, path, t: float, T: float, kind: str) -> float:
+    """sum_k sigma_k sum_{u_j <= t} w_k(T - u_j) z_j along a path, w of :func:`_jump_weights`."""
+    total = 0.0
+    for f, rec in _records(spec, path.jumps):
+        total += f.sigma * float(_jump_weights(f, rec.times, t, T, kind) @ rec.sizes)
+    return total
+
+
 def _jump_sums(spec: ModelSpec, seed: int, n_paths: int, evals) -> np.ndarray:
     """Weighted jump sums of every factor and path, shape (factors, evals, paths).
 
@@ -254,8 +274,8 @@ def simulate_jumps(
     horizon; sizes come from the measure's inverse CDF.  The record is the
     one every Monte Carlo estimator uses for that path and factor.
     """
-    if horizon <= 0:
-        raise ValueError("need horizon > 0")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"need 0 < horizon < inf, got horizon={horizon}")
     if not (0 <= path_index < 1 << 32 and 0 <= factor_index < 1 << 32):
         raise ValueError("path and factor indices must lie in [0, 2**32)")
     path = range(path_index, path_index + 1)
@@ -267,8 +287,10 @@ def simulate_jumps(
 
 
 def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
-    """Exact factor trajectory on the grid: decayed start plus decayed jumps."""
+    """Exact factor trajectory on a grid of finite times >= 0: decayed start plus decayed jumps."""
     grid = np.asarray(grid, dtype=float)
+    if grid.size:
+        _check_interval(grid.min(), grid.max(), names=("grid", "grid", "horizon"))
     x = factor.x0 * np.exp(-factor.lam * grid)
     if jumps.count:
         at = grid[:, None]
@@ -279,7 +301,7 @@ def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
 def _integrated_on_grid(spec: ModelSpec, jumps, grid: np.ndarray) -> np.ndarray:
     total = spec.floor.cumulative(grid)
     at = grid[:, None]
-    for f, rec in zip(spec.factors, jumps):
+    for f, rec in _records(spec, jumps):
         total -= f.x0 * np.expm1(-f.lam * grid) / f.lam
         if rec.count:
             total -= f.sigma * _jump_weights(f, rec.times, at, at, "bond") @ rec.sizes
@@ -308,7 +330,7 @@ def simulate_path(
     steps = max(1, int(round(points_per_year * spec.horizon)))
     mesh = np.linspace(0.0, spec.horizon, steps + 1)
     grid = np.union1d(mesh, np.concatenate([rec.times for rec in jumps]))
-    factors = np.vstack([evolve_factor(f, rec, grid) for f, rec in zip(spec.factors, jumps)])
+    factors = np.vstack([evolve_factor(f, rec, grid) for f, rec in _records(spec, jumps)])
     short_rate = np.asarray(spec.floor.value(grid)) + factors.sum(axis=0)
     integrated = _integrated_on_grid(spec, jumps, grid)
     return SimulatedPath(
@@ -341,12 +363,9 @@ def bond_path(
     state; that identity is the module's central correctness check.
     """
     _check_interval(t, T, path.grid[-1])
-    log_p = math.log(bond_price(spec, 0.0, T, method=method))
-    log_p += integrated_rate(spec, path, t)
-    for f, rec in zip(spec.factors, path.jumps):
-        log_p -= cumulant_time_integral(f, 0.0, t, T, method=method)
-        log_p += f.sigma * float(_jump_weights(f, rec.times, t, T, "bond") @ rec.sizes)
-    return math.exp(log_p)
+    log_p = math.log(bond_price(spec, 0.0, T, method=method)) + integrated_rate(spec, path, t)
+    log_p -= sum(cumulant_time_integral(f, 0.0, t, T, method=method) for f in spec.factors)
+    return math.exp(log_p + _path_jump_sum(spec, path, t, T, "bond"))
 
 
 def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -> float:
@@ -356,14 +375,9 @@ def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -
                               - tilted compensator over [0, t] ).
     Coincides pathwise with the affine forward-rate formula.
     """
-    from .curves import forward_rate
-
     _check_interval(t, T, path.grid[-1])
-    rate = forward_rate(spec, 0.0, T)
-    for f, rec in zip(spec.factors, path.jumps):
-        rate -= tilted_time_integral(f, 0.0, t, T)
-        rate += f.sigma * float(_jump_weights(f, rec.times, t, T, "decay") @ rec.sizes)
-    return float(rate)
+    rate = forward_rate(spec, 0.0, T) - sum(tilted_time_integral(f, 0.0, t, T) for f in spec.factors)
+    return float(rate + _path_jump_sum(spec, path, t, T, "decay"))
 
 
 def _coefficient(deviations: np.ndarray, control: np.ndarray, control_var: float) -> float:

@@ -60,9 +60,11 @@ def factor_exponent(
     The constant term is the time integral of the gamma cumulant along the
     decaying argument i u sigma e^{-lam (t-s)}, by the principal-log
     antiderivative; ``method="quadrature"`` runs its adaptive twin.
-    Raises ValueError unless Re(i u) sigma < eps, where the cumulant converges.
+    Raises ValueError unless u is finite and Re(i u) sigma < eps, where the cumulant converges.
     """
     _check_interval(t, t)
+    if not cmath.isfinite(u):
+        raise ValueError(f"need a finite u, got u={u}")
     lam, sigma = factor.lam, factor.sigma
     rho = _cumulant_integral(
         factor,  # math.exp at the two scalar ends, numpy on the quadrature twin's nodes
@@ -78,8 +80,6 @@ def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
     Modulus is at most 1 for real u, with equality at u = 0.
     """
     _check_interval(t, t, spec.horizon, ("t", "t", "horizon"))
-    if not cmath.isfinite(u):
-        raise ValueError(f"need a finite u, got u={u}")
     exponent = 1j * u * float(spec.floor.value(t))
     for f in spec.factors:
         part = factor_exponent(f, t, u)
@@ -99,8 +99,10 @@ def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
 
 
 def levy_char_fn(measure: GammaJumpMeasure, t: float, u: float) -> complex:
-    """CF of the subordinator at time t: exp( i u alpha t / (eps - i u) )."""
+    """CF of the subordinator at time t: exp( i u alpha t / (eps - i u) ), for a finite u."""
     _check_interval(t, t)
+    if not cmath.isfinite(u):
+        raise ValueError(f"need a finite u, got u={u}")
     return cmath.exp(1j * u * measure.alpha * t / (measure.epsilon - 1j * u))
 
 

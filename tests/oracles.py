@@ -6,6 +6,7 @@ import math
 import numpy as np
 from scipy import integrate
 
+from jumpcurve import evolve_factor
 from jumpcurve.options import _integrand_factory
 from jumpcurve.quadrature import QuadratureError, fourier_rule, gauss_kronrod
 
@@ -153,6 +154,16 @@ def tilted_levy_density(measure, t, x):
     if not math.isfinite(density):
         raise QuadratureError("Fourier inversion did not converge")
     return density
+
+
+def path_state(spec, path, t):
+    """Factor values X_k(t) along a simulated path, one ``evolve_factor`` per record.
+
+    ``strict`` zip: a path drawn from a model with another factor count fails
+    here instead of yielding a shorter state.
+    """
+    return np.array([evolve_factor(f, rec, [t])[0]
+                     for f, rec in zip(spec.factors, path.jumps, strict=True)])
 
 
 def pointwise_cumulative(floor, grid):

@@ -27,7 +27,6 @@ from jumpcurve import (
     bond_price,
     calibrate_floor,
     conditional_moments,
-    evolve_factor,
     factor_exponent,
     fictitious_bond_price,
     forward_rate,
@@ -45,6 +44,7 @@ from jumpcurve import (
 from jumpcurve.cli import main
 from jumpcurve.quadrature import gauss_kronrod
 
+from oracles import path_state
 from test_multicurve import random_dual
 
 BASELINE = ModelSpec(
@@ -64,12 +64,6 @@ TWO_FACTOR = ModelSpec(
 
 def report(number: int, name: str, ok: bool) -> None:
     print(f"[acceptance] criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'}")
-
-
-def state_at(spec, path, t):
-    return np.array(
-        [evolve_factor(f, rec, [t])[0] for f, rec in zip(spec.factors, path.jumps)]
-    )
 
 
 def test_criterion_01_analytic_vs_mc_bond():
@@ -93,7 +87,7 @@ def test_criterion_02_affine_vs_pathwise_bond_identity():
     for p in range(1000):
         path = simulate_path(BASELINE, seed=2001, path_index=p, points_per_year=2)
         for (t, T) in pairs:
-            affine = bond_price(BASELINE, t, T, state_at(BASELINE, path, t))
+            affine = bond_price(BASELINE, t, T, path_state(BASELINE, path, t))
             pathwise = bond_path(BASELINE, path, t, T)
             worst = max(worst, abs(pathwise / affine - 1.0))
     elapsed = time.perf_counter() - start
@@ -234,7 +228,7 @@ def test_criterion_09_hjm_identity():
         path = simulate_path(TWO_FACTOR, seed=9001, path_index=p, points_per_year=2)
         for (t, T) in ((0.25, 1.0), (1.0, 4.0)):
             hjm = hjm_forward_path(TWO_FACTOR, path, t, T)
-            affine = forward_rate(TWO_FACTOR, t, T, state_at(TWO_FACTOR, path, t))
+            affine = forward_rate(TWO_FACTOR, t, T, path_state(TWO_FACTOR, path, t))
             worst = max(worst, abs(hjm - affine))
     ok = worst < 1e-9
     report(9, f"HJM pathwise identity (max abs {worst:.2e})", ok)
@@ -265,9 +259,7 @@ def test_criterion_10_multicurve():
     for p in range(20):
         path = simulate_path(eff, seed=10_002, path_index=p, points_per_year=4)
         for t in (0.2, 0.6, 0.95):
-            eff_state = np.array(
-                [evolve_factor(f, rec, [t])[0] for f, rec in zip(eff.factors, path.jumps)]
-            )
+            eff_state = path_state(eff, path, t)
             ratio = (
                 bond_price(eff, t, 1.0, eff_state) / bond_price(eff, t, 1.5, eff_state) - 1.0
             ) / 0.5

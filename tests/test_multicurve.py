@@ -12,15 +12,16 @@ from jumpcurve import (
     FactorParams,
     GammaJumpMeasure,
     ModelSpec,
+    OptionSpec,
     bond_B,
     bond_ordering_check,
     bond_path,
     bond_price,
     effective_state,
-    evolve_factor,
     fictitious_bond_price,
     forward_rate,
     forward_spread,
+    fourier_call_price_at,
     hjm_forward_path,
     integrated_rate,
     libor_forward,
@@ -30,6 +31,7 @@ from jumpcurve import (
     ois_forward,
     simulate_path,
 )
+from oracles import path_state
 
 
 @pytest.fixture
@@ -264,12 +266,7 @@ class TestLiborPathClosedForm:
         for p in range(30):
             path = simulate_path(eff, seed=29, path_index=p)
             for t in (0.2, 0.6, 0.95):
-                eff_state = np.array(
-                    [
-                        evolve_factor(f, rec, [t])[0]
-                        for f, rec in zip(eff.factors, path.jumps)
-                    ]
-                )
+                eff_state = path_state(eff, path, t)
                 delta = 0.5
                 p1 = bond_price(eff, t, 1.0, eff_state)
                 p2 = bond_price(eff, t, 1.5, eff_state)
@@ -288,9 +285,7 @@ class TestLiborPathClosedForm:
         eff = dual.fictitious
         path = simulate_path(eff, seed=31, path_index=2)
         t = 0.5
-        eff_state = np.array(
-            [evolve_factor(f, rec, [t])[0] for f, rec in zip(eff.factors, path.jumps)]
-        )
+        eff_state = path_state(eff, path, t)
         p1 = bond_price(eff, t, 1.0, eff_state)
         p2 = bond_price(eff, t, 2.0, eff_state)
         ratio = (p1 / p2 - 1.0) / 1.0
@@ -393,3 +388,32 @@ def test_times_give_finite_values_or_errors_that_name_them(name, times):
         assert re.search(rf"\b({'|'.join(names)})=", str(exc)), str(exc)
     else:
         assert math.isfinite(value)
+
+
+_BASE_PATH = simulate_path(_DUAL.base, seed=3)
+_OPTION = OptionSpec(strike=0.94, option_maturity=2.5, bond_maturity=3.0)
+# each pathwise entry point as (dual, path) -> value, priced on dual.fictitious
+_PATHWISE = {
+    "integrated_rate": lambda dual, path: integrated_rate(dual.fictitious, path, 2.0),
+    "bond_path": lambda dual, path: bond_path(dual.fictitious, path, 2.0, 3.0),
+    "hjm_forward_path": lambda dual, path: hjm_forward_path(dual.fictitious, path, 2.0, 3.0),
+    "fourier_call_price_at": (
+        lambda dual, path: fourier_call_price_at(dual.fictitious, _OPTION, path, 2.0)),
+    "libor_path_closed_form": (
+        lambda dual, path: libor_path_closed_form(dual, path, 2.0, 3.0, 3.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATHWISE))
+@pytest.mark.parametrize("dual, wrong, right, records, factors", [
+    # a one-factor base path priced on the two-factor fictitious model
+    (_DUAL, _BASE_PATH, _PATH, 1, 2),
+    # a two-factor fictitious path priced on the one-factor fictitious model of a spread-free dual
+    (DualCurveSpec(base=_DUAL.base), _PATH, _BASE_PATH, 2, 1),
+], ids=["record-too-few", "record-too-many"])
+def test_path_from_another_model_raises(name, dual, wrong, right, records, factors):
+    # zip over factors and records once stopped at the shorter and gave a wrong number
+    call = _PATHWISE[name]
+    assert math.isfinite(call(dual, right))
+    with pytest.raises(ValueError, match=f"the path has {records}, the model {factors}$"):
+        call(dual, wrong)

@@ -17,7 +17,6 @@ from jumpcurve import (
     call_drift_exponent,
     call_jump_coefficient,
     call_jump_exponent,
-    evolve_factor,
     fourier_call_price,
     fourier_call_price_at,
     integrated_rate,
@@ -28,7 +27,7 @@ from jumpcurve import (
 from jumpcurve import options
 from jumpcurve.options import _integrand_factory
 from jumpcurve.quadrature import gauss_kronrod
-from oracles import qawfe_call_price
+from oracles import path_state, qawfe_call_price
 
 
 @pytest.fixture
@@ -282,12 +281,7 @@ class TestFourierCallPriceAt:
         found_itm = False
         for p in range(12):
             path = simulate_path(baseline_spec, seed=29, path_index=p)
-            state = np.array(
-                [
-                    evolve_factor(f, rec, [0.5])[0]
-                    for f, rec in zip(baseline_spec.factors, path.jumps)
-                ]
-            )
+            state = path_state(baseline_spec, path, 0.5)
             payoff = max(bond_price(baseline_spec, 0.5, 1.0, state) - 0.94, 0.0)
             got = fourier_call_price_at(baseline_spec, baseline_option, path, 0.5)
             assert got == pytest.approx(payoff, abs=2e-6)
@@ -305,10 +299,6 @@ class TestFourierCallPriceAt:
             values[p] = math.exp(-integrated_rate(baseline_spec, path, t)) * c_t
         se = values.std(ddof=1) / math.sqrt(n)
         assert abs(values.mean() - c0) < 3.0 * se
-
-
-def _path_state(spec, path, t):
-    return np.array([evolve_factor(f, rec, [t])[0] for f, rec in zip(spec.factors, path.jumps)])
 
 
 def _no_jump_bond(spec, state, t, tau, T):
@@ -351,7 +341,7 @@ class TestNearSupremumStrike:
         spec = request.getfixturevalue(spec_name)
         tau, T, t = 0.5, 1.5, 0.25
         path = simulate_path(spec, seed=7, path_index=0)
-        state = _path_state(spec, path, t)
+        state = path_state(spec, path, t)
         p_nj = _no_jump_bond(spec, state, t, tau, T)
         strike = p_nj * (1.0 - delta)
         bound = bond_price(spec, t, tau, state) * max(p_nj - strike, 0.0)
@@ -402,7 +392,7 @@ class TestQawfeOracle:
         tau, T = 0.5, 1.5
         path = simulate_path(spec, seed=11, path_index=3)
         for t in (0.1, 0.4, tau):
-            state = _path_state(spec, path, t)
+            state = path_state(spec, path, t)
             forward = bond_price(spec, t, T, state) / bond_price(spec, t, tau, state)
             # at t = tau the forward is P_nj itself, where the slope is 0
             for moneyness in (0.9, 0.98, 1.02, 1.1):

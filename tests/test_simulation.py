@@ -39,6 +39,7 @@ from jumpcurve.simulation import (
     _philox,
 )
 from jumpcurve.quadrature import gauss_kronrod
+from oracles import path_state
 
 
 class TestJumpRecord:
@@ -78,6 +79,12 @@ class TestSimulateJumps:
         assert np.all(rec.times > 0)
         assert np.all(rec.times <= 2.5)
         assert np.all(np.diff(rec.times) > 0)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_horizon_by_name(self, horizon):
+        # NaN and inf once passed `horizon <= 0` and failed later as a jump-count overflow
+        with pytest.raises(ValueError, match=f"need 0 < horizon < inf, got horizon={horizon}"):
+            simulate_jumps(GammaJumpMeasure(2.0, 10.0), horizon, seed=5)
 
 
 def batched_records(measure, horizon, seed, factor_index, n_paths):
@@ -211,6 +218,21 @@ class TestEvolveFactor:
         assert before == pytest.approx(0.0, abs=1e-12)
         assert at == pytest.approx(3.0 * 0.25, rel=1e-12)
         assert after == pytest.approx(3.0 * 0.25 * math.exp(-2.0 * 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.5, math.nan], "need grid >= 0, got grid=nan"),
+        ([-1.0, 0.5], "need grid >= 0, got grid=-1.0"),
+        ([0.5, math.inf], "need a finite grid, got grid=inf"),
+    ])
+    def test_rejects_bad_grid_by_name(self, baseline_factor, grid, message):
+        # these once returned nan, a value above x0 and 0.0
+        rec = JumpRecord(np.array([1.0]), np.array([0.25]))
+        with pytest.raises(ValueError, match=message):
+            evolve_factor(baseline_factor, rec, grid)
+
+    def test_empty_grid(self, baseline_factor):
+        rec = JumpRecord(np.array([1.0]), np.array([0.25]))
+        assert evolve_factor(baseline_factor, rec, []).shape == (0,)
 
     def test_ensemble_mean_matches_moment_formula(self, baseline_spec):
         f = baseline_spec.factors[0]
@@ -353,12 +375,7 @@ class TestBondPath:
             for p in range(50):
                 path = simulate_path(spec, seed=seed, path_index=p)
                 for (t, T) in pairs:
-                    state = np.array(
-                        [
-                            evolve_factor(f, rec, [t])[0]
-                            for f, rec in zip(spec.factors, path.jumps)
-                        ]
-                    )
+                    state = path_state(spec, path, t)
                     affine = bond_price(spec, t, T, state)
                     pathwise = bond_path(spec, path, t, T)
                     assert abs(pathwise / affine - 1.0) < 1e-10
@@ -373,12 +390,7 @@ class TestBondPath:
         # R(t,T) from the pathwise bond equals the affine yield at the state
         path = simulate_path(baseline_spec, seed=31)
         t, T = 0.5, 2.0
-        state = np.array(
-            [
-                evolve_factor(f, rec, [t])[0]
-                for f, rec in zip(baseline_spec.factors, path.jumps)
-            ]
-        )
+        state = path_state(baseline_spec, path, t)
         pathwise = math.log(bond_path(baseline_spec, path, t, T)) / (t - T)
         affine = yield_curve(baseline_spec, t, T, state)
         assert pathwise == pytest.approx(affine, rel=1e-10)
@@ -395,12 +407,7 @@ class TestHjmForwardPath:
         for p in range(50):
             path = simulate_path(two_factor_spec, seed=44, path_index=p)
             for (t, T) in ((0.25, 1.0), (1.0, 3.0)):
-                state = np.array(
-                    [
-                        evolve_factor(f, rec, [t])[0]
-                        for f, rec in zip(two_factor_spec.factors, path.jumps)
-                    ]
-                )
+                state = path_state(two_factor_spec, path, t)
                 hjm = hjm_forward_path(two_factor_spec, path, t, T)
                 affine = forward_rate(two_factor_spec, t, T, state)
                 assert abs(hjm - affine) < 1e-9
@@ -409,7 +416,7 @@ class TestHjmForwardPath:
         path = simulate_path(baseline_spec, seed=15)
         t = 1.5
         idx = np.searchsorted(path.grid, t)
-        state = [evolve_factor(baseline_spec.factors[0], path.jumps[0], [t])[0]]
+        state = path_state(baseline_spec, path, t)
         r_t = 0.02 + state[0]
         assert hjm_forward_path(baseline_spec, path, t, t) == pytest.approx(
             r_t, abs=1e-9

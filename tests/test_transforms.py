@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ class TestShortRateCharFnContract:
     def test_rejects_non_finite_argument(self, baseline_spec, u):
         with pytest.raises(ValueError, match=f"need a finite u, got u={u}"):
             short_rate_char_fn(baseline_spec, 1.0, u)
+
+
+class TestNonFiniteTransformArgument:
+    # the u check sits in factor_exponent, which every CF and MGF reaches
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("call", [
+        lambda f, u: factor_exponent(f, 1.0, u),
+        lambda f, u: factor_exponent(f, 1.0, u, method="quadrature"),
+        lambda f, u: levy_char_fn(f.measure, 1.0, u),
+    ], ids=["factor_exponent", "factor_exponent-quadrature", "levy_char_fn"])
+    def test_rejected_by_name(self, baseline_factor, call, u):
+        with pytest.raises(ValueError, match=re.escape(f"need a finite u, got u={u}")):
+            call(baseline_factor, u)
 
 
 class TestShortRateMgf:
