@@ -24,9 +24,9 @@ Model configuration file (JSON, schema version 1)::
       "grid": {"start": 0.25, "stop": 5.0, "count": 20},   # count <= 100000
       "tenor": 0.25,                 # OIS/LIBOR accrual period in the curve table;
                                      # a dual-curve grid stops at horizon - tenor by default
-      "seed": 42,
-      "paths": 10000,
-      "output": "out"
+      "seed": 42,                    # JSON integers, as are count and
+      "paths": 10000,                # shared_factor_count; output is a string,
+      "output": "out"                # and --seed/--paths/--output override these
     }
 
 Floor variants: ``constant`` (``level``) and ``piecewise_linear`` /
@@ -35,8 +35,9 @@ Floor variants: ``constant`` (``level``) and ``piecewise_linear`` /
 All numeric CSV fields are written with 17 significant digits, '.' decimal
 separator, and LF line endings, so reruns with the same seed are
 byte-identical.  Exit codes: 0 success, 1 domain or validation failure
-(including a model whose closed forms overflow double precision), 2
-unreadable or unparseable input, a grid ``count`` above 100000 among it.
+(a closed form that overflows double precision, or a failed write, among
+them), 2 unreadable or unparseable input (a field of the wrong type, or a
+grid ``count`` above 100000).
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def _parse_factor(node, label: str) -> FactorParams:
     )
 
 
+def _typed(node: dict, key: str, kind: type, default=None):
+    """``node[key]``, or ``default`` when absent; another type (a bool is no int) is malformed."""
+    value = node.get(key, default)
+    if key in node and type(value) is not kind:
+        raise ConfigError(f"config {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     """Parse the JSON model file into specs plus run settings.
 
@@ -133,8 +142,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    if raw.get("version") != 1:
+    if _typed(raw, "version", int) != 1:
         raise ConfigError("config 'version' must be 1")
+    settings = dict(seed=_typed(raw, "seed", int), paths=_typed(raw, "paths", int),
+                    output=_typed(raw, "output", str, "."))
     try:
         horizon = float(raw["horizon"])
         floor = _parse_floor(raw["floor"], "floor")
@@ -154,7 +165,7 @@ def load_config(path: str) -> dict:
                     raw.get("spread_floor", {"variant": "constant", "level": 0.0}),
                     "spread_floor",
                 ),
-                shared_factor_count=int(raw.get("shared_factor_count", 0)),
+                shared_factor_count=_typed(raw, "shared_factor_count", int, 0),
             )
         tenor = float(raw.get("tenor", 0.25))
         if not 0 < tenor < math.inf:
@@ -169,7 +180,7 @@ def load_config(path: str) -> dict:
             stop = horizon - tenor
             if stop + tenor > horizon:  # rounded up
                 stop = math.nextafter(stop, 0.0)
-        count = int(grid.get("count", 20))
+        count = _typed(grid, "count", int, 20)
         # chained comparison: a NaN start or stop fails it too; the model flags an infinite horizon
         if count < 1 or not 0 < start <= stop or (stop == math.inf and "stop" in grid):
             raise ConfigError("grid needs 0 < start <= stop and count >= 1")
@@ -194,32 +205,21 @@ def load_config(path: str) -> dict:
         "dual": dual,
         "maturities": maturities,
         "tenor": tenor,
-        "seed": raw.get("seed"),
-        "paths": raw.get("paths"),
-        "output": raw.get("output", "."),
+        **settings,
     }
 
 
-def _resolve_output(cfg: dict, args) -> str:
-    out = args.output if args.output is not None else cfg["output"]
-    os.makedirs(out, exist_ok=True)
-    return out
+def _setting(cfg: dict, key: str):
+    """The run setting ``key``; ValueError naming its config key and flag when neither sets it."""
+    if cfg[key] is None:
+        raise ValueError(f"missing {key}: set config '{key}' or --{key}")
+    return cfg[key]
 
 
-def _resolve_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    if seed is None:
-        raise ValueError("simulation requires a seed (config 'seed' or --seed)")
-    return _check_seed(int(seed))
-
-
-def _resolve_paths(cfg: dict, args, default=None) -> int:
-    paths = args.paths if args.paths is not None else cfg["paths"]
-    if paths is None:
-        paths = default
-    if paths is None:
-        raise ValueError("path count required (config 'paths' or --paths)")
-    return int(paths)
+def _create(cfg: dict, name: str):
+    """``name`` in the output directory, made if missing, opened for writing."""
+    os.makedirs(cfg["output"], exist_ok=True)
+    return open(os.path.join(cfg["output"], name), "w", encoding="utf-8", newline="\n")
 
 
 def cmd_validate(cfg: dict, args) -> int:
@@ -255,15 +255,13 @@ def cmd_curve(cfg: dict, args) -> int:
             libor_forward(dual, 0.0, T, T + tenor),
         ))
     if not np.all(np.isfinite(rows)):
-        print("error: curve values overflow double precision", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise OverflowError("curve values overflow double precision")
     header = "maturity,P,f,R" if dual is None else "maturity,P,P_bar,f,f_bar,g,F_ois,L_libor"
-    destination = os.path.join(_resolve_output(cfg, args), "curve.csv")
-    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+    with _create(cfg, "curve.csv") as handle:
         handle.write(header + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
-    print(f"wrote {destination}")
+    print(f"wrote {handle.name}")
     return EXIT_OK
 
 
@@ -275,11 +273,9 @@ def cmd_calibrate(cfg: dict, args) -> int:
         print(f"error: cannot read market CSV: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        print(f"error: malformed market CSV: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError(f"malformed market CSV: {exc}") from exc
     if market.maturities[-1] > spec.horizon:
-        print("error: market maturities exceed the model horizon", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("market maturities exceed the model horizon")
     # an overflowing fit raises OverflowError here, before any output
     floor = calibrate_floor(spec.factors, market)
     refitted = ModelSpec(factors=spec.factors, floor=floor, horizon=spec.horizon)
@@ -287,17 +283,14 @@ def cmd_calibrate(cfg: dict, args) -> int:
         abs(forward_rate(refitted, 0.0, T) - f_mkt)
         for T, f_mkt in zip(market.maturities, market.rates)
     )
-    out_dir = _resolve_output(cfg, args)
-    destination = os.path.join(out_dir, "floor.csv")
-    with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+    with _create(cfg, "floor.csv") as handle:
         handle.write("maturity,mu\n")
         for T, mu in zip(floor.times, floor.values):
             handle.write(f"{_fmt(T)},{_fmt(mu)}\n")
-    print(f"wrote {destination}")
+    print(f"wrote {handle.name}")
     print(f"refit max |f_model - f_market| = {worst:.3e}")
     if worst >= 1e-8:
-        print("error: refit error exceeds 1e-8", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("refit error exceeds 1e-8")
     return EXIT_OK
 
 
@@ -333,32 +326,24 @@ def _jump_csv_rows(path_id: int, path: SimulatedPath) -> str:
 
 def cmd_simulate(cfg: dict, args) -> int:
     spec = cfg["spec"] if cfg["dual"] is None else cfg["dual"].fictitious
-    seed = _resolve_seed(cfg, args)
-    n_paths = _resolve_paths(cfg, args)
+    seed = _check_seed(_setting(cfg, "seed"))
+    n_paths = _setting(cfg, "paths")
     if n_paths < 1:
         raise ValueError(f"simulate needs at least one path, got {n_paths}")
     # each path is written as it is simulated and only r at the horizon is
     # kept, so memory holds one path; path 0 runs before the output directory
     # is made, so a model that cannot be simulated leaves no output
     path = simulate_path(spec, seed, 0)
-    out_dir = _resolve_output(cfg, args)
     finals = np.empty(n_paths)
-    try:
-        with (
-            open(os.path.join(out_dir, "paths.csv"), "w", encoding="utf-8", newline="\n") as rows,
-            open(os.path.join(out_dir, "jumps.csv"), "w", encoding="utf-8", newline="\n") as jumps,
-        ):
-            rows.write(_PATHS_CSV_HEADER)
-            jumps.write(_JUMPS_CSV_HEADER)
-            for p in range(n_paths):
-                if p:
-                    path = simulate_path(spec, seed, p)
-                rows.write(_path_csv_rows(p, path))
-                jumps.write(_jump_csv_rows(p, path))
-                finals[p] = path.short_rate[-1]
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    with _create(cfg, "paths.csv") as rows, _create(cfg, "jumps.csv") as jumps:
+        rows.write(_PATHS_CSV_HEADER)
+        jumps.write(_JUMPS_CSV_HEADER)
+        for p in range(n_paths):
+            if p:
+                path = simulate_path(spec, seed, p)
+            rows.write(_path_csv_rows(p, path))
+            jumps.write(_jump_csv_rows(p, path))
+            finals[p] = path.short_rate[-1]
     horizon = spec.horizon
     mean_hat = float(np.mean(finals))
     var_hat = float(np.var(finals, ddof=1)) if n_paths > 1 else 0.0
@@ -370,14 +355,16 @@ def cmd_simulate(cfg: dict, args) -> int:
     )
     if se > 0 and abs(mean_hat - mean_th) > 5.0 * se:
         print("warning: empirical mean deviates by more than 5 standard errors", file=sys.stderr)
-    print(f"wrote {out_dir}/paths.csv and {out_dir}/jumps.csv")
+    print(f"wrote {cfg['output']}/paths.csv and {cfg['output']}/jumps.csv")
     return EXIT_OK
 
 
 def cmd_price(cfg: dict, args) -> int:
+    if args.instrument == "option" and (args.strike is None or args.expiry is None):
+        raise ValueError("option pricing needs --strike and --expiry")
     spec = cfg["spec"]
-    seed = _resolve_seed(cfg, args)
-    n_paths = _resolve_paths(cfg, args, default=100_000)
+    seed = _check_seed(_setting(cfg, "seed"))
+    n_paths = 100_000 if cfg["paths"] is None else cfg["paths"]
     if args.instrument == "bond":
         analytic = bond_price(spec, 0.0, args.maturity)
         mc = mc_bond_price(spec, args.maturity, n_paths, seed)
@@ -434,10 +421,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if args.command == "price" and args.instrument == "option":
-        if args.strike is None or args.expiry is None:
-            print("error: option pricing needs --strike and --expiry", file=sys.stderr)
-            return EXIT_DOMAIN
+    for key in ("seed", "paths", "output"):  # a flag overrides the config
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     handlers = {
         "validate": cmd_validate,
         "curve": cmd_curve,
@@ -447,11 +433,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](cfg, args)
+    except OSError as exc:  # the config and market CSV reads report their own
+        message = f"cannot write output: {exc}"
     except (ValueError, ArithmeticError, QuadratureError, PricingError) as exc:
         # a domain failure (an overflowing model among them) in any command;
         # every command computes its results before it writes
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ the affine family with those factors' sigma and x0 doubled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -164,7 +165,10 @@ def _simple_forward(spec: ModelSpec, t: float, T1: float, T2: float, bond) -> fl
     _check_interval(t, T1, T2, ("t", "T1", "T2"))
     if not T1 < T2 <= spec.horizon:
         raise ValueError(f"need T1 < T2 <= horizon = {spec.horizon}, got T1={T1}, T2={T2}")
-    return (bond(T1) / bond(T2) - 1.0) / (T2 - T1)
+    p1, p2 = bond(T1), bond(T2)
+    if not (p2 and math.isfinite(p1 / p2)):
+        raise OverflowError(f"P({t}, {T2}) underflows to {p2}, so the forward from {T1} overflows")
+    return (p1 / p2 - 1.0) / (T2 - T1)
 
 
 def ois_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:

@@ -141,10 +141,18 @@ def _theta_parts(spec: ModelSpec, option: OptionSpec) -> tuple:
     return _jump_free_integral(spec, tau), compensator
 
 
+def _finite_y(y) -> np.ndarray:
+    """y as a float array; ValueError unless every entry is finite."""
+    y_arr = np.asarray(y, dtype=float)
+    if not np.isfinite(y_arr).all():
+        raise ValueError(f"y must be finite, got {y}")
+    return y_arr
+
+
 def call_drift_exponent(spec: ModelSpec, option: OptionSpec, y) -> complex:
     """Deterministic exponent Theta(y) of the dampened payoff transform."""
     floor_term, compensator = _theta_parts(spec, option)
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = _finite_y(y)
     u = option.dampening + 1j * y_arr
     out = (u - 1.0) * floor_term - u * compensator
     return out if y_arr.ndim else complex(out)
@@ -155,13 +163,17 @@ def payoff_fourier_weight(y, option: OptionSpec, p0T: float) -> complex:
 
     Decays like 1/y^2, which is what lets the y-integral be truncated.
     """
-    if p0T <= 0:
-        raise ValueError("need a positive initial bond price")
-    a, strike = option.dampening, option.strike
-    y_arr = np.asarray(y, dtype=float)
-    u = a + 1j * y_arr
-    out = np.exp(u * math.log(p0T) - (u - 1.0) * math.log(strike)) / (2.0 * math.pi * u * (u - 1.0))
+    if not 0 < p0T < math.inf:
+        raise ValueError(f"p0T must be a positive, finite initial bond price, got {p0T}")
+    y_arr = _finite_y(y)
+    out = _payoff_weight(option.dampening + 1j * y_arr, option, p0T)
     return out if y_arr.ndim else complex(out)
+
+
+def _payoff_weight(u, option: OptionSpec, p0T: float):
+    """w at u = a + iy, unchecked: the integrand's y and P(0,T) are finite by construction."""
+    log_p, log_k = math.log(p0T), math.log(option.strike)
+    return np.exp(u * log_p - (u - 1.0) * log_k) / (2.0 * math.pi * u * (u - 1.0))
 
 
 def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path=None):
@@ -190,7 +202,7 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
             exponent = exponent + call_jump_exponent(f, t, y, option)
         if path is not None:
             exponent = exponent + (i_t + u * sum_long - (u - 1.0) * sum_short)
-        return payoff_fourier_weight(y, option, p0T) * np.exp(exponent)
+        return _payoff_weight(u, option, p0T) * np.exp(exponent)
 
     return integrand, slope
 

@@ -348,13 +348,7 @@ def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     return float(_integrated_on_grid(spec, path.jumps, np.array([float(t)]))[0])
 
 
-def bond_path(
-    spec: ModelSpec,
-    path: SimulatedPath,
-    t: float,
-    T: float,
-    method: str = "closed",
-) -> float:
+def bond_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -> float:
     """Pathwise bond price from the stochastic-exponential solution.
 
     P(t,T) = P(0,T) exp( I_t - sum_k int_0^t cum_k(sigma B_k(s,T)) ds
@@ -363,8 +357,8 @@ def bond_path(
     state; that identity is the module's central correctness check.
     """
     _check_interval(t, T, path.grid[-1])
-    log_p = math.log(bond_price(spec, 0.0, T, method=method)) + integrated_rate(spec, path, t)
-    log_p -= sum(cumulant_time_integral(f, 0.0, t, T, method=method) for f in spec.factors)
+    log_p = math.log(bond_price(spec, 0.0, T)) + integrated_rate(spec, path, t)
+    log_p -= sum(cumulant_time_integral(f, 0.0, t, T) for f in spec.factors)
     return math.exp(log_p + _path_jump_sum(spec, path, t, T, "bond"))
 
 

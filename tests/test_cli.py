@@ -167,6 +167,67 @@ class TestInvalidModelLeavesNoOutput:
         assert not (tmp_path / "out").exists()
 
 
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestRunSettings:
+    # each of these once raised a TypeError traceback, was truncated by int()
+    # and run, failed as "invalid literal for int()" (exit 1), or passed as 1
+    @pytest.mark.parametrize(
+        "change, command, key",
+        [
+            ({"output": 5}, "curve", "output"),
+            ({"output": ["x"]}, "curve", "output"),
+            ({"seed": [1]}, "simulate", "seed"),
+            ({"seed": 1.7}, "simulate", "seed"),
+            ({"paths": 2.9}, "simulate", "paths"),
+            ({"grid": dict(BASELINE["grid"], count=2.9)}, "curve", "count"),
+            ({"shared_factor_count": 0.5}, "curve", "shared_factor_count"),
+            ({"paths": "abc"}, "simulate", "paths"),
+            ({"version": True}, "validate", "version"),
+        ],
+        ids=["output-int", "output-list", "seed-list", "seed-float", "paths-float", "count-float",
+             "shared-count-float", "paths-string", "version-bool"],
+    )
+    def test_malformed_setting_exits_two(self, tmp_path, capsys, change, command, key):
+        cfg = write_config(tmp_path, {**BASELINE, "paths": 2, "output": str(tmp_path / "out"), **change})
+        assert main(["--config", cfg, command]) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and f"'{key}'" in err
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    @pytest.mark.parametrize("argv", [["curve"], ["calibrate", "--market", "MARKET"], ["simulate"]])
+    def test_write_failure_exits_one(self, tmp_path, capsys, argv):
+        # an output directory below a regular file cannot be made
+        (tmp_path / "file").write_text("")
+        market = tmp_path / "market.csv"
+        market.write_text("maturity,forward_rate\n1.0,0.03\n2.0,0.031\n")
+        cfg = write_config(tmp_path, dict(BASELINE, paths=2, output=str(tmp_path / "file" / "out")))
+        argv = [str(market) if arg == "MARKET" else arg for arg in argv]
+        assert main(["--config", cfg, *argv]) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and err.startswith("error: cannot write output: ")
+
+    def test_flags_override_config(self, tmp_path, monkeypatch):
+        # main merges the flags into the settings once; the command sees the result
+        seen = []
+        simulate = cli.cmd_simulate
+        monkeypatch.setattr(cli, "cmd_simulate",
+                            lambda cfg, args: seen.append(dict(cfg)) or simulate(cfg, args))
+        cfg = write_config(tmp_path, dict(BASELINE, seed=42, paths=5, output=str(tmp_path / "config_out")))
+        flag_out = tmp_path / "flag_out"
+        argv = ["--config", cfg, "--seed", "7", "--paths", "2", "--output", str(flag_out), "simulate"]
+        assert main(argv) == 0
+        assert [(s["seed"], s["paths"], s["output"]) for s in seen] == [(7, 2, str(flag_out))]
+        assert not (tmp_path / "config_out").exists()
+        same = write_config(tmp_path, dict(BASELINE, seed=7, paths=2, output=str(tmp_path / "same")),
+                            name="same.json")
+        assert main(["--config", same, "simulate"]) == 0
+        for csv in ("paths.csv", "jumps.csv"):
+            assert (flag_out / csv).read_bytes() == (tmp_path / "same" / csv).read_bytes()
+
+
 # Valid configs, which random mutations below then break.
 _RATES = st.floats(-0.05, 0.1)
 _FACTOR = st.fixed_dictionaries({
@@ -189,6 +250,8 @@ _CONFIG = st.fixed_dictionaries(
         "shared_factor_count": st.integers(0, 1), "tenor": st.floats(0.01, 1.0),
         "grid": st.fixed_dictionaries({}, optional={
             "start": st.floats(0.01, 3.0), "stop": st.floats(3.0, 8.0), "count": st.integers(1, 12)}),
+        # validate and curve read neither, but load_config types both
+        "seed": st.integers(), "paths": st.integers(),
     },
 )
 _BAD = st.one_of(
@@ -226,6 +289,8 @@ class TestConfigProperties:
     @example(raw={"version": 1, "horizon": math.inf, "floor": {"variant": "constant", "level": 0.0},
                   "factors": [{"lambda": 0.05, "sigma": 0.05, "x0": 0.0, "alpha": 0.01,
                                "epsilon": 1.0}]})
+    # a path count that int() once truncated to 2, so both commands ran
+    @example(raw=dict(BASELINE, paths=2.5))
     @settings(max_examples=50, deadline=None)
     def test_exit_codes_and_curve_output(self, raw):
         with tempfile.TemporaryDirectory() as tmp:
@@ -237,6 +302,9 @@ class TestConfigProperties:
             curve_code = main(["--config", cfg, "curve"])
             assert validate_code in (0, 1, 2)
             assert curve_code in (0, 1, 2)
+            # a seed or path count that is no JSON integer, null among them, is malformed
+            if any(key in raw and type(raw[key]) is not int for key in ("seed", "paths")):
+                assert validate_code == 2
             if validate_code != 0:
                 assert curve_code == validate_code
             if curve_code == 0:
@@ -378,6 +446,18 @@ class TestCurveCommand:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert (run.returncode, run.stdout, run.stderr) == (1, "", error)
+        assert not (tmp_path / "out").exists()
+
+    def test_underflowing_forward_names_the_bond(self, tmp_path, capsys):
+        # P(0, 3.25) underflows to 0.0; the OIS forward once failed with
+        # "float division by zero"
+        payload = dict(DUAL_CURVE, floor={"variant": "constant", "level": 300.0},
+                       grid={"start": 2.0, "stop": 5.0, "count": 4})
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "curve"]) == 1
+        assert capsys.readouterr().err == (
+            "error: P(0.0, 3.25) underflows to 0.0, so the forward from 3.0 overflows\n"
+        )
         assert not (tmp_path / "out").exists()
 
 

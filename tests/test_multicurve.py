@@ -323,6 +323,20 @@ class TestOverflow:
         with pytest.raises(OverflowError):
             function(dual, *args)
 
+    # a base floor of 300 discounts P(0, 3.25) to 0.0 and P(0, 2.46) to a
+    # subnormal 2.3e-321; the forward once failed with "float division by zero"
+    @pytest.mark.parametrize("function", [ois_forward, libor_forward])
+    @pytest.mark.parametrize("T1, T2, small", [(3.0, 3.25, r"0\.0"), (0.01, 2.46, r"2\.\d+e-321")],
+                             ids=["zero", "subnormal"])
+    def test_underflowing_bond_names_itself(self, baseline_factor, spread_factor, function,
+                                            T1, T2, small):
+        base = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(300.0), horizon=10.0)
+        dual = DualCurveSpec(base=base, spread_factors=(spread_factor,),
+                             spread_floor=ConstantFloor(0.005))
+        message = rf"^P\(0\.0, {T2}\) underflows to {small}, so the forward from {T1} overflows$"
+        with pytest.raises(OverflowError, match=message):
+            function(dual, 0.0, T1, T2)
+
 
 class TestArgumentContract:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,28 @@ class TestPayoffWeight:
         w1 = abs(payoff_fourier_weight(100.0, baseline_option, 0.95))
         w2 = abs(payoff_fourier_weight(200.0, baseline_option, 0.95))
         assert w2 == pytest.approx(w1 / 4.0, rel=0.05)
+
+
+class TestTransformArguments:
+    # a NaN y once returned nan+nanj, and an infinite y or P(0,T) warned
+    # "invalid value encountered" before returning NaN
+    OPTION = OptionSpec(0.9, 0.5, 1.0)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, np.array([0.5, math.nan])])
+    def test_nonfinite_y(self, baseline_spec, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^y must be finite"):
+                call_drift_exponent(baseline_spec, self.OPTION, y)
+            with pytest.raises(ValueError, match="^y must be finite"):
+                payoff_fourier_weight(y, self.OPTION, 0.9)
+
+    @pytest.mark.parametrize("p0T", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_bond_price(self, p0T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^p0T must be"):
+                payoff_fourier_weight(0.5, self.OPTION, p0T)
 
 
 class TestFourierCallPrice:
