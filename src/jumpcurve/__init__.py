@@ -52,18 +52,12 @@ from .simulation import (
 from .options import (
     OptionSpec,
     PricingError,
-    call_drift_exponent,
-    call_jump_coefficient,
     call_jump_exponent,
     fourier_call_price,
     fourier_call_price_at,
-    payoff_fourier_weight,
 )
 from .multicurve import (
-    BondOrdering,
     DualCurveSpec,
-    bond_ordering_check,
-    effective_state,
     fictitious_bond_price,
     forward_spread,
     libor_forward,

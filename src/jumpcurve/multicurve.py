@@ -39,10 +39,7 @@ from .simulation import bond_path
 
 __all__ = [
     "DualCurveSpec",
-    "BondOrdering",
-    "effective_state",
     "fictitious_bond_price",
-    "bond_ordering_check",
     "forward_spread",
     "ois_forward",
     "libor_forward",
@@ -97,54 +94,21 @@ class DualCurveSpec:
         return self.base.n_factors + len(self.spread_factors)
 
 
-def effective_state(dual: DualCurveSpec, state) -> np.ndarray:
-    """Map a distinct-factor state onto the effective (doubled) factors."""
-    out = np.array(_check_state(state, dual.n_distinct))
-    shared_from = dual.n_base - dual.shared_factor_count
-    out[shared_from: dual.n_base] *= 2.0
-    return out
-
-
 def _states(dual: DualCurveSpec, state):
-    """The base and the fictitious model's states; None for both initial states."""
+    """The base and the fictitious model's states; None for both initial states.
+
+    The fictitious state is the distinct-factor state with the shared factors doubled.
+    """
     if state is None:
         return None, None
-    eff_state = effective_state(dual, state)
+    eff_state = np.array(_check_state(state, dual.n_distinct))
+    eff_state[dual.n_base - dual.shared_factor_count: dual.n_base] *= 2.0
     return np.asarray(state, dtype=float)[: dual.n_base], eff_state
 
 
 def fictitious_bond_price(dual: DualCurveSpec, t: float, T: float, state=None) -> float:
     """Nontraded discount bond P_bar(t,T) of the spread-augmented rate."""
     return bond_price(dual.fictitious, t, T, _states(dual, state)[1])
-
-
-@dataclass(frozen=True)
-class BondOrdering:
-    """Fictitious and traded bond prices with the ordering verdict."""
-
-    fictitious: float
-    traded: float
-    ordered: bool
-
-
-def bond_ordering_check(
-    dual: DualCurveSpec, t: float, T: float, state=None, slack: float = 1e-12
-) -> BondOrdering:
-    """Evaluate both bonds and confirm P_bar <= P.
-
-    A violation indicates an internal inconsistency (the nonnegative spread
-    makes the ordering a theorem), so it raises rather than returning.
-    """
-    base_state, eff_state = _states(dual, state)
-    p_bar = bond_price(dual.fictitious, t, T, eff_state)
-    p = bond_price(dual.base, t, T, base_state)
-    ordered = p_bar <= p * (1.0 + slack) + slack
-    if not ordered:
-        raise AssertionError(
-            f"fictitious bond {p_bar} exceeds traded bond {p}: "
-            "internal consistency failure"
-        )
-    return BondOrdering(fictitious=p_bar, traded=p, ordered=ordered)
 
 
 def forward_spread(dual: DualCurveSpec, t: float, T: float, state=None) -> float:

@@ -30,7 +30,9 @@ rule of :mod:`.quadrature` on 482 fixed nodes in one vectorized call.  As
 K -> P_nj, s = log(P_nj/K) -> 0; below |s| = 1e-10 the rule runs at frequency
 1e-10, which moves the tail by at most 1e-10 int_0^inf x |r(A+x)| dx.  So prices
 keep to the sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj
-included.
+included.  Far below the forward or at a large dampening the rules cannot reach
+the price: a factor of the integrand beyond e^600, a head error estimate above
+1e-9 or a head out of panels raises QuadratureError naming the strike and a.
 """
 
 from __future__ import annotations
@@ -50,10 +52,7 @@ from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
 __all__ = [
     "OptionSpec",
     "PricingError",
-    "call_jump_coefficient",
     "call_jump_exponent",
-    "call_drift_exponent",
-    "payoff_fourier_weight",
     "fourier_call_price",
     "fourier_call_price_at",
 ]
@@ -65,8 +64,11 @@ _HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** -np.arange(10.0, 0.0, -1.0))
 _HEAD_ABS_TOL = 1e-11
 _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
-# a price below -_NEGATIVE_PRICE_TOL is a quadrature failure, not a small price
-_NEGATIVE_PRICE_TOL = 1e-9
+# log of the largest integrand factor the rules can sum without overflow
+_MAX_LOG_SIZE = 600.0
+# a price below -_PRICE_TOL, or a head error estimate above it, is a quadrature failure:
+# the head accepts panels at their roundoff noise, which a huge integrand makes large
+_PRICE_TOL = 1e-9
 
 
 class PricingError(RuntimeError):
@@ -91,17 +93,11 @@ class OptionSpec:
             raise ValueError(f"dampening must be finite and exceed 1, got {self.dampening}")
 
 
-def call_jump_coefficient(
-    factor: FactorParams, s, y, option: OptionSpec
-) -> complex:
-    """z-coefficient gamma_k(s, y) of the dampened payoff's jump exponent.
+def _call_jump_coefficient(factor: FactorParams, s, u, option: OptionSpec):
+    """z-coefficient gamma_k(s, y) of the dampened payoff's jump exponent, at u = a + iy.
 
-    Takes s in [0, option maturity] and y, either of them an array.
-    Guaranteed Re <= 0: B(s,T) <= B(s,tau) <= 0 and a > 1.
+    Takes s in [0, tau].  Re <= 0: B(s,T) <= B(s,tau) <= 0 and a > 1.
     """
-    if not isinstance(s, np.ndarray):
-        _check_interval(s, s, option.option_maturity, ("s", "s", "option maturity"))
-    u = option.dampening + 1j * y
     b_long = _slope(factor.lam, option.bond_maturity - s)
     b_short = _slope(factor.lam, option.option_maturity - s)
     return factor.sigma * (u * b_long - (u - 1.0) * b_short)
@@ -118,60 +114,23 @@ def call_jump_exponent(
 
     The cumulant-path integral of :mod:`.curves` with shift sigma, which
     checks that Re(eps - gamma) > 0 at both ends.  Accepts a scalar or array
-    y in closed form and a scalar y in quadrature.
+    y, every entry finite, in closed form and a scalar y in quadrature.
     """
     tau = option.option_maturity
     _check_interval(t, t, tau, ("t", "t", "option maturity"))
-    y_arr = np.asarray(y, dtype=complex)
+    y_arr = np.asarray(y)
+    if not np.isfinite(y_arr).all():
+        raise ValueError(f"y must be finite, got {y}")
+    u = option.dampening + 1j * y_arr
     out = _cumulant_integral(
-        factor, lambda s: call_jump_coefficient(factor, s, y_arr, option),
+        factor, lambda s: _call_jump_coefficient(factor, s, u, option),
         factor.sigma, t, tau, method,
     )
     return out if y_arr.ndim else complex(out)
 
 
-def _theta_parts(spec: ModelSpec, option: OptionSpec) -> tuple:
-    """The y-independent pieces of Theta: the floor term and the compensator.
-
-    floor term = int_0^tau mu - sum_k x_k B_k(0,tau), the jump-free I_tau;
-    compensator = sum_k int_0^tau cum_k( sigma_k B_k(s,T) ) ds.
-    """
-    tau, T = option.option_maturity, option.bond_maturity
-    compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)
-    return _jump_free_integral(spec, tau), compensator
-
-
-def _finite_y(y) -> np.ndarray:
-    """y as a float array; ValueError unless every entry is finite."""
-    y_arr = np.asarray(y, dtype=float)
-    if not np.isfinite(y_arr).all():
-        raise ValueError(f"y must be finite, got {y}")
-    return y_arr
-
-
-def call_drift_exponent(spec: ModelSpec, option: OptionSpec, y) -> complex:
-    """Deterministic exponent Theta(y) of the dampened payoff transform."""
-    floor_term, compensator = _theta_parts(spec, option)
-    y_arr = _finite_y(y)
-    u = option.dampening + 1j * y_arr
-    out = (u - 1.0) * floor_term - u * compensator
-    return out if y_arr.ndim else complex(out)
-
-
-def payoff_fourier_weight(y, option: OptionSpec, p0T: float) -> complex:
-    """Fourier transform w(y) of the dampened call payoff.
-
-    Decays like 1/y^2, which is what lets the y-integral be truncated.
-    """
-    if not 0 < p0T < math.inf:
-        raise ValueError(f"p0T must be a positive, finite initial bond price, got {p0T}")
-    y_arr = _finite_y(y)
-    out = _payoff_weight(option.dampening + 1j * y_arr, option, p0T)
-    return out if y_arr.ndim else complex(out)
-
-
 def _payoff_weight(u, option: OptionSpec, p0T: float):
-    """w at u = a + iy, unchecked: the integrand's y and P(0,T) are finite by construction."""
+    """Fourier transform w of the dampened call payoff at u = a + iy; decays like 1/y^2."""
     log_p, log_k = math.log(p0T), math.log(option.strike)
     return np.exp(u * log_p - (u - 1.0) * log_k) / (2.0 * math.pi * u * (u - 1.0))
 
@@ -187,13 +146,24 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
     p0T = bond_price(spec, 0.0, T)
-    floor_term, compensator = _theta_parts(spec, option)
+    # Theta's y-free parts: the jump-free I_tau and sum_k int_0^tau cum_k(sigma_k B_k(s,T)) ds
+    floor_term = _jump_free_integral(spec, tau)
+    compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)
     slope = floor_term - compensator + math.log(p0T / option.strike)
+    # log sizes of w's numerator and of exp(exponent): their real parts depend on y only
+    # through Re Psi_k <= 0
+    log_weight = a * math.log(p0T) - (a - 1.0) * math.log(option.strike)
+    log_rest = (a - 1.0) * floor_term - a * compensator
     if path is not None:
         i_t = integrated_rate(spec, path, t)
         sum_long = _path_jump_sum(spec, path, t, T, "bond")
         sum_short = _path_jump_sum(spec, path, t, tau, "bond")
         slope = slope + sum_long - sum_short
+        log_rest += i_t + a * sum_long - (a - 1.0) * sum_short
+    # with w's denominator 2 pi u (u - 1), of size 2 pi a^2 up to y^2 <= _FAR_Y^2
+    sizes = (log_weight, log_rest, log_weight + log_rest, math.log(2.0 * math.pi * a * a))
+    if not all(size <= _MAX_LOG_SIZE for size in sizes):
+        raise QuadratureError(f"the dampened integrand leaves double range: log sizes {sizes}")
 
     def integrand(y):
         u = a + 1j * y
@@ -209,8 +179,10 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
 
 def _half_line_integral(integrand, slope: float) -> complex:
     """int_0^inf integrand(y) dy: graded-mesh head plus the module docstring's DE tail."""
-    head, _ = gauss_kronrod(integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL, rel_tol=0.0,
-                            breakpoints=_HEAD_MESH)
+    head, head_error = gauss_kronrod(integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
+                                     rel_tol=0.0, breakpoints=_HEAD_MESH)
+    if not head_error <= _PRICE_TOL:
+        raise QuadratureError(f"Fourier head error estimate {head_error} exceeds {_PRICE_TOL}")
     nodes, weights = fourier_rule()
     freq = max(abs(slope), _MIN_FREQUENCY)
     y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
@@ -247,9 +219,13 @@ def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -
     _check_interval(t, t, option.option_maturity, ("t", "t", "option maturity"))
     if path is None and t:
         raise ValueError(f"a time-t price needs a path, got path=None at t={t}")
-    integrand, slope = _integrand_factory(spec, option, t, path)
-    price = 2.0 * _half_line_integral(integrand, slope).real
-    if price < -_NEGATIVE_PRICE_TOL:
+    try:  # the module docstring says when the rules fail; the error names the option
+        integrand, slope = _integrand_factory(spec, option, t, path)
+        price = 2.0 * _half_line_integral(integrand, slope).real
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"{exc} at strike={option.strike}, dampening={option.dampening}") from exc
+    if price < -_PRICE_TOL:
         raise PricingError(
             f"Fourier price {price} is negative beyond tolerance; "
             "the quadrature did not converge"

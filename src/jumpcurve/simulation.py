@@ -298,16 +298,6 @@ def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
     return x
 
 
-def _integrated_on_grid(spec: ModelSpec, jumps, grid: np.ndarray) -> np.ndarray:
-    total = spec.floor.cumulative(grid)
-    at = grid[:, None]
-    for f, rec in _records(spec, jumps):
-        total -= f.x0 * np.expm1(-f.lam * grid) / f.lam
-        if rec.count:
-            total -= f.sigma * _jump_weights(f, rec.times, at, at, "bond") @ rec.sizes
-    return total
-
-
 def simulate_path(
     spec: ModelSpec,
     seed: int,
@@ -332,7 +322,12 @@ def simulate_path(
     grid = np.union1d(mesh, np.concatenate([rec.times for rec in jumps]))
     factors = np.vstack([evolve_factor(f, rec, grid) for f, rec in _records(spec, jumps)])
     short_rate = np.asarray(spec.floor.value(grid)) + factors.sum(axis=0)
-    integrated = _integrated_on_grid(spec, jumps, grid)
+    integrated = spec.floor.cumulative(grid)
+    at = grid[:, None]
+    for f, rec in zip(spec.factors, jumps):
+        integrated -= f.x0 * np.expm1(-f.lam * grid) / f.lam
+        if rec.count:
+            integrated -= f.sigma * _jump_weights(f, rec.times, at, at, "bond") @ rec.sizes
     return SimulatedPath(
         grid=grid,
         jumps=jumps,
@@ -345,7 +340,7 @@ def simulate_path(
 def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     """Exact integrated short rate I_t from the path's jump records."""
     _check_interval(t, t, path.grid[-1], ("t", "t", "horizon"))
-    return float(_integrated_on_grid(spec, path.jumps, np.array([float(t)]))[0])
+    return _jump_free_integral(spec, t) - _path_jump_sum(spec, path, t, t, "bond")
 
 
 def bond_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -> float:
@@ -357,7 +352,10 @@ def bond_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -> float
     state; that identity is the module's central correctness check.
     """
     _check_interval(t, T, path.grid[-1])
-    log_p = math.log(bond_price(spec, 0.0, T)) + integrated_rate(spec, path, t)
+    p0T = bond_price(spec, 0.0, T)
+    if not p0T:
+        raise OverflowError(f"P(0.0, {T}) underflows to 0.0, so the pathwise bond has no log")
+    log_p = math.log(p0T) + integrated_rate(spec, path, t)
     log_p -= sum(cumulant_time_integral(f, 0.0, t, T) for f in spec.factors)
     return math.exp(log_p + _path_jump_sum(spec, path, t, T, "bond"))
 

@@ -14,10 +14,8 @@ from jumpcurve import (
     ModelSpec,
     OptionSpec,
     bond_B,
-    bond_ordering_check,
     bond_path,
     bond_price,
-    effective_state,
     fictitious_bond_price,
     forward_rate,
     forward_spread,
@@ -31,6 +29,7 @@ from jumpcurve import (
     ois_forward,
     simulate_path,
 )
+from jumpcurve.multicurve import _states
 from oracles import path_state
 
 
@@ -103,7 +102,7 @@ class TestDualCurveSpec:
             spread_floor=ConstantFloor(0.0),
             shared_factor_count=1,
         )
-        mapped = effective_state(dual, [0.03, 0.007])
+        mapped = _states(dual, [0.03, 0.007])[1]
         assert np.allclose(mapped, [0.06, 0.007])
         eff = dual.fictitious
         assert eff.factors[0].sigma == 2.0 * baseline_spec.factors[0].sigma
@@ -139,20 +138,25 @@ class TestFictitiousBond:
         assert 0.0 < p_bar <= math.exp(-eff.floor.integral(0.0, 2.0))
 
 
+def assert_ordered(dual, t, T, state=None):
+    """P_bar(t,T) <= P(t,T), up to 1e-12 relative and absolute; returns both bonds."""
+    p_bar = fictitious_bond_price(dual, t, T, state)
+    p = bond_price(dual.base, t, T, None if state is None else state[: dual.n_base])
+    assert p_bar <= p * (1 + 1e-12) + 1e-12
+    return p_bar, p
+
+
 class TestBondOrdering:
     def test_equality_without_spread(self, baseline_spec):
         dual = DualCurveSpec(base=baseline_spec)
-        check = bond_ordering_check(dual, 0.0, 1.0)
-        assert check.ordered
-        assert check.fictitious == check.traded
+        p_bar, p = assert_ordered(dual, 0.0, 1.0)
+        assert p_bar == p
 
     def test_deterministic_spread(self, baseline_spec):
         dual = DualCurveSpec(base=baseline_spec, spread_floor=ConstantFloor(0.01))
-        check = bond_ordering_check(dual, 0.5, 2.0, state=[0.04])
-        assert check.fictitious == pytest.approx(
-            check.traded * math.exp(-0.01 * 1.5), rel=1e-12
-        )
-        assert check.fictitious < check.traded
+        p_bar, p = assert_ordered(dual, 0.5, 2.0, state=[0.04])
+        assert p_bar == pytest.approx(p * math.exp(-0.01 * 1.5), rel=1e-12)
+        assert p_bar < p
 
     def test_random_configuration_sweep(self):
         rng = np.random.default_rng(2024)
@@ -161,8 +165,7 @@ class TestBondOrdering:
             state = rng.uniform(0.0, 0.1, size=dual.n_distinct)
             t = float(rng.uniform(0.0, 2.0))
             T = t + float(rng.uniform(0.1, 8.0))
-            check = bond_ordering_check(dual, t, T, state=state, slack=1e-12)
-            assert check.ordered
+            assert_ordered(dual, t, T, state=state)
 
 
 class TestForwardSpread:
@@ -336,6 +339,18 @@ class TestOverflow:
         message = rf"^P\(0\.0, {T2}\) underflows to {small}, so the forward from {T1} overflows$"
         with pytest.raises(OverflowError, match=message):
             function(dual, 0.0, T1, T2)
+
+    # bond_path took math.log(P(0, T)) and failed with "math domain error"
+    def test_underflowing_pathwise_bond_names_itself(self, baseline_factor, spread_factor):
+        base = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(300.0), horizon=10.0)
+        dual = DualCurveSpec(base=base, spread_factors=(spread_factor,),
+                             spread_floor=ConstantFloor(0.005))
+        path = simulate_path(dual.fictitious, seed=3)
+        message = r"^P\(0\.0, 3\.0\) underflows to 0\.0, so the pathwise bond has no log$"
+        with pytest.raises(OverflowError, match=message):
+            bond_path(dual.fictitious, path, 0.0, 3.0)
+        with pytest.raises(OverflowError, match=message):
+            libor_path_closed_form(dual, path, 0.0, 3.0, 3.25)
 
 
 class TestArgumentContract:

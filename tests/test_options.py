@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,19 +16,19 @@ from jumpcurve import (
     OptionSpec,
     bond_B,
     bond_price,
-    call_drift_exponent,
-    call_jump_coefficient,
     call_jump_exponent,
+    factor_exponent,
     fourier_call_price,
     fourier_call_price_at,
     integrated_rate,
     mc_option_price,
-    payoff_fourier_weight,
+    short_rate_char_fn,
+    short_rate_mgf,
     simulate_path,
 )
 from jumpcurve import options
-from jumpcurve.options import _integrand_factory
-from jumpcurve.quadrature import gauss_kronrod
+from jumpcurve.options import _call_jump_coefficient, _integrand_factory, _payoff_weight
+from jumpcurve.quadrature import QuadratureError, gauss_kronrod
 from oracles import path_state, qawfe_call_price
 
 
@@ -66,17 +67,17 @@ class TestOptionSpec:
 class TestJumpCoefficient:
     def test_vanishes_at_coincident_maturities(self, baseline_factor):
         option = OptionSpec(strike=1.0, option_maturity=1.0, bond_maturity=1.0)
-        assert call_jump_coefficient(baseline_factor, 1.0, 0.7, option) == 0.0
+        assert _call_jump_coefficient(baseline_factor, 1.0, 1.5 + 0.7j, option) == 0.0
 
     def test_equal_maturities_drop_the_dampening_pair(self, baseline_factor):
         option = OptionSpec(strike=1.0, option_maturity=1.0, bond_maturity=1.0)
-        got = call_jump_coefficient(baseline_factor, 0.3, 2.0, option)
+        got = _call_jump_coefficient(baseline_factor, 0.3, 1.5 + 2.0j, option)
         expected = baseline_factor.sigma * bond_B(baseline_factor, 0.3, 1.0)
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_hand_value(self, baseline_factor):
         option = OptionSpec(strike=1.0, option_maturity=0.5, bond_maturity=1.0, dampening=1.5)
-        got = call_jump_coefficient(baseline_factor, 0.0, 0.0, option)
+        got = _call_jump_coefficient(baseline_factor, 0.0, 1.5 + 0.0j, option)
         expected = 1.5 * (math.exp(-1.0) - 1.0) - 0.5 * (math.exp(-0.5) - 1.0)
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -89,7 +90,7 @@ class TestJumpCoefficient:
     def test_real_part_nonpositive(self, s, y, a):
         f = FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
         option = OptionSpec(strike=0.9, option_maturity=0.5, bond_maturity=1.0, dampening=a)
-        assert call_jump_coefficient(f, s, y, option).real <= 1e-15
+        assert _call_jump_coefficient(f, s, a + 1j * y, option).real <= 1e-15
 
 
 class TestJumpExponent:
@@ -126,6 +127,16 @@ class TestJumpExponent:
 
 
 class TestDriftExponent:
+    """Theta(y), read off the integrand w(y) exp(Theta(y) + sum_k Psi_k(y)) at t = 0."""
+
+    @staticmethod
+    def drift_exponent(spec, option, y):
+        integrand, _ = _integrand_factory(spec, option)
+        weight = _payoff_weight(option.dampening + 1j * y, option,
+                                bond_price(spec, 0.0, option.bond_maturity))
+        jumps = sum(call_jump_exponent(f, 0.0, y, option) for f in spec.factors)
+        return cmath.log(integrand(y) / weight) - jumps
+
     def test_no_jump_limit(self, baseline_option):
         spec = ModelSpec(
             factors=(
@@ -135,7 +146,7 @@ class TestDriftExponent:
             horizon=5.0,
         )
         y = 1.7
-        got = call_drift_exponent(spec, baseline_option, y)
+        got = self.drift_exponent(spec, baseline_option, y)
         expected = (1.5 + 1j * y - 1.0) * (
             0.03 * 0.5 - 0.05 * bond_B(spec.factors[0], 0.0, 0.5)
         )
@@ -145,7 +156,7 @@ class TestDriftExponent:
         from jumpcurve import cumulant_time_integral
 
         y = 0.0
-        got = call_drift_exponent(baseline_spec, baseline_option, y)
+        got = self.drift_exponent(baseline_spec, baseline_option, y)
         f = baseline_spec.factors[0]
         floor_term = 0.02 * 0.5 - 0.01 * bond_B(f, 0.0, 0.5)
         compensator = cumulant_time_integral(f, 0.0, 0.5, 1.0)
@@ -155,50 +166,108 @@ class TestDriftExponent:
 
 
 class TestPayoffWeight:
+    @staticmethod
+    def weight(y, option, p0T):
+        return _payoff_weight(option.dampening + 1j * y, option, p0T)
+
     def test_real_positive_on_axis(self, baseline_option):
-        w = payoff_fourier_weight(0.0, baseline_option, 0.95)
+        w = self.weight(0.0, baseline_option, 0.95)
         assert w.imag == pytest.approx(0.0, abs=1e-18)
         assert w.real > 0
 
     def test_hand_value_at_the_money(self):
         option = OptionSpec(strike=0.9, option_maturity=0.5, bond_maturity=1.0, dampening=2.0)
-        w = payoff_fourier_weight(0.0, option, 0.9)
+        w = self.weight(0.0, option, 0.9)
         assert w == pytest.approx(0.9 / (4.0 * math.pi), rel=1e-14)
 
     @given(y=st.floats(min_value=-500.0, max_value=500.0))
     @settings(max_examples=60, deadline=None)
     def test_hermitian_symmetry(self, y):
         option = OptionSpec(strike=0.93, option_maturity=0.5, bond_maturity=1.0)
-        assert payoff_fourier_weight(-y, option, 0.95) == pytest.approx(
-            payoff_fourier_weight(y, option, 0.95).conjugate(), rel=1e-12
+        assert self.weight(-y, option, 0.95) == pytest.approx(
+            self.weight(y, option, 0.95).conjugate(), rel=1e-12
         )
 
     def test_quadratic_decay(self, baseline_option):
-        w1 = abs(payoff_fourier_weight(100.0, baseline_option, 0.95))
-        w2 = abs(payoff_fourier_weight(200.0, baseline_option, 0.95))
+        w1 = abs(self.weight(100.0, baseline_option, 0.95))
+        w2 = abs(self.weight(200.0, baseline_option, 0.95))
         assert w2 == pytest.approx(w1 / 4.0, rel=0.05)
 
 
 class TestTransformArguments:
-    # a NaN y once returned nan+nanj, and an infinite y or P(0,T) warned
-    # "invalid value encountered" before returning NaN
+    # a NaN or infinite y once returned nan+nanj after "invalid value encountered"
     OPTION = OptionSpec(0.9, 0.5, 1.0)
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, np.array([0.5, math.nan])])
-    def test_nonfinite_y(self, baseline_spec, y):
+    def test_nonfinite_y(self, baseline_factor, y):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^y must be finite"):
-                call_drift_exponent(baseline_spec, self.OPTION, y)
-            with pytest.raises(ValueError, match="^y must be finite"):
-                payoff_fourier_weight(y, self.OPTION, 0.9)
+                call_jump_exponent(baseline_factor, 0.0, y, self.OPTION)
 
-    @pytest.mark.parametrize("p0T", [math.nan, math.inf, 0.0, -0.5])
-    def test_bad_bond_price(self, p0T):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^p0T must be"):
-                payoff_fourier_weight(0.5, self.OPTION, p0T)
+
+_WILD = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _arg(lo, hi, exclude_min=False):
+    """A float from lo to hi three times in four; else any float, the non-finite ones included."""
+    in_range = st.floats(lo, hi, exclude_min=exclude_min)
+    return st.integers(0, 3).flatmap(lambda i: in_range if i else _WILD)
+
+
+_FACTOR = FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+_SPEC = ModelSpec(factors=(_FACTOR,), floor=ConstantFloor(0.02), horizon=10.0)
+_OPTION = OptionSpec(0.94, 0.5, 1.0)
+_TIME = _arg(0.0, 10.0)
+# each public transform or option entry point: its call, its arguments' names and
+# strategies, and the contract of its value
+_ARGUMENT_ENTRY_POINTS = {
+    "factor_exponent": (
+        lambda t, u: factor_exponent(_FACTOR, t, u), {"t": _TIME, "u": _arg(-1e3, 1e3)},
+        lambda e: e.psi.real == 0.0 and cmath.isfinite(e.psi) and cmath.isfinite(e.rho)
+        and e.rho.real <= 1e-12,
+    ),
+    "short_rate_char_fn": (
+        lambda t, u: short_rate_char_fn(_SPEC, t, u), {"t": _TIME, "u": _arg(-1e3, 1e3)},
+        lambda cf: abs(cf) <= 1.0 + 1e-12,
+    ),
+    "short_rate_mgf": (
+        lambda t, v: short_rate_mgf(_SPEC, t, v), {"t": _TIME, "v": _arg(-1e2, 10.0)},
+        lambda m: 0.0 <= m < math.inf,
+    ),
+    "call_jump_exponent": (
+        lambda t, y: call_jump_exponent(_FACTOR, t, y, _OPTION),
+        {"t": _arg(0.0, 0.5), "y": _arg(-1e3, 1e3)},
+        lambda psi: cmath.isfinite(psi) and psi.real <= 1e-12,
+    ),
+    "fourier_call_price": (
+        lambda k, tau, T, a: (fourier_call_price(_SPEC, OptionSpec(k, tau, T, a)),
+                              bond_price(_SPEC, 0.0, T)),
+        {"strike": _arg(0.0, 2.0, True), "option maturity": _arg(0.0, 5.0, True),
+         "bond maturity": _TIME, "dampening": _arg(1.0, 5.0, True)},
+        lambda price_and_bond: 0.0 <= price_and_bond[0] <= price_and_bond[1] + 1e-9,
+    ),
+}
+
+
+@given(name=st.sampled_from(sorted(_ARGUMENT_ENTRY_POINTS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_arguments_give_contract_values_or_errors_that_name_them(name, data):
+    call, strategies, contract = _ARGUMENT_ENTRY_POINTS[name]
+    args = [data.draw(strategy, label=arg) for arg, strategy in strategies.items()]
+    names, errors = list(strategies), (ValueError, ArithmeticError)
+    if name == "fourier_call_price":
+        # bond_price names the bond maturity T; far below the forward or at a large
+        # dampening the Fourier head fails, with a QuadratureError that names the option
+        names, errors = [*names, "T"], (*errors, QuadratureError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call(*args)
+        except errors as exc:
+            assert re.search(rf"\b({'|'.join(names)})\b", str(exc)), str(exc)
+        else:
+            assert contract(value), value
 
 
 class TestFourierCallPrice:
@@ -229,6 +298,24 @@ class TestFourierCallPrice:
         price = fourier_call_price(baseline_spec, baseline_option)
         est = mc_option_price(baseline_spec, baseline_option, 100_000, seed=314)
         assert abs(price - est.value) < 3.0 * est.std_error
+
+    # dampening 3000 once returned 1.25e19, above P(0, T), and 1000 was 9e-7 off: the head
+    # accepted panels at their roundoff noise.  Dampening 1e4 overflowed the integrand and
+    # returned 3.4e106 after RuntimeWarnings, and 1e160 warned before the head failed.
+    @pytest.mark.parametrize("strike, dampening, message", [
+        (0.94, 1000.0, "head error estimate"),
+        (0.94, 3000.0, "head error estimate"),
+        (1e-10, 1.5, "exceeded 16384 panels"),
+        (0.94, 1e4, "leaves double range"),
+        (1.0, 1e160, "leaves double range"),
+    ])
+    def test_failed_integral_names_the_option(self, baseline_spec, strike, dampening, message):
+        option = OptionSpec(strike, 0.5, 1.0, dampening)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=message + ".* " + re.escape(
+                    f"at strike={strike}, dampening={dampening}") + "$"):
+                fourier_call_price(baseline_spec, option)
 
     def test_dampening_invariance(self, baseline_spec):
         prices = [
@@ -285,8 +372,6 @@ class TestFourierCallPriceAt:
             fourier_call_price_at(baseline_spec, baseline_option, path, t)
         with pytest.raises(ValueError, match=message.format("t", "t")):
             call_jump_exponent(baseline_factor, t, 0.3, baseline_option)
-        with pytest.raises(ValueError, match=message.format("s", "s")):
-            call_jump_coefficient(baseline_factor, t, 0.3, baseline_option)
 
     def test_bond_maturity_past_the_horizon(self, baseline_spec):
         option = OptionSpec(strike=0.9, option_maturity=0.5, bond_maturity=12.0)

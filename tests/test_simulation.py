@@ -10,6 +10,7 @@ from jumpcurve import (
     JumpRecord,
     ModelSpec,
     OptionSpec,
+    PiecewiseLinearFloor,
     SummedFloor,
     bond_path,
     bond_price,
@@ -297,6 +298,21 @@ class TestIntegratedRate:
         path = simulate_path(baseline_spec, seed=8)
         with pytest.raises(ValueError):
             integrated_rate(baseline_spec, path, baseline_spec.horizon + 1.0)
+
+    @pytest.mark.parametrize("spec_name, floor", [
+        ("baseline_spec", None),
+        ("two_factor_spec", None),
+        ("two_factor_spec", PiecewiseLinearFloor([0.5, 2.0, 5.0, 9.0], [0.01, 0.02, -0.005, 0.03])),
+    ])
+    def test_matches_the_path_column(self, request, spec_name, floor):
+        # the scalar route sums in another order than the grid's, so the last bits may differ
+        spec = request.getfixturevalue(spec_name)
+        if floor is not None:
+            spec = ModelSpec(spec.factors, floor, spec.horizon)
+        for p in range(10):
+            path = simulate_path(spec, seed=5, path_index=p, points_per_year=4)
+            got = [integrated_rate(spec, path, t) for t in path.grid]
+            np.testing.assert_allclose(got, path.integrated, rtol=0.0, atol=4e-15)
 
     @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf, -math.inf])
     def test_pathwise_entry_points_reject_bad_times(self, baseline_spec, t):
