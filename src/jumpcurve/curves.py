@@ -196,7 +196,7 @@ def bond_price(
     """
     _check_interval(t, T, spec.horizon)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
-    state = spec.initial_state().tolist() if state is None else _check_state(state, spec.n_factors)
+    state = spec._state0 if state is None else _check_state(state, spec.n_factors)
     log_p = -spec.floor.integral(t, T)
     for f, x in zip(spec.factors, state):
         log_p += cumulant_time_integral(f, t, T, T, method=method)
@@ -222,7 +222,7 @@ def forward_rate(
     closed forms overflow double precision.
     """
     _check_interval(t, T, spec.horizon)
-    state = spec.initial_state().tolist() if state is None else _check_state(state, spec.n_factors)
+    state = spec._state0 if state is None else _check_state(state, spec.n_factors)
     rate = float(spec.floor.value(T))
     for f, x in zip(spec.factors, state):
         rate += tilted_time_integral(f, t, T, T, method=method)

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,14 +104,14 @@ class FloorFunction(ABC):
     stored variant.  Piecewise-linear variants extrapolate flat on both
     sides of their knot span, so out-of-grid queries are well defined.
 
-    :meth:`integral` is the scalar integral between two times.
-    :meth:`cumulative` gives  int_0^g mu(s) ds  at every point g of a grid in
-    one vectorized pass, with the arithmetic of ``integral(0, g)``.  The
-    results are the same bits for constant floors, and for piecewise-linear
-    floors wherever fewer than eight trapezoids lie below g (at most six
-    knots in (0, g)).  Beyond that only the order of one sum differs:
-    ``integral`` adds the trapezoids with ``np.sum``, which switches to
-    pairwise order at eight terms, and ``cumulative`` adds them in sequence.
+    A scalar time (a float, an int or a 0-d array) runs on Python floats:
+    :meth:`value` returns a float, and :meth:`integral` adds the trapezoids
+    between two times in sequence.  Arrays run in NumPy: ``value`` maps them,
+    and :meth:`cumulative` gives  int_0^g mu(s) ds  at every point g of a
+    grid in one pass, also in sequence.  So the two dialects give the same
+    bits, except that a piecewise-linear ``integral`` over eight or more
+    trapezoids keeps ``np.sum``, which adds them pairwise, and that NumPy's
+    clamp in an array ``value`` may give a zero the other sign.
     Variants implement arithmetic only (value, minimum, ``_integral``,
     ``_cumulative``); the t0 <= t1 and overflow checks live here, once.
     """
@@ -157,9 +159,9 @@ class ConstantFloor(FloorFunction):
     level: float
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.level)
-        return out if t.ndim else float(out)
+        if not isinstance(t, (float, int)) and np.ndim(t):
+            return np.full(np.shape(t), self.level)
+        return float(self.level)
 
     def _integral(self, t0: float, t1: float) -> float:
         return self.level * (t1 - t0)
@@ -185,26 +187,36 @@ class PiecewiseLinearFloor(FloorFunction):
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        # converted once: every value and integral reads the knots as arrays
+        # converted once: the array routes read the knots as arrays
         object.__setattr__(self, "_arrays", (np.asarray(self.times), np.asarray(self.values)))
 
     def value(self, t):
-        xs, ys = self._arrays
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, xs, ys)
-        low, high, steep = self._interp_guard
-        if steep:
-            # the slope of a span a subnormal width apart overflows in np.interp
-            bad = ~np.isfinite(out) & ~np.isnan(t)
-            if t.ndim:
+        if not isinstance(t, (float, int)) and np.ndim(t):
+            t = np.asarray(t, dtype=float)
+            out = np.interp(t, *self._arrays)
+            low, high, steep = self._interp_guard
+            if steep:
+                # the slope of a span a subnormal width apart overflows in np.interp
+                bad = ~np.isfinite(out) & ~np.isnan(t)
                 out[bad] = self._by_fraction(t[bad])
-            elif bad:
-                out = self._by_fraction(t)
-        # np.interp adds slope * (t - x0) to y0, which can round just outside
-        # the knot values; clamped, mu stays within [minimum(), max(values)]
-        if t.ndim:
+            # np.interp adds slope * (t - x0) to y0, which can round just outside
+            # the knot values; clamped, mu stays within [minimum(), max(values)]
             return np.minimum(np.maximum(out, low, out=out), high, out=out)
-        return min(max(float(out), low), high)
+        # a scalar: np.interp's own arithmetic on Python floats
+        t, xs, ys = float(t), self.times, self.values
+        j = bisect_right(xs, t) - 1
+        if j < 0 or j == len(xs) - 1 or xs[j] == t:  # flat outside, the knot value on a knot
+            return ys[max(j, 0)] if t == t or j == 0 else t  # NaN stays NaN but for one knot
+        x0, x1, y0, y1 = xs[j], xs[j + 1], ys[j], ys[j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        out = slope * (t - x0) + y0
+        if out != out:  # retried from the right end, then a flat span's level
+            out = slope * (t - x1) + y1
+            out = y0 if out != out and y0 == y1 else out
+        low, high, steep = self._interp_guard
+        if steep and not math.isfinite(out):
+            out = float(self._by_fraction(t))
+        return low if out < low else high if out > high else out  # min(max(out, low), high)
 
     @functools.cached_property
     def _interp_guard(self):
@@ -220,28 +232,31 @@ class PiecewiseLinearFloor(FloorFunction):
         i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, xs.size - 2)
         frac = np.clip((t - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
         y0, y1 = ys[i], ys[i + 1]
-        return np.clip(y0 + frac * (y1 - y0), np.minimum(y0, y1), np.maximum(y0, y1))
-
-    def _trapezoids(self, breaks):
-        """mu at the sorted breaks and the trapezoid over each span; callers silence overflow."""
-        heights = self.value(breaks)
-        return heights, 0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)
+        with np.errstate(over="ignore", invalid="ignore"):  # the clip bounds an infinite y1 - y0
+            return np.clip(y0 + frac * (y1 - y0), np.minimum(y0, y1), np.maximum(y0, y1))
 
     def _integral(self, t0: float, t1: float) -> float:
         if t1 == t0:
             return 0.0
-        xs, _ = self._arrays
-        breaks = np.concatenate([[t0], xs[(xs > t0) & (xs < t1)], [t1]])
+        xs, ys = self.times, self.values
+        lo, hi = bisect_right(xs, t0), bisect_left(xs, t1)
+        # the trapezoids between t0, every knot strictly inside (t0, t1), and t1
+        breaks, heights = (t0, *xs[lo:hi], t1), (self.value(t0), *ys[lo:hi], self.value(t1))
+        parts = [0.5 * (h1 + h0) * (b1 - b0)
+                 for b0, b1, h0, h1 in zip(breaks, breaks[1:], heights, heights[1:])]
+        if len(parts) < 8:  # np.sum's order below eight terms, from its start 0.0
+            return functools.reduce(operator.add, parts, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # integral raises on inf or nan
-            return float(np.sum(self._trapezoids(breaks)[1]))
+            return float(np.sum(parts))  # pairwise
 
     @functools.cached_property
     def _running_sums(self):
         """The breaks 0 and every knot above it, mu there, and int_0 mu up to each break."""
         xs, _ = self._arrays
         breaks = np.concatenate(([0.0], xs[xs > 0]))
-        heights, whole = self._trapezoids(breaks)
-        # in sequence: the order of np.sum in _integral while it has fewer than 8 terms
+        heights = self.value(breaks)
+        whole = 0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)
+        # in sequence: the order of _integral while it has fewer than 8 terms
         return breaks, heights, np.cumsum(np.concatenate(([0.0], whole)))
 
     def _cumulative(self, grid: np.ndarray) -> np.ndarray:
@@ -333,13 +348,15 @@ class ModelSpec:
             problems.append("horizon must be positive and finite")
         if problems:
             raise InvalidModelError(problems)
+        # Python floats: the default state of bond_price and forward_rate, read without a copy
+        object.__setattr__(self, "_state0", tuple(float(f.x0) for f in self.factors))
 
     @property
     def n_factors(self) -> int:
         return len(self.factors)
 
     def initial_state(self) -> np.ndarray:
-        return np.array([f.x0 for f in self.factors], dtype=float)
+        return np.array(self._state0)
 
 
 class InvalidModelError(ValueError):

@@ -146,6 +146,8 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
     p0T = bond_price(spec, 0.0, T)
+    if not p0T:
+        raise OverflowError(f"P(0.0, {T}) underflows to 0.0, so the payoff transform has no log")
     # Theta's y-free parts: the jump-free I_tau and sum_k int_0^tau cum_k(sigma_k B_k(s,T)) ds
     floor_term = _jump_free_integral(spec, tau)
     compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)

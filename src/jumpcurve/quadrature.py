@@ -47,6 +47,7 @@ _W_GAUSS = np.array([
     0.129484966168870,
 ])
 _GAUSS_SLICE = slice(1, 15, 2)
+_NOISE = 100.0 * np.finfo(float).eps  # roundoff noise per unit of a panel's half-width and size
 
 
 def gauss_kronrod(
@@ -68,7 +69,7 @@ def gauss_kronrod(
     integrands the rule cannot resolve.  ``breakpoints``, inside the interval
     and in order from a to b, split [a, b] into the initial mesh.
     """
-    if not np.isfinite(a) or not np.isfinite(b):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration bounds required")
     if b == a:
         return 0.0, 0.0
@@ -78,7 +79,7 @@ def gauss_kronrod(
     done_values = []
     done_errors = []
     total_panels = lo.size
-    while lo.size:
+    while True:
         if total_panels > max_panels:
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod exceeded {max_panels} panels on "
@@ -94,14 +95,18 @@ def gauss_kronrod(
         coarse = np.sum(kron) + (np.sum(done_values) if done_values else 0.0)
         allowance = max(abs_tol, rel_tol * abs(coarse))
         # splitting cannot push a panel below its own roundoff noise
-        noise = 100.0 * np.finfo(float).eps * np.abs(half) * np.abs(values).max(axis=1)
+        noise = _NOISE * np.abs(half) * np.abs(values).max(axis=1)
         ok = (err <= allowance * np.abs(hi - lo) / abs(span)) | (err <= noise)
+        if ok.all():
+            done_values.extend(kron)
+            done_errors.extend(err)
+            break
         done_values.extend(kron[ok])
         done_errors.extend(err[ok])
         bad_lo, bad_hi, bad_mid = lo[~ok], hi[~ok], mid[~ok]
         lo = np.concatenate([bad_lo, bad_mid])
         hi = np.concatenate([bad_mid, bad_hi])
-        total_panels += int(np.count_nonzero(~ok))
+        total_panels += bad_lo.size
     value = np.sum(np.asarray(done_values))
     error = float(np.sum(np.asarray(done_errors)))
     return (complex(value) if np.iscomplexobj(value) else float(value)), error

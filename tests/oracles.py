@@ -166,6 +166,52 @@ def path_state(spec, path, t):
                      for f, rec in zip(spec.factors, path.jumps, strict=True)])
 
 
+def _guarded_interp(floor, t):
+    """np.interp through a piecewise-linear floor's knots at a float array t, and the knot range.
+
+    Where a span's slope overflows, np.interp's non-finite result becomes
+    y0 + f (y1 - y0), with f the fraction of the span clipped to [0, 1] and
+    the result clipped to [y0, y1].
+    """
+    xs, ys = np.asarray(floor.times), np.asarray(floor.values)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.interp(t, xs, ys)
+        if not np.all(np.isfinite(np.diff(ys) / np.diff(xs))):
+            bad = ~np.isfinite(out) & ~np.isnan(t)
+            i = np.clip(np.searchsorted(xs, t[bad], side="right") - 1, 0, xs.size - 2)
+            frac = np.clip((t[bad] - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+            y0, y1 = ys[i], ys[i + 1]
+            out[bad] = np.clip(y0 + frac * (y1 - y0), np.minimum(y0, y1), np.maximum(y0, y1))
+    return out, float(ys.min()), float(ys.max())
+
+
+def interp_floor_value(floor, t):
+    """mu(t) of a piecewise-linear floor at a scalar t, by np.interp, clamped to the knot range.
+
+    The NumPy route that ``PiecewiseLinearFloor.value``'s scalar branch
+    replaced, kept as its bit reference: the clamp is Python's min and max.
+    """
+    out, low, high = _guarded_interp(floor, np.array([float(t)]))
+    return min(max(float(out[0]), low), high)
+
+
+def trapezoid_floor_integral(floor, t0, t1):
+    """int_{t0}^{t1} mu of a piecewise-linear floor: np.sum of the trapezoids between its knots.
+
+    The NumPy route that ``PiecewiseLinearFloor.integral`` replaced, kept as
+    its bit reference: heights by np.interp with NumPy's clamp, and one
+    ``np.sum``, which adds in sequence below eight terms and pairwise from eight.
+    """
+    if t1 == t0:
+        return 0.0
+    xs = np.asarray(floor.times)
+    breaks = np.concatenate([[t0], xs[(xs > t0) & (xs < t1)], [t1]])
+    heights, low, high = _guarded_interp(floor, breaks)
+    heights = np.minimum(np.maximum(heights, low), high)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(0.5 * (heights[1:] + heights[:-1]) * np.diff(breaks)))
+
+
 def pointwise_cumulative(floor, grid):
     """int_0^g mu at every grid point, one scalar ``floor.integral(0, g)`` per point.
 

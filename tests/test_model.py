@@ -17,7 +17,13 @@ from jumpcurve import (
     mc_short_rate_samples,
 )
 
-from oracles import cumulant_z_oracle, pointwise_cumulative, tilted_z_oracle
+from oracles import (
+    cumulant_z_oracle,
+    interp_floor_value,
+    pointwise_cumulative,
+    tilted_z_oracle,
+    trapezoid_floor_integral,
+)
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 
@@ -36,6 +42,24 @@ ANY_FLOOR = st.one_of(
     PIECEWISE_FLOORS,
     st.lists(st.one_of(CONSTANT_FLOORS, PIECEWISE_FLOORS), min_size=1, max_size=3).map(SummedFloor),
 )
+
+
+@st.composite
+def floor_and_times(draw):
+    """A piecewise floor of up to 20 knots, some below 0, and times on its knots or anywhere.
+
+    Its levels reach the edge of double range, and with more than eight
+    knots one integral can span more than eight trapezoids.
+    """
+    knots = draw(st.lists(
+        st.tuples(st.floats(min_value=-5.0, max_value=20.0),
+                  st.one_of(st.floats(min_value=-0.05, max_value=0.08), LEVELS)),
+        min_size=1, max_size=20, unique_by=lambda kv: kv[0],
+    ))
+    floor = PiecewiseLinearFloor(*zip(*sorted(knots)))
+    time = st.one_of(st.sampled_from(floor.times), st.floats(min_value=-10.0, max_value=30.0))
+    t, t0, t1 = draw(time), draw(time), draw(time)
+    return floor, t, min(t0, t1), max(t0, t1)
 
 
 def violations(*args, **kwargs):
@@ -356,6 +380,45 @@ class TestFloors:
             pass
         else:
             assert totals.dtype == float and np.all(np.isfinite(totals))
+
+    @given(case=floor_and_times())
+    @example(case=(PiecewiseLinearFloor((-2.225073858507e-311, 2.2250738585e-313), (0.0, 0.0625)),
+                   0.0, 0.0, 1.0))
+    @example(case=(PiecewiseLinearFloor(KNOT_TIMES, (1e308, 1.7e308, 1e308, 1e308)), 0.5, 0.0, 0.5))
+    # on the left knot of a span whose slope overflows, and inside it
+    @example(case=(PiecewiseLinearFloor(KNOT_TIMES, (1.7e308, 1.7e308, -1.7e308, -1.7e308)),
+                   1.0, 0.25, 1.5))
+    @example(case=(PiecewiseLinearFloor(tuple(range(12)), tuple(0.01 + 1e-3 * (-1) ** k for k in range(12))),
+                   3.3, 0.1, 11.9))  # twelve trapezoids: np.sum adds them pairwise
+    # np.interp rounds mu(0) below both knot values, which the clamp undoes
+    @example(case=(PiecewiseLinearFloor((-0.18514970683766732, 5.989711946797296e-110), (0.0546875, 0.0)),
+                   0.0, 0.0, 1.0))
+    # slope 0 times an overflowing t - x0 is NaN, so np.interp retries from the right end
+    @example(case=(PiecewiseLinearFloor((-1e308, 1.5e308), (0.01, 0.01)), 1e308, 0.0, 1.0))
+    # every trapezoid is -0.0, and the total +0.0, as np.sum starts from 0.0
+    @example(case=(PiecewiseLinearFloor((0.0, 1.0), (-0.0, -0.0)), 0.5, 0.25, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_routes_match_the_numpy_oracle_bit_for_bit(self, case):
+        floor, t, t0, t1 = case
+        assert floor.value(t).hex() == interp_floor_value(floor, t).hex()
+        expected = trapezoid_floor_integral(floor, t0, t1)
+        if math.isfinite(expected):
+            assert floor.integral(t0, t1).hex() == expected.hex()
+        else:
+            with pytest.raises(OverflowError, match="overflows double precision"):
+                floor.integral(t0, t1)
+
+    @pytest.mark.parametrize("floor", [
+        ConstantFloor(0.02),
+        ConstantFloor(1),  # an int level
+        PiecewiseLinearFloor(KNOT_TIMES, (0.01, 0.03, -0.005, 0.02)),
+        SummedFloor((PiecewiseLinearFloor(KNOT_TIMES, (0.01, 0.03, -0.005, 0.02)), ConstantFloor(0.01))),
+    ], ids=["constant", "int-level", "piecewise", "summed"])
+    @pytest.mark.parametrize("t", [1.7, 2, np.float64(0.25), -1.0, 4], ids=repr)
+    def test_scalar_value_is_a_float_with_the_array_bits(self, floor, t):
+        value = floor.value(t)
+        assert type(value) is float
+        assert value.hex() == float(floor.value(np.array([t]))[0]).hex()
 
     def test_summed_floor(self):
         total = SummedFloor((ConstantFloor(0.01), ConstantFloor(0.005)))

@@ -317,6 +317,15 @@ class TestFourierCallPrice:
                     f"at strike={strike}, dampening={dampening}") + "$"):
                 fourier_call_price(baseline_spec, option)
 
+    # the integrand took math.log(P(0, T)) and failed with "math domain error"
+    @pytest.mark.parametrize("option", [OptionSpec(0.5, 0.5, 3.0), OptionSpec(1e-300, 2.9, 3.0)])
+    def test_underflowing_bond_names_itself(self, baseline_factor, option):
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(300.0), horizon=10.0)
+        assert bond_price(spec, 0.0, 3.0) == 0.0
+        message = r"^P\(0\.0, 3\.0\) underflows to 0\.0, so the payoff transform has no log$"
+        with pytest.raises(OverflowError, match=message):
+            fourier_call_price(spec, option)
+
     def test_dampening_invariance(self, baseline_spec):
         prices = [
             fourier_call_price(
