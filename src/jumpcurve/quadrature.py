@@ -76,7 +76,7 @@ def gauss_kronrod(
     span = b - a
     edges = np.array([a, *breakpoints, b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    done_values = []
+    done_values = []  # the accepted panels' Kronrod sums and errors, one array per round
     done_errors = []
     total_panels = lo.size
     while True:
@@ -92,23 +92,25 @@ def gauss_kronrod(
         kron = (values * _W_KRONROD).sum(axis=1) * half
         gauss = (values[:, _GAUSS_SLICE] * _W_GAUSS).sum(axis=1) * half
         err = np.abs(kron - gauss)
-        coarse = np.sum(kron) + (np.sum(done_values) if done_values else 0.0)
-        allowance = max(abs_tol, rel_tol * abs(coarse))
+        allowance = abs_tol
+        if rel_tol:
+            coarse = np.sum(kron) + (np.sum(np.concatenate(done_values)) if done_values else 0.0)
+            allowance = max(abs_tol, rel_tol * abs(coarse))
         # splitting cannot push a panel below its own roundoff noise
         noise = _NOISE * np.abs(half) * np.abs(values).max(axis=1)
         ok = (err <= allowance * np.abs(hi - lo) / abs(span)) | (err <= noise)
         if ok.all():
-            done_values.extend(kron)
-            done_errors.extend(err)
+            done_values.append(kron)
+            done_errors.append(err)
             break
-        done_values.extend(kron[ok])
-        done_errors.extend(err[ok])
+        done_values.append(kron[ok])
+        done_errors.append(err[ok])
         bad_lo, bad_hi, bad_mid = lo[~ok], hi[~ok], mid[~ok]
         lo = np.concatenate([bad_lo, bad_mid])
         hi = np.concatenate([bad_mid, bad_hi])
         total_panels += bad_lo.size
-    value = np.sum(np.asarray(done_values))
-    error = float(np.sum(np.asarray(done_errors)))
+    value = np.sum(np.concatenate(done_values))
+    error = float(np.sum(np.concatenate(done_errors)))
     return (complex(value) if np.iscomplexobj(value) else float(value)), error
 
 

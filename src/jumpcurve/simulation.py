@@ -378,13 +378,15 @@ def _coefficient(deviations: np.ndarray, control: np.ndarray, control_var: float
     Any centring of v gives the same covariance, so ``deviations`` may be
     v minus the whole sample's mean.  0 for a control whose spread
     max - min is at most 2**-40 max|c|: such a control is constant up to
-    rounding, and its sample covariance a ratio of rounding errors.
+    rounding, and its sample covariance a ratio of rounding errors.  0 too
+    when var(c) underflows to 0, as it does for a subnormal control.
     """
     lo, hi = float(control.min()), float(control.max())
     if hi - lo <= _CONSTANT_SPREAD * max(-lo, hi):
         return 0.0
     dc = control - control.sum() / control.size
-    return float(deviations @ dc / max(dc @ dc, (control.size - 1) * control_var))
+    variance = max(dc @ dc, (control.size - 1) * control_var)
+    return float(deviations @ dc / variance) if variance else 0.0
 
 
 def _estimate(

@@ -6,9 +6,11 @@ import math
 import numpy as np
 from scipy import integrate
 
-from jumpcurve import evolve_factor
-from jumpcurve.options import _integrand_factory
+from jumpcurve import bond_price, cumulant_time_integral, evolve_factor, integrated_rate
+from jumpcurve.curves import _cumulant_integral
+from jumpcurve.options import _call_jump_coefficient, _integrand_factory
 from jumpcurve.quadrature import QuadratureError, fourier_rule, gauss_kronrod
+from jumpcurve.simulation import _jump_free_integral, _path_jump_sum
 
 
 def _support_cutoff(measure, b) -> float:
@@ -88,6 +90,49 @@ def qawfe_call_price(spec, option, path=None, t=0.0):
     """Time-t call price through :func:`qawfe_half_line_integral`."""
     integrand, slope = _integrand_factory(spec, option, t, path)
     return 2.0 * qawfe_half_line_integral(integrand, slope).real
+
+
+def cumulant_path_jump_exponent(factor, t, y, option):
+    """Psi_k(y) from t to expiry: the cumulant-path integral of ``curves`` along gamma_k(., y).
+
+    The closed route that ``call_jump_exponent`` took before its y-free scalars
+    were hoisted out of the y loop, kept as its bit reference: B_k and the
+    half-plane check are recomputed on every call, at every y.
+    """
+    u = option.dampening + 1j * np.asarray(y)
+    return _cumulant_integral(factor, lambda s: _call_jump_coefficient(factor, s, u, option),
+                              factor.sigma, t, option.option_maturity, "closed")
+
+
+def per_factor_integrand(spec, option, t=0.0, path=None):
+    """Fourier integrand y -> w(y) exp(Theta + sum_k Psi_k [+ path terms]), one factor at a time.
+
+    The integrand that ``options._integrand_factory`` built before its y-free
+    scalars were computed once per price, kept as its bit reference: each call
+    builds u - 1 again for every term, takes Psi_k by
+    :func:`cumulant_path_jump_exponent` and the payoff weight's logs anew.
+    """
+    tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
+    p0T = bond_price(spec, 0.0, T)
+    floor_term = _jump_free_integral(spec, tau)
+    compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)
+    if path is not None:
+        i_t = integrated_rate(spec, path, t)
+        sum_long = _path_jump_sum(spec, path, t, T, "bond")
+        sum_short = _path_jump_sum(spec, path, t, tau, "bond")
+
+    def integrand(y):
+        u = a + 1j * y
+        exponent = (u - 1.0) * floor_term - u * compensator
+        for f in spec.factors:
+            exponent = exponent + cumulant_path_jump_exponent(f, t, y, option)
+        if path is not None:
+            exponent = exponent + (i_t + u * sum_long - (u - 1.0) * sum_short)
+        log_p, log_k = math.log(p0T), math.log(option.strike)
+        weight = np.exp(u * log_p - (u - 1.0) * log_k) / (2.0 * math.pi * u * (u - 1.0))
+        return weight * np.exp(exponent)
+
+    return integrand
 
 
 def qawf_levy_density(measure, t, x):

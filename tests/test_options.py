@@ -27,9 +27,19 @@ from jumpcurve import (
     simulate_path,
 )
 from jumpcurve import options
-from jumpcurve.options import _call_jump_coefficient, _integrand_factory, _payoff_weight
+from jumpcurve.options import (
+    _call_jump_coefficient,
+    _half_line_integral,
+    _integrand_factory,
+    _payoff_weight,
+)
 from jumpcurve.quadrature import QuadratureError, gauss_kronrod
-from oracles import path_state, qawfe_call_price
+from oracles import (
+    cumulant_path_jump_exponent,
+    path_state,
+    per_factor_integrand,
+    qawfe_call_price,
+)
 
 
 @pytest.fixture
@@ -132,8 +142,7 @@ class TestDriftExponent:
     @staticmethod
     def drift_exponent(spec, option, y):
         integrand, _ = _integrand_factory(spec, option)
-        weight = _payoff_weight(option.dampening + 1j * y, option,
-                                bond_price(spec, 0.0, option.bond_maturity))
+        weight = TestPayoffWeight.weight(y, option, bond_price(spec, 0.0, option.bond_maturity))
         jumps = sum(call_jump_exponent(f, 0.0, y, option) for f in spec.factors)
         return cmath.log(integrand(y) / weight) - jumps
 
@@ -168,7 +177,8 @@ class TestDriftExponent:
 class TestPayoffWeight:
     @staticmethod
     def weight(y, option, p0T):
-        return _payoff_weight(option.dampening + 1j * y, option, p0T)
+        u = option.dampening + 1j * y
+        return _payoff_weight(u, u - 1.0, math.log(p0T), math.log(option.strike))
 
     def test_real_positive_on_axis(self, baseline_option):
         w = self.weight(0.0, baseline_option, 0.95)
@@ -325,6 +335,13 @@ class TestFourierCallPrice:
         message = r"^P\(0\.0, 3\.0\) underflows to 0\.0, so the payoff transform has no log$"
         with pytest.raises(OverflowError, match=message):
             fourier_call_price(spec, option)
+
+    # the phase slope took math.log(P(0, T) / K), a log of 0.0: "math domain error"
+    def test_strike_whose_moneyness_underflows(self, baseline_factor):
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(230.0), horizon=10.0)
+        p0T = bond_price(spec, 0.0, 3.0)
+        assert p0T / 1e300 == 0.0 < p0T
+        assert 0.0 <= fourier_call_price(spec, OptionSpec(1e300, 0.5, 3.0)) <= p0T
 
     def test_dampening_invariance(self, baseline_spec):
         prices = [
@@ -522,10 +539,10 @@ class TestQawfeOracle:
 
 
 class TestIntegrandCalls:
-    """The graded head mesh settles in two or three calls, and the tail takes one."""
+    """The graded head mesh settles in two or three calls; the first also takes the tail's nodes."""
 
     @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
-    def test_at_most_four_calls_per_price(self, request, monkeypatch, spec_name):
+    def test_at_most_three_calls_per_price(self, request, monkeypatch, spec_name):
         spec = request.getfixturevalue(spec_name)
         calls = []
 
@@ -540,4 +557,89 @@ class TestIntegrandCalls:
                 for a in (1.5, 2.0, 3.0):
                     calls.clear()
                     fourier_call_price(spec, OptionSpec(forward * moneyness, tau, T, a))
-                    assert 2 <= len(calls) <= 4
+                    assert 2 <= len(calls) <= 3
+                    # 11 head panels of 15 Kronrod nodes, 482 DE nodes and the far point
+                    assert calls[0] == 11 * 15 + 483
+
+
+def _same_bits(got, expected):
+    """Equal real and imaginary parts, bit for bit (NaN payloads and signed zeros included)."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (got.shape == expected.shape and got.real.tobytes() == expected.real.tobytes()
+            and got.imag.tobytes() == expected.imag.tobytes())
+
+
+_ORACLE_FACTOR = st.builds(
+    lambda lam, sigma, x0, alpha, eps: FactorParams(lam, sigma, x0, GammaJumpMeasure(alpha, eps)),
+    st.floats(0.05, 3.0), st.floats(0.05, 2.0), st.floats(0.0, 0.05),
+    st.floats(0.05, 50.0), st.floats(1.0, 400.0),
+)
+
+
+def _nodes(data, label):
+    """1 to 700 points on [0, 10^k), k <= 12: the head's and the DE tail's ranges."""
+    n = data.draw(st.integers(1, 700), label=f"{label} size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+    return rng.uniform(0.0, 10.0 ** data.draw(st.integers(0, 12), label=f"{label} scale"), n)
+
+
+class TestIntegrandOracle:
+    """The hoisted integrand against the per-factor route it replaced, bit for bit.
+
+    Vectorized NumPy loops may round a SIMD body and its remainder differently,
+    so the sizes include ones that are not multiples of the vector width, and
+    the head's first call, which also takes the tail's nodes, is checked
+    against the two evaluated apart.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bits_match_the_per_factor_route(self, data):
+        factors = tuple(data.draw(st.lists(_ORACLE_FACTOR, min_size=1, max_size=3), label="factors"))
+        spec = ModelSpec(factors=factors, floor=ConstantFloor(data.draw(st.floats(-0.02, 0.06))),
+                         horizon=10.0)
+        tau = data.draw(st.floats(0.05, 4.0), label="option maturity")
+        T = tau + data.draw(st.floats(0.0, 5.0), label="bond maturity - option maturity")
+        forward = bond_price(spec, 0.0, T) / bond_price(spec, 0.0, tau)
+        option = OptionSpec(forward * data.draw(st.floats(0.5, 1.5), label="moneyness"), tau, T,
+                            data.draw(st.floats(1.05, 5.0), label="dampening"))
+        path, t = None, 0.0
+        if data.draw(st.booleans(), label="along a path"):
+            path = simulate_path(spec, seed=data.draw(st.integers(0, 1000), label="path seed"))
+            t = data.draw(st.floats(0.0, tau), label="t")
+        head, tail = _nodes(data, "head"), _nodes(data, "tail")
+        integrand, _ = _integrand_factory(spec, option, t, path)
+        oracle = per_factor_integrand(spec, option, t, path)
+        for y in (head, tail):
+            assert _same_bits(integrand(y), oracle(y))
+            for f in factors:
+                assert _same_bits(call_jump_exponent(f, t, y, option),
+                                  cumulant_path_jump_exponent(f, t, y, option))
+        merged = integrand(np.concatenate((head, tail)))
+        assert _same_bits(merged, np.concatenate((integrand(head), integrand(tail))))
+
+
+class TestHalfLineIntegral:
+    """The head's first call also takes the tail's nodes; errors and warnings stay head first."""
+
+    @staticmethod
+    def integrand(head, sizes):
+        """``head`` times a factor that overflows at the far point y = 1e8 alone."""
+        def f(y):
+            sizes.append(y.size)
+            return head(y) * np.exp(np.where(y > 1e7, y, 0.0))
+        return f
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_head_error_comes_before_a_tail_warning(self):
+        sizes = []
+        with pytest.raises(QuadratureError, match="^Fourier head error estimate"):
+            _half_line_integral(self.integrand(lambda y: 1e12 * np.cos(y), sizes), 1.0)
+        assert sizes[:2] == [11 * 15 + 483, 11 * 15] and sizes[-1] != 483
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_tail_warning_comes_after_the_head(self):
+        sizes = []
+        with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
+            _half_line_integral(self.integrand(lambda y: 1.0 / (1.0 + y * y), sizes), 1.0)
+        assert sizes[:2] == [11 * 15 + 483, 11 * 15] and sizes[-1] == 483

@@ -617,6 +617,16 @@ class TestControlVariates:
         assert est.value == est.plain_value == plain_mean(values)
         assert est.std_error == est.plain_std_error
 
+    # var(c) underflowed to 0.0: beta was 0/0, and the estimate NaN after a RuntimeWarning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("strike", [1e300, 1e-300])
+    def test_subnormal_control_gets_no_coefficient(self, baseline_factor, strike):
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(230.0), horizon=10.0)
+        est = mc_option_price(spec, OptionSpec(strike, 0.5, 3.0), 1_000, seed=1)
+        assert est.beta == 0.0
+        assert est.value == est.plain_value
+        assert 0.0 <= est.value < 2.0 * bond_price(spec, 0.0, 3.0)
+
     def test_known_variance_bounds_the_coefficient(self):
         # a sample whose control spread is a tenth of the known one
         rng = np.random.default_rng(7)
