@@ -52,7 +52,6 @@ from .simulation import (
 from .options import (
     OptionSpec,
     PricingError,
-    call_jump_exponent,
     fourier_call_price,
     fourier_call_price_at,
 )

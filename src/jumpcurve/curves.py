@@ -105,31 +105,42 @@ def bond_B_dT(factor: FactorParams, t: float, T: float) -> float:
     return -math.exp(-factor.lam * (T - t))
 
 
+def _cumulant_constants(factor: FactorParams, shift: float, span: float) -> tuple:
+    """(drift, weight) over a span t2 - t1: the closed form is drift - weight * log1p(ratio)."""
+    alpha, eps = factor.measure.alpha, factor.measure.epsilon
+    scale = eps * factor.lam + shift
+    return -alpha * shift * span / scale, alpha * eps / scale
+
+
+def _check_half_plane(eps: float, re_g1: float, re_g2: float) -> None:
+    """ValueError unless Re g < eps at both ends of a complex path: the principal log's condition."""
+    if eps <= max(re_g1, re_g2):
+        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
+
+
 def _cumulant_integral(factor: FactorParams, g, shift: float, t1: float, t2: float, method: str):
     """int_{t1}^{t2} cum(g(s)) ds along g(s) = c0 + c1 e^{lam s}, shift = -lam c0.
 
-    ``g`` maps scalar or array times to the cumulant argument, real or
-    complex.  The closed form is the module docstring's antiderivative; the
-    quadrature twin integrates the cumulant adaptively.  A complex or array
-    path must keep Re(eps - g) > 0 at both ends, or ValueError is raised.
+    ``g`` maps scalar times (array nodes in the twin) to the cumulant argument,
+    real or complex.  The closed form is the module docstring's antiderivative;
+    the quadrature twin integrates the cumulant adaptively.  A complex path
+    must keep Re(eps - g) > 0 at both ends, or ValueError is raised.
     """
-    alpha, eps = factor.measure.alpha, factor.measure.epsilon
+    eps = factor.measure.epsilon
     g1, g2 = g(t1), g(t2)
-    # a real scalar path is a bond path, g <= 0, and needs no check
+    # a real path is a bond path, g <= 0, and needs no check
     real = isinstance(g1, float)
-    if not real and eps <= (max(g1.real, g2.real) if isinstance(g1, complex)
-                            else max(g1.real.max(), g2.real.max())):
-        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
+    if not real:
+        _check_half_plane(eps, g1.real, g2.real)
     if method != "closed":
         _check_method(method)
         value, _ = gauss_kronrod(
             lambda s: factor.measure.levy_cumulant(g(s)), t1, t2, abs_tol=_QUAD_TOL
         )
         return value
-    scale = eps * factor.lam + shift
+    drift, weight = _cumulant_constants(factor, shift, t2 - t1)
     ratio = (g1 - g2) / (eps - g1)
-    log_ratio = math.log1p(ratio) if real else np.log1p(ratio)
-    return -alpha * shift * (t2 - t1) / scale - alpha * eps / scale * log_ratio
+    return drift - weight * (math.log1p(ratio) if real else np.log1p(ratio))
 
 
 def cumulant_time_integral(

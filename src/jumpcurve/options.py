@@ -16,8 +16,8 @@ with dampening a > 1 and
 Re(gamma) <= 0 for a > 1 (B is more negative at the longer maturity).
 gamma_k(., y) is a cumulant path with c0 = -sigma/lam, so Psi_k is the one
 cumulant-path integral of :mod:`.curves`, whose module docstring states the
-antiderivative and its principal-branch argument.  The closed form is the
-default route; the time-quadrature twin stays available as its oracle.
+antiderivative, its principal-branch argument and the half-plane check.  Here
+Psi_k has only the closed form; the test suite keeps its time-quadrature twin.
 
 The y-integral is folded onto [0, inf) by conjugate symmetry.  Adaptive
 Gauss-Kronrod integrates the head [0, A], A = 200, from the mesh 0, A 2^-k
@@ -35,7 +35,9 @@ K -> P_nj, s = log(P_nj/K) -> 0; below |s| = 1e-10 the rule runs at frequency
 keep to the sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj
 included.  Far below the forward or at a large dampening the rules cannot reach
 the price: a factor of the integrand beyond e^600, a head error estimate above
-1e-9 or a head out of panels raises QuadratureError naming the strike and a.
+1e-9, a head out of panels or a non-finite integrand value raises QuadratureError
+naming the strike and a.  A time-0 price outside [0, P(0,T)] by more than 1e-9
+raises PricingError, and a smaller excess, noise around a tiny price, is clipped.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .curves import _cumulant_integral, _slope, bond_price, cumulant_time_integral
+from .curves import (
+    _check_half_plane, _cumulant_constants, _slope, bond_price, cumulant_time_integral,
+)
 from .model import FactorParams, ModelSpec, _check_interval
 from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
 from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
@@ -55,7 +59,6 @@ from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
 __all__ = [
     "OptionSpec",
     "PricingError",
-    "call_jump_exponent",
     "fourier_call_price",
     "fourier_call_price_at",
 ]
@@ -69,8 +72,8 @@ _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
 # log of the largest integrand factor the rules can sum without overflow
 _MAX_LOG_SIZE = 600.0
-# a price below -_PRICE_TOL, or a head error estimate above it, is a quadrature failure:
-# the head accepts panels at their roundoff noise, which a huge integrand makes large
+# a time-0 price outside [0, P(0,T)] by more than _PRICE_TOL, or a head error estimate above it,
+# fails: the head accepts panels at their roundoff noise, which a huge integrand makes large
 _PRICE_TOL = 1e-9
 
 
@@ -96,37 +99,20 @@ class OptionSpec:
             raise ValueError(f"dampening must be finite and exceed 1, got {self.dampening}")
 
 
-def _call_jump_coefficient(factor: FactorParams, s, u, option: OptionSpec):
-    """z-coefficient gamma_k(s, y) of the dampened payoff's jump exponent, at u = a + iy.
-
-    Takes s in [0, tau].  Re <= 0: B(s,T) <= B(s,tau) <= 0 and a > 1.
-    """
-    b_long = _slope(factor.lam, option.bond_maturity - s)
-    b_short = _slope(factor.lam, option.option_maturity - s)
-    return factor.sigma * (u * b_long - (u - 1.0) * b_short)
-
-
 def _jump_exponent(factor: FactorParams, t: float, option: OptionSpec):
     """Psi_k from t to expiry in closed form, as a function of (u, u - 1) at u = a + iy.
 
-    The y-free scalars are computed once: B_k at both ends of gamma_k's path,
-    and the two of the cumulant-path integral of :mod:`.curves` with shift
-    sigma.  The returned function follows ``_cumulant_integral``'s order of
-    operations, so its values are that closed form's, bit for bit.  Re gamma_k
-    = sigma (a B(s,T) - (a-1) B(s,tau)) for every y, so the half-plane check
-    Re(eps - gamma) > 0 at both ends is made here, on scalars.
+    The cumulant-path integral of :mod:`.curves` with shift sigma, whose y-free
+    terms and half-plane check are computed once: B_k at both ends of gamma_k's
+    path, and Re gamma_k = sigma (a B(s,T) - (a-1) B(s,tau)) for every y.
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
-    lam, sigma = factor.lam, factor.sigma
-    alpha, eps = factor.measure.alpha, factor.measure.epsilon
+    lam, sigma, eps = factor.lam, factor.sigma, factor.measure.epsilon
     b_long1, b_short1 = _slope(lam, T - t), _slope(lam, tau - t)
     b_long2, b_short2 = _slope(lam, T - tau), _slope(lam, tau - tau)
-    if eps <= max(sigma * (a * b_long1 - (a - 1.0) * b_short1),
-                  sigma * (a * b_long2 - (a - 1.0) * b_short2)):
-        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
-    scale = eps * lam + sigma
-    drift = -alpha * sigma * (tau - t) / scale
-    weight = alpha * eps / scale
+    _check_half_plane(eps, sigma * (a * b_long1 - (a - 1.0) * b_short1),
+                      sigma * (a * b_long2 - (a - 1.0) * b_short2))
+    drift, weight = _cumulant_constants(factor, sigma, tau - t)
 
     def psi(u, u_less_1):
         g1 = sigma * (u * b_long1 - u_less_1 * b_short1)
@@ -134,35 +120,6 @@ def _jump_exponent(factor: FactorParams, t: float, option: OptionSpec):
         return drift - weight * np.log1p((g1 - g2) / (eps - g1))
 
     return psi
-
-
-def call_jump_exponent(
-    factor: FactorParams,
-    t: float,
-    y,
-    option: OptionSpec,
-    method: str = "closed",
-) -> complex:
-    """Time integral of the cumulant along gamma_k(s, y) from t to expiry.
-
-    The cumulant-path integral of :mod:`.curves` with shift sigma, which
-    checks that Re(eps - gamma) > 0 at both ends.  Accepts a scalar or array
-    y, every entry finite, in closed form and a scalar y in quadrature.
-    """
-    tau = option.option_maturity
-    _check_interval(t, t, tau, ("t", "t", "option maturity"))
-    y_arr = np.asarray(y)
-    if not np.isfinite(y_arr).all():
-        raise ValueError(f"y must be finite, got {y}")
-    u = option.dampening + 1j * y_arr
-    if method == "closed":
-        out = _jump_exponent(factor, t, option)(u, u - 1.0)
-    else:
-        out = _cumulant_integral(
-            factor, lambda s: _call_jump_coefficient(factor, s, u, option),
-            factor.sigma, t, tau, method,
-        )
-    return out if y_arr.ndim else complex(out)
 
 
 def _payoff_weight(u, u_less_1, log_p: float, log_k: float):
@@ -226,39 +183,33 @@ def _half_line_integral(integrand, slope: float) -> complex:
     """int_0^inf integrand(y) dy: graded-mesh head plus the module docstring's DE tail.
 
     The head's first call also takes the tail's nodes, so a price makes one
-    vectorized call fewer.  That merged call runs with NumPy's floating-point
-    errors raised; if one is, the head's points are evaluated alone and the
-    tail after the head, so errors and warnings keep the head-then-tail order.
+    vectorized call fewer.  NumPy's floating-point errors are ignored: a
+    non-finite value fails the head's error check, or after it the tail's.
     """
     nodes, weights = fourier_rule()
+    weights = weights if slope >= 0 else weights.conj()
     freq = max(abs(slope), _MIN_FREQUENCY)
     y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
-    tail_values = []  # the tail's values from the head's first call, or None
+    tail_values = []  # the tail's values from the head's first call
 
     def head_integrand(x):
         if tail_values:
             return integrand(x)
-        try:
-            with np.errstate(**{kind: "raise" for kind, how in np.geterr().items()
-                                if how != "ignore"}):
-                values = integrand(np.concatenate((x, y)))
-        except FloatingPointError:
-            tail_values.append(None)
-            return integrand(x)
+        values = integrand(np.concatenate((x, y)))
         tail_values.append(values[x.size:])
         return values[:x.size]
 
-    head, head_error = gauss_kronrod(head_integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
-                                     rel_tol=0.0, breakpoints=_HEAD_MESH)
-    if not head_error <= _PRICE_TOL:
-        raise QuadratureError(f"Fourier head error estimate {head_error} exceeds {_PRICE_TOL}")
-    values = integrand(y) if tail_values[0] is None else tail_values[0]
-    amplitude = values * np.exp(-1j * slope * y)
-    lead = amplitude[-1] * _FAR_Y**2
-    remainder = (amplitude[:-1] - lead / y[:-1] ** 2) @ (weights if slope >= 0 else weights.conj())
-    z = -1j * slope * _HEAD_RANGE  # E_2(z) = e^{-z} - z E_1(z), and E_2(0) = 1
-    e2 = cmath.exp(-z) - (z * complex(exp1(z)) if slope else 0.0)
-    tail = cmath.exp(-z) * remainder / freq + lead * e2 / _HEAD_RANGE
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        head, head_error = gauss_kronrod(head_integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
+                                         rel_tol=0.0, breakpoints=_HEAD_MESH)
+        if not head_error <= _PRICE_TOL:
+            raise QuadratureError(f"Fourier head error estimate {head_error} exceeds {_PRICE_TOL}")
+        amplitude = tail_values[0] * np.exp(-1j * slope * y)
+        lead = amplitude[-1] * _FAR_Y**2
+        remainder = (amplitude[:-1] - lead / y[:-1] ** 2) @ weights
+        z = -1j * slope * _HEAD_RANGE  # E_2(z) = e^{-z} - z E_1(z), and E_2(0) = 1
+        e2 = cmath.exp(-z) - (z * complex(exp1(z)) if slope else 0.0)
+        tail = cmath.exp(-z) * remainder / freq + lead * e2 / _HEAD_RANGE
     if not cmath.isfinite(tail):
         raise QuadratureError(f"Fourier tail diverged beyond y={_HEAD_RANGE} (phase slope {slope})")
     return head + complex(tail)
@@ -269,9 +220,9 @@ def fourier_call_price(spec: ModelSpec, option: OptionSpec) -> float:
 
     The full-line integral is twice the real part of the half-line integral,
     since the integrand is conjugate-symmetric in y; the imaginary part of
-    the half-line result is not used.  A price below -1e-9 raises
-    :class:`PricingError`, and a smaller negative one is clipped to 0.  This
-    is the time-0, path-free case of :func:`fourier_call_price_at`.
+    the half-line result is not used.  A price below 0 or above P(0,T) by
+    more than 1e-9 raises :class:`PricingError`, and a smaller excess is
+    clipped.  This is the time-0, path-free case of :func:`fourier_call_price_at`.
     """
     return fourier_call_price_at(spec, option, None, 0.0)
 
@@ -297,4 +248,8 @@ def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -
             f"Fourier price {price} is negative beyond tolerance; "
             "the quadrature did not converge"
         )
-    return max(price, 0.0)
+    bound = math.inf if t else bond_price(spec, 0.0, option.bond_maturity)
+    if price > bound + _PRICE_TOL:
+        raise PricingError(f"Fourier price {price} exceeds P(0, {option.bond_maturity}) = "
+                           f"{bound} beyond tolerance; the quadrature did not converge")
+    return min(max(price, 0.0), bound)

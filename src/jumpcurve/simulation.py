@@ -389,6 +389,13 @@ def _coefficient(deviations: np.ndarray, control: np.ndarray, control_var: float
     return float(deviations @ dc / variance) if variance else 0.0
 
 
+def _standard_error(residuals: np.ndarray, shift: int) -> float:
+    """sqrt(sum r^2 / (n - 1) / n) from the squares of r 2^-shift, which scales it exactly."""
+    scaled = np.ldexp(residuals, -shift)
+    n = residuals.size
+    return math.ldexp(math.sqrt(float(scaled @ scaled) / (n - 1) / n), shift)
+
+
 def _estimate(
     values: np.ndarray, control: np.ndarray, control_mean: float, control_var: float = 0.0
 ) -> MonteCarloEstimate:
@@ -420,13 +427,16 @@ def _estimate(
     n = values.size
     plain = float(np.sum(values) / n)
     deviations = values - plain
-    plain_se = math.sqrt(float(deviations @ deviations) / (n - 1) / n)
+    magnitudes = np.abs(values)
+    # 2^shift near max|v|: squares of draws near 1e-300 would underflow unscaled
+    shift = math.frexp(float(magnitudes.max()))[1]
+    plain_se = _standard_error(deviations, shift)
     half = n // 2
     b_first = _coefficient(deviations[:half], control[:half], control_var)
     b_second = _coefficient(deviations[half:], control[half:], control_var)
     # the residuals, built in the deviations' buffer: beta (c - control_mean), then v minus it
     residuals = np.subtract(control, control_mean, out=deviations)
-    scale = float(np.abs(values).sum()) / n + max(abs(b_first), abs(b_second)) * (
+    scale = float(magnitudes.sum()) / n + max(abs(b_first), abs(b_second)) * (
         float(np.abs(residuals).sum()) / n + abs(control_mean)
     )
     residuals[:half] *= b_second
@@ -434,7 +444,7 @@ def _estimate(
     np.subtract(values, residuals, out=residuals)
     value = float(np.sum(residuals) / n)
     residuals -= value
-    se = math.sqrt(float(residuals @ residuals) / (n - 1) / n)
+    se = _standard_error(residuals, shift)
     rounding = (math.log2(n) + 8.0) * 2.0**-53 * scale
     return MonteCarloEstimate(
         value=value, std_error=max(se, rounding), n_paths=n,

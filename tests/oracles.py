@@ -7,8 +7,7 @@ import numpy as np
 from scipy import integrate
 
 from jumpcurve import bond_price, cumulant_time_integral, evolve_factor, integrated_rate
-from jumpcurve.curves import _cumulant_integral
-from jumpcurve.options import _call_jump_coefficient, _integrand_factory
+from jumpcurve.options import _integrand_factory
 from jumpcurve.quadrature import QuadratureError, fourier_rule, gauss_kronrod
 from jumpcurve.simulation import _jump_free_integral, _path_jump_sum
 
@@ -92,16 +91,46 @@ def qawfe_call_price(spec, option, path=None, t=0.0):
     return 2.0 * qawfe_half_line_integral(integrand, slope).real
 
 
-def cumulant_path_jump_exponent(factor, t, y, option):
-    """Psi_k(y) from t to expiry: the cumulant-path integral of ``curves`` along gamma_k(., y).
+def jump_coefficient(factor, s, u, option):
+    """gamma_k(s, y) = sigma_k [u B_k(s,T) - (u-1) B_k(s,tau)] at u = a + iy, for s in [0, tau].
 
-    The closed route that ``call_jump_exponent`` took before its y-free scalars
-    were hoisted out of the y loop, kept as its bit reference: B_k and the
-    half-plane check are recomputed on every call, at every y.
+    Scalar s on math.expm1, as the closed forms take it; array s on numpy's.
     """
-    u = option.dampening + 1j * np.asarray(y)
-    return _cumulant_integral(factor, lambda s: _call_jump_coefficient(factor, s, u, option),
-                              factor.sigma, t, option.option_maturity, "closed")
+    lam = factor.lam
+    expm1 = math.expm1 if isinstance(s, float) else np.expm1
+    b_long = expm1(-lam * (option.bond_maturity - s)) / lam
+    b_short = expm1(-lam * (option.option_maturity - s)) / lam
+    return factor.sigma * (u * b_long - (u - 1.0) * b_short)
+
+
+def closed_jump_exponent(factor, t, y, option):
+    """Psi_k(y) from t to expiry: the closed cumulant-path integral along gamma_k(., y).
+
+    The route that ``options._jump_exponent`` replaced, kept as its bit
+    reference: gamma_k at both ends, the half-plane check and the constants
+    are recomputed at every call, in the order the closed form takes them.
+    """
+    alpha, eps = factor.measure.alpha, factor.measure.epsilon
+    tau, u = option.option_maturity, option.dampening + 1j * np.asarray(y)
+    g1, g2 = jump_coefficient(factor, t, u, option), jump_coefficient(factor, tau, u, option)
+    if eps <= max(np.max(g1.real), np.max(g2.real)):
+        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
+    scale = eps * factor.lam + factor.sigma
+    ratio = (g1 - g2) / (eps - g1)
+    return -alpha * factor.sigma * (tau - t) / scale - alpha * eps / scale * np.log1p(ratio)
+
+
+def quadrature_jump_exponent(factor, t, y, option):
+    """Psi_k(y) from t to expiry at a scalar y: the cumulant integrated along gamma_k(., y).
+
+    The time-quadrature twin of the closed form, against derivation errors.
+    """
+    u = option.dampening + 1j * y
+    value, _ = gauss_kronrod(
+        lambda s: factor.measure.levy_cumulant(jump_coefficient(factor, s, u, option)),
+        t, option.option_maturity, abs_tol=1e-13,
+    )
+    return value
 
 
 def per_factor_integrand(spec, option, t=0.0, path=None):
@@ -110,7 +139,7 @@ def per_factor_integrand(spec, option, t=0.0, path=None):
     The integrand that ``options._integrand_factory`` built before its y-free
     scalars were computed once per price, kept as its bit reference: each call
     builds u - 1 again for every term, takes Psi_k by
-    :func:`cumulant_path_jump_exponent` and the payoff weight's logs anew.
+    :func:`closed_jump_exponent` and the payoff weight's logs anew.
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
     p0T = bond_price(spec, 0.0, T)
@@ -125,7 +154,7 @@ def per_factor_integrand(spec, option, t=0.0, path=None):
         u = a + 1j * y
         exponent = (u - 1.0) * floor_term - u * compensator
         for f in spec.factors:
-            exponent = exponent + cumulant_path_jump_exponent(f, t, y, option)
+            exponent = exponent + closed_jump_exponent(f, t, y, option)
         if path is not None:
             exponent = exponent + (i_t + u * sum_long - (u - 1.0) * sum_short)
         log_p, log_k = math.log(p0T), math.log(option.strike)

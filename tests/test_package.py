@@ -21,8 +21,7 @@ PUBLIC_NAMES = {
     "mc_discounted_bond", "mc_option_price", "mc_short_rate_samples", "simulate_jumps",
     "simulate_path",
     # options
-    "OptionSpec", "PricingError", "call_jump_exponent", "fourier_call_price",
-    "fourier_call_price_at",
+    "OptionSpec", "PricingError", "fourier_call_price", "fourier_call_price_at",
     # multicurve
     "DualCurveSpec", "fictitious_bond_price", "forward_spread", "libor_forward",
     "libor_path_closed_form", "ois_forward",

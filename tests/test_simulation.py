@@ -627,6 +627,28 @@ class TestControlVariates:
         assert est.value == est.plain_value
         assert 0.0 <= est.value < 2.0 * bond_price(spec, 0.0, 3.0)
 
+    # squared draws near 1e-300 underflowed: plain_std_error was 0.0, and std_error the
+    # rounding bound, 4.5e-315 for a bond whose draws scaled by 2^1000 give 2.0e-303
+    def test_draws_scaled_by_a_power_of_two_scale_every_field(self):
+        rng = np.random.default_rng(8)
+        control = rng.normal(0.0, 1.0, 1_000)
+        values = 1.0 + 0.5 * control + rng.normal(0.0, 0.1, control.size)
+        est = _estimate(values, control, 0.0, 1.0)
+        tiny = _estimate(np.ldexp(values, -1000), control, 0.0, 1.0)
+        for field in ("value", "std_error", "plain_value", "plain_std_error", "beta"):
+            assert getattr(tiny, field) == math.ldexp(getattr(est, field), -1000), field
+
+    # CLI price printed z-scores of 6e11 (bond) and 6e37 (option) on this model
+    @pytest.mark.parametrize("strike", [None, 1e-300])
+    def test_standard_error_of_prices_near_1e_300(self, baseline_factor, strike):
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(230.0), horizon=10.0)
+        # the call's price is P(0, 3) to double precision: K P(0, 0.5) underflows
+        exact = bond_price(spec, 0.0, 3.0)
+        est = (mc_bond_price(spec, 3.0, 1_000, seed=1) if strike is None
+               else mc_option_price(spec, OptionSpec(strike, 0.5, 3.0), 1_000, seed=1))
+        assert 1e-3 * exact < est.std_error <= est.plain_std_error < 1e-2 * exact
+        assert abs(est.value - exact) < 5.0 * est.std_error
+
     def test_known_variance_bounds_the_coefficient(self):
         # a sample whose control spread is a tenth of the known one
         rng = np.random.default_rng(7)
