@@ -34,8 +34,11 @@ The maturity-tilted integral behind forward rates collapses to
     int_{t1}^{t2} sigma e^{-lam(T-s)} alpha eps / (eps - sigma B(s,T))^2 ds
         = alpha eps / (eps - sigma B(t2,T)) - alpha eps / (eps - sigma B(t1,T)).
 
-Both closed forms keep an adaptive-quadrature twin (``method="quadrature"``) as
-a permanent oracle against derivation errors.
+Each public closed form branches once on ``method``: ``"closed"`` evaluates it
+from the path's two end values in scalar arithmetic (complex ends on the
+transform path), and ``"quadrature"`` runs its twin, the same integrand in
+NumPy on adaptive Gauss-Kronrod nodes, kept as a permanent oracle against
+derivation errors.  Any other name raises ValueError.
 """
 
 from __future__ import annotations
@@ -74,23 +77,23 @@ __all__ = [
     "match_moments",
 ]
 
-_METHODS = ("closed", "quadrature")
 _QUAD_TOL = 1e-13
 
 
-def _check_method(method: str) -> None:
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
+def _slope(lam: float, tau: float) -> float:
+    """(exp(-lam tau) - 1) / lam at a scalar time to maturity tau, on math.expm1.
 
-
-def _slope(lam: float, tau):
-    """(exp(-lam tau) - 1) / lam for a scalar or array time to maturity tau.
-
-    Scalars stay on math.expm1: numpy's expm1 differs from it in the last bit
-    on a few percent of inputs, and the closed forms are bit-stable.
+    numpy's expm1 differs from math's in the last bit on a few percent of
+    inputs; the closed forms stay on math, the twins on numpy's nodes.
     """
-    x = -lam * tau
-    return (math.expm1(x) if isinstance(x, float) else np.expm1(x)) / lam
+    return math.expm1(-lam * tau) / lam
+
+
+def _twin(method: str, integrand, t1: float, t2: float):
+    """int_{t1}^{t2} integrand ds by adaptive quadrature: the twin of a ``method="closed"`` form."""
+    if method != "quadrature":
+        raise ValueError("method must be one of ('closed', 'quadrature')")
+    return gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL)[0]
 
 
 def bond_B(factor: FactorParams, t: float, T: float) -> float:
@@ -118,29 +121,16 @@ def _check_half_plane(eps: float, re_g1: float, re_g2: float) -> None:
         raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
 
 
-def _cumulant_integral(factor: FactorParams, g, shift: float, t1: float, t2: float, method: str):
+def _cumulant_integral(factor: FactorParams, g1, g2, shift: float, span: float):
     """int_{t1}^{t2} cum(g(s)) ds along g(s) = c0 + c1 e^{lam s}, shift = -lam c0.
 
-    ``g`` maps scalar times (array nodes in the twin) to the cumulant argument,
-    real or complex.  The closed form is the module docstring's antiderivative;
-    the quadrature twin integrates the cumulant adaptively.  A complex path
-    must keep Re(eps - g) > 0 at both ends, or ValueError is raised.
+    The module docstring's closed form, from the path's end values
+    g1 = g(t1) and g2 = g(t2) and its span t2 - t1.  Real ends are a bond
+    path; complex ends must have passed :func:`_check_half_plane`.
     """
-    eps = factor.measure.epsilon
-    g1, g2 = g(t1), g(t2)
-    # a real path is a bond path, g <= 0, and needs no check
-    real = isinstance(g1, float)
-    if not real:
-        _check_half_plane(eps, g1.real, g2.real)
-    if method != "closed":
-        _check_method(method)
-        value, _ = gauss_kronrod(
-            lambda s: factor.measure.levy_cumulant(g(s)), t1, t2, abs_tol=_QUAD_TOL
-        )
-        return value
-    drift, weight = _cumulant_constants(factor, shift, t2 - t1)
-    ratio = (g1 - g2) / (eps - g1)
-    return drift - weight * (math.log1p(ratio) if real else np.log1p(ratio))
+    drift, weight = _cumulant_constants(factor, shift, span)
+    ratio = (g1 - g2) / (factor.measure.epsilon - g1)
+    return drift - weight * (math.log1p(ratio) if isinstance(ratio, float) else np.log1p(ratio))
 
 
 def cumulant_time_integral(
@@ -158,7 +148,11 @@ def cumulant_time_integral(
     if not 0 <= t1 <= t2 <= T:  # inline on the hot path; the check names the fault
         _check_interval(t1, t2, T, ("t1", "t2", "T"))
     lam, sigma = factor.lam, factor.sigma
-    return _cumulant_integral(factor, lambda s: sigma * _slope(lam, T - s), sigma, t1, t2, method)
+    if method == "closed":
+        g1, g2 = sigma * _slope(lam, T - t1), sigma * _slope(lam, T - t2)
+        return _cumulant_integral(factor, g1, g2, sigma, t2 - t1)
+    cumulant = factor.measure.levy_cumulant
+    return _twin(method, lambda s: cumulant(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
 
 
 def tilted_time_integral(
@@ -174,21 +168,15 @@ def tilted_time_integral(
     maturity derivative of A, and the forward-curve calibration condition.
     Requires t1 <= t2 <= T.
     """
-    _check_method(method)
     _check_interval(t1, t2, T, ("t1", "t2", "T"))
     lam, sigma = factor.lam, factor.sigma
-    eps = factor.measure.epsilon
-    if method == "quadrature":
-        def integrand(s):
-            b = sigma * _slope(lam, T - s)
-            return sigma * np.exp(-lam * (T - s)) * factor.measure.tilted_mean(b)
-
-        value, _ = gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL)
-        return value
-    alpha = factor.measure.alpha
-    b1 = sigma * _slope(lam, T - t1)
-    b2 = sigma * _slope(lam, T - t2)
-    return alpha * eps / (eps - b2) - alpha * eps / (eps - b1)
+    if method == "closed":
+        alpha, eps = factor.measure.alpha, factor.measure.epsilon
+        b1, b2 = sigma * _slope(lam, T - t1), sigma * _slope(lam, T - t2)
+        return alpha * eps / (eps - b2) - alpha * eps / (eps - b1)
+    mean = factor.measure.tilted_mean
+    return _twin(method, lambda s: sigma * np.exp(-lam * (T - s))
+                 * mean(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
 
 
 def bond_price(
@@ -248,8 +236,9 @@ def yield_curve(spec: ModelSpec, t: float, T: float, state=None) -> float:
 
     Raises OverflowError when P(t,T) underflows to 0.
     """
-    if T <= t:
-        raise ValueError("need T > t")
+    _check_interval(t, T, spec.horizon)
+    if t == T:
+        raise ValueError(f"need t < T, got t={t}, T={T}")
     price = bond_price(spec, t, T, state)
     if price == 0.0:
         raise OverflowError(f"P({t}, {T}) underflows to 0.0, so its yield overflows")

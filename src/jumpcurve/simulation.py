@@ -378,15 +378,18 @@ def _coefficient(deviations: np.ndarray, control: np.ndarray, control_var: float
     Any centring of v gives the same covariance, so ``deviations`` may be
     v minus the whole sample's mean.  0 for a control whose spread
     max - min is at most 2**-40 max|c|: such a control is constant up to
-    rounding, and its sample covariance a ratio of rounding errors.  0 too
-    when var(c) underflows to 0, as it does for a subnormal control.
+    rounding, and its sample covariance a ratio of rounding errors.  The
+    control and control_var are scaled by 2^-shift near max|c|, which is
+    exact, so var(c) of a control near 1e-300 does not underflow.
     """
     lo, hi = float(control.min()), float(control.max())
     if hi - lo <= _CONSTANT_SPREAD * max(-lo, hi):
         return 0.0
-    dc = control - control.sum() / control.size
-    variance = max(dc @ dc, (control.size - 1) * control_var)
-    return float(deviations @ dc / variance) if variance else 0.0
+    shift = math.frexp(max(-lo, hi))[1]
+    dc = np.ldexp(control, -shift)
+    dc -= dc.sum() / dc.size
+    variance = max(dc @ dc, (control.size - 1) * math.ldexp(control_var, -2 * shift))
+    return math.ldexp(float(deviations @ dc / variance), -shift)
 
 
 def _standard_error(residuals: np.ndarray, shift: int) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i1e
 
-from .curves import _cumulant_integral
+from .curves import _check_half_plane, _cumulant_integral, _twin
 from .model import FactorParams, GammaJumpMeasure, ModelSpec, _check_interval
 
 __all__ = [
@@ -66,11 +66,13 @@ def factor_exponent(
     if not cmath.isfinite(u):
         raise ValueError(f"need a finite u, got u={u}")
     lam, sigma = factor.lam, factor.sigma
-    rho = _cumulant_integral(
-        factor,  # math.exp at the two scalar ends, numpy on the quadrature twin's nodes
-        lambda s: 1j * u * sigma * (math.exp if isinstance(s, float) else np.exp)(-lam * (t - s)),
-        0.0, 0.0, t, method,
-    )
+    g1, g2 = 1j * u * sigma * math.exp(-lam * t), 1j * u * sigma  # the path at s = 0 and s = t
+    _check_half_plane(factor.measure.epsilon, g1.real, g2.real)
+    if method == "closed":
+        rho = _cumulant_integral(factor, g1, g2, 0.0, t)
+    else:
+        cumulant = factor.measure.levy_cumulant
+        rho = _twin(method, lambda s: cumulant(1j * u * sigma * np.exp(-lam * (t - s))), 0.0, t)
     return AffineExponent(psi=complex(1j * u * math.exp(-lam * t)), rho=complex(rho))
 
 

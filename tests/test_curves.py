@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from jumpcurve import (
     calibrate_floor,
     conditional_moments,
     cumulant_time_integral,
+    factor_exponent,
     forward_rate,
     match_moments,
     mc_bond_price,
+    short_rate_char_fn,
     tilted_time_integral,
     yield_curve,
 )
@@ -284,8 +287,27 @@ class TestYieldCurve:
         )
 
     def test_rejects_degenerate(self, baseline_spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need t < T, got t=1.0, T=1.0"):
             yield_curve(baseline_spec, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"need t <= T, got t=1.0, T=0.5"):
+            yield_curve(baseline_spec, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, f: bond_price(spec, 0.0, 1.0, method="simpson"),
+        lambda spec, f: forward_rate(spec, 0.0, 1.0, method="simpson"),
+        lambda spec, f: cumulant_time_integral(f, 0.0, 1.0, 1.0, method="simpson"),
+        lambda spec, f: tilted_time_integral(f, 0.0, 1.0, 1.0, method="simpson"),
+        lambda spec, f: factor_exponent(f, 1.0, 2.0, method="simpson"),
+    ],
+    ids=["bond_price", "forward_rate", "cumulant_time_integral", "tilted_time_integral",
+         "factor_exponent"],
+)
+def test_unknown_method_is_rejected(call, baseline_spec, baseline_factor):
+    with pytest.raises(ValueError, match=re.escape("method must be one of ('closed', 'quadrature')")):
+        call(baseline_spec, baseline_factor)
 
 
 class TestOverflow:
@@ -416,6 +438,40 @@ class TestBitExactness:
                     digest.update(forward_rate(spec, t, t + dT).hex().encode())
         assert digest.hexdigest() == (
             "56227414d097b49235b5939b87e358b93483c149d9546a25b298ed632425af7e"
+        )
+
+    def test_twin_and_transform_digest(self):
+        # the quadrature twins, both factor_exponent routes and the short-rate CF:
+        # none of them runs through the closed forms pinned above, so a change of
+        # route in any one of them shows here; u stays where Re(i u) sigma < eps
+        heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
+        specs = [_pinned_spec(n) for n in (1, 2, 3)]
+        specs.append(ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0))
+        digest = hashlib.sha256()
+
+        def put(*values):
+            for value in values:
+                value = complex(value)
+                digest.update(f"{value.real.hex()} {value.imag.hex()};".encode())
+
+        for spec in specs:
+            for i in range(8):
+                t = 0.35 * i
+                T = t + 1e-7 + 0.43 * i
+                put(bond_price(spec, t, T, method="quadrature"),
+                    forward_rate(spec, t, T, method="quadrature"))
+                for u in (-3.0, 0.7, 25.0, 2.0 - 0.5j):
+                    put(short_rate_char_fn(spec, T, u))
+                for f in spec.factors:
+                    put(cumulant_time_integral(f, 0.5 * t, t, T, method="quadrature"),
+                        tilted_time_integral(f, 0.5 * t, t, T, method="quadrature"))
+                    bound = f.measure.epsilon / f.sigma
+                    for u in (-3.0, 0.7, 25.0, 4.0j, -0.5j, -0.9j * bound, 2.0 - 0.5j):
+                        for method in ("closed", "quadrature"):
+                            part = factor_exponent(f, T, u, method=method)
+                            put(part.psi, part.rho)
+        assert digest.hexdigest() == (
+            "b09b654da7cb55258c22ac025bbbde92da0bd47ad56cb1bcc2d13be2a7b53a8f"
         )
 
     @pytest.mark.parametrize(

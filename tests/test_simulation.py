@@ -17,6 +17,7 @@ from jumpcurve import (
     conditional_moments,
     evolve_factor,
     forward_rate,
+    fourier_call_price,
     hjm_forward_path,
     integrated_rate,
     mc_bond_curve,
@@ -619,13 +620,24 @@ class TestControlVariates:
 
     # var(c) underflowed to 0.0: beta was 0/0, and the estimate NaN after a RuntimeWarning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("strike", [1e300, 1e-300])
-    def test_subnormal_control_gets_no_coefficient(self, baseline_factor, strike):
+    def test_zero_payoff_gets_no_coefficient(self, baseline_factor):
         spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(230.0), horizon=10.0)
-        est = mc_option_price(spec, OptionSpec(strike, 0.5, 3.0), 1_000, seed=1)
+        est = mc_option_price(spec, OptionSpec(1e300, 0.5, 3.0), 1_000, seed=1)
         assert est.beta == 0.0
-        assert est.value == est.plain_value
-        assert 0.0 <= est.value < 2.0 * bond_price(spec, 0.0, 3.0)
+        assert est.value == est.plain_value == 0.0
+
+    # var(c) of the discounted bond near 1e-300 underflowed to 0.0, so the control was
+    # dropped: beta 0.0 and std_error = plain_std_error = 5.46e-303 at seed 1
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_control_near_1e_300_keeps_its_coefficient(self, baseline_factor, seed):
+        spec = ModelSpec(factors=(baseline_factor,), floor=ConstantFloor(230.0), horizon=10.0)
+        option = OptionSpec(1e-300, 0.5, 3.0)
+        est = mc_option_price(spec, option, 1_000, seed=seed)
+        # the payoff is the control less K P(0, 0.5), which underflows
+        assert est.beta == pytest.approx(1.0, rel=1e-12)
+        assert est.std_error < 1e-6 * est.plain_std_error
+        assert abs(est.value - fourier_call_price(spec, option)) < 5.0 * est.std_error
 
     # squared draws near 1e-300 underflowed: plain_std_error was 0.0, and std_error the
     # rounding bound, 4.5e-315 for a bond whose draws scaled by 2^1000 give 2.0e-303
@@ -646,7 +658,9 @@ class TestControlVariates:
         exact = bond_price(spec, 0.0, 3.0)
         est = (mc_bond_price(spec, 3.0, 1_000, seed=1) if strike is None
                else mc_option_price(spec, OptionSpec(strike, 0.5, 3.0), 1_000, seed=1))
-        assert 1e-3 * exact < est.std_error <= est.plain_std_error < 1e-2 * exact
+        assert 1e-3 * exact < est.plain_std_error < 1e-2 * exact
+        # at least the rounding of the mean: the option's control leaves only that
+        assert 2.0**-53 * exact < est.std_error <= est.plain_std_error
         assert abs(est.value - exact) < 5.0 * est.std_error
 
     def test_known_variance_bounds_the_coefficient(self):
