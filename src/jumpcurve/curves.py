@@ -39,6 +39,21 @@ from the path's two end values in scalar arithmetic (complex ends on the
 transform path), and ``"quadrature"`` runs its twin, the same integrand in
 NumPy on adaptive Gauss-Kronrod nodes, kept as a permanent oracle against
 derivation errors.  Any other name raises ValueError.
+
+The path-free parts of both closed forms depend on the factor alone.
+:func:`.model._path_constants` computes them as Python floats: lam, sigma,
+eps, alpha eps, -alpha shift, scale, alpha eps / scale and the bond path's
+end value g(T) = sigma B(T,T) = -0.0.  A :class:`.ModelSpec` builds them once
+per factor when it is validated and keeps them in ``_paths``.  The bond
+prices, forward rates, pathwise identities, the Fourier exponents and the
+Monte Carlo affine bond read them from there.  ``calibrate_floor`` and the
+per-factor public functions build their own with the same constructor.
+The constants keep the bits of the expressions above, evaluated left to
+right: -alpha shift span / scale is ((-alpha) shift) span / scale, and
+alpha eps / (eps - g) is (alpha eps) / (eps - g).  So the products
+(-alpha) shift and alpha eps are cached, but no reciprocal is, and
+alpha eps / eps is never folded to alpha.  Times pass the interval check as
+Python floats, so no NumPy scalar reaches this arithmetic.
 """
 
 from __future__ import annotations
@@ -58,6 +73,8 @@ from .model import (
     PiecewiseLinearFloor,
     _check_interval,
     _check_state,
+    _path_constants,
+    _slope,
     factor_mean_term,
     factor_var_term,
 )
@@ -80,15 +97,6 @@ __all__ = [
 _QUAD_TOL = 1e-13
 
 
-def _slope(lam: float, tau: float) -> float:
-    """(exp(-lam tau) - 1) / lam at a scalar time to maturity tau, on math.expm1.
-
-    numpy's expm1 differs from math's in the last bit on a few percent of
-    inputs; the closed forms stay on math, the twins on numpy's nodes.
-    """
-    return math.expm1(-lam * tau) / lam
-
-
 def _twin(method: str, integrand, t1: float, t2: float):
     """int_{t1}^{t2} integrand ds by adaptive quadrature: the twin of a ``method="closed"`` form."""
     if method != "quadrature":
@@ -98,21 +106,14 @@ def _twin(method: str, integrand, t1: float, t2: float):
 
 def bond_B(factor: FactorParams, t: float, T: float) -> float:
     """Affine slope B(t,T) = (exp(-lam (T-t)) - 1) / lam <= 0."""
-    _check_interval(t, T)
-    return math.expm1(-factor.lam * (T - t)) / factor.lam
+    t, T = _check_interval(t, T)
+    return _slope(factor.lam, T - t)
 
 
 def bond_B_dT(factor: FactorParams, t: float, T: float) -> float:
     """Maturity derivative of the slope, -exp(-lam (T-t))."""
-    _check_interval(t, T)
+    t, T = _check_interval(t, T)
     return -math.exp(-factor.lam * (T - t))
-
-
-def _cumulant_constants(factor: FactorParams, shift: float, span: float) -> tuple:
-    """(drift, weight) over a span t2 - t1: the closed form is drift - weight * log1p(ratio)."""
-    alpha, eps = factor.measure.alpha, factor.measure.epsilon
-    scale = eps * factor.lam + shift
-    return -alpha * shift * span / scale, alpha * eps / scale
 
 
 def _check_half_plane(eps: float, re_g1: float, re_g2: float) -> None:
@@ -121,16 +122,29 @@ def _check_half_plane(eps: float, re_g1: float, re_g2: float) -> None:
         raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
 
 
-def _cumulant_integral(factor: FactorParams, g1, g2, shift: float, span: float):
+def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
     """int_{t1}^{t2} cum(g(s)) ds along g(s) = c0 + c1 e^{lam s}, shift = -lam c0.
 
-    The module docstring's closed form, from the path's end values
+    The module docstring's closed form on a path's constants ``c`` (of
+    :func:`.model._path_constants` with that shift), from its end values
     g1 = g(t1) and g2 = g(t2) and its span t2 - t1.  Real ends are a bond
-    path; complex ends must have passed :func:`_check_half_plane`.
+    path; complex ends take ``log1p=np.log1p`` and must have passed
+    :func:`_check_half_plane`.
     """
-    drift, weight = _cumulant_constants(factor, shift, span)
-    ratio = (g1 - g2) / (factor.measure.epsilon - g1)
-    return drift - weight * (math.log1p(ratio) if isinstance(ratio, float) else np.log1p(ratio))
+    _, _, eps, _, drift_rate, scale, weight, _ = c
+    return drift_rate * span / scale - weight * log1p((g1 - g2) / (eps - g1))
+
+
+def _tilted_closed(c: tuple, b1: float, b2: float) -> float:
+    """The module docstring's tilted integral from the bond path's end values b1 and b2."""
+    _, _, eps, alpha_eps, _, _, _, _ = c
+    return alpha_eps / (eps - b2) - alpha_eps / (eps - b1)
+
+
+def _bond_ends(c: tuple, t1: float, t2: float, T: float) -> tuple:
+    """The bond path's end values sigma B(t1,T) and sigma B(t2,T), on a factor's constants."""
+    lam, sigma = c[0], c[1]
+    return sigma * _slope(lam, T - t1), sigma * _slope(lam, T - t2)
 
 
 def cumulant_time_integral(
@@ -145,12 +159,12 @@ def cumulant_time_integral(
     Requires t1 <= t2 <= T.  The bond path of the module docstring (shift
     sigma); ``method="quadrature"`` runs its twin, which must agree.
     """
-    if not 0 <= t1 <= t2 <= T:  # inline on the hot path; the check names the fault
-        _check_interval(t1, t2, T, ("t1", "t2", "T"))
-    lam, sigma = factor.lam, factor.sigma
+    t1, t2 = _check_interval(t1, t2, T, ("t1", "t2", "T"))
+    T = float(T)
     if method == "closed":
-        g1, g2 = sigma * _slope(lam, T - t1), sigma * _slope(lam, T - t2)
-        return _cumulant_integral(factor, g1, g2, sigma, t2 - t1)
+        c = _path_constants(factor)
+        return _cumulant_closed(c, *_bond_ends(c, t1, t2, T), t2 - t1)
+    lam, sigma = factor.lam, factor.sigma
     cumulant = factor.measure.levy_cumulant
     return _twin(method, lambda s: cumulant(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
 
@@ -168,12 +182,12 @@ def tilted_time_integral(
     maturity derivative of A, and the forward-curve calibration condition.
     Requires t1 <= t2 <= T.
     """
-    _check_interval(t1, t2, T, ("t1", "t2", "T"))
-    lam, sigma = factor.lam, factor.sigma
+    t1, t2 = _check_interval(t1, t2, T, ("t1", "t2", "T"))
+    T = float(T)
     if method == "closed":
-        alpha, eps = factor.measure.alpha, factor.measure.epsilon
-        b1, b2 = sigma * _slope(lam, T - t1), sigma * _slope(lam, T - t2)
-        return alpha * eps / (eps - b2) - alpha * eps / (eps - b1)
+        c = _path_constants(factor)
+        return _tilted_closed(c, *_bond_ends(c, t1, t2, T))
+    lam, sigma = factor.lam, factor.sigma
     mean = factor.measure.tilted_mean
     return _twin(method, lambda s: sigma * np.exp(-lam * (T - s))
                  * mean(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
@@ -193,13 +207,21 @@ def bond_price(
     exp(-int_t^T mu) whenever every factor value is nonnegative.  Raises
     OverflowError when the closed forms overflow double precision.
     """
-    _check_interval(t, T, spec.horizon)
+    t, T = _check_interval(t, T, spec.horizon)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
     state = spec._state0 if state is None else _check_state(state, spec.n_factors)
     log_p = -spec.floor.integral(t, T)
-    for f, x in zip(spec.factors, state):
-        log_p += cumulant_time_integral(f, t, T, T, method=method)
-        log_p += _slope(f.lam, T - t) * x
+    tau = T - t
+    if method == "closed":
+        for c, x in zip(spec._paths, state):
+            lam, sigma, _, _, _, _, _, end = c
+            slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
+            log_p += _cumulant_closed(c, sigma * slope, end, tau)
+            log_p += slope * x
+    else:
+        for f, x in zip(spec.factors, state):
+            log_p += cumulant_time_integral(f, t, T, T, method=method)
+            log_p += _slope(f.lam, tau) * x
     if not math.isfinite(log_p):
         raise OverflowError(f"log P({t}, {T}) = {log_p} overflows double precision")
     return math.exp(log_p)
@@ -220,12 +242,19 @@ def forward_rate(
     closed form.  Satisfies f(t,t) = r(t).  Raises OverflowError when the
     closed forms overflow double precision.
     """
-    _check_interval(t, T, spec.horizon)
+    t, T = _check_interval(t, T, spec.horizon)
     state = spec._state0 if state is None else _check_state(state, spec.n_factors)
     rate = float(spec.floor.value(T))
-    for f, x in zip(spec.factors, state):
-        rate += tilted_time_integral(f, t, T, T, method=method)
-        rate += x * math.exp(-f.lam * (T - t))
+    tau = T - t
+    if method == "closed":
+        for c, x in zip(spec._paths, state):
+            lam, sigma, _, _, _, _, _, end = c
+            rate += _tilted_closed(c, sigma * _slope(lam, tau), end)
+            rate += x * math.exp(-lam * tau)
+    else:
+        for f, x in zip(spec.factors, state):
+            rate += tilted_time_integral(f, t, T, T, method=method)
+            rate += x * math.exp(-f.lam * tau)
     if not math.isfinite(rate):
         raise OverflowError(f"f({t}, {T}) = {rate} overflows double precision")
     return rate
@@ -236,7 +265,7 @@ def yield_curve(spec: ModelSpec, t: float, T: float, state=None) -> float:
 
     Raises OverflowError when P(t,T) underflows to 0.
     """
-    _check_interval(t, T, spec.horizon)
+    t, T = _check_interval(t, T, spec.horizon)
     if t == T:
         raise ValueError(f"need t < T, got t={t}, T={T}")
     price = bond_price(spec, t, T, state)
@@ -307,12 +336,14 @@ def calibrate_floor(
     factors = tuple(factors)
     if not factors:
         raise ValueError("need at least one factor")
+    # Python floats throughout: the factors' constants once, the market grid as a list
+    starts = [(float(f.x0), _path_constants(f)) for f in factors]
     levels = []
-    for T, f_mkt in zip(market.maturities, market.rates):
+    for T, f_mkt in zip(market.maturities.tolist(), market.rates.tolist()):
         adj = 0.0
-        for f in factors:
-            adj += f.x0 * math.exp(-f.lam * T)
-            adj += tilted_time_integral(f, 0.0, T, T)
+        for x0, c in starts:
+            adj += x0 * math.exp(-c[0] * T)
+            adj += _tilted_closed(c, *_bond_ends(c, 0.0, T, T))
         level = f_mkt - adj
         if not math.isfinite(level):
             raise OverflowError(f"calibrated floor level at maturity {T} is {level}, not finite")

@@ -350,6 +350,8 @@ class ModelSpec:
             raise InvalidModelError(problems)
         # Python floats: the default state of bond_price and forward_rate, read without a copy
         object.__setattr__(self, "_state0", tuple(float(f.x0) for f in self.factors))
+        # built after the checks: an invalid factor raises above, never in the constants
+        object.__setattr__(self, "_paths", tuple(_path_constants(f) for f in self.factors))
 
     @property
     def n_factors(self) -> int:
@@ -389,14 +391,16 @@ def _floor_violations(floor: FloorFunction, label: str) -> list:
 
 
 def _check_interval(t: float, T: float, bound: float = math.inf,
-                    names: tuple = ("t", "T", "horizon")) -> None:
-    """ValueError unless 0 <= t <= T <= bound with T finite, naming the first link that fails.
+                    names: tuple = ("t", "T", "horizon")) -> tuple:
+    """(t, T) as Python floats; ValueError unless 0 <= t <= T <= bound with T finite,
+    naming the first link that fails.
 
     One chained comparison on the hot path, which NaN fails; a single time is
-    the interval [t, t].
+    the interval [t, t].  The floats keep NumPy scalar times out of the closed
+    forms, where a product that overflows would warn before giving inf.
     """
     if 0 <= t <= T <= bound and T < math.inf:
-        return
+        return float(t), float(T)
     a, b, c = names
     if not 0 <= t:
         raise ValueError(f"need {a} >= 0, got {a}={t}")
@@ -406,6 +410,32 @@ def _check_interval(t: float, T: float, bound: float = math.inf,
         raise ValueError(f"need {b} <= {c} = {bound}, got {b}={T}")
     name = a if t == T else b  # the first of the two that is infinite
     raise ValueError(f"need a finite {name}, got {name}={T}")
+
+
+def _slope(lam: float, tau: float) -> float:
+    """Affine slope B = (exp(-lam tau) - 1) / lam at a scalar time to maturity tau, on math.expm1.
+
+    numpy's expm1 differs from math's in the last bit on a few percent of
+    inputs; the closed forms stay on math, the quadrature twins on numpy's nodes.
+    """
+    return math.expm1(-lam * tau) / lam
+
+
+def _path_constants(factor: FactorParams, shift: float | None = None) -> tuple:
+    """A factor's cumulant-path constants as Python floats, in the closed forms' order.
+
+    (lam, sigma, eps, alpha eps, -alpha shift, scale = eps lam + shift,
+    alpha eps / scale, sigma B(T,T)): the path-free parts of the closed forms
+    of :mod:`.curves` along a path with the given shift, sigma by default (the
+    bond path), and that path's end value g(T) = -0.0.  A valid factor keeps
+    scale >= sigma > 0.
+    """
+    lam, sigma = float(factor.lam), float(factor.sigma)
+    alpha, eps = float(factor.measure.alpha), float(factor.measure.epsilon)
+    shift = sigma if shift is None else float(shift)
+    scale = eps * lam + shift
+    return (lam, sigma, eps, alpha * eps, -alpha * shift, scale, alpha * eps / scale,
+            sigma * _slope(lam, 0.0))
 
 
 def _check_state(state, n: int) -> list:
@@ -446,7 +476,7 @@ def conditional_moments(
 
     With u = 0 and the initial state this gives the unconditional moments.
     """
-    _check_interval(u, t, spec.horizon, ("u", "t", "horizon"))
+    u, t = _check_interval(u, t, spec.horizon, ("u", "t", "horizon"))
     state = _check_state(state, spec.n_factors)
     dt = t - u
     mean = spec.floor.value(t)

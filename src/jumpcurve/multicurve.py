@@ -126,9 +126,10 @@ def forward_spread(dual: DualCurveSpec, t: float, T: float, state=None) -> float
 
 def _simple_forward(spec: ModelSpec, t: float, T1: float, T2: float, bond) -> float:
     """( P(t,T1)/P(t,T2) - 1 ) / (T2 - T1) on one model from bond(T) = P(t,T), for 0 <= t <= T1 < T2."""
-    _check_interval(t, T1, T2, ("t", "T1", "T2"))
+    t, T1 = _check_interval(t, T1, T2, ("t", "T1", "T2"))
     if not T1 < T2 <= spec.horizon:
         raise ValueError(f"need T1 < T2 <= horizon = {spec.horizon}, got T1={T1}, T2={T2}")
+    T2 = float(T2)
     p1, p2 = bond(T1), bond(T2)
     if not (p2 and math.isfinite(p1 / p2)):
         raise OverflowError(f"P({t}, {T2}) underflows to {p2}, so the forward from {T1} overflows")

@@ -49,10 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .curves import (
-    _check_half_plane, _cumulant_constants, _slope, bond_price, cumulant_time_integral,
-)
-from .model import FactorParams, ModelSpec, _check_interval
+from .curves import _bond_ends, _check_half_plane, _cumulant_closed, bond_price
+from .model import ModelSpec, _check_interval, _slope
 from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
 from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
 
@@ -97,27 +95,32 @@ class OptionSpec:
             raise ValueError("need 0 < option maturity <= bond maturity")
         if not 1 < self.dampening < math.inf:  # an integrable payoff needs a > 1
             raise ValueError(f"dampening must be finite and exceed 1, got {self.dampening}")
+        for name in ("strike", "option_maturity", "bond_maturity", "dampening"):
+            # Python floats, as the interval check makes of times: no NumPy scalar
+            # reaches the closed forms
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
-def _jump_exponent(factor: FactorParams, t: float, option: OptionSpec):
+def _jump_exponent(c: tuple, t: float, option: OptionSpec):
     """Psi_k from t to expiry in closed form, as a function of (u, u - 1) at u = a + iy.
 
-    The cumulant-path integral of :mod:`.curves` with shift sigma, whose y-free
-    terms and half-plane check are computed once: B_k at both ends of gamma_k's
-    path, and Re gamma_k = sigma (a B(s,T) - (a-1) B(s,tau)) for every y.
+    The cumulant-path integral of :mod:`.curves` with shift sigma, on the
+    factor's bond-path constants ``c`` (a spec's ``_paths`` entry), whose
+    y-free terms and half-plane check are computed once: B_k at both ends of
+    gamma_k's path, and Re gamma_k = sigma (a B(s,T) - (a-1) B(s,tau)) for every y.
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
-    lam, sigma, eps = factor.lam, factor.sigma, factor.measure.epsilon
+    lam, sigma, eps = c[0], c[1], c[2]
     b_long1, b_short1 = _slope(lam, T - t), _slope(lam, tau - t)
     b_long2, b_short2 = _slope(lam, T - tau), _slope(lam, tau - tau)
     _check_half_plane(eps, sigma * (a * b_long1 - (a - 1.0) * b_short1),
                       sigma * (a * b_long2 - (a - 1.0) * b_short2))
-    drift, weight = _cumulant_constants(factor, sigma, tau - t)
+    span = tau - t
 
     def psi(u, u_less_1):
         g1 = sigma * (u * b_long1 - u_less_1 * b_short1)
         g2 = sigma * (u * b_long2 - u_less_1 * b_short2)
-        return drift - weight * np.log1p((g1 - g2) / (eps - g1))
+        return _cumulant_closed(c, g1, g2, span, np.log1p)
 
     return psi
 
@@ -145,7 +148,7 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     log_p, log_k = math.log(p0T), math.log(option.strike)
     # Theta's y-free parts: the jump-free I_tau and sum_k int_0^tau cum_k(sigma_k B_k(s,T)) ds
     floor_term = _jump_free_integral(spec, tau)
-    compensator = sum(cumulant_time_integral(f, 0.0, tau, T) for f in spec.factors)
+    compensator = sum(_cumulant_closed(c, *_bond_ends(c, 0.0, tau, T), tau) for c in spec._paths)
     # the log of the ratio keeps the slope's bits; at extreme strikes the ratio leaves double range
     moneyness = p0T / option.strike
     slope = floor_term - compensator + (
@@ -164,7 +167,7 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
     sizes = (log_weight, log_rest, log_weight + log_rest, math.log(2.0 * math.pi * a * a))
     if not all(size <= _MAX_LOG_SIZE for size in sizes):
         raise QuadratureError(f"the dampened integrand leaves double range: log sizes {sizes}")
-    jump_exponents = [_jump_exponent(f, t, option) for f in spec.factors]
+    jump_exponents = [_jump_exponent(c, t, option) for c in spec._paths]
 
     def integrand(y):
         u = a + 1j * y
@@ -234,7 +237,7 @@ def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -
     sum_k sum_{u_j <= t} gamma_k(u_j, y) z_j and the integrated-rate factor
     exp(I_t); at t = 0, the one time that needs no path, it is :func:`fourier_call_price`.
     """
-    _check_interval(t, t, option.option_maturity, ("t", "t", "option maturity"))
+    t, _ = _check_interval(t, t, option.option_maturity, ("t", "t", "option maturity"))
     if path is None and t:
         raise ValueError(f"a time-t price needs a path, got path=None at t={t}")
     try:  # the module docstring says when the rules fail; the error names the option

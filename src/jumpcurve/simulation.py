@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import bond_B, bond_price, cumulant_time_integral, forward_rate, tilted_time_integral
+from .curves import _bond_ends, _cumulant_closed, _tilted_closed, bond_B, bond_price, forward_rate
 from .model import GammaJumpMeasure, ModelSpec, _check_interval
 
 __all__ = [
@@ -339,7 +339,7 @@ def simulate_path(
 
 def integrated_rate(spec: ModelSpec, path: SimulatedPath, t: float) -> float:
     """Exact integrated short rate I_t from the path's jump records."""
-    _check_interval(t, t, path.grid[-1], ("t", "t", "horizon"))
+    t, _ = _check_interval(t, t, path.grid[-1], ("t", "t", "horizon"))
     return _jump_free_integral(spec, t) - _path_jump_sum(spec, path, t, t, "bond")
 
 
@@ -351,12 +351,12 @@ def bond_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -> float
     which must coincide with the affine formula evaluated at the path's
     state; that identity is the module's central correctness check.
     """
-    _check_interval(t, T, path.grid[-1])
+    t, T = _check_interval(t, T, path.grid[-1])
     p0T = bond_price(spec, 0.0, T)
     if not p0T:
         raise OverflowError(f"P(0.0, {T}) underflows to 0.0, so the pathwise bond has no log")
     log_p = math.log(p0T) + integrated_rate(spec, path, t)
-    log_p -= sum(cumulant_time_integral(f, 0.0, t, T) for f in spec.factors)
+    log_p -= sum(_cumulant_closed(c, *_bond_ends(c, 0.0, t, T), t) for c in spec._paths)
     return math.exp(log_p + _path_jump_sum(spec, path, t, T, "bond"))
 
 
@@ -367,8 +367,9 @@ def hjm_forward_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -
                               - tilted compensator over [0, t] ).
     Coincides pathwise with the affine forward-rate formula.
     """
-    _check_interval(t, T, path.grid[-1])
-    rate = forward_rate(spec, 0.0, T) - sum(tilted_time_integral(f, 0.0, t, T) for f in spec.factors)
+    t, T = _check_interval(t, T, path.grid[-1])
+    rate = forward_rate(spec, 0.0, T) - sum(_tilted_closed(c, *_bond_ends(c, 0.0, t, T))
+                                            for c in spec._paths)
     return float(rate + _path_jump_sum(spec, path, t, T, "decay"))
 
 
@@ -455,17 +456,17 @@ def _estimate(
     )
 
 
-def _check_mc_args(spec: ModelSpec, times, n_paths: int, seed: int, name: str = "t") -> None:
-    """ValueError unless the seed is valid, n_paths >= 100, and ``times`` (named ``name``)
-    is nonempty and within [0, horizon].
+def _check_mc_args(spec: ModelSpec, times, n_paths: int, seed: int, name: str = "t") -> list:
+    """``times`` as Python floats; ValueError unless the seed is valid, n_paths >= 100,
+    and ``times`` (named ``name``) is nonempty and within [0, horizon].
     """
     _key(seed)
     if len(times) == 0:
         raise ValueError(f"need at least one {name}")
-    for t in times:
-        _check_interval(t, t, spec.horizon, (name, name, "horizon"))
+    times = [_check_interval(t, t, spec.horizon, (name, name, "horizon"))[0] for t in times]
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
+    return times
 
 
 def _jump_free_integral(spec: ModelSpec, t: float) -> float:
@@ -524,7 +525,7 @@ def _discount_and_bond(spec: ModelSpec, seed: int, n_paths: int, t: float, T: fl
     sums = _jump_sums(spec, seed, n_paths, [(t, "decay"), (t, "bond")])
     jumps = sums[:, 1].sum(axis=0)
     i_t = _jump_free_integral(spec, t) - jumps
-    log_bond = sum(cumulant_time_integral(f, t, T, T) for f in spec.factors)
+    log_bond = sum(_cumulant_closed(c, *_bond_ends(c, t, T, T), T - t) for c in spec._paths)
     log_bond -= spec.floor.integral(t, T)
     for k, f in enumerate(spec.factors):
         slope = bond_B(f, t, T)
@@ -566,7 +567,7 @@ def mc_discounted_bond(
     stays independent of the affine formula at time 0.
     """
     _check_mc_args(spec, [T], n_paths, seed, "T")
-    _check_interval(t, T)
+    t, T = _check_interval(t, T)
     if t == 0.0:
         price = bond_price(spec, 0.0, T)
         return MonteCarloEstimate(
@@ -593,7 +594,7 @@ def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCa
 
 def mc_short_rate_samples(spec: ModelSpec, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Exact samples of r(t), one per path index."""
-    _check_mc_args(spec, [t], n_paths, seed)
+    (t,) = _check_mc_args(spec, [t], n_paths, seed)
     base = float(spec.floor.value(t)) + sum(
         f.x0 * math.exp(-f.lam * t) for f in spec.factors
     )

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i1e
 
-from .curves import _check_half_plane, _cumulant_integral, _twin
-from .model import FactorParams, GammaJumpMeasure, ModelSpec, _check_interval
+from .curves import _check_half_plane, _cumulant_closed, _twin
+from .model import FactorParams, GammaJumpMeasure, ModelSpec, _check_interval, _path_constants
 
 __all__ = [
     "AffineExponent",
@@ -62,14 +62,14 @@ def factor_exponent(
     antiderivative; ``method="quadrature"`` runs its adaptive twin.
     Raises ValueError unless u is finite and Re(i u) sigma < eps, where the cumulant converges.
     """
-    _check_interval(t, t)
+    t, _ = _check_interval(t, t)
     if not cmath.isfinite(u):
         raise ValueError(f"need a finite u, got u={u}")
     lam, sigma = factor.lam, factor.sigma
     g1, g2 = 1j * u * sigma * math.exp(-lam * t), 1j * u * sigma  # the path at s = 0 and s = t
     _check_half_plane(factor.measure.epsilon, g1.real, g2.real)
     if method == "closed":
-        rho = _cumulant_integral(factor, g1, g2, 0.0, t)
+        rho = _cumulant_closed(_path_constants(factor, 0.0), g1, g2, t, np.log1p)
     else:
         cumulant = factor.measure.levy_cumulant
         rho = _twin(method, lambda s: cumulant(1j * u * sigma * np.exp(-lam * (t - s))), 0.0, t)
@@ -81,7 +81,7 @@ def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
 
     Modulus is at most 1 for real u, with equality at u = 0.
     """
-    _check_interval(t, t, spec.horizon, ("t", "t", "horizon"))
+    t, _ = _check_interval(t, t, spec.horizon, ("t", "t", "horizon"))
     exponent = 1j * u * float(spec.floor.value(t))
     for f in spec.factors:
         part = factor_exponent(f, t, u)
@@ -102,7 +102,7 @@ def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
 
 def levy_char_fn(measure: GammaJumpMeasure, t: float, u: float) -> complex:
     """CF of the subordinator at time t: exp( i u alpha t / (eps - i u) ), for a finite u."""
-    _check_interval(t, t)
+    t, _ = _check_interval(t, t)
     if not cmath.isfinite(u):
         raise ValueError(f"need a finite u, got u={u}")
     return cmath.exp(1j * u * measure.alpha * t / (measure.epsilon - 1j * u))
@@ -110,7 +110,7 @@ def levy_char_fn(measure: GammaJumpMeasure, t: float, u: float) -> complex:
 
 def levy_zero_atom(measure: GammaJumpMeasure, t: float) -> float:
     """Mass of the atom at zero, exp(-alpha t): the no-jump probability."""
-    _check_interval(t, t)
+    t, _ = _check_interval(t, t)
     return math.exp(-measure.alpha * t)
 
 

@@ -291,6 +291,9 @@ class TestConfigProperties:
                                "epsilon": 1.0}]})
     # a path count that int() once truncated to 2, so both commands ran
     @example(raw=dict(BASELINE, paths=2.5))
+    # a finite lambda whose product with a time overflows: on the grid's NumPy
+    # times it once warned, where Python floats give inf silently
+    @example(raw=dict(BASELINE, factors=[dict(BASELINE["factors"][0], **{"lambda": 1e308})]))
     @settings(max_examples=50, deadline=None)
     def test_exit_codes_and_curve_output(self, raw):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,30 +1,49 @@
+import dataclasses
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpcurve import (
     ConstantFloor,
+    DualCurveSpec,
     FactorParams,
     ForwardCurve,
     GammaJumpMeasure,
+    InvalidModelError,
     ModelSpec,
+    OptionSpec,
     PiecewiseLinearFloor,
     bond_B,
     bond_B_dT,
+    bond_path,
     bond_price,
     calibrate_floor,
     conditional_moments,
     cumulant_time_integral,
     factor_exponent,
+    fictitious_bond_price,
     forward_rate,
+    forward_spread,
+    fourier_call_price,
+    hjm_forward_path,
+    integrated_rate,
+    levy_char_fn,
+    levy_density,
+    levy_zero_atom,
+    libor_forward,
     match_moments,
     mc_bond_price,
+    mc_discounted_bond,
+    ois_forward,
     short_rate_char_fn,
+    short_rate_mgf,
+    simulate_path,
     tilted_time_integral,
     yield_curve,
 )
@@ -489,6 +508,183 @@ class TestBitExactness:
         market = ForwardCurve(np.array([0.5, 1.0, 2.0, 5.0]), np.array([0.021, 0.024, 0.028, 0.031]))
         floor = calibrate_floor(_pinned_factors()[:n], market)
         assert [v.hex() for v in floor.values] == levels
+
+    def test_constant_readers_digest(self):
+        # every caller that reads a factor's bond-path constants, beyond the
+        # bond_price and forward_rate pins above: both integrals with t2 < T,
+        # yield_curve, the pathwise identities, the dual-curve prices and
+        # forwards, calibrated floors, the Fourier compensator and the Monte
+        # Carlo affine bond
+        heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
+        specs = [_pinned_spec(n) for n in (1, 2, 3)]
+        specs.append(ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0))
+        spread = FactorParams(lam=1.5, sigma=0.5, x0=0.002, measure=GammaJumpMeasure(1.0, 40.0))
+        dual = DualCurveSpec(base=specs[1], spread_factors=(spread,),
+                             spread_floor=ConstantFloor(0.004), shared_factor_count=1)
+        market = ForwardCurve(np.array([0.25, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0]),
+                              np.array([0.02, 0.021, 0.024, 0.028, 0.03, 0.031, 0.029]))
+        digest = hashlib.sha256()
+
+        def put(*values):
+            for value in values:
+                digest.update(f"{float(value).hex()};".encode())
+
+        for spec in specs:
+            for i in range(12):
+                t = 0.31 * i
+                T = t + 1e-7 + 0.53 * i
+                put(yield_curve(spec, t, T))
+                for f in spec.factors:
+                    for t1, t2 in ((0.5 * t, 0.5 * (t + T)), (0.0, t), (t, t)):
+                        put(cumulant_time_integral(f, t1, t2, T), tilted_time_integral(f, t1, t2, T))
+            path = simulate_path(spec, seed=13, path_index=1)
+            for t in (0.0, 0.3, 1.7, 4.2):
+                for T in (t, t + 1e-9, t + 0.8, 9.5):
+                    put(bond_path(spec, path, t, T), hjm_forward_path(spec, path, t, T))
+            put(*calibrate_floor(spec.factors, market).values)
+            put(fourier_call_price(spec, OptionSpec(0.93, 0.5, 1.5)))
+            put(mc_discounted_bond(spec, 0.5, 2.0, 200, seed=5).value)
+        for i in range(10):
+            t = 0.27 * i
+            T1, T2 = t + 0.1 * i, t + 0.1 * i + 0.25
+            for state in (None, (0.02, 0.01, 0.003)):
+                put(fictitious_bond_price(dual, t, T2, state), ois_forward(dual, t, T1, T2, state),
+                    libor_forward(dual, t, T1, T2, state))
+        assert digest.hexdigest() == (
+            "fa08bb53ffee9b20ff9e0aea8bf5989831484dbd361ff781686b62740257567e"
+        )
+
+
+class TestPathConstants:
+    """Each spec holds its factors' closed-form constants; they must follow the factors."""
+
+    @staticmethod
+    def curve_bits(spec):
+        bits = []
+        for i in range(20):
+            t = 0.21 * i
+            for T in (t, t + 1e-9, t + 0.3 + 0.27 * i):
+                bits.append((bond_price(spec, t, T).hex(), forward_rate(spec, t, T).hex()))
+                if T > t:
+                    bits.append(yield_curve(spec, t, T).hex())
+        return bits
+
+    def test_fictitious_model_matches_a_direct_spec(self):
+        # DualCurveSpec doubles its shared factors with dataclasses.replace
+        base = _pinned_spec(2)
+        spread = FactorParams(lam=1.5, sigma=0.5, x0=0.002, measure=GammaJumpMeasure(1.0, 40.0))
+        dual = DualCurveSpec(base=base, spread_factors=(spread,),
+                             spread_floor=ConstantFloor(0.004), shared_factor_count=1)
+        one, two = base.factors
+        doubled = FactorParams(lam=two.lam, sigma=2.0 * two.sigma, x0=2.0 * two.x0,
+                               measure=two.measure)
+        direct = ModelSpec(factors=(one, doubled, spread), floor=dual.fictitious.floor,
+                           horizon=base.horizon)
+        assert self.curve_bits(dual.fictitious) == self.curve_bits(direct)
+        state = (0.02, 0.01, 0.003)
+        fictitious_state = (0.02, 0.02, 0.003)
+        for T in (0.5, 2.0, 7.5):
+            assert (fictitious_bond_price(dual, 0.25, T, state).hex()
+                    == bond_price(direct, 0.25, T, fictitious_state).hex())
+
+    @pytest.mark.parametrize("lam", [1.0, 1e308])
+    def test_numpy_parameters_give_python_float_bits(self, lam):
+        def factor(kind):
+            return FactorParams(lam=kind(lam), sigma=kind(0.6), x0=kind(0.02),
+                                measure=GammaJumpMeasure(kind(1.5), kind(25.0)))
+
+        native, scalar = (ModelSpec(factors=(factor(kind), _pinned_factors()[0]),
+                                    floor=ConstantFloor(0.015), horizon=10.0)
+                          for kind in (float, np.float64))
+        market = ForwardCurve(np.array([0.5, 1.0, 2.0, 5.0]), np.array([0.021, 0.024, 0.028, 0.031]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.curve_bits(scalar) == self.curve_bits(native)
+            for t1, t2, T in ((0.0, 1.0, 1.0), (0.5, 1.5, 4.0)):
+                for f, g in zip(scalar.factors, native.factors):
+                    assert (cumulant_time_integral(f, t1, t2, T).hex()
+                            == cumulant_time_integral(g, t1, t2, T).hex())
+                    assert (tilted_time_integral(f, t1, t2, T).hex()
+                            == tilted_time_integral(g, t1, t2, T).hex())
+            assert (calibrate_floor(scalar.factors, market).values
+                    == calibrate_floor(native.factors, market).values)
+
+    def test_invalid_factors_keep_their_violations(self):
+        # the constants divide by lambda: built before the checks, they would
+        # raise ZeroDivisionError instead of the listed violations
+        bad = FactorParams(lam=0.0, sigma=0.5, x0=0.01, measure=GammaJumpMeasure(2.0, math.nan))
+        with pytest.raises(InvalidModelError) as info:
+            ModelSpec(factors=(_pinned_factors()[0], bad), floor=ConstantFloor(0.02), horizon=10.0)
+        assert info.value.violations == (
+            "factor 2: lambda must be positive and finite",
+            "factor 2: epsilon must be positive and finite",
+        )
+
+
+def _time_functions(spec, dual, path_spec, path):
+    """Every public function of one or two scalar times t <= T on a one-factor spec.
+
+    The pathwise ones run on ``path_spec``, a model whose jump weights stay in range.
+    """
+    f, measure = spec.factors[0], spec.factors[0].measure
+    return {
+        "bond_price": lambda t, T: bond_price(spec, t, T),
+        "forward_rate": lambda t, T: forward_rate(spec, t, T),
+        "yield_curve": lambda t, T: yield_curve(spec, t, T + 0.25),
+        "bond_B": lambda t, T: bond_B(f, t, T),
+        "bond_B_dT": lambda t, T: bond_B_dT(f, t, T),
+        "cumulant_time_integral": lambda t, T: cumulant_time_integral(f, t, T, T + 0.25),
+        "tilted_time_integral": lambda t, T: tilted_time_integral(f, t, T, T + 0.25),
+        "conditional_moments": lambda t, T: conditional_moments(spec, t, T, [0.01])[1],
+        "factor_exponent": lambda t, T: factor_exponent(f, T, 0.7).rho,
+        "short_rate_char_fn": lambda t, T: short_rate_char_fn(spec, T, 0.7),
+        "short_rate_mgf": lambda t, T: short_rate_mgf(spec, T, 0.5),
+        "levy_char_fn": lambda t, T: levy_char_fn(measure, T, 0.7),
+        "levy_zero_atom": lambda t, T: levy_zero_atom(measure, T),
+        "levy_density": lambda t, T: levy_density(measure, T + 0.25, 0.1),
+        "integrated_rate": lambda t, T: integrated_rate(path_spec, path, T),
+        "bond_path": lambda t, T: bond_path(path_spec, path, t, T),
+        "hjm_forward_path": lambda t, T: hjm_forward_path(path_spec, path, t, T),
+        "fictitious_bond_price": lambda t, T: fictitious_bond_price(dual, t, T),
+        "forward_spread": lambda t, T: forward_spread(dual, t, T),
+        "ois_forward": lambda t, T: ois_forward(dual, t, T, T + 0.5),
+        "libor_forward": lambda t, T: libor_forward(dual, t, T, T + 0.5),
+        # an OptionSpec stores its times as floats
+        "fourier_call_price": lambda t, T: fourier_call_price(spec, OptionSpec(0.5, T + 0.25, T + 0.5)),
+    }
+
+
+class TestTimeTypes:
+    """Times become Python floats at the interval check, so their type cannot move a bit."""
+
+    @given(
+        t=st.sampled_from([0, 1, 2]) | st.floats(min_value=0.0, max_value=3.0),
+        dt=st.sampled_from([0, 1, 3]) | st.floats(min_value=0.0, max_value=4.0),
+        lam=st.sampled_from([1.0, 1e308]),
+    )
+    # lambda = 1e308 overflows -lambda (T - t) once T - t > 1.8: NumPy scalar
+    # times once warned there, where Python floats give -inf silently
+    @example(t=0.5, dt=2.0, lam=1e308)
+    @settings(max_examples=30, deadline=None)
+    def test_float_int_numpy_scalar_and_0d_array_agree(self, t, dt, lam):
+        factor = FactorParams(lam=lam, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        spec = ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
+        spread = FactorParams(lam=2.0, sigma=0.5, x0=0.005, measure=GammaJumpMeasure(1.0, 20.0))
+        dual = DualCurveSpec(base=spec, spread_factors=(spread,), spread_floor=ConstantFloor(0.005))
+        # the vectorized jump weights of a path are not on trial here: they run in NumPy
+        path_spec = ModelSpec(factors=(dataclasses.replace(factor, lam=1.0),), floor=spec.floor,
+                              horizon=10.0)
+        path = simulate_path(path_spec, seed=3)
+        T = t + dt
+        kinds = [float, np.float64, np.array]
+        if float(t).is_integer() and float(T).is_integer():
+            kinds.append(int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, function in _time_functions(spec, dual, path_spec, path).items():
+                values = [complex(function(kind(t), kind(T))) for kind in kinds]
+                bits = {(v.real.hex(), v.imag.hex()) for v in values}
+                assert len(bits) == 1, (name, values)
 
 
 class TestMatchMoments:

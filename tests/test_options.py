@@ -26,6 +26,7 @@ from jumpcurve import (
     simulate_path,
 )
 from jumpcurve import options
+from jumpcurve.model import _path_constants
 from jumpcurve.options import (
     PricingError,
     _half_line_integral,
@@ -47,7 +48,7 @@ from oracles import (
 def _psi(factor, t, y, option):
     """Psi_k(y) from t to expiry by the closed form the integrand takes."""
     u = option.dampening + 1j * np.asarray(y)
-    return _jump_exponent(factor, t, option)(u, u - 1.0)
+    return _jump_exponent(_path_constants(factor), t, option)(u, u - 1.0)
 
 
 @pytest.fixture
