@@ -92,10 +92,6 @@ class GammaJumpMeasure:
         out = self.alpha * self.epsilon / (self.epsilon - arr) ** 2
         return out if arr.ndim else float(out)
 
-    def jump_quantile(self, u):
-        """Exponential inverse CDF, -log(1 - u) / epsilon."""
-        return -np.log1p(-u) / self.epsilon
-
 
 class FloorFunction(ABC):
     """Deterministic lower bound mu(t) of the short rate.

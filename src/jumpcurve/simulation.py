@@ -29,6 +29,15 @@ The estimators draw whole chunks of paths at once, a fixed number of counter
 blocks per chunk so that memory stays bounded whatever the path count, and
 reduce every path to weighted jump sums  sum_{u_j <= t} w(t - u_j) z_j.
 
+The kernel (:func:`_philox`) carries the 32-bit words in uint64 arrays and
+splits each 64-bit product into its halves through a uint32 view, so a round
+is three ufunc calls on stacked words.  It writes into scratch allocated once
+per factor and estimate, and the gaps, sizes, times and weights are computed
+in place, by the operations a plain expression would use and in the same
+order, so no bit depends on the buffering.  On a 2-core host this took CLI
+``price bond`` at 100 000 paths from about 122 ms to 97 ms, and its minor
+page faults from about 7 700 to 1 107.
+
 Each estimate is regression-adjusted by a control of known mean (Glasserman,
 *Monte Carlo Methods in Financial Engineering*, 2004, section 4.1; see
 :func:`_estimate`), and also reports the plain sample mean.  The bond and the
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +80,26 @@ __all__ = [
 
 # counter blocks drawn per chunk of paths: bounds the working set at a few MB
 _CHUNK = 1 << 14
-_WORD = np.uint64(0xFFFFFFFF)
-_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+
+
+def _const(value, dtype) -> np.ndarray:
+    """A read-only array; a 0-d one costs a ufunc about half what a NumPy scalar does."""
+    a = np.array(value, dtype)
+    a.flags.writeable = False
+    return a
+
+
+# the multipliers of c0 and c2, a column against the stacked words; those are
+# uint64 with high halves 0, so the exact 64-bit product needs no cast
+_PHILOX_M = _const([[0xD2511F53], [0xCD9E8D57]], np.uint64)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
-# shift counts as uint64: under NumPy 1.x promotion a uint64 scalar shifted by
-# a Python int becomes float64, which cannot be shifted
-_S5, _S6, _S26, _S32 = (np.uint64(s) for s in (5, 6, 26, 32))
+# index of the high and the low 32-bit half of a uint64 seen as two uint32
+_HI, _LO = (1, 0) if sys.byteorder == "little" else (0, 1)
+_ZERO, _WORD = _const(0, np.uint64), _const(0xFFFFFFFF, np.uint64)
+# shift counts as uint64: under NumPy 1.x promotion a uint64 shifted by a
+# signed count becomes float64, which cannot be shifted
+_S5, _S6, _S26 = (_const(n, np.uint64) for n in (5, 6, 26))
+_MINUS_ULP = _const(-(2.0**-53), float)
 # relative spread below which a control is constant up to rounding (see _estimate)
 _CONSTANT_SPREAD = 2.0**-40
 
@@ -144,34 +168,70 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _key(seed) -> tuple:
-    """Philox round keys of a seed: its two words, bumped per round."""
+def _key(seed) -> np.ndarray:
+    """Philox round keys of a seed, its two words bumped per round: a (10, 2) uint64 array."""
     seed = _check_seed(seed)
     k0, k1 = seed & 0xFFFFFFFF, seed >> 32
-    return tuple(
-        (np.uint64((k0 + r * _PHILOX_W[0]) & 0xFFFFFFFF),
-         np.uint64((k1 + r * _PHILOX_W[1]) & 0xFFFFFFFF))
-        for r in range(10)
-    )
+    return np.array([((k0 + r * _PHILOX_W[0]) & 0xFFFFFFFF, (k1 + r * _PHILOX_W[1]) & 0xFFFFFFFF)
+                     for r in range(10)], np.uint64)
 
 
-def _philox(c0, c1, c2, c3, key):
+def _philox(c0, c1, c2, c3, key, work=None):
     """Philox4x32-10 block function on uint64 arrays holding 32-bit words.
 
     The four counter words broadcast against each other; ``key`` holds the
-    round keys from :func:`_key`.  Each product of two 32-bit words is exact
-    in 64 bits.
+    round keys from :func:`_key`.  The words c0 and c2 that a round
+    multiplies sit stacked in one array, and so do their products, so a
+    round is three ufunc calls that allocate nothing: one multiply into one
+    of two alternating product buffers, one XOR of the products' high
+    halves with the previous products' low halves, and one XOR with the
+    round key.  A uint32 view splits each product instead of a shift and a
+    mask, and the XOR writes only the low halves of the stacked words, whose
+    high halves stay 0 for the next multiply.  ``work`` is uint64 scratch of
+    at least six words per block, allocated here when None; the words
+    returned are views into it, valid until its next use.
     """
-    m0, m1 = _PHILOX_M
-    for k0, k1 in key:
-        p0, p1 = m0 * c0, m1 * c2
-        c0, c1, c2, c3 = (p1 >> _S32) ^ c1 ^ k0, p1 & _WORD, (p0 >> _S32) ^ c3 ^ k1, p0 & _WORD
-    return c0, c1, c2, c3
+    shape = np.broadcast(c0, c1, c2, c3).shape
+    size = math.prod(shape)
+    if work is None:
+        work = np.empty(6 * size, np.uint64)
+    # [0] and [1]: the alternating (p0, p1) products; [2]: (c0, c2).  The
+    # rounds run on the block flattened, where a ufunc call costs least.
+    words = work[:6 * size].reshape(3, 2, size)
+    halves = words[..., None].view(np.uint32)
+    high, low = halves[..., _HI], halves[..., _LO]
+    stacked, stacked_low = words[2], low[2]
+    # the counters broadcast to the block; p1 feeds c0 and p0 feeds c2, and
+    # the first round reads c1 and c3 as the previous products' low halves
+    block = work[:6 * size].reshape(3, 2, *shape)
+    block[2, 0], block[2, 1] = c0, c2
+    block_low = block[1, :, ..., None].view(np.uint32)[..., _LO]
+    block_low[1], block_low[0] = c1, c3
+    # per parity: the products, their high halves, and the previous products' low halves
+    rounds = [(words[s], high[s, ::-1], low[1 - s, ::-1]) for s in (0, 1)]
+    multiply, xor = np.multiply, np.bitwise_xor
+    for r, round_key in enumerate(key[..., None]):
+        products, product_high, previous_low = rounds[r & 1]
+        multiply(stacked, _PHILOX_M, out=products)
+        xor(product_high, previous_low, out=stacked_low)
+        xor(stacked, round_key, out=stacked)
+    last = np.bitwise_and(words[1], _WORD, out=words[1])
+    return (stacked[0].reshape(shape), last[1].reshape(shape),
+            stacked[1].reshape(shape), last[0].reshape(shape))
 
 
-def _uniform(hi, lo):
-    """53-bit uniforms on [0, 1) from two 32-bit words."""
-    return ((hi >> _S5) << _S26 | lo >> _S6).astype(float) * 2.0**-53
+def _exponential(hi, lo, rate: float, out: np.ndarray) -> np.ndarray:
+    """Exp(rate) quantiles -log1p(-u) / rate of 53-bit uniforms u, into ``out``.
+
+    u = ((hi >> 5) << 26 | lo >> 6) 2^-53 on [0, 1) from two 32-bit words.
+    It is built negated, and a division by -rate equals the negation of
+    the division by rate, so each quantile keeps the bits of
+    -np.log1p(-u) / rate.  Shifts the words in place.
+    """
+    np.left_shift(np.right_shift(hi, _S5, out=hi), _S26, out=hi)
+    np.bitwise_or(hi, np.right_shift(lo, _S6, out=lo), out=hi)
+    np.log1p(np.multiply(hi, _MINUS_ULP, out=out), out=out)
+    return np.divide(out, -rate, out=out)
 
 
 def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: int, paths: range):
@@ -182,7 +242,8 @@ def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: i
     included.  A block is about three standard deviations wider than the
     mean jump count; only rows whose last time is still within the horizon
     draw another.  Each row accumulates its gaps in sequence, so a jump's
-    time does not depend on the block width either.
+    time does not depend on the block width either.  The arrays yielded
+    are new; the kernel's scratch is allocated once per call.
     """
     mean = measure.alpha * horizon
     if not math.isfinite(mean):
@@ -192,7 +253,8 @@ def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: i
         )
     width = math.ceil(mean + 3.0 * math.sqrt(mean)) + 2
     per_chunk = max(1, _CHUNK // width)
-    factor = np.uint64(factor_index)
+    factor = np.array(factor_index, np.uint64)
+    work = np.empty(6 * width * min(len(paths), per_chunk), np.uint64)
     for start in range(0, len(paths), per_chunk):
         part = paths[start:start + per_chunk]
         chunk = np.arange(part.start, part.stop, dtype=np.uint64)[:, None]
@@ -201,26 +263,40 @@ def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: i
         first = 0
         while rows.size:
             jumps = np.arange(first, first + width, dtype=np.uint64)
-            w0, w1, w2, w3 = _philox(jumps, chunk[rows], factor, np.uint64(0), key)
-            gaps = -np.log1p(-_uniform(w0, w1)) / measure.alpha
-            gaps[:, 0] += last
-            times = np.cumsum(gaps, axis=1)
-            yield start + rows, times, measure.jump_quantile(_uniform(w2, w3))
+            w0, w1, w2, w3 = _philox(jumps, chunk[rows], factor, _ZERO, key, work)
+            times = _exponential(w0, w1, measure.alpha, np.empty((rows.size, width)))
+            times[:, 0] += last
+            np.cumsum(times, axis=1, out=times)
+            yield start + rows, times, _exponential(w2, w3, measure.epsilon, np.empty_like(times))
             more = times[:, -1] <= horizon
             rows, last, first = rows[more], times[more, -1], first + width
 
 
-def _jump_weights(factor, times, t, T, kind: str) -> np.ndarray:
+def _jump_weights(factor, times, t, T, kind: str, out=None) -> np.ndarray:
     """Weights 1{u_j <= t} w(T - u_j) of jumps at ``times``; t and T broadcast.
 
     Kind "decay" weighs by e^{-lam (T - u)}, the jump's share of X(T); kind
     "bond" by B(u, T) = (e^{-lam (T - u)} - 1) / lam, its share of the bond
     exponent.  Every pathwise quantity is sigma times these weights
-    contracted with the jump sizes.
+    contracted with the jump sizes.  Computed in place in ``out`` when
+    given, which must have the weights' shape.
+
+    T - u is capped at 1000 / lam, so lam (T - u) cannot overflow for a
+    huge lam.  The cap moves no bit: past it lam (T - u) is about 1000 or
+    more, where e^{-lam (T - u)} is 0.0 and e^{-lam (T - u)} - 1 is -1.0
+    either way.  A factor outside the model, lam <= 0, gets no cap.
     """
-    x = -factor.lam * np.maximum(T - times, 0.0)
-    w = np.exp(x) if kind == "decay" else np.expm1(x) / factor.lam
-    return (times <= t) * w
+    cap = 1e3 / factor.lam if factor.lam > 0 else math.inf
+    x = np.subtract(T, times, out=out)
+    x.clip(0.0, cap, out=x)
+    x *= -factor.lam
+    if kind == "decay":
+        np.exp(x, out=x)
+    else:
+        np.expm1(x, out=x)
+        x /= factor.lam
+    x *= times <= t
+    return x
 
 
 def _records(spec: ModelSpec, jumps) -> zip:
@@ -239,25 +315,31 @@ def _path_jump_sum(spec: ModelSpec, path, t: float, T: float, kind: str) -> floa
     """sum_k sigma_k sum_{u_j <= t} w_k(T - u_j) z_j along a path, w of :func:`_jump_weights`."""
     total = 0.0
     for f, rec in _records(spec, path.jumps):
-        total += f.sigma * float(_jump_weights(f, rec.times, t, T, kind) @ rec.sizes)
+        # .dot is the BLAS dot that @ calls, with less dispatch
+        total += f.sigma * float(_jump_weights(f, rec.times, t, T, kind).dot(rec.sizes))
     return total
 
 
-def _jump_sums(spec: ModelSpec, seed: int, n_paths: int, evals) -> np.ndarray:
+def _jump_sums(spec: ModelSpec, key, n_paths: int, evals) -> np.ndarray:
     """Weighted jump sums of every factor and path, shape (factors, evals, paths).
 
     Entry (k, m, p) is  sigma_k sum_{u_j <= t} w(t - u_j) z_j  over path p's
     factor-k jumps for the m-th ``(t, kind)`` of ``evals``, with the weights
     of :func:`_jump_weights`: "decay" gives X_k(t), "bond" gives -I_t.
+    ``key`` comes from :func:`_key`.  Weights and their products with the
+    sizes share one buffer per factor, sized by the first block, the largest.
     """
-    key = _key(seed)
     horizon = max(t for t, _ in evals)
     out = np.zeros((spec.n_factors, len(evals), n_paths))
     for k, f in enumerate(spec.factors):
+        buffer = None
         for rows, times, sizes in _jump_blocks(f.measure, horizon, key, k, range(n_paths)):
+            if buffer is None:
+                buffer = np.empty(times.size)
+            weights = buffer[:times.size].reshape(times.shape)
             for m, (t, kind) in enumerate(evals):
-                weights = _jump_weights(f, times, t, t, kind)
-                out[k, m, rows] += f.sigma * np.sum(weights * sizes, axis=1)
+                _jump_weights(f, times, t, t, kind, weights)
+                out[k, m, rows] += f.sigma * np.multiply(weights, sizes, out=weights).sum(axis=1)
     return out
 
 
@@ -271,15 +353,20 @@ def simulate_jumps(
     """Exact compound-Poisson record on [0, horizon] of one (seed, path, factor).
 
     Jump epochs accumulate Exp(alpha) inter-arrivals truncated at the
-    horizon; sizes come from the measure's inverse CDF.  The record is the
+    horizon; sizes are Exp(epsilon) by the inverse CDF.  The record is the
     one every Monte Carlo estimator uses for that path and factor.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"need 0 < horizon < inf, got horizon={horizon}")
+    return _record(measure, horizon, _key(seed), path_index, factor_index)
+
+
+def _record(measure, horizon: float, key, path_index: int, factor_index: int) -> JumpRecord:
+    """:func:`simulate_jumps` on a key from :func:`_key` and a valid horizon."""
     if not (0 <= path_index < 1 << 32 and 0 <= factor_index < 1 << 32):
         raise ValueError("path and factor indices must lie in [0, 2**32)")
     path = range(path_index, path_index + 1)
-    blocks = list(_jump_blocks(measure, horizon, _key(seed), factor_index, path))
+    blocks = list(_jump_blocks(measure, horizon, key, factor_index, path))
     times = np.concatenate([times[0] for _, times, _ in blocks])
     sizes = np.concatenate([sizes[0] for _, _, sizes in blocks])
     keep = times <= horizon
@@ -291,7 +378,8 @@ def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.size:
         _check_interval(grid.min(), grid.max(), names=("grid", "grid", "horizon"))
-    x = factor.x0 * np.exp(-factor.lam * grid)
+    with np.errstate(over="ignore"):  # a huge lam gives -inf, where e^{-inf} = 0 is exact
+        x = factor.x0 * np.exp(-factor.lam * grid)
     if jumps.count:
         at = grid[:, None]
         x = x + factor.sigma * _jump_weights(factor, jumps.times, at, at, "decay") @ jumps.sizes
@@ -313,9 +401,9 @@ def simulate_path(
     """
     if not 0 < points_per_year < math.inf:
         raise ValueError(f"points_per_year must be finite and positive, got {points_per_year!r}")
+    key = _key(seed)
     jumps = tuple(
-        simulate_jumps(f.measure, spec.horizon, seed, path_index, k)
-        for k, f in enumerate(spec.factors)
+        _record(f.measure, spec.horizon, key, path_index, k) for k, f in enumerate(spec.factors)
     )
     steps = max(1, int(round(points_per_year * spec.horizon)))
     mesh = np.linspace(0.0, spec.horizon, steps + 1)
@@ -325,7 +413,8 @@ def simulate_path(
     integrated = spec.floor.cumulative(grid)
     at = grid[:, None]
     for f, rec in zip(spec.factors, jumps):
-        integrated -= f.x0 * np.expm1(-f.lam * grid) / f.lam
+        with np.errstate(over="ignore"):  # a huge lam gives -inf, where e^{-inf} - 1 = -1 is exact
+            integrated -= f.x0 * np.expm1(-f.lam * grid) / f.lam
         if rec.count:
             integrated -= f.sigma * _jump_weights(f, rec.times, at, at, "bond") @ rec.sizes
     return SimulatedPath(
@@ -456,17 +545,18 @@ def _estimate(
     )
 
 
-def _check_mc_args(spec: ModelSpec, times, n_paths: int, seed: int, name: str = "t") -> list:
-    """``times`` as Python floats; ValueError unless the seed is valid, n_paths >= 100,
-    and ``times`` (named ``name``) is nonempty and within [0, horizon].
+def _check_mc_args(spec: ModelSpec, times, n_paths: int, seed: int, name: str = "t") -> tuple:
+    """``times`` as Python floats and the seed's :func:`_key`; ValueError unless the seed
+    is valid, n_paths >= 100, and ``times`` (named ``name``) is nonempty and within
+    [0, horizon].
     """
-    _key(seed)
+    key = _key(seed)
     if len(times) == 0:
         raise ValueError(f"need at least one {name}")
     times = [_check_interval(t, t, spec.horizon, (name, name, "horizon"))[0] for t in times]
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    return times
+    return times, key
 
 
 def _jump_free_integral(spec: ModelSpec, t: float) -> float:
@@ -503,26 +593,32 @@ def _jump_moments(spec: ModelSpec, t: float, T: float) -> tuple:
     int_0^t B^2 du = (h(b) - h(a)) / lam^3,  h(x) = 2 T_3(x) - T_3(2x) / 2,
     which keep full relative accuracy as lam T -> 0, where differences of
     exponentials cancel (with t far below T, about T/t units of roundoff).
+    OverflowError, naming the factor, where lam^3 overflows a float.
     """
     mean = var = 0.0
-    for f in spec.factors:
+    for k, f in enumerate(spec.factors):
+        try:
+            lam2, lam3 = f.lam**2, f.lam**3
+        except OverflowError:
+            raise OverflowError(f"factor index {k}: lambda**3 of the jump moments overflows "
+                                f"(lambda={f.lam})") from None
         a, b = f.lam * (T - t), f.lam * T
-        first = (_exp_tail(a, 2) - _exp_tail(b, 2)) / f.lam**2
+        first = (_exp_tail(a, 2) - _exp_tail(b, 2)) / lam2
         second = (2.0 * (_exp_tail(b, 3) - _exp_tail(a, 3))
-                  - (_exp_tail(2.0 * b, 3) - _exp_tail(2.0 * a, 3)) / 2.0) / f.lam**3
+                  - (_exp_tail(2.0 * b, 3) - _exp_tail(2.0 * a, 3)) / 2.0) / lam3
         mean += f.sigma * f.measure.mean_jump() * first
         var += f.sigma**2 * f.measure.second_moment() * second
     return mean, var
 
 
-def _discount_and_bond(spec: ModelSpec, seed: int, n_paths: int, t: float, T: float):
+def _discount_and_bond(spec: ModelSpec, key, n_paths: int, t: float, T: float):
     """Per-path exp(-I_t), the affine bond price P(t, T) at the state X(t), and a control.
 
     Per jump B(u, t) + B(t, T) e^{-lam (t - u)} = B(u, T), so the log of
     exp(-I_t) P(t, T) is a constant plus the third array, the jump sum
     sum_k sigma_k sum_{u_j <= t} B_k(u_j, T) z_j  of :func:`_jump_moments`.
     """
-    sums = _jump_sums(spec, seed, n_paths, [(t, "decay"), (t, "bond")])
+    sums = _jump_sums(spec, key, n_paths, [(t, "decay"), (t, "bond")])
     jumps = sums[:, 1].sum(axis=0)
     i_t = _jump_free_integral(spec, t) - jumps
     log_bond = sum(_cumulant_closed(c, *_bond_ends(c, t, T, T), T - t) for c in spec._paths)
@@ -549,11 +645,12 @@ def mc_bond_curve(spec: ModelSpec, maturities, n_paths: int, seed: int):
     estimate checks.
     """
     maturities = [float(T) for T in maturities]
-    _check_mc_args(spec, maturities, n_paths, seed, "maturity")
-    sums = _jump_sums(spec, seed, n_paths, [(T, "bond") for T in maturities]).sum(axis=0)
+    _, key = _check_mc_args(spec, maturities, n_paths, seed, "maturity")
+    moments = [_jump_moments(spec, T, T) for T in maturities]
+    sums = _jump_sums(spec, key, n_paths, [(T, "bond") for T in maturities]).sum(axis=0)
     return [
-        _estimate(np.exp(jumps - _jump_free_integral(spec, T)), jumps, *_jump_moments(spec, T, T))
-        for T, jumps in zip(maturities, sums)
+        _estimate(np.exp(jumps - _jump_free_integral(spec, T)), jumps, *moment)
+        for T, jumps, moment in zip(maturities, sums, moments)
     ]
 
 
@@ -566,15 +663,16 @@ def mc_discounted_bond(
     control, with its mean and variance from the jump moments; the check
     stays independent of the affine formula at time 0.
     """
-    _check_mc_args(spec, [T], n_paths, seed, "T")
+    _, key = _check_mc_args(spec, [T], n_paths, seed, "T")
     t, T = _check_interval(t, T)
     if t == 0.0:
         price = bond_price(spec, 0.0, T)
         return MonteCarloEstimate(
             value=price, std_error=0.0, n_paths=n_paths, plain_value=price, plain_std_error=0.0
         )
-    discount, bond, jumps = _discount_and_bond(spec, seed, n_paths, t, T)
-    return _estimate(discount * bond, jumps, *_jump_moments(spec, t, T))
+    moments = _jump_moments(spec, t, T)
+    discount, bond, jumps = _discount_and_bond(spec, key, n_paths, t, T)
+    return _estimate(discount * bond, jumps, *moments)
 
 
 def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCarloEstimate:
@@ -586,16 +684,16 @@ def mc_option_price(spec: ModelSpec, option, n_paths: int, seed: int) -> MonteCa
     the discounted bond exp(-I_tau) P(tau,T), a martingale with mean P(0,T).
     """
     tau, T = option.option_maturity, option.bond_maturity
-    _check_mc_args(spec, [T], n_paths, seed, "bond maturity")  # OptionSpec keeps 0 < tau <= T
-    discount, bond, _ = _discount_and_bond(spec, seed, n_paths, tau, T)
+    _, key = _check_mc_args(spec, [T], n_paths, seed, "bond maturity")  # OptionSpec keeps 0 < tau <= T
+    discount, bond, _ = _discount_and_bond(spec, key, n_paths, tau, T)
     payoff = discount * np.maximum(bond - option.strike, 0.0)
     return _estimate(payoff, discount * bond, bond_price(spec, 0.0, T))
 
 
 def mc_short_rate_samples(spec: ModelSpec, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Exact samples of r(t), one per path index."""
-    (t,) = _check_mc_args(spec, [t], n_paths, seed)
+    (t,), key = _check_mc_args(spec, [t], n_paths, seed)
     base = float(spec.floor.value(t)) + sum(
         f.x0 * math.exp(-f.lam * t) for f in spec.factors
     )
-    return base + _jump_sums(spec, seed, n_paths, [(t, "decay")]).sum(axis=0)[0]
+    return base + _jump_sums(spec, key, n_paths, [(t, "decay")]).sum(axis=0)[0]

@@ -323,3 +323,22 @@ def rowwise_export_jumps_csv(paths, destination):
             for k, rec in enumerate(path.jumps):
                 for t, z in zip(rec.times, rec.sizes):
                     handle.write(f"{path_id},{k + 1},{t:.17g},{z:.17g}\n")
+
+
+def philox4x32_10(counter, seed):
+    """Philox4x32-10 on Python ints: the four 32-bit output words of one counter block.
+
+    The reference for the NumPy kernel of ``simulation._philox`` (Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): the 64-bit
+    seed's two words are the key, bumped by the Weyl constants after every
+    round, and each round multiplies, splits and XORs exactly as written in
+    the paper, with no array arithmetic to share a defect with the kernel.
+    """
+    mask = 0xFFFFFFFF
+    c0, c1, c2, c3 = counter
+    k0, k1 = seed & mask, seed >> 32
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & mask, (p0 >> 32) ^ c3 ^ k1, p0 & mask
+        k0, k1 = (k0 + 0x9E3779B9) & mask, (k1 + 0xBB67AE85) & mask
+    return c0, c1, c2, c3

@@ -355,6 +355,18 @@ class TestDomainFailuresExitOne:
         assert main(["--config", cfg, *argv]) == 1
         assert capsys.readouterr().err == "error: did not converge\n"
 
+    def test_huge_lambda_simulates_but_cannot_price_by_monte_carlo(self, tmp_path, capsys):
+        # lambda = 1e308 overflows -lambda t on the path grid, which once warned,
+        # and lambda**3 in the jump moments, which once raised a bare OverflowError
+        payload = dict(BASELINE, factors=[dict(BASELINE["factors"][0], **{"lambda": 1e308})])
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "--paths", "2", "simulate"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["--config", cfg, "--paths", "1000", "price", "bond", "--maturity", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: factor index 0: lambda**3 of the jump moments overflows (lambda=1e+308)\n"
+        )
+
 
 DUAL_CURVE = dict(
     BASELINE,

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import re
@@ -621,11 +620,8 @@ class TestPathConstants:
         )
 
 
-def _time_functions(spec, dual, path_spec, path):
-    """Every public function of one or two scalar times t <= T on a one-factor spec.
-
-    The pathwise ones run on ``path_spec``, a model whose jump weights stay in range.
-    """
+def _time_functions(spec, dual, path):
+    """Every public function of one or two scalar times t <= T on a one-factor spec."""
     f, measure = spec.factors[0], spec.factors[0].measure
     return {
         "bond_price": lambda t, T: bond_price(spec, t, T),
@@ -642,9 +638,9 @@ def _time_functions(spec, dual, path_spec, path):
         "levy_char_fn": lambda t, T: levy_char_fn(measure, T, 0.7),
         "levy_zero_atom": lambda t, T: levy_zero_atom(measure, T),
         "levy_density": lambda t, T: levy_density(measure, T + 0.25, 0.1),
-        "integrated_rate": lambda t, T: integrated_rate(path_spec, path, T),
-        "bond_path": lambda t, T: bond_path(path_spec, path, t, T),
-        "hjm_forward_path": lambda t, T: hjm_forward_path(path_spec, path, t, T),
+        "integrated_rate": lambda t, T: integrated_rate(spec, path, T),
+        "bond_path": lambda t, T: bond_path(spec, path, t, T),
+        "hjm_forward_path": lambda t, T: hjm_forward_path(spec, path, t, T),
         "fictitious_bond_price": lambda t, T: fictitious_bond_price(dual, t, T),
         "forward_spread": lambda t, T: forward_spread(dual, t, T),
         "ois_forward": lambda t, T: ois_forward(dual, t, T, T + 0.5),
@@ -663,7 +659,8 @@ class TestTimeTypes:
         lam=st.sampled_from([1.0, 1e308]),
     )
     # lambda = 1e308 overflows -lambda (T - t) once T - t > 1.8: NumPy scalar
-    # times once warned there, where Python floats give -inf silently
+    # times once warned there, where Python floats give -inf silently, and so
+    # did a path's vectorized jump weights
     @example(t=0.5, dt=2.0, lam=1e308)
     @settings(max_examples=30, deadline=None)
     def test_float_int_numpy_scalar_and_0d_array_agree(self, t, dt, lam):
@@ -671,17 +668,14 @@ class TestTimeTypes:
         spec = ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
         spread = FactorParams(lam=2.0, sigma=0.5, x0=0.005, measure=GammaJumpMeasure(1.0, 20.0))
         dual = DualCurveSpec(base=spec, spread_factors=(spread,), spread_floor=ConstantFloor(0.005))
-        # the vectorized jump weights of a path are not on trial here: they run in NumPy
-        path_spec = ModelSpec(factors=(dataclasses.replace(factor, lam=1.0),), floor=spec.floor,
-                              horizon=10.0)
-        path = simulate_path(path_spec, seed=3)
         T = t + dt
         kinds = [float, np.float64, np.array]
         if float(t).is_integer() and float(T).is_integer():
             kinds.append(int)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for name, function in _time_functions(spec, dual, path_spec, path).items():
+            path = simulate_path(spec, seed=3)
+            for name, function in _time_functions(spec, dual, path).items():
                 values = [complex(function(kind(t), kind(T))) for kind in kinds]
                 bits = {(v.real.hex(), v.imag.hex()) for v in values}
                 assert len(bits) == 1, (name, values)

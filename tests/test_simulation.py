@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from jumpcurve.simulation import (
     _philox,
 )
 from jumpcurve.quadrature import gauss_kronrod
-from oracles import path_state
+from oracles import path_state, philox4x32_10
 
 
 class TestJumpRecord:
@@ -64,15 +65,19 @@ class TestSimulateJumps:
         assert rec.count == 0
 
     def test_poisson_count_moments(self):
+        # the counts of simulate_jumps(m, 1.0, 314, p) for p < 30 000, drawn in one pass
         m = GammaJumpMeasure(2.0, 10.0)
-        counts = np.array([simulate_jumps(m, 1.0, 314, p).count for p in range(30_000)])
+        counts = np.zeros(30_000, dtype=np.int64)
+        for rows, t, _ in _jump_blocks(m, 1.0, _key(314), 0, range(counts.size)):
+            counts[rows] += np.count_nonzero(t <= 1.0, axis=1)
         se = math.sqrt(2.0 / counts.size)
         assert abs(counts.mean() - 2.0) < 3.0 * se
         assert counts.var(ddof=1) == pytest.approx(2.0, rel=0.1)
 
     def test_exponential_size_moments(self):
+        # the sizes of simulate_jumps(m, 1.0, 2718, p) for p < 10 000, drawn in one pass
         m = GammaJumpMeasure(2.0, 10.0)
-        sizes = np.concatenate([simulate_jumps(m, 1.0, 2718, p).sizes for p in range(10_000)])
+        sizes = np.concatenate([z for _, z in batched_records(m, 1.0, 2718, 0, 10_000)])
         se = 0.1 / math.sqrt(sizes.size)
         assert abs(sizes.mean() - 0.1) < 3.0 * se
 
@@ -114,6 +119,32 @@ class TestReproducibility:
         assert [int(w) for w in _philox(ones, ones, ones, ones, _key(2**64 - 1))] == [
             0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD,
         ]
+
+    def test_int_oracle_gives_the_known_answers(self):
+        assert philox4x32_10((0, 0, 0, 0), 0) == (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)
+        assert philox4x32_10((0xFFFFFFFF,) * 4, 2**64 - 1) == (
+            0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_kernel_matches_the_int_oracle_word_for_word(self, seed):
+        # the kernel called as _jump_blocks calls it, in one scratch buffer: one
+        # path, 400 paths, a full chunk of _CHUNK blocks, then the second block
+        # of a subset of its rows, up to path index 2**32 - 1 on factor index 3
+        width, last = 16, 2**32 - 1
+        rows = _CHUNK // width
+        work = np.empty(6 * _CHUNK, dtype=np.uint64)
+        calls = [
+            (range(width), [last]),
+            (range(width), range(last - 399, last + 1)),
+            (range(width), range(last - rows + 1, last + 1)),
+            (range(width, 2 * width), range(last - rows + 1, last + 1, 3)),
+        ]
+        for jumps, paths in calls:
+            words = _philox(np.array(jumps, dtype=np.uint64), np.array(paths, dtype=np.uint64)[:, None],
+                            np.uint64(3), np.uint64(0), _key(seed), work)
+            expected = [[philox4x32_10((j, p, 3, 0), seed) for j in jumps] for p in paths]
+            assert np.array_equal(np.stack(words, axis=-1), np.array(expected, dtype=np.uint64))
 
     def test_simulate_path_matches_batched_records(self, two_factor_spec):
         # at horizon 10 each factor's 1000 paths span two or more chunks
@@ -237,11 +268,13 @@ class TestEvolveFactor:
         assert evolve_factor(baseline_factor, rec, []).shape == (0,)
 
     def test_ensemble_mean_matches_moment_formula(self, baseline_spec):
+        # X(1) of the records simulate_jumps(f.measure, 1.0, 99, p) for p < 20 000,
+        # drawn in one pass
         f = baseline_spec.factors[0]
         values = np.array(
             [
-                evolve_factor(f, simulate_jumps(f.measure, 1.0, 99, p), [1.0])[0]
-                for p in range(20_000)
+                evolve_factor(f, JumpRecord(t, z), [1.0])[0]
+                for t, z in batched_records(f.measure, 1.0, 99, 0, 20_000)
             ]
         )
         expected = f.x0 * math.exp(-f.lam) + f.sigma * f.measure.alpha * (
@@ -562,7 +595,7 @@ class TestControlVariates:
         # t = T is the bond control, t < T the martingale control; both are
         # the third array of _discount_and_bond
         n = 200_000
-        _, _, jumps = _discount_and_bond(two_factor_spec, 131, n, t, T)
+        _, _, jumps = _discount_and_bond(two_factor_spec, _key(131), n, t, T)
         mean, var = _jump_moments(two_factor_spec, t, T)
         for sample, expected in ((jumps, mean), ((jumps - mean) ** 2, var)):
             se = sample.std(ddof=1) / math.sqrt(n)
@@ -581,23 +614,48 @@ class TestControlVariates:
         assert mean == pytest.approx(0.7 * 0.2 * first, rel=1e-12)
         assert var == pytest.approx(0.49 * 0.04 * second, rel=1e-12)
 
+    def test_overflowing_jump_moments_name_the_factor(self, two_factor_spec):
+        # lambda**3 of the control's moments overflows; it once raised a bare
+        # "(34, 'Numerical result out of range')", after drawing every path
+        huge = _factor(1e308, 1.0, 0.01, 2.0, 10.0)
+        spec = ModelSpec(factors=(two_factor_spec.factors[0], huge), floor=ConstantFloor(0.02),
+                         horizon=10.0)
+        message = re.escape("factor index 1: lambda**3 of the jump moments overflows (lambda=1e+308)")
+        with pytest.raises(OverflowError, match=message):
+            mc_bond_price(spec, 2.0, 1_000, seed=5)
+        with pytest.raises(OverflowError, match=message):
+            mc_discounted_bond(spec, 1.0, 2.0, 1_000, seed=5)
+
+    def test_huge_lambda_draws_without_warnings(self, two_factor_spec):
+        # -lambda (t - u) overflows to -inf, where e^{-inf} = 0 is the weight;
+        # the estimators without a jump-moment control once warned there
+        huge = _factor(1e308, 1.0, 0.01, 2.0, 10.0)
+        spec = ModelSpec(factors=(two_factor_spec.factors[0], huge), floor=ConstantFloor(0.02),
+                         horizon=10.0)
+        samples = mc_short_rate_samples(spec, 2.0, 1_000, seed=5)
+        one_factor = ModelSpec(factors=spec.factors[:1], floor=spec.floor, horizon=10.0)
+        # the huge factor decays at once, so it adds exactly 0.0 to every sample
+        assert np.array_equal(samples, mc_short_rate_samples(one_factor, 2.0, 1_000, seed=5))
+        est = mc_option_price(spec, OptionSpec(0.9, 1.0, 2.0), 1_000, seed=5)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
     def test_bond_control_is_the_bond_jump_sum(self, two_factor_spec):
-        _, _, jumps = _discount_and_bond(two_factor_spec, 132, 1_000, 2.0, 2.0)
-        bond = _jump_sums(two_factor_spec, 132, 1_000, [(2.0, "bond")]).sum(axis=0)[0]
+        _, _, jumps = _discount_and_bond(two_factor_spec, _key(132), 1_000, 2.0, 2.0)
+        bond = _jump_sums(two_factor_spec, _key(132), 1_000, [(2.0, "bond")]).sum(axis=0)[0]
         assert np.array_equal(jumps, bond)
 
     def test_plain_value_is_the_old_mean(self, two_factor_spec):
         n, t, T = 5_000, 0.5, 2.0
         curve = mc_bond_curve(two_factor_spec, (t, T), n, seed=141)
-        sums = _jump_sums(two_factor_spec, 141, n, [(t, "bond"), (T, "bond")]).sum(axis=0)
+        sums = _jump_sums(two_factor_spec, _key(141), n, [(t, "bond"), (T, "bond")]).sum(axis=0)
         for maturity, jumps, est in zip((t, T), sums, curve):
             values = np.exp(jumps - _jump_free_integral(two_factor_spec, maturity))
             assert est.plain_value == plain_mean(values)
-        discount, bond, _ = _discount_and_bond(two_factor_spec, 142, n, t, T)
+        discount, bond, _ = _discount_and_bond(two_factor_spec, _key(142), n, t, T)
         est = mc_discounted_bond(two_factor_spec, t, T, n, seed=142)
         assert est.plain_value == plain_mean(discount * bond)
         option = OptionSpec(strike=0.95, option_maturity=t, bond_maturity=T)
-        discount, bond, _ = _discount_and_bond(two_factor_spec, 143, n, t, T)
+        discount, bond, _ = _discount_and_bond(two_factor_spec, _key(143), n, t, T)
         est = mc_option_price(two_factor_spec, option, n, seed=143)
         assert est.plain_value == plain_mean(discount * np.maximum(bond - 0.95, 0.0))
 
