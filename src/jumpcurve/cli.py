@@ -34,10 +34,15 @@ Floor variants: ``constant`` (``level``) and ``piecewise_linear`` /
 
 All numeric CSV fields are written with 17 significant digits, '.' decimal
 separator, and LF line endings, so reruns with the same seed are
-byte-identical.  Exit codes: 0 success, 1 domain or validation failure
-(a closed form that overflows double precision, or a failed write, among
-them), 2 unreadable or unparseable input (a field of the wrong type, or a
-grid ``count`` above 100000).
+byte-identical.  The files are formatted in bulk, by C-level ``%`` calls over
+row templates: one per table for ``curve`` and ``calibrate``; for
+``simulate``, a few per path and one per factor's jumps, while the times of
+the mesh every path shares are formatted once per run.
+
+Exit codes: 0 success, 1 domain or validation failure (a closed form that
+overflows double precision, or a failed write, among them), 2 unreadable or
+unparseable input (a field of the wrong type, or a grid ``count`` above
+100000).
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -68,7 +74,14 @@ from .multicurve import (
 )
 from .options import OptionSpec, PricingError, fourier_call_price
 from .quadrature import QuadratureError
-from .simulation import SimulatedPath, _check_seed, mc_bond_price, mc_option_price, simulate_path
+from .simulation import (
+    SimulatedPath,
+    _check_seed,
+    _mesh,
+    mc_bond_price,
+    mc_option_price,
+    simulate_path,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -85,9 +98,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _column(values: np.ndarray) -> list:
-    """Each value of a float array as ``.17g`` text, formatted from Python floats."""
-    return [f"{v:.17g}" for v in values.tolist()]
+def _rows(row: str, *columns) -> str:
+    """``row`` once per index of the equal-length ``columns``, filled by one ``%`` call.
+
+    ``row`` holds one field per column.  ``%.17g`` and ``format(x, ".17g")``
+    both call ``PyOS_double_to_string(x, 'g', 17, 0)``, so a value reads as
+    :func:`_fmt` writes it; the Python-level cost is per table, not per value.
+    """
+    return row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _texts(values: np.ndarray) -> list:
+    """Each value of a float array as ``.17g`` text, from one ``%`` call."""
+    return _rows("%.17g ", values.tolist()).split()
 
 
 def _parse_floor(node, label: str):
@@ -259,8 +282,7 @@ def cmd_curve(cfg: dict, args) -> int:
     header = "maturity,P,f,R" if dual is None else "maturity,P,P_bar,f,f_bar,g,F_ois,L_libor"
     with _create(cfg, "curve.csv") as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.write(_rows(",".join(["%.17g"] * len(rows[0])) + "\n", *zip(*rows)))
     print(f"wrote {handle.name}")
     return EXIT_OK
 
@@ -285,8 +307,7 @@ def cmd_calibrate(cfg: dict, args) -> int:
     )
     with _create(cfg, "floor.csv") as handle:
         handle.write("maturity,mu\n")
-        for T, mu in zip(floor.times, floor.values):
-            handle.write(f"{_fmt(T)},{_fmt(mu)}\n")
+        handle.write(_rows("%.17g,%.17g\n", floor.times, floor.values))
     print(f"wrote {handle.name}")
     print(f"refit max |f_model - f_market| = {worst:.3e}")
     if worst >= 1e-8:
@@ -298,30 +319,31 @@ _PATHS_CSV_HEADER = "path_id,time,factor_index,X,short_rate,integrated_rate\n"
 _JUMPS_CSV_HEADER = "path_id,factor_index,jump_time,jump_size\n"
 
 
-def _path_csv_rows(path_id: int, path: SimulatedPath) -> str:
+def _path_csv_rows(path_id: int, path: SimulatedPath, mesh: np.ndarray, mesh_times) -> str:
     """One path's rows of ``paths.csv``: one per grid point and factor.
 
-    Each column is formatted once, and ``short_rate``/``integrated`` once
-    per grid point rather than once per factor row.
+    The grid is ``mesh`` united with the jump epochs, and ``mesh_times``
+    holds the mesh's texts (an object array), so only the epochs off the
+    mesh are formatted here.  ``short_rate,integrated`` is formatted once
+    per grid point, and each grid point's factor rows are one template.
     """
-    times = _column(path.grid)
-    rates = zip(_column(path.short_rate), _column(path.integrated))
-    tails = [f"{r},{i}\n" for r, i in rates]
-    factors = [_column(x) for x in path.factors]
-    return "".join(
-        f"{path_id},{t},{k},{x},{tail}"
-        for t, tail, *xs in zip(times, tails, *factors)
-        for k, x in enumerate(xs, 1)
-    )
+    grid = path.grid
+    times = np.empty(grid.size, object)
+    on_mesh = np.searchsorted(grid, mesh)
+    times[on_mesh] = mesh_times
+    epochs = np.ones(grid.size, bool)
+    epochs[on_mesh] = False
+    times[epochs] = _texts(grid[epochs])
+    times = times.tolist()
+    tails = _rows("%.17g,%.17g ", path.short_rate.tolist(), path.integrated.tolist()).split()
+    row = "".join(f"{path_id},%s,{k},%.17g,%s\n" for k in range(1, len(path.factors) + 1))
+    return _rows(row, *(c for x in path.factors.tolist() for c in (times, x, tails)))
 
 
 def _jump_csv_rows(path_id: int, path: SimulatedPath) -> str:
     """One path's rows of ``jumps.csv``: one per jump of each factor."""
-    return "".join(
-        f"{path_id},{k},{t},{z}\n"
-        for k, rec in enumerate(path.jumps, 1)
-        for t, z in zip(_column(rec.times), _column(rec.sizes))
-    )
+    return "".join(_rows(f"{path_id},{k},%.17g,%.17g\n", rec.times.tolist(), rec.sizes.tolist())
+                   for k, rec in enumerate(path.jumps, 1))
 
 
 def cmd_simulate(cfg: dict, args) -> int:
@@ -333,15 +355,19 @@ def cmd_simulate(cfg: dict, args) -> int:
     # each path is written as it is simulated and only r at the horizon is
     # kept, so memory holds one path; path 0 runs before the output directory
     # is made, so a model that cannot be simulated leaves no output
-    path = simulate_path(spec, seed, 0)
+    points_per_year = 252
+    path = simulate_path(spec, seed, 0, points_per_year)
+    # every path's grid holds this mesh, whose times are formatted once
+    mesh = _mesh(spec.horizon, points_per_year)
+    mesh_times = np.array(_texts(mesh), object)
     finals = np.empty(n_paths)
     with _create(cfg, "paths.csv") as rows, _create(cfg, "jumps.csv") as jumps:
         rows.write(_PATHS_CSV_HEADER)
         jumps.write(_JUMPS_CSV_HEADER)
         for p in range(n_paths):
             if p:
-                path = simulate_path(spec, seed, p)
-            rows.write(_path_csv_rows(p, path))
+                path = simulate_path(spec, seed, p, points_per_year)
+            rows.write(_path_csv_rows(p, path, mesh, mesh_times))
             jumps.write(_jump_csv_rows(p, path))
             finals[p] = path.short_rate[-1]
     horizon = spec.horizon

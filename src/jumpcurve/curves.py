@@ -205,7 +205,9 @@ def bond_price(
     ``state`` defaults to the time-0 factor values, which prices the bond at
     t = 0.  Strictly positive; equals 1 at t = T; bounded above by
     exp(-int_t^T mu) whenever every factor value is nonnegative.  Raises
-    OverflowError when the closed forms overflow double precision.
+    OverflowError when the closed forms overflow double precision, naming
+    the factor index and sigma where sigma B(t,T) dwarfs epsilon so far
+    that the cumulant log's ratio rounds to -1.
     """
     t, T = _check_interval(t, T, spec.horizon)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
@@ -213,11 +215,17 @@ def bond_price(
     log_p = -spec.floor.integral(t, T)
     tau = T - t
     if method == "closed":
-        for c, x in zip(spec._paths, state):
-            lam, sigma, _, _, _, _, _, end = c
-            slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
-            log_p += _cumulant_closed(c, sigma * slope, end, tau)
-            log_p += slope * x
+        try:
+            for c, x in zip(spec._paths, state):
+                lam, sigma, eps, _, _, _, _, end = c
+                slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
+                log_p += _cumulant_closed(c, sigma * slope, end, tau)
+                log_p += slope * x
+        except ValueError:  # log1p(-1): (g1 - g2) / (eps - g1) rounded to -1
+            raise OverflowError(
+                f"factor index {spec._paths.index(c)}: sigma B({t}, {T}) = {sigma * slope} "
+                f"dwarfs epsilon = {eps}, so the bond's cumulant log exceeds double precision "
+                f"(sigma={sigma})") from None
     else:
         for f, x in zip(spec.factors, state):
             log_p += cumulant_time_integral(f, t, T, T, method=method)

@@ -35,7 +35,7 @@ import numpy as np
 from .curves import bond_price, forward_rate
 from .model import ConstantFloor, FloorFunction, ModelSpec, SummedFloor
 from .model import _check_interval, _check_state
-from .simulation import bond_path
+from .simulation import _bond_path
 
 __all__ = [
     "DualCurveSpec",
@@ -152,12 +152,14 @@ def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=Non
 
 
 def libor_path_closed_form(dual: DualCurveSpec, path, t: float, T1: float, T2: float) -> float:
-    """Pathwise LIBOR forward from two :func:`.simulation.bond_path` values of the fictitious model.
+    """Pathwise LIBOR forward from the two-maturity jump representation of the fictitious model.
 
-    I_t cancels in their ratio, which leaves the two-maturity jump representation
+    I_t cancels in the ratio of two pathwise bonds, which leaves
     P_bar(0,T1)/P_bar(0,T2) prod_k exp( int_0^t [cum_k(sigma B(s,T2)) - cum_k(sigma B(s,T1))] ds
-    + sum_{u_j <= t} sigma_k (B_k(u_j,T1) - B_k(u_j,T2)) z_j ).  ``path`` must be simulated
-    from ``dual.fictitious``, the effective (l-factor) model.
+    + sum_{u_j <= t} sigma_k (B_k(u_j,T1) - B_k(u_j,T2)) z_j ): the ratio of the two
+    discounted bonds exp(-I_t) P_bar(t,T), so I_t is never computed.  ``path`` must be
+    simulated from ``dual.fictitious``, the effective (l-factor) model.
     """
-    eff = dual.fictitious
-    return _simple_forward(eff, t, T1, T2, lambda T: bond_path(eff, path, t, T))
+    eff, end = dual.fictitious, path.grid[-1]
+    return _simple_forward(eff, t, T1, T2,
+                           lambda T: _bond_path(eff, path, *_check_interval(t, T, end), 0.0))

@@ -386,6 +386,18 @@ def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
     return x
 
 
+def _mesh(horizon: float, points_per_year: float) -> np.ndarray:
+    """The regular mesh of a path's grid: ``round(points_per_year * horizon)`` steps, at least one.
+
+    :func:`simulate_path` unions it with the jump epochs, and CLI ``simulate``
+    formats its times once per run, so the two builds are this one.
+    """
+    if not 0 < points_per_year < math.inf:
+        raise ValueError(f"points_per_year must be finite and positive, got {points_per_year!r}")
+    steps = max(1, int(round(points_per_year * horizon)))
+    return np.linspace(0.0, horizon, steps + 1)
+
+
 def simulate_path(
     spec: ModelSpec,
     seed: int,
@@ -399,14 +411,11 @@ def simulate_path(
     ``round(points_per_year * horizon)`` steps, and at least one, so the grid
     always holds both 0 and the horizon.
     """
-    if not 0 < points_per_year < math.inf:
-        raise ValueError(f"points_per_year must be finite and positive, got {points_per_year!r}")
+    mesh = _mesh(spec.horizon, points_per_year)
     key = _key(seed)
     jumps = tuple(
         _record(f.measure, spec.horizon, key, path_index, k) for k, f in enumerate(spec.factors)
     )
-    steps = max(1, int(round(points_per_year * spec.horizon)))
-    mesh = np.linspace(0.0, spec.horizon, steps + 1)
     grid = np.union1d(mesh, np.concatenate([rec.times for rec in jumps]))
     factors = np.vstack([evolve_factor(f, rec, grid) for f, rec in _records(spec, jumps)])
     short_rate = np.asarray(spec.floor.value(grid)) + factors.sum(axis=0)
@@ -441,10 +450,19 @@ def bond_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float) -> float
     state; that identity is the module's central correctness check.
     """
     t, T = _check_interval(t, T, path.grid[-1])
+    return _bond_path(spec, path, t, T, integrated_rate(spec, path, t))
+
+
+def _bond_path(spec: ModelSpec, path: SimulatedPath, t: float, T: float, i_t: float) -> float:
+    """:func:`bond_path` at checked times from the path's I_t, ``i_t``.
+
+    With ``i_t = 0.0`` it is exp(-I_t) P(t,T), whose ratio over two
+    maturities is that of the bonds, without I_t.
+    """
     p0T = bond_price(spec, 0.0, T)
     if not p0T:
         raise OverflowError(f"P(0.0, {T}) underflows to 0.0, so the pathwise bond has no log")
-    log_p = math.log(p0T) + integrated_rate(spec, path, t)
+    log_p = math.log(p0T) + i_t
     log_p -= sum(_cumulant_closed(c, *_bond_ends(c, 0.0, t, T), t) for c in spec._paths)
     return math.exp(log_p + _path_jump_sum(spec, path, t, T, "bond"))
 

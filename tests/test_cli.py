@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jumpcurve
-from jumpcurve import SummedFloor, cli, simulate_path
+from jumpcurve import JumpRecord, SimulatedPath, SummedFloor, cli, simulate_path
 from jumpcurve.cli import main
 from jumpcurve.options import PricingError
 from jumpcurve.quadrature import QuadratureError
+from jumpcurve.simulation import _mesh
 from oracles import pointwise_cumulative, rowwise_export_jumps_csv, rowwise_export_paths_csv
 
 BASELINE = {
@@ -463,6 +464,22 @@ class TestCurveCommand:
         assert (run.returncode, run.stdout, run.stderr) == (1, "", error)
         assert not (tmp_path / "out").exists()
 
+    def test_huge_sigma_gives_one_error_line(self, tmp_path):
+        # sigma B(0, 0.25) dwarfs epsilon; the run once ended in "error: math
+        # domain error", naming nothing
+        factor = dict(BASELINE["factors"][0], sigma=1.7e308)
+        cfg = write_config(tmp_path, dict(BASELINE, factors=[factor], output=str(tmp_path / "out")))
+        src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "jumpcurve.cli",
+             "--config", cfg, "curve"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr.startswith("error: factor index 0: ") and _one_error_line(run.stderr)
+        assert run.stderr.endswith("(sigma=1.7e+308)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_underflowing_forward_names_the_bond(self, tmp_path, capsys):
         # P(0, 3.25) underflows to 0.0; the OIS forward once failed with
         # "float division by zero"
@@ -618,6 +635,41 @@ class TestExportMatchesRowwiseOracle:
             assert (tmp_path / "out" / csv).read_bytes() == (tmp_path / csv).read_bytes()
         if name == "jump-free":
             assert all(rec.count == 0 for path in paths for rec in path.jumps)
+
+    def test_bulk_writers_on_edge_values(self, tmp_path):
+        # .17g's switches to exponent form (below 1e-4, from 1e17), signed
+        # zeros, the extreme doubles and inf, on a hand-built path of three
+        # factors, the second without jumps, and an epoch on the mesh time 0.5
+        mesh = _mesh(1.0, 4)
+        records = (JumpRecord([5e-324, 1e-5, 0.5], [1e17, 5e-324, 1.7976931348623157e308]),
+                   JumpRecord([], []),
+                   JumpRecord([9.999999999999999e-5, 0.1, 0.75], [1e16, 9.9999999999999998e16, 1e-5]))
+        grid = np.union1d(mesh, np.concatenate([rec.times for rec in records]))
+        assert grid.size == mesh.size + 4
+        edges = [1e-5, 1e-4, 9.9999999999999995e-5, 1e16, 1e17, 9.9999999999999998e16,
+                 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -math.inf, math.inf, 0.1]
+        values = np.resize(np.array(edges), 5 * grid.size).reshape(5, grid.size)
+        path = SimulatedPath(grid=grid, jumps=records, factors=values[:3],
+                             short_rate=-values[3], integrated=values[4, ::-1] - 0.5)
+        assert (path.short_rate < 0).any() and (path.integrated < 0).any()
+        mesh_times = np.array(cli._texts(mesh), object)
+        with open(tmp_path / "paths.csv", "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(cli._PATHS_CSV_HEADER)
+            for p in range(2):
+                handle.write(cli._path_csv_rows(p, path, mesh, mesh_times))
+        with open(tmp_path / "jumps.csv", "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(cli._JUMPS_CSV_HEADER)
+            for p in range(2):
+                handle.write(cli._jump_csv_rows(p, path))
+        rowwise_export_paths_csv([path, path], tmp_path / "paths_rowwise.csv")
+        rowwise_export_jumps_csv([path, path], tmp_path / "jumps_rowwise.csv")
+        for csv in ("paths", "jumps"):
+            got = (tmp_path / f"{csv}.csv").read_bytes()
+            assert got == (tmp_path / f"{csv}_rowwise.csv").read_bytes()
+        text = (tmp_path / "paths.csv").read_text()
+        for field in (",1.0000000000000001e-05,", ",0.0001,", ",10000000000000000,", ",1e+17,",
+                      ",-0,", ",4.9406564584124654e-324,", ",1.7976931348623157e+308,", ",-inf,"):
+            assert field in text
 
 
 class TestSimulateCommand:

@@ -341,6 +341,19 @@ class TestOverflow:
         with pytest.raises(OverflowError, match="overflows double precision"):
             function(overflowing_spec, 0.0, 0.25)
 
+    # sigma B(0, 1) = -1.07e308 dwarfs epsilon = 10, so (g1 - g2) / (eps - g1)
+    # rounds to -1; log1p once failed with "math domain error", naming nothing
+    @pytest.mark.parametrize("function", [bond_price, yield_curve])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_huge_sigma_names_the_factor(self, baseline_factor, function, index):
+        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        factors = (huge, baseline_factor) if index == 0 else (baseline_factor, huge)
+        spec = ModelSpec(factors=factors, floor=ConstantFloor(0.02), horizon=10.0)
+        with pytest.raises(OverflowError, match=rf"^factor index {index}: .*\(sigma=1\.7e\+308\)$"):
+            function(spec, 0.0, 1.0)
+        # the forward rate's closed form has no such log
+        assert math.isfinite(forward_rate(spec, 0.0, 1.0))
+
     def test_calibrated_level_names_maturity(self):
         # alpha * epsilon overflows, so every fitted level would be NaN
         factor = FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(1e308, 1e308))
