@@ -13,14 +13,12 @@ from .model import (
 )
 from .curves import (
     ForwardCurve,
-    MomentFitResult,
     bond_B,
     bond_B_dT,
     bond_price,
     calibrate_floor,
     cumulant_time_integral,
     forward_rate,
-    match_moments,
     tilted_time_integral,
     yield_curve,
 )

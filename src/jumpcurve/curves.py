@@ -1,4 +1,4 @@
-"""Affine bond pricing, forward curves, floor calibration, moment matching.
+"""Affine bond pricing, forward curves, floor calibration.
 
 Bond prices are exponential-affine in the factors,
 
@@ -63,26 +63,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import (
-    ConstantFloor,
     FactorParams,
-    GammaJumpMeasure,
     ModelSpec,
     PiecewiseLinearFloor,
     _check_interval,
     _check_state,
     _path_constants,
     _slope,
-    factor_mean_term,
-    factor_var_term,
 )
 from .quadrature import gauss_kronrod
 
 __all__ = [
     "ForwardCurve",
-    "MomentFitResult",
     "bond_B",
     "bond_B_dT",
     "cumulant_time_integral",
@@ -91,7 +85,6 @@ __all__ = [
     "forward_rate",
     "yield_curve",
     "calibrate_floor",
-    "match_moments",
 ]
 
 _QUAD_TOL = 1e-13
@@ -204,10 +197,11 @@ def bond_price(
 
     ``state`` defaults to the time-0 factor values, which prices the bond at
     t = 0.  Strictly positive; equals 1 at t = T; bounded above by
-    exp(-int_t^T mu) whenever every factor value is nonnegative.  Raises
+    exp(-int_t^T mu) whenever every factor value is nonnegative.  Where
+    sigma B(t,T) dwarfs epsilon so far that the cumulant log's ratio rounds
+    to -1, the log is taken as log(eps - g2) - log(eps - g1) instead.  Raises
     OverflowError when the closed forms overflow double precision, naming
-    the factor index and sigma where sigma B(t,T) dwarfs epsilon so far
-    that the cumulant log's ratio rounds to -1.
+    the factor index and sigma when that factor's term is still not finite.
     """
     t, T = _check_interval(t, T, spec.horizon)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
@@ -215,17 +209,23 @@ def bond_price(
     log_p = -spec.floor.integral(t, T)
     tau = T - t
     if method == "closed":
-        try:
-            for c, x in zip(spec._paths, state):
-                lam, sigma, eps, _, _, _, _, end = c
-                slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
+        if T == t:  # exactly, also where -alpha sigma overflows and times the span 0 is nan
+            return 1.0
+        for c, x in zip(spec._paths, state):
+            lam, sigma, eps, _, drift_rate, scale, weight, end = c
+            slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
+            try:
                 log_p += _cumulant_closed(c, sigma * slope, end, tau)
-                log_p += slope * x
-        except ValueError:  # log1p(-1): (g1 - g2) / (eps - g1) rounded to -1
-            raise OverflowError(
-                f"factor index {spec._paths.index(c)}: sigma B({t}, {T}) = {sigma * slope} "
-                f"dwarfs epsilon = {eps}, so the bond's cumulant log exceeds double precision "
-                f"(sigma={sigma})") from None
+            except ValueError:  # log1p(-1): (g1 - g2) / (eps - g1) rounded to -1
+                term = (drift_rate * tau / scale
+                        - weight * (math.log(eps - end) - math.log(eps - sigma * slope)))
+                if not math.isfinite(term):
+                    raise OverflowError(
+                        f"factor index {spec._paths.index(c)}: sigma B({t}, {T}) = "
+                        f"{sigma * slope} dwarfs epsilon = {eps}, and the bond's cumulant "
+                        f"term {term} exceeds double precision (sigma={sigma})") from None
+                log_p += term
+            log_p += slope * x
     else:
         for f, x in zip(spec.factors, state):
             log_p += cumulant_time_integral(f, t, T, T, method=method)
@@ -357,100 +357,3 @@ def calibrate_floor(
             raise OverflowError(f"calibrated floor level at maturity {T} is {level}, not finite")
         levels.append(level)
     return PiecewiseLinearFloor(tuple(market.maturities), tuple(levels))
-
-
-@dataclass(frozen=True)
-class MomentFitResult:
-    """Outcome of a moment-matching fit.
-
-    ``residual`` is the sum of squared relative moment errors at ``spec``,
-    ``converged`` whether a solver tolerance was met within the budget, and
-    ``evaluations`` the number of residual-vector evaluations the solver made
-    outside its finite-difference Jacobians.
-    """
-
-    spec: ModelSpec
-    residual: float
-    converged: bool
-    evaluations: int
-
-
-def match_moments(
-    observations: Sequence,
-    n: int,
-    initial: ModelSpec,
-    max_iterations: int = 10_000,
-    rel_tol: float = 1e-10,
-) -> MomentFitResult:
-    """Fit (lam, sigma, alpha) per factor plus a constant floor level to
-    observed (t, mean, variance) triples by nonlinear least squares on the
-    relative moment errors (m - m_obs)/|m_obs| and (v - v_obs)/|v_obs|.
-
-    The moment curves depend on (sigma, alpha, eps) only through
-    sigma*alpha/eps and sigma^2*alpha/eps^2, so alpha and the ratio
-    sigma/eps are identified while sigma and eps individually are not.
-    The law of the model depends on them only through sigma/eps as well
-    (sigma times an Exp(eps) jump is an Exp(eps/sigma) jump), so eps is held
-    at its initial value and sigma carries the ratio; fitting both would
-    leave the solver an exactly flat direction to drift along.  Initial
-    factor values x_k are also taken from ``initial`` and held fixed.
-
-    Positive parameters move multiplicatively from the initial guess
-    (p = p0 exp(x)) and the floor level additively, so an exact initial
-    guess comes back unchanged.  The trust-region-reflective solver of
-    ``scipy.optimize.least_squares`` stops after ``max_iterations`` residual
-    evaluations, or once the cost change, the step or the gradient falls
-    below ``rel_tol``.  Never raises on a poor fit: the result reports the
-    residual and whether the solver converged.
-    """
-    obs = np.asarray([(t, m, v) for (t, m, v) in observations], dtype=float)
-    if obs.shape[0] < 8 * n:
-        raise ValueError(f"need at least {8 * n} observations to identify {n} factor(s)")
-    if initial.n_factors != n:
-        raise ValueError("initial guess must have n factors")
-    times, moments_obs = obs[:, 0], obs[:, 1:]
-    if times.max() > initial.horizon:
-        raise ValueError("observation times exceed the model horizon")
-    x0s = initial.initial_state()
-    scale = np.where(np.abs(moments_obs) > 1e-12, np.abs(moments_obs), 1.0)
-    start = np.array(
-        [(f.lam, f.sigma, f.measure.alpha, f.measure.epsilon) for f in initial.factors]
-    )
-    level0 = initial.floor.value(0.0)
-    level_step = max(abs(level0), 0.01)
-
-    def unpack(x: np.ndarray) -> tuple:
-        steps = np.zeros((n, 4))
-        steps[:, :3] = x[:-1].reshape(n, 3)  # eps stays at its initial value
-        return start * np.exp(steps), level0 + x[-1] * level_step
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        params, level = unpack(x)
-        moments = np.empty_like(moments_obs)
-        for i, t in enumerate(times):
-            m, v = level, 0.0
-            for (lam, sigma, alpha, eps), x0 in zip(params, x0s):
-                m += factor_mean_term(lam, sigma, alpha / eps, x0, t)
-                v += factor_var_term(lam, sigma, 2.0 * alpha / eps**2, t)
-            moments[i] = m, v
-        # all mean errors, then all variance errors
-        return ((moments - moments_obs) / scale).ravel(order="F")
-
-    fit = least_squares(
-        residuals, np.zeros(3 * n + 1), max_nfev=max_iterations,
-        ftol=rel_tol, xtol=rel_tol, gtol=rel_tol,
-    )
-    params, level = unpack(fit.x)
-    factors = tuple(
-        FactorParams(
-            lam=float(lam), sigma=float(sigma), x0=float(x0),
-            measure=GammaJumpMeasure(float(alpha), float(eps)),
-        )
-        for (lam, sigma, alpha, eps), x0 in zip(params, x0s)
-    )
-    return MomentFitResult(
-        spec=ModelSpec(factors=factors, floor=ConstantFloor(float(level)), horizon=initial.horizon),
-        residual=2.0 * fit.cost,
-        converged=fit.status > 0,
-        evaluations=fit.nfev,
-    )

@@ -445,19 +445,6 @@ def _check_state(state, n: int) -> list:
     raise ValueError(f"state must hold a finite value per factor, {n} in all, got {state!r}")
 
 
-def factor_mean_term(lam: float, sigma: float, mean_jump: float, x_u: float, dt: float) -> float:
-    """One factor's contribution to the conditional mean of r over a span dt."""
-    return (
-        x_u * math.exp(-lam * dt)
-        + sigma * (-math.expm1(-lam * dt)) / lam * mean_jump
-    )
-
-
-def factor_var_term(lam: float, sigma: float, second_moment: float, dt: float) -> float:
-    """One factor's contribution to the conditional variance of r over dt."""
-    return sigma**2 * (-math.expm1(-2.0 * lam * dt)) / (2.0 * lam) * second_moment
-
-
 def conditional_moments(
     spec: ModelSpec,
     u: float,
@@ -478,6 +465,8 @@ def conditional_moments(
     mean = spec.floor.value(t)
     var = 0.0
     for x_u, f in zip(state, spec.factors):
-        mean += factor_mean_term(f.lam, f.sigma, f.measure.mean_jump(), x_u, dt)
-        var += factor_var_term(f.lam, f.sigma, f.measure.second_moment(), dt)
+        lam, sigma = f.lam, f.sigma
+        mean += (x_u * math.exp(-lam * dt)
+                 + sigma * (-math.expm1(-lam * dt)) / lam * f.measure.mean_jump())
+        var += sigma**2 * (-math.expm1(-2.0 * lam * dt)) / (2.0 * lam) * f.measure.second_moment()
     return float(mean), float(var)

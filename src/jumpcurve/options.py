@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .curves import _bond_ends, _check_half_plane, _cumulant_closed, bond_price
 from .model import ModelSpec, _check_interval, _slope
@@ -189,6 +188,8 @@ def _half_line_integral(integrand, slope: float) -> complex:
     vectorized call fewer.  NumPy's floating-point errors are ignored: a
     non-finite value fails the head's error check, or after it the tail's.
     """
+    from scipy.special import exp1  # on first use, so `import jumpcurve` loads no scipy
+
     nodes, weights = fourier_rule()
     weights = weights if slope >= 0 else weights.conj()
     freq = max(abs(slope), _MIN_FREQUENCY)

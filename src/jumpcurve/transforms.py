@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i1e
 
 from .curves import _check_half_plane, _cumulant_closed, _twin
 from .model import FactorParams, GammaJumpMeasure, ModelSpec, _check_interval, _path_constants
@@ -132,6 +131,8 @@ def levy_density(measure: GammaJumpMeasure, t: float, x: float) -> float:
     atom exp(-alpha t) at zero is reported by :func:`levy_zero_atom`, never
     folded into the density.
     """
+    from scipy.special import i1e  # on first use, so `import jumpcurve` loads no scipy
+
     if not 0 < t < math.inf:
         raise ValueError(f"need 0 < t < inf, got t={t}")
     if not 0 < x < math.inf:

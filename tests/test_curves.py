@@ -36,7 +36,6 @@ from jumpcurve import (
     levy_density,
     levy_zero_atom,
     libor_forward,
-    match_moments,
     mc_bond_price,
     mc_discounted_bond,
     ois_forward,
@@ -353,6 +352,24 @@ class TestOverflow:
             function(spec, 0.0, 1.0)
         # the forward rate's closed form has no such log
         assert math.isfinite(forward_rate(spec, 0.0, 1.0))
+
+    # sigma B(0, 1) = -6.3e19 against epsilon = 1: the ratio rounds to -1 but
+    # its log, about -45, and the price are finite; the closed form once raised
+    def test_huge_sigma_with_a_finite_log_prices_as_its_twin(self):
+        huge = FactorParams(lam=1.0, sigma=1e20, x0=0.0, measure=GammaJumpMeasure(1.0, 1.0))
+        spec = ModelSpec(factors=(huge,), floor=ConstantFloor(0.0), horizon=10.0)
+        for T in (0.25, 1.0, 5.0):
+            twin = bond_price(spec, 0.0, T, method="quadrature")
+            assert bond_price(spec, 0.0, T) == pytest.approx(twin, rel=1e-12)
+        assert yield_curve(spec, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    # -alpha sigma overflows to -inf, and -inf times the span 0 once gave log P = nan
+    def test_bond_at_its_maturity_is_one(self, baseline_factor):
+        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        spec = ModelSpec(factors=(baseline_factor, huge), floor=ConstantFloor(0.02), horizon=10.0)
+        for t in (0.0, 2.5, 10.0):
+            assert bond_price(spec, t, t) == 1.0
+            assert bond_price(spec, t, t, [0.3, 7.0]) == 1.0
 
     def test_calibrated_level_names_maturity(self):
         # alpha * epsilon overflows, so every fitted level would be NaN
@@ -692,74 +709,3 @@ class TestTimeTypes:
                 values = [complex(function(kind(t), kind(T))) for kind in kinds]
                 bits = {(v.real.hex(), v.imag.hex()) for v in values}
                 assert len(bits) == 1, (name, values)
-
-
-class TestMatchMoments:
-    @staticmethod
-    def observations(spec, times):
-        return [
-            (t, *conditional_moments(spec, 0.0, t, spec.initial_state())) for t in times
-        ]
-
-    def test_fixed_point(self, baseline_spec):
-        obs = self.observations(baseline_spec, np.linspace(0.25, 5.0, 10))
-        fit = match_moments(obs, 1, baseline_spec)
-        assert fit.residual < 1e-12
-        assert fit.converged
-        got = fit.spec.factors[0]
-        truth = baseline_spec.factors[0]
-        assert got.lam == truth.lam
-        assert got.sigma == truth.sigma
-        assert got.measure == truth.measure
-
-    def test_synthetic_recovery(self, baseline_spec):
-        obs = self.observations(baseline_spec, np.linspace(0.25, 6.0, 16))
-        truth = baseline_spec.factors[0]
-        # sigma and eps enter the moment curves only through sigma alpha/eps
-        # and sigma^2 alpha/eps^2; perturb the identified coordinates.
-        start = ModelSpec(
-            factors=(
-                FactorParams(
-                    lam=truth.lam * 1.2,
-                    sigma=truth.sigma,
-                    x0=truth.x0,
-                    measure=GammaJumpMeasure(truth.measure.alpha * 0.8, truth.measure.epsilon),
-                ),
-            ),
-            floor=ConstantFloor(0.012),
-            horizon=baseline_spec.horizon,
-        )
-        fit = match_moments(obs, 1, start, max_iterations=2000)
-        got = fit.spec.factors[0]
-        assert got.lam == pytest.approx(truth.lam, rel=0.05)
-        assert got.measure.alpha == pytest.approx(truth.measure.alpha, rel=0.05)
-        assert got.sigma / got.measure.epsilon == pytest.approx(
-            truth.sigma / truth.measure.epsilon, rel=0.05
-        )
-        assert fit.spec.floor.value(0.0) == pytest.approx(0.02, abs=0.002)
-
-    def test_model_misfit_reports_residual(self, two_factor_spec, baseline_spec):
-        obs = self.observations(two_factor_spec, np.linspace(0.25, 6.0, 16))
-        misfit = match_moments(obs, 1, baseline_spec)
-        well = match_moments(self.observations(baseline_spec, np.linspace(0.25, 6.0, 16)), 1, baseline_spec)
-        assert misfit.residual > well.residual
-        assert misfit.residual > 1e-10
-
-    def test_rejects_insufficient_observations(self, baseline_spec):
-        obs = self.observations(baseline_spec, np.linspace(0.5, 2.0, 4))
-        with pytest.raises(ValueError):
-            match_moments(obs, 1, baseline_spec)
-
-    def test_two_factor_fixed_point(self, two_factor_spec):
-        obs = self.observations(two_factor_spec, np.linspace(0.25, 6.0, 16))
-        fit = match_moments(obs, 2, two_factor_spec)
-        assert fit.residual == 0.0
-        assert fit.converged
-        assert fit.spec == two_factor_spec
-
-    def test_small_budget_reports_no_convergence(self, two_factor_spec, baseline_spec):
-        obs = self.observations(two_factor_spec, np.linspace(0.25, 6.0, 16))
-        fit = match_moments(obs, 1, baseline_spec, max_iterations=5)
-        assert not fit.converged
-        assert math.isfinite(fit.residual)
-        assert fit.evaluations <= 5

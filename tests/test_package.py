@@ -1,5 +1,9 @@
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 
 import jumpcurve
 
@@ -9,9 +13,8 @@ PUBLIC_NAMES = {
     "ConstantFloor", "FactorParams", "FloorFunction", "GammaJumpMeasure", "InvalidModelError",
     "ModelSpec", "PiecewiseLinearFloor", "SummedFloor", "conditional_moments",
     # curves
-    "ForwardCurve", "MomentFitResult", "bond_B", "bond_B_dT", "bond_price", "calibrate_floor",
-    "cumulant_time_integral", "forward_rate", "match_moments", "tilted_time_integral",
-    "yield_curve",
+    "ForwardCurve", "bond_B", "bond_B_dT", "bond_price", "calibrate_floor",
+    "cumulant_time_integral", "forward_rate", "tilted_time_integral", "yield_curve",
     # transforms
     "AffineExponent", "factor_exponent", "levy_char_fn", "levy_density", "levy_zero_atom",
     "short_rate_char_fn", "short_rate_mgf",
@@ -40,3 +43,36 @@ def test_each_public_name_is_in_its_modules_all():
     for name in PUBLIC_NAMES:
         home = importlib.import_module(getattr(jumpcurve, name).__module__)
         assert name in home.__all__, (name, home.__name__)
+
+
+# the README's example model file
+README_MODEL = {
+    "version": 1, "horizon": 10.0, "floor": {"variant": "constant", "level": 0.02},
+    "factors": [{"lambda": 1.0, "sigma": 1.0, "x0": 0.01, "alpha": 2.0, "epsilon": 10.0}],
+    "grid": {"start": 0.25, "stop": 5.0, "count": 20}, "tenor": 0.25, "seed": 42,
+    "paths": 100000, "output": "out",
+}
+
+NO_SCIPY_SCRIPT = """
+import sys
+import jumpcurve
+import jumpcurve.cli
+config, output = sys.argv[1:]
+assert jumpcurve.cli.main(["--config", config, "validate"]) == 0
+assert jumpcurve.cli.main(["--config", config, "--output", output, "curve"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_import_and_cli_curve_load_no_scipy(tmp_path):
+    # scipy serves only the Fourier tail and the Levy density, which import it when first run
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(README_MODEL))
+    src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "curve.csv").is_file()
