@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import jumpcurve
 
 # every public name of the package: adding or dropping one means editing this set
@@ -55,6 +57,8 @@ README_MODEL = {
 
 NO_SCIPY_SCRIPT = """
 import sys
+import pytest
+
 import jumpcurve
 import jumpcurve.cli
 config, output = sys.argv[1:]
@@ -76,3 +80,48 @@ def test_import_and_cli_curve_load_no_scipy(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "curve.csv").is_file()
+
+
+CLI_SCRIPT = """
+import json
+import sys
+import jumpcurve.cli
+config, output, argv = sys.argv[1:]
+assert jumpcurve.cli.main(["--config", config, "--output", output, *json.loads(argv)]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def _scipy_modules_after(tmp_path, argv):
+    """The scipy modules a fresh interpreter holds after one CLI command on the README model."""
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(README_MODEL))
+    market = tmp_path / "market.csv"
+    market.write_text("maturity,forward_rate\n" + "".join(f"{t},0.03\n" for t in (0.5, 1.0, 2.0)))
+    argv = [str(market) if arg == "MARKET" else arg for arg in argv]
+    src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, str(config), str(tmp_path / "out"), json.dumps(argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--market", "MARKET"], ["--seed", "7", "--paths", "3", "simulate"],
+     ["price", "bond", "--maturity", "2.0"]],
+    ids=["calibrate", "simulate", "price-bond"],
+)
+def test_cli_command_loads_no_scipy(tmp_path, argv):
+    assert _scipy_modules_after(tmp_path, argv) == []
+
+
+def test_fourier_option_loads_scipy_special_only(tmp_path):
+    # the Fourier tail's exp1 is the one scipy function an option price needs
+    loaded = _scipy_modules_after(
+        tmp_path, ["price", "option", "--maturity", "2.0", "--expiry", "1.0", "--strike", "0.95"]
+    )
+    assert "scipy.special" in loaded
+    assert not [name for name in loaded if name.startswith(("scipy.optimize", "scipy.integrate"))]
