@@ -3,9 +3,11 @@
 
 Prints ``name sha256`` lines for the CLI's CSV files (``curve`` on a
 piecewise-floor and a dual-curve config, ``calibrate``'s ``floor.csv``,
-``simulate --paths 3``), a fixed grid of closed forms and their quadrature
-twins, Fourier option prices at time 0 and along a path, and the Monte Carlo
-estimates at 400 paths.  Floats are hashed by ``float.hex``, so equal lines
+``simulate --paths 3``), a fixed grid of closed forms, the per-factor
+quadrature twins, the spec-level bond and forward twins (a line of their
+own, so a change of either family shows which one moved), Fourier option
+prices at time 0 and along a path, and the Monte Carlo estimates at 400
+paths.  Floats are hashed by ``float.hex``, so equal lines
 mean equal bits.  Only the public API is used, so the script runs against any
 source tree:
 
@@ -163,21 +165,31 @@ def closed_forms():
     return digest.hexdigest()
 
 
-def quadrature_twins():
-    digest = _Digest()
+def _twin_points():
     for spec in _specs():
         for i in range(8):
             t = 0.35 * i
-            T = t + 1e-7 + 0.43 * i
-            digest.put(bond_price(spec, t, T, method="quadrature"),
-                       forward_rate(spec, t, T, method="quadrature"))
-            for f in spec.factors:
-                digest.put(cumulant_time_integral(f, 0.5 * t, t, T, method="quadrature"),
-                           tilted_time_integral(f, 0.5 * t, t, T, method="quadrature"))
-                bound = f.measure.epsilon / f.sigma
-                for u in (-3.0, 0.7, 25.0, 4.0j, -0.9j * bound, 2.0 - 0.5j):
-                    part = factor_exponent(f, T, u, method="quadrature")
-                    digest.put(part.psi, part.rho)
+            yield spec, t, t + 1e-7 + 0.43 * i
+
+
+def factor_twins():
+    digest = _Digest()
+    for spec, t, T in _twin_points():
+        for f in spec.factors:
+            digest.put(cumulant_time_integral(f, 0.5 * t, t, T, method="quadrature"),
+                       tilted_time_integral(f, 0.5 * t, t, T, method="quadrature"))
+            bound = f.measure.epsilon / f.sigma
+            for u in (-3.0, 0.7, 25.0, 4.0j, -0.9j * bound, 2.0 - 0.5j):
+                part = factor_exponent(f, T, u, method="quadrature")
+                digest.put(part.psi, part.rho)
+    return digest.hexdigest()
+
+
+def spec_twins():
+    digest = _Digest()
+    for spec, t, T in _twin_points():
+        digest.put(bond_price(spec, t, T, method="quadrature"),
+                   forward_rate(spec, t, T, method="quadrature"))
     return digest.hexdigest()
 
 
@@ -216,7 +228,8 @@ def main() -> None:
         lines = cli_families(workdir)
     lines += [
         ("closed_forms", closed_forms()),
-        ("quadrature_twins", quadrature_twins()),
+        ("factor_twins", factor_twins()),
+        ("spec_twins", spec_twins()),
         ("fourier_prices", fourier_prices()),
         ("monte_carlo", monte_carlo()),
     ]

@@ -38,7 +38,15 @@ Each public closed form branches once on ``method``: ``"closed"`` evaluates it
 from the path's two end values in scalar arithmetic (complex ends on the
 transform path), and ``"quadrature"`` runs its twin, the same integrand in
 NumPy on adaptive Gauss-Kronrod nodes, kept as a permanent oracle against
-derivation errors.  Any other name raises ValueError.
+derivation errors.  Any other name raises ValueError.  The per-factor twins
+(``cumulant_time_integral``, ``tilted_time_integral`` and
+:func:`.transforms.factor_exponent`) integrate one factor each.  The spec-level
+twins of ``bond_price`` and ``forward_rate`` integrate the factor-summed
+integrand, sum_k cum_k(sigma_k B_k(s,T)) or its tilted sum, in one adaptive
+pass, on the factors' (k, 1) columns that a :class:`.ModelSpec` builds once
+in ``_columns``.  Each row repeats the per-factor integrand, so a one-factor
+spec gives the per-factor twin's bits; with more factors the panels are the
+sum's own, and the value moves by about an ulp from the sum of per-factor twins.
 
 The path-free parts of both closed forms depend on the factor alone.
 :func:`.model._path_constants` computes them as Python floats: lam, sigma,
@@ -186,6 +194,69 @@ def tilted_time_integral(
                  * mean(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
 
 
+def _summed_cumulant(columns: tuple, T: float):
+    """s -> sum_k cum_k(sigma_k B_k(s,T)) on a spec's factor columns, the bond twin's integrand.
+
+    Row k repeats the twin of :func:`cumulant_time_integral` on factor k, so a
+    one-factor spec keeps its bits.  The bond path stays at or below 0 < eps,
+    where ``levy_cumulant``'s half-plane check cannot fail, so none is made.
+    """
+    lam, sigma, alpha, eps, _ = columns
+
+    def integrand(s):
+        b = sigma * (np.expm1(-lam * (T - s)) / lam)
+        return np.add.reduce(alpha * b / (eps - b), axis=0)
+
+    return integrand
+
+
+def _summed_tilted(columns: tuple, T: float):
+    """s -> sum_k sigma_k e^{-lam_k(T-s)} tilted mean_k, the forward twin's integrand.
+
+    Row k repeats the twin of :func:`tilted_time_integral` on factor k, so a
+    one-factor spec keeps its bits.
+    """
+    lam, sigma, _, eps, alpha_eps = columns
+
+    def integrand(s):
+        decay = -lam * (T - s)
+        b = sigma * (np.expm1(decay) / lam)
+        return np.add.reduce(sigma * np.exp(decay) * (alpha_eps / (eps - b) ** 2), axis=0)
+
+    return integrand
+
+
+def _cumulant_by_logs(c: tuple, g1: float, span: float) -> float:
+    """The bond path's cumulant term with its log as log(eps - g2) - log(eps - g1).
+
+    Taken where sigma B(t,T) dwarfs epsilon so far that (g1 - g2) / (eps - g1)
+    rounds to -1 and log1p raises; inf or nan where the term overflows.
+    """
+    _, _, eps, _, drift_rate, scale, weight, end = c
+    return drift_rate * span / scale - weight * (math.log(eps - end) - math.log(eps - g1))
+
+
+def _name_overflowing_factor(spec: ModelSpec, t: float, T: float, state) -> None:
+    """Raise the OverflowError naming the first factor whose closed-form bond term is not finite.
+
+    A rescan of the loop of :func:`bond_price`, run only once log P is not
+    finite, so that the loop itself checks nothing.
+    """
+    tau = T - t
+    for i, (c, x) in enumerate(zip(spec._paths, state)):
+        sigma = c[1]
+        slope = _slope(c[0], tau)
+        try:
+            term = _cumulant_closed(c, sigma * slope, c[7], tau)
+        except ValueError:
+            term = _cumulant_by_logs(c, sigma * slope, tau)
+        term += slope * x
+        if not math.isfinite(term):
+            raise OverflowError(
+                f"factor index {i}: the bond's term {term} over [{t}, {T}] overflows "
+                f"double precision (sigma={sigma})")
+
+
 def bond_price(
     spec: ModelSpec,
     t: float,
@@ -201,7 +272,7 @@ def bond_price(
     sigma B(t,T) dwarfs epsilon so far that the cumulant log's ratio rounds
     to -1, the log is taken as log(eps - g2) - log(eps - g1) instead.  Raises
     OverflowError when the closed forms overflow double precision, naming
-    the factor index and sigma when that factor's term is still not finite.
+    the factor index and sigma of the first factor whose term is not finite.
     """
     t, T = _check_interval(t, T, spec.horizon)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
@@ -212,25 +283,20 @@ def bond_price(
         if T == t:  # exactly, also where -alpha sigma overflows and times the span 0 is nan
             return 1.0
         for c, x in zip(spec._paths, state):
-            lam, sigma, eps, _, drift_rate, scale, weight, end = c
+            lam, sigma, _, _, _, _, _, end = c
             slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
             try:
                 log_p += _cumulant_closed(c, sigma * slope, end, tau)
             except ValueError:  # log1p(-1): (g1 - g2) / (eps - g1) rounded to -1
-                term = (drift_rate * tau / scale
-                        - weight * (math.log(eps - end) - math.log(eps - sigma * slope)))
-                if not math.isfinite(term):
-                    raise OverflowError(
-                        f"factor index {spec._paths.index(c)}: sigma B({t}, {T}) = "
-                        f"{sigma * slope} dwarfs epsilon = {eps}, and the bond's cumulant "
-                        f"term {term} exceeds double precision (sigma={sigma})") from None
-                log_p += term
+                log_p += _cumulant_by_logs(c, sigma * slope, tau)
             log_p += slope * x
     else:
-        for f, x in zip(spec.factors, state):
-            log_p += cumulant_time_integral(f, t, T, T, method=method)
-            log_p += _slope(f.lam, tau) * x
+        log_p += _twin(method, _summed_cumulant(spec._columns, T), t, T)
+        for c, x in zip(spec._paths, state):
+            log_p += _slope(c[0], tau) * x
     if not math.isfinite(log_p):
+        if method == "closed":
+            _name_overflowing_factor(spec, t, T, state)
         raise OverflowError(f"log P({t}, {T}) = {log_p} overflows double precision")
     return math.exp(log_p)
 
@@ -260,9 +326,9 @@ def forward_rate(
             rate += _tilted_closed(c, sigma * _slope(lam, tau), end)
             rate += x * math.exp(-lam * tau)
     else:
-        for f, x in zip(spec.factors, state):
-            rate += tilted_time_integral(f, t, T, T, method=method)
-            rate += x * math.exp(-f.lam * tau)
+        rate += _twin(method, _summed_tilted(spec._columns, T), t, T)
+        for c, x in zip(spec._paths, state):
+            rate += x * math.exp(-c[0] * tau)
     if not math.isfinite(rate):
         raise OverflowError(f"f({t}, {T}) = {rate} overflows double precision")
     return rate

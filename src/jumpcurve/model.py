@@ -348,6 +348,7 @@ class ModelSpec:
         object.__setattr__(self, "_state0", tuple(float(f.x0) for f in self.factors))
         # built after the checks: an invalid factor raises above, never in the constants
         object.__setattr__(self, "_paths", tuple(_path_constants(f) for f in self.factors))
+        object.__setattr__(self, "_columns", _factor_columns(self.factors, self._paths))
 
     @property
     def n_factors(self) -> int:
@@ -432,6 +433,19 @@ def _path_constants(factor: FactorParams, shift: float | None = None) -> tuple:
     scale = eps * lam + shift
     return (lam, sigma, eps, alpha * eps, -alpha * shift, scale, alpha * eps / scale,
             sigma * _slope(lam, 0.0))
+
+
+def _factor_columns(factors, paths) -> tuple:
+    """The factors' (lam, sigma, alpha, eps, alpha eps) as (k, 1) float columns.
+
+    The spec-level quadrature twins of :mod:`.curves` evaluate every factor's
+    integrand at once on these, one row per factor.  alpha eps is the Python
+    float of the factor's path constants in ``paths``, which overflows to inf
+    with no NumPy warning.
+    """
+    table = np.array([(c[0], c[1], f.measure.alpha, c[2], c[3]) for f, c in zip(factors, paths)],
+                     dtype=float)
+    return tuple(np.ascontiguousarray(table.T)[:, :, None])
 
 
 def _check_state(state, n: int) -> list:

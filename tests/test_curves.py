@@ -353,6 +353,20 @@ class TestOverflow:
         # the forward rate's closed form has no such log
         assert math.isfinite(forward_rate(spec, 0.0, 1.0))
 
+    # at T = 1e-300 the ratio stays clear of -1, and -alpha sigma = -inf reaches
+    # log P through the ordinary path; its error once named neither
+    @pytest.mark.parametrize("function", [bond_price, yield_curve])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_huge_sigma_at_a_tiny_maturity_names_the_factor(self, baseline_factor, function,
+                                                             index):
+        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        factors = (huge, baseline_factor) if index == 0 else (baseline_factor, huge)
+        spec = ModelSpec(factors=factors, floor=ConstantFloor(0.02), horizon=10.0)
+        for T in (1e-300, 1e-10):
+            with pytest.raises(OverflowError,
+                               match=rf"^factor index {index}: .*\(sigma=1\.7e\+308\)$"):
+                function(spec, 0.0, T)
+
     # sigma B(0, 1) = -6.3e19 against epsilon = 1: the ratio rounds to -1 but
     # its log, about -45, and the price are finite; the closed form once raised
     def test_huge_sigma_with_a_finite_log_prices_as_its_twin(self):
@@ -450,6 +464,13 @@ def _pinned_spec(n):
     return ModelSpec(factors=_pinned_factors()[:n], floor=floor, horizon=10.0)
 
 
+def _pinned_and_heavy_specs():
+    # the heavy-jump factor puts log1p's argument near -0.5
+    heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
+    return [*(_pinned_spec(n) for n in (1, 2, 3)),
+            ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0)]
+
+
 class TestBitExactness:
     """Closed-form outputs pinned to the bit; a refactor must not move them."""
 
@@ -473,10 +494,8 @@ class TestBitExactness:
     def test_dense_grid_digest(self):
         # 120 distinct times to maturity per spec: numpy's log1p/expm1 differ from
         # math's in the last bit on a few percent of inputs, which a handful of
-        # pinned values can miss; the heavy-jump factor puts log1p's argument near -0.5
-        heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
-        specs = [_pinned_spec(n) for n in (1, 2, 3)]
-        specs.append(ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0))
+        # pinned values can miss
+        specs = _pinned_and_heavy_specs()
         digest = hashlib.sha256()
         for spec in specs:
             for i in range(60):
@@ -488,13 +507,10 @@ class TestBitExactness:
             "56227414d097b49235b5939b87e358b93483c149d9546a25b298ed632425af7e"
         )
 
-    def test_twin_and_transform_digest(self):
-        # the quadrature twins, both factor_exponent routes and the short-rate CF:
-        # none of them runs through the closed forms pinned above, so a change of
-        # route in any one of them shows here; u stays where Re(i u) sigma < eps
-        heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
-        specs = [_pinned_spec(n) for n in (1, 2, 3)]
-        specs.append(ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0))
+    @staticmethod
+    def twin_digest(spec_twins_of, factor_twins=True):
+        """SHA-256 of the twins on the pinned and heavy specs: the spec twins of the
+        specs with a factor count in ``spec_twins_of``, and the per-factor ones."""
         digest = hashlib.sha256()
 
         def put(*values):
@@ -502,12 +518,15 @@ class TestBitExactness:
                 value = complex(value)
                 digest.update(f"{value.real.hex()} {value.imag.hex()};".encode())
 
-        for spec in specs:
+        for spec in _pinned_and_heavy_specs():
             for i in range(8):
                 t = 0.35 * i
                 T = t + 1e-7 + 0.43 * i
-                put(bond_price(spec, t, T, method="quadrature"),
-                    forward_rate(spec, t, T, method="quadrature"))
+                if spec.n_factors in spec_twins_of:
+                    put(bond_price(spec, t, T, method="quadrature"),
+                        forward_rate(spec, t, T, method="quadrature"))
+                if not factor_twins:
+                    continue
                 for u in (-3.0, 0.7, 25.0, 2.0 - 0.5j):
                     put(short_rate_char_fn(spec, T, u))
                 for f in spec.factors:
@@ -518,8 +537,22 @@ class TestBitExactness:
                         for method in ("closed", "quadrature"):
                             part = factor_exponent(f, T, u, method=method)
                             put(part.psi, part.rho)
-        assert digest.hexdigest() == (
-            "b09b654da7cb55258c22ac025bbbde92da0bd47ad56cb1bcc2d13be2a7b53a8f"
+        return digest.hexdigest()
+
+    def test_twin_and_transform_digest(self):
+        # the per-factor quadrature twins, both factor_exponent routes, the
+        # short-rate CF and the one-factor spec twins: none of them runs through
+        # the closed forms pinned above, so a change of route in any one of them
+        # shows here; u stays where Re(i u) sigma < eps
+        assert self.twin_digest(spec_twins_of=(1,)) == (
+            "42dcda5f67c88493c797e322cc18faefcc610ee117378549259f616e502a3ad0"
+        )
+
+    def test_multi_factor_spec_twin_digest(self):
+        # a spec twin integrates the factor-summed integrand in one adaptive
+        # pass, on panels no single factor's twin uses, so these sit apart
+        assert self.twin_digest(spec_twins_of=(2, 3), factor_twins=False) == (
+            "ee76950e064ed1fba9ddf4e090b189db1a71d5268d2b1018ac21f50d2b5d0985"
         )
 
     @pytest.mark.parametrize(
@@ -544,9 +577,7 @@ class TestBitExactness:
         # yield_curve, the pathwise identities, the dual-curve prices and
         # forwards, calibrated floors, the Fourier compensator and the Monte
         # Carlo affine bond
-        heavy = FactorParams(lam=0.7, sigma=1.5, x0=0.03, measure=GammaJumpMeasure(0.8, 2.0))
-        specs = [_pinned_spec(n) for n in (1, 2, 3)]
-        specs.append(ModelSpec(factors=(heavy,), floor=ConstantFloor(0.01), horizon=10.0))
+        specs = _pinned_and_heavy_specs()
         spread = FactorParams(lam=1.5, sigma=0.5, x0=0.002, measure=GammaJumpMeasure(1.0, 40.0))
         dual = DualCurveSpec(base=specs[1], spread_factors=(spread,),
                              spread_floor=ConstantFloor(0.004), shared_factor_count=1)
@@ -582,6 +613,44 @@ class TestBitExactness:
         assert digest.hexdigest() == (
             "fa08bb53ffee9b20ff9e0aea8bf5989831484dbd361ff781686b62740257567e"
         )
+
+
+class TestSpecTwins:
+    """bond_price and forward_rate twins: one adaptive pass over the factor-summed integrand."""
+
+    @pytest.mark.parametrize("state", [None, (0.07,)])
+    def test_one_factor_is_the_factor_route(self, state):
+        # the summed integrand's one row is the per-factor twin's integrand
+        heavy = _pinned_and_heavy_specs()[3]
+        for spec in (_pinned_spec(1), heavy):
+            f = spec.factors[0]
+            x = f.x0 if state is None else state[0]
+            for i in range(12):
+                t = 0.29 * i
+                T = t + 1e-8 + 0.47 * i
+                log_p = -spec.floor.integral(t, T)
+                log_p += cumulant_time_integral(f, t, T, T, method="quadrature")
+                log_p += bond_B(f, t, T) * x
+                assert bond_price(spec, t, T, state, method="quadrature") == math.exp(log_p)
+                rate = spec.floor.value(T)
+                rate += tilted_time_integral(f, t, T, T, method="quadrature")
+                rate += x * math.exp(-f.lam * (T - t))
+                assert forward_rate(spec, t, T, state, method="quadrature") == rate
+
+    def test_dense_grid_matches_the_closed_forms(self):
+        # the bound is the worst case on this grid of the sum of per-factor
+        # twins (1.52e-14, the three-factor forward rate), rounded up
+        for spec in _pinned_and_heavy_specs():
+            for i in range(60):
+                t = 0.07 * i
+                for dT in (1e-9 * (i + 1), 0.05 + 0.0917 * i):
+                    T = t + dT
+                    price = bond_price(spec, t, T)
+                    assert bond_price(spec, t, T, method="quadrature") == pytest.approx(
+                        price, rel=2e-14, abs=0.0)
+                    rate = forward_rate(spec, t, T)
+                    assert forward_rate(spec, t, T, method="quadrature") == pytest.approx(
+                        rate, rel=2e-14, abs=0.0)
 
 
 class TestPathConstants:
