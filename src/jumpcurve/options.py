@@ -26,10 +26,18 @@ two or three integrand calls.  Beyond A the integrand is the phase e^{isy} of
 the asymptotic slope s times an amplitude c/y^2 + O(1/y^3), where c weighs the
 no-jump outcome P(tau,T) = P_nj, the supremum of P(tau,T).  The c/y^2 term is
 integrated in closed form, c E_2(-isA)/A, and the remainder by the DE Fourier
-rule of :mod:`.quadrature` on 482 fixed nodes.  Those nodes ride in the head's
-first call, so a price makes two or three vectorized calls in all, of 738 to
-948 points on the test grid.  The integrand's y-free scalars, B_k at the ends
-of each gamma_k path among them, are computed once per price.  As
+rule of :mod:`.quadrature`: at step 0.2 (122 nodes) where 0.5 <= |s| A < 100,
+at step 0.05 (482 nodes) elsewhere.  In the rule's variable x = |s| (y - A) the
+remainder's pole at y = 0 lies |s| A from the tail's start, so below the band
+the coarse step misses it, and above the band it moves prices by an ulp.  A
+high-activity factor can leave the amplitude far from c/y^2 at A: where
+|A^2 amp(A) - c| > 2 |c| the remainder has a shape of its own, and the tail is
+redone on the dense rule in one more call.  So it is where |c| > 0.2 (a large
+dampening in the money), as the coarse rule's error, up to about 3e-16 |c|,
+would pass 1e-16 there.  The first rule's nodes ride in the head's first call,
+so a price makes two or three vectorized calls in all, of 378 to 858 points on
+the test grid.  The integrand's y-free scalars, B_k at the ends of each gamma_k
+path among them, are computed once per price.  As
 K -> P_nj, s = log(P_nj/K) -> 0; below |s| = 1e-10 the rule runs at frequency
 1e-10, which moves the tail by at most 1e-10 int_0^inf x |r(A+x)| dx.  So prices
 keep to the sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +76,13 @@ _HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** -np.arange(10.0, 0.0, -1.0))
 _HEAD_ABS_TOL = 1e-11
 _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
+# the tail's DE rule at step 0.2 (122 nodes) where |s| _HEAD_RANGE lies in _COARSE_TAIL and the
+# amplitude has settled at the head's end, |A^2 amp(A) - c| <= _SETTLED_TAIL |c|, to a lead
+# |c| <= _SMALL_TAIL, below which the coarse rule's error, up to about 3e-16 |c|, stays under
+# 1e-16; at the default step 0.05 (482 nodes) otherwise
+_COARSE_TAIL = (0.5, 100.0)
+_SETTLED_TAIL = 2.0
+_SMALL_TAIL = 0.2
 # log of the largest integrand factor the rules can sum without overflow
 _MAX_LOG_SIZE = 600.0
 # a time-0 price outside [0, P(0,T)] by more than _PRICE_TOL, or a head error estimate above it,
@@ -88,16 +104,19 @@ class OptionSpec:
     dampening: float = 1.5
 
     def __post_init__(self):
+        for name in ("strike", "option_maturity", "bond_maturity", "dampening"):
+            # Python floats, as the interval check makes of times: no NumPy scalar reaches the
+            # closed forms, and a str, None, complex or array fails here, not in a comparison
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0 < self.strike < math.inf:
             raise ValueError(f"strike must be positive and finite, got {self.strike}")
         if not 0 < self.option_maturity <= self.bond_maturity:
             raise ValueError("need 0 < option maturity <= bond maturity")
         if not 1 < self.dampening < math.inf:  # an integrable payoff needs a > 1
             raise ValueError(f"dampening must be finite and exceed 1, got {self.dampening}")
-        for name in ("strike", "option_maturity", "bond_maturity", "dampening"):
-            # Python floats, as the interval check makes of times: no NumPy scalar
-            # reaches the closed forms
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _jump_exponent(c: tuple, t: float, option: OptionSpec):
@@ -190,9 +209,9 @@ def _half_line_integral(integrand, slope: float) -> complex:
     """
     from scipy.special import exp1  # on first use, so `import jumpcurve` loads no scipy
 
-    nodes, weights = fourier_rule()
-    weights = weights if slope >= 0 else weights.conj()
     freq = max(abs(slope), _MIN_FREQUENCY)
+    coarse = _COARSE_TAIL[0] <= freq * _HEAD_RANGE < _COARSE_TAIL[1]
+    nodes, weights = fourier_rule(0.2) if coarse else fourier_rule()
     y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
     tail_values = []  # the tail's values from the head's first call
 
@@ -210,6 +229,12 @@ def _half_line_integral(integrand, slope: float) -> complex:
             raise QuadratureError(f"Fourier head error estimate {head_error} exceeds {_PRICE_TOL}")
         amplitude = tail_values[0] * np.exp(-1j * slope * y)
         lead = amplitude[-1] * _FAR_Y**2
+        if coarse and (abs(amplitude[0] * y[0] ** 2 - lead) > _SETTLED_TAIL * abs(lead)
+                       or abs(lead) > _SMALL_TAIL):
+            nodes, weights = fourier_rule()  # an unsettled or large amplitude: the dense rule
+            y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
+            amplitude = integrand(y) * np.exp(-1j * slope * y)
+        weights = weights if slope >= 0 else weights.conj()
         remainder = (amplitude[:-1] - lead / y[:-1] ** 2) @ weights
         z = -1j * slope * _HEAD_RANGE  # E_2(z) = e^{-z} - z E_1(z), and E_2(0) = 1
         e2 = cmath.exp(-z) - (z * complex(exp1(z)) if slope else 0.0)

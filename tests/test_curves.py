@@ -611,7 +611,7 @@ class TestBitExactness:
                 put(fictitious_bond_price(dual, t, T2, state), ois_forward(dual, t, T1, T2, state),
                     libor_forward(dual, t, T1, T2, state))
         assert digest.hexdigest() == (
-            "fa08bb53ffee9b20ff9e0aea8bf5989831484dbd361ff781686b62740257567e"
+            "39635f437fc99f936923a3107bd72490c75756993c2398f2edb3d43fb306bd13"
         )
 
 

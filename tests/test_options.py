@@ -82,6 +82,22 @@ class TestOptionSpec:
         with pytest.raises(ValueError, match=f"{name} must be .*finite.*got {value}"):
             OptionSpec(**{**kwargs, name: value})
 
+    # each once failed in a comparison: "'<' not supported between instances of 'int' and
+    # 'str'" or NumPy's "truth value of an array ... is ambiguous", naming no field
+    @pytest.mark.parametrize("name", ["strike", "option_maturity", "bond_maturity", "dampening"])
+    @pytest.mark.parametrize("value", ["0.9", None, 0.9 + 0j, np.array([0.9, 0.95])],
+                             ids=["str", "None", "complex", "array"])
+    def test_rejects_non_real(self, name, value):
+        kwargs = dict(strike=0.94, option_maturity=0.5, bond_maturity=1.0, dampening=1.5)
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
+            OptionSpec(**{**kwargs, name: value})
+
+    def test_real_numbers_become_floats(self):
+        option = OptionSpec(np.float32(0.94), 1, np.int64(2), np.float64(1.5))
+        assert [type(v) for v in vars(option).values()] == [float] * 4
+        assert vars(option) == dict(strike=float(np.float32(0.94)), option_maturity=1.0,
+                                    bond_maturity=2.0, dampening=1.5)
+
 
 class TestJumpCoefficient:
     def test_vanishes_at_coincident_maturities(self, baseline_factor):
@@ -538,12 +554,16 @@ class TestQawfeOracle:
                     )
 
 
+# a first integrand call: 11 head panels of 15 Kronrod nodes, the far point and the DE
+# rule's 122 nodes (step 0.2) or 482 (step 0.05)
+COARSE_FIRST_CALL, DENSE_FIRST_CALL = 11 * 15 + 123, 11 * 15 + 483
+
+
 class TestIntegrandCalls:
     """The graded head mesh settles in two or three calls; the first also takes the tail's nodes."""
 
-    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
-    def test_at_most_three_calls_per_price(self, request, monkeypatch, spec_name):
-        spec = request.getfixturevalue(spec_name)
+    @staticmethod
+    def count_calls(monkeypatch):
         calls = []
 
         def counting_factory(*args):
@@ -551,15 +571,55 @@ class TestIntegrandCalls:
             return (lambda y: calls.append(y.size) or integrand(y)), slope
 
         monkeypatch.setattr(options, "_integrand_factory", counting_factory)
+        return calls
+
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    def test_at_most_three_calls_per_price(self, request, monkeypatch, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        calls = self.count_calls(monkeypatch)
+        first_calls = set()
         for tau, T in ((0.25, 0.26), (0.5, 1.5), (2.0, 5.0)):
             forward = bond_price(spec, 0.0, T) / bond_price(spec, 0.0, tau)
             for moneyness in (0.9, 1.0, 1.1):
                 for a in (1.5, 2.0, 3.0):
+                    option = OptionSpec(forward * moneyness, tau, T, a)
                     calls.clear()
-                    fourier_call_price(spec, OptionSpec(forward * moneyness, tau, T, a))
+                    fourier_call_price(spec, option)
                     assert 2 <= len(calls) <= 3
-                    # 11 head panels of 15 Kronrod nodes, 482 DE nodes and the far point
-                    assert calls[0] == 11 * 15 + 483
+                    # the coarse rule where 0.5 <= |s| A < 100, A = 200: on these two
+                    # models and dampenings the amplitude at A has settled and is small,
+                    # so nothing falls back
+                    freq_a = abs(_integrand_factory(spec, option)[1]) * 200.0
+                    coarse = 0.5 <= freq_a < 100.0
+                    assert calls[0] == (COARSE_FIRST_CALL if coarse else DENSE_FIRST_CALL)
+                    first_calls.add(calls[0])
+        assert first_calls == {COARSE_FIRST_CALL, DENSE_FIRST_CALL}
+
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    def test_a_near_supremum_strike_takes_the_dense_rule(self, request, monkeypatch, spec_name):
+        spec = request.getfixturevalue(spec_name)
+        calls = self.count_calls(monkeypatch)
+        tau, T = 0.5, 1.5
+        p_nj = _no_jump_bond(spec, spec.initial_state(), 0.0, tau, T)
+        fourier_call_price(spec, OptionSpec(p_nj * (1.0 - 1e-9), tau, T))  # |s| A is about 2e-7
+        assert 2 <= len(calls) <= 3
+        assert calls[0] == DENSE_FIRST_CALL
+
+    # alpha_50: the alpha = 50 factor's cumulant is far from its large-y limit at A = 200,
+    # |A^2 amp(A) - c| is about 6e10 |c|; two_factor: at K = 0.8 F and a = 8 the dampened
+    # amplitude has settled (1.3 |c|) but is large, |c| = 0.31; |s| A is 10.8 and 44.7
+    @pytest.mark.parametrize("name, tau, T, moneyness, a", [("alpha_50", 0.5, 1.5, 1.0, 1.5),
+                                                            ("two_factor", 0.25, 0.26, 0.8, 8.0)])
+    def test_an_unsettled_or_large_amplitude_takes_the_dense_rule_in_one_more_call(
+            self, baseline_spec, two_factor_spec, monkeypatch, name, tau, T, moneyness, a):
+        spec = _oracle_specs(baseline_spec, two_factor_spec)[name]
+        forward = bond_price(spec, 0.0, T) / bond_price(spec, 0.0, tau)
+        option = OptionSpec(forward * moneyness, tau, T, a)
+        calls = self.count_calls(monkeypatch)
+        price = fourier_call_price(spec, option)
+        assert calls[0] == COARSE_FIRST_CALL and calls[-1] == 483 and calls.count(483) == 1
+        monkeypatch.setattr(options, "_COARSE_TAIL", (math.inf, math.inf))
+        assert fourier_call_price(spec, option) == price
 
 
 def _same_bits(got, expected):
@@ -633,18 +693,63 @@ class TestHalfLineIntegral:
             return head(y) * np.exp(np.where(y > 1e7, y, 0.0))
         return f
 
+    # at slope 1, |s| A = 200 lies above the coarse band [0.5, 100): the dense rule; at 0.1, the coarse
+    RULES = pytest.mark.parametrize("slope, first_call", [(1.0, DENSE_FIRST_CALL),
+                                                          (0.1, COARSE_FIRST_CALL)],
+                                    ids=["dense", "coarse"])
+
     @pytest.mark.filterwarnings("error")
-    def test_a_head_error_comes_before_a_tail_overflow(self):
+    @RULES
+    def test_a_head_error_comes_before_a_tail_overflow(self, slope, first_call):
         sizes = []
         with pytest.raises(QuadratureError, match="^Fourier head error estimate"):
-            _half_line_integral(self.integrand(lambda y: 1e12 * np.cos(y), sizes), 1.0)
-        assert sizes[0] == 11 * 15 + 483 and 483 not in sizes
+            _half_line_integral(self.integrand(lambda y: 1e12 * np.cos(y), sizes), slope)
+        assert sizes[0] == first_call and not {123, 483} & set(sizes)
 
     # the overflow at the far point once raised "overflow encountered in exp" as a RuntimeWarning
     @pytest.mark.filterwarnings("error")
-    def test_a_tail_overflow_fails_after_the_head(self):
+    @RULES
+    def test_a_tail_overflow_fails_after_the_head(self, slope, first_call):
         sizes = []
-        with pytest.raises(QuadratureError,
-                           match=r"^Fourier tail diverged beyond y=200\.0 \(phase slope 1\.0\)$"):
-            _half_line_integral(self.integrand(lambda y: 1.0 / (1.0 + y * y), sizes), 1.0)
-        assert sizes[0] == 11 * 15 + 483 and 483 not in sizes
+        message = r"^Fourier tail diverged beyond y=200\.0 " + re.escape(f"(phase slope {slope})") + "$"
+        with pytest.raises(QuadratureError, match=message):
+            _half_line_integral(self.integrand(lambda y: 1.0 / (1.0 + y * y), sizes), slope)
+        assert sizes[0] == first_call and not {123, 483} & set(sizes)
+
+
+class TestTailRuleSwitch:
+    """The coarse tail rule moves a price by at most 1e-16 from the dense rule's.
+
+    The grid straddles both ends of the coarse band 0.5 <= |s| A < 100 on either
+    sign of s; the phase slope s moves with -log K alone, so each strike is set
+    from one reference strike's slope.  Taken below the band, the coarse rule
+    moves these prices by up to 1.4e-13; above it, by one unit in the last
+    place of prices above 0.5; at a = 6 with no bound on the lead |c|, by up
+    to 1.1e-16.
+    """
+
+    FREQ_A = (0.05, 0.2, 0.3, 0.45, 0.55, 0.7, 1.0, 3.0, 10.0, 30.0, 90.0, 110.0, 150.0, 180.0, 600.0)
+
+    @pytest.mark.parametrize("spec_name", ["baseline_spec", "two_factor_spec"])
+    @pytest.mark.parametrize("along_path", [False, True])
+    def test_prices_match_the_dense_rule(self, request, monkeypatch, spec_name, along_path):
+        spec = request.getfixturevalue(spec_name)
+        path = simulate_path(spec, seed=7, path_index=0) if along_path else None
+        grid = []
+        for tau, T in ((0.5, 1.0), (1.0, 2.0), (0.25, 5.0), (0.25, 0.26)):
+            t = 0.5 * tau if along_path else 0.0
+            for a in (1.5, 2.0, 6.0):
+                slope = _integrand_factory(spec, OptionSpec(0.9, tau, T, a), t, path)[1]
+                for freq_a in self.FREQ_A:
+                    for sign in (1.0, -1.0):
+                        grid.append((OptionSpec(0.9 * math.exp(slope - sign * freq_a / 200.0), tau, T, a), t))
+
+        def price(option, t):
+            if along_path:
+                return fourier_call_price_at(spec, option, path, t)
+            return fourier_call_price(spec, option)
+
+        prices = [price(option, t) for option, t in grid]
+        monkeypatch.setattr(options, "_COARSE_TAIL", (math.inf, math.inf))  # the dense rule alone
+        gaps = [abs(got - price(option, t)) for (option, t), got in zip(grid, prices)]
+        assert max(gaps) <= 1e-16
