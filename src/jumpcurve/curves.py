@@ -27,7 +27,10 @@ that is the right one when Re(eps - g) > 0 at both ends: Re g is monotone in
 s, so the two ends certify the whole path, and the ratio of two right
 half-plane numbers has argument in (-pi, pi) (Lord & Kahl, "Complex logarithms
 in Heston-like models", Math. Finance 2010).  Real bond paths have g <= 0 and
-need no check.
+need no check.  Where a real g(t1) dwarfs eps so far that the ratio rounds to
+-1, the logarithm is taken as log(eps - g(t2)) - log(eps - g(t1)) instead, for
+every bond-path caller: bond prices, the pathwise and Monte Carlo bonds and
+the Fourier compensator.
 
 The maturity-tilted integral behind forward rates collapses to
 
@@ -38,15 +41,16 @@ Each public closed form branches once on ``method``: ``"closed"`` evaluates it
 from the path's two end values in scalar arithmetic (complex ends on the
 transform path), and ``"quadrature"`` runs its twin, the same integrand in
 NumPy on adaptive Gauss-Kronrod nodes, kept as a permanent oracle against
-derivation errors.  Any other name raises ValueError.  The per-factor twins
-(``cumulant_time_integral``, ``tilted_time_integral`` and
-:func:`.transforms.factor_exponent`) integrate one factor each.  The spec-level
-twins of ``bond_price`` and ``forward_rate`` integrate the factor-summed
-integrand, sum_k cum_k(sigma_k B_k(s,T)) or its tilted sum, in one adaptive
-pass, on the factors' (k, 1) columns that a :class:`.ModelSpec` builds once
-in ``_columns``.  Each row repeats the per-factor integrand, so a one-factor
-spec gives the per-factor twin's bits; with more factors the panels are the
-sum's own, and the value moves by about an ulp from the sum of per-factor twins.
+derivation errors.  Any other name raises ValueError.  Each bond-path integral
+has one twin integrand, the factor-summed sum_k cum_k(sigma_k B_k(s,T)) or its
+tilted sum, on (k, 1) factor columns.  The spec-level twins of ``bond_price``
+and ``forward_rate`` integrate it in one adaptive pass on the columns that a
+:class:`.ModelSpec` builds once in ``_columns``; ``cumulant_time_integral``
+and ``tilted_time_integral`` integrate it on their factor's one row, so a
+one-factor spec gives the per-factor twin's bits.  With more factors the
+panels are the sum's own, and the value moves by about an ulp from the sum of
+per-factor twins.  :func:`.transforms.factor_exponent` keeps its own twin on
+the complex transform path.
 
 The path-free parts of both closed forms depend on the factor alone.
 :func:`.model._path_constants` computes them as Python floats: lam, sigma,
@@ -78,6 +82,7 @@ from .model import (
     PiecewiseLinearFloor,
     _check_interval,
     _check_state,
+    _factor_columns,
     _path_constants,
     _slope,
 )
@@ -129,11 +134,17 @@ def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
     The module docstring's closed form on a path's constants ``c`` (of
     :func:`.model._path_constants` with that shift), from its end values
     g1 = g(t1) and g2 = g(t2) and its span t2 - t1.  Real ends are a bond
-    path; complex ends take ``log1p=np.log1p`` and must have passed
-    :func:`_check_half_plane`.
+    path, whose log falls back to log(eps - g2) - log(eps - g1) where
+    ``math.log1p`` raises on a ratio rounded to -1; inf or nan where the term
+    overflows.  Complex ends take ``log1p=np.log1p``, which never raises, and
+    must have passed :func:`_check_half_plane`.
     """
     _, _, eps, _, drift_rate, scale, weight, _ = c
-    return drift_rate * span / scale - weight * log1p((g1 - g2) / (eps - g1))
+    try:
+        log_ratio = log1p((g1 - g2) / (eps - g1))
+    except ValueError:  # math.log1p(-1): g1 dwarfs eps so far that the ratio rounded to -1
+        log_ratio = math.log(eps - g2) - math.log(eps - g1)
+    return drift_rate * span / scale - weight * log_ratio
 
 
 def _tilted_closed(c: tuple, b1: float, b2: float) -> float:
@@ -162,12 +173,10 @@ def cumulant_time_integral(
     """
     t1, t2 = _check_interval(t1, t2, T, ("t1", "t2", "T"))
     T = float(T)
+    c = _path_constants(factor)
     if method == "closed":
-        c = _path_constants(factor)
         return _cumulant_closed(c, *_bond_ends(c, t1, t2, T), t2 - t1)
-    lam, sigma = factor.lam, factor.sigma
-    cumulant = factor.measure.levy_cumulant
-    return _twin(method, lambda s: cumulant(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
+    return _twin(method, _summed_cumulant(_factor_columns((factor,), (c,)), T), t1, t2)
 
 
 def tilted_time_integral(
@@ -185,21 +194,18 @@ def tilted_time_integral(
     """
     t1, t2 = _check_interval(t1, t2, T, ("t1", "t2", "T"))
     T = float(T)
+    c = _path_constants(factor)
     if method == "closed":
-        c = _path_constants(factor)
         return _tilted_closed(c, *_bond_ends(c, t1, t2, T))
-    lam, sigma = factor.lam, factor.sigma
-    mean = factor.measure.tilted_mean
-    return _twin(method, lambda s: sigma * np.exp(-lam * (T - s))
-                 * mean(sigma * (np.expm1(-lam * (T - s)) / lam)), t1, t2)
+    return _twin(method, _summed_tilted(_factor_columns((factor,), (c,)), T), t1, t2)
 
 
 def _summed_cumulant(columns: tuple, T: float):
-    """s -> sum_k cum_k(sigma_k B_k(s,T)) on a spec's factor columns, the bond twin's integrand.
+    """s -> sum_k cum_k(sigma_k B_k(s,T)) on factor columns, the bond-path twins' integrand.
 
-    Row k repeats the twin of :func:`cumulant_time_integral` on factor k, so a
-    one-factor spec keeps its bits.  The bond path stays at or below 0 < eps,
-    where ``levy_cumulant``'s half-plane check cannot fail, so none is made.
+    Row k is alpha_k b / (eps_k - b) at b = sigma_k B_k(s,T), the expression of
+    ``levy_cumulant``.  The bond path stays at or below 0 < eps, where its
+    half-plane check cannot fail, so none is made.
     """
     lam, sigma, alpha, eps, _ = columns
 
@@ -211,10 +217,10 @@ def _summed_cumulant(columns: tuple, T: float):
 
 
 def _summed_tilted(columns: tuple, T: float):
-    """s -> sum_k sigma_k e^{-lam_k(T-s)} tilted mean_k, the forward twin's integrand.
+    """s -> sum_k sigma_k e^{-lam_k(T-s)} tilted mean_k, the tilted twins' integrand.
 
-    Row k repeats the twin of :func:`tilted_time_integral` on factor k, so a
-    one-factor spec keeps its bits.
+    On factor columns, row k takes the mean at b = sigma_k B_k(s,T) as
+    (alpha_k eps_k) / (eps_k - b)^2, the expression of ``tilted_mean``.
     """
     lam, sigma, _, eps, alpha_eps = columns
 
@@ -224,16 +230,6 @@ def _summed_tilted(columns: tuple, T: float):
         return np.add.reduce(sigma * np.exp(decay) * (alpha_eps / (eps - b) ** 2), axis=0)
 
     return integrand
-
-
-def _cumulant_by_logs(c: tuple, g1: float, span: float) -> float:
-    """The bond path's cumulant term with its log as log(eps - g2) - log(eps - g1).
-
-    Taken where sigma B(t,T) dwarfs epsilon so far that (g1 - g2) / (eps - g1)
-    rounds to -1 and log1p raises; inf or nan where the term overflows.
-    """
-    _, _, eps, _, drift_rate, scale, weight, end = c
-    return drift_rate * span / scale - weight * (math.log(eps - end) - math.log(eps - g1))
 
 
 def _name_overflowing_factor(spec: ModelSpec, t: float, T: float, state) -> None:
@@ -246,11 +242,7 @@ def _name_overflowing_factor(spec: ModelSpec, t: float, T: float, state) -> None
     for i, (c, x) in enumerate(zip(spec._paths, state)):
         sigma = c[1]
         slope = _slope(c[0], tau)
-        try:
-            term = _cumulant_closed(c, sigma * slope, c[7], tau)
-        except ValueError:
-            term = _cumulant_by_logs(c, sigma * slope, tau)
-        term += slope * x
+        term = _cumulant_closed(c, sigma * slope, c[7], tau) + slope * x
         if not math.isfinite(term):
             raise OverflowError(
                 f"factor index {i}: the bond's term {term} over [{t}, {T}] overflows "
@@ -268,11 +260,11 @@ def bond_price(
 
     ``state`` defaults to the time-0 factor values, which prices the bond at
     t = 0.  Strictly positive; equals 1 at t = T; bounded above by
-    exp(-int_t^T mu) whenever every factor value is nonnegative.  Where
-    sigma B(t,T) dwarfs epsilon so far that the cumulant log's ratio rounds
-    to -1, the log is taken as log(eps - g2) - log(eps - g1) instead.  Raises
-    OverflowError when the closed forms overflow double precision, naming
-    the factor index and sigma of the first factor whose term is not finite.
+    exp(-int_t^T mu) whenever every factor value is nonnegative.  Finite
+    also where sigma B(t,T) dwarfs epsilon so far that the cumulant log's
+    ratio rounds to -1 (see :func:`_cumulant_closed`).  Raises OverflowError
+    when the closed forms overflow double precision, naming the factor index
+    and sigma of the first factor whose term is not finite.
     """
     t, T = _check_interval(t, T, spec.horizon)
     # Python floats: the same IEEE products as numpy scalars, at less overhead
@@ -285,10 +277,7 @@ def bond_price(
         for c, x in zip(spec._paths, state):
             lam, sigma, _, _, _, _, _, end = c
             slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
-            try:
-                log_p += _cumulant_closed(c, sigma * slope, end, tau)
-            except ValueError:  # log1p(-1): (g1 - g2) / (eps - g1) rounded to -1
-                log_p += _cumulant_by_logs(c, sigma * slope, tau)
+            log_p += _cumulant_closed(c, sigma * slope, end, tau)
             log_p += slope * x
     else:
         log_p += _twin(method, _summed_cumulant(spec._columns, T), t, T)

@@ -438,7 +438,7 @@ def _path_constants(factor: FactorParams, shift: float | None = None) -> tuple:
 def _factor_columns(factors, paths) -> tuple:
     """The factors' (lam, sigma, alpha, eps, alpha eps) as (k, 1) float columns.
 
-    The spec-level quadrature twins of :mod:`.curves` evaluate every factor's
+    The bond-path quadrature twins of :mod:`.curves` evaluate their factors'
     integrand at once on these, one row per factor.  alpha eps is the Python
     float of the factor's path constants in ``paths``, which overflows to inf
     with no NumPy warning.

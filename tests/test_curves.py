@@ -38,6 +38,7 @@ from jumpcurve import (
     libor_forward,
     mc_bond_price,
     mc_discounted_bond,
+    mc_option_price,
     ois_forward,
     short_rate_char_fn,
     short_rate_mgf,
@@ -45,6 +46,7 @@ from jumpcurve import (
     tilted_time_integral,
     yield_curve,
 )
+from jumpcurve.quadrature import QuadratureError, gauss_kronrod
 
 
 def deterministic_spec(level=0.03, lam=1.0, x0=0.0):
@@ -327,6 +329,12 @@ def test_unknown_method_is_rejected(call, baseline_spec, baseline_factor):
         call(baseline_spec, baseline_factor)
 
 
+def _big_sigma_spec():
+    # sigma B(0, 1) = -6.3e19 dwarfs epsilon = 1; P(0, 1) = exp(-1) to double precision
+    huge = FactorParams(lam=1.0, sigma=1e20, x0=0.0, measure=GammaJumpMeasure(1.0, 1.0))
+    return ModelSpec(factors=(huge,), floor=ConstantFloor(0.0), horizon=10.0)
+
+
 class TestOverflow:
     """Finite parameters whose closed forms overflow fail loudly, not with inf/nan."""
 
@@ -376,6 +384,41 @@ class TestOverflow:
             twin = bond_price(spec, 0.0, T, method="quadrature")
             assert bond_price(spec, 0.0, T) == pytest.approx(twin, rel=1e-12)
         assert yield_curve(spec, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+    # bond_price's bits where the cumulant log falls back to log differences
+    def test_huge_sigma_with_a_finite_log_keeps_its_bits(self):
+        spec = _big_sigma_spec()
+        pins = {0.25: "0x1.8ebef9eac820bp-1", 1.0: "0x1.78b56362cef38p-2",
+                5.0: "0x1.b993fe00d5376p-8"}
+        for T, pin in pins.items():
+            assert bond_price(spec, 0.0, T).hex() == pin
+
+    # the other bond-path closed forms once raised "math domain error" on this
+    # model, which bond_price prices
+    def test_huge_sigma_cumulant_integral_matches_its_twin(self):
+        f = _big_sigma_spec().factors[0]
+        twin = cumulant_time_integral(f, 0.0, 1.0, 1.0, method="quadrature")
+        assert cumulant_time_integral(f, 0.0, 1.0, 1.0) == pytest.approx(twin, rel=1e-10)
+
+    def test_huge_sigma_pathwise_bond_at_maturity_is_one(self):
+        spec = _big_sigma_spec()
+        assert bond_path(spec, simulate_path(spec, seed=1), 1.0, 1.0) == 1.0
+
+    def test_huge_sigma_monte_carlo_discounted_bond(self):
+        spec = _big_sigma_spec()
+        est = mc_discounted_bond(spec, 0.5, 1.0, 1_000, seed=1)
+        assert abs(est.value - bond_price(spec, 0.0, 1.0)) < 5.0 * est.std_error
+
+    def test_huge_sigma_monte_carlo_option(self):
+        spec = _big_sigma_spec()
+        option = OptionSpec(0.3, 0.5, 1.0)
+        est = mc_option_price(spec, option, 1_000, seed=1)
+        assert abs(est.value - fourier_call_price(spec, option)) < 5.0 * est.std_error
+
+    def test_huge_sigma_fourier_failure_names_the_strike(self):
+        # at expiry = maturity the Fourier head does not converge on this model
+        with pytest.raises(QuadratureError, match=r"strike=0\.3\b"):
+            fourier_call_price(_big_sigma_spec(), OptionSpec(0.3, 1.0, 1.0))
 
     # -alpha sigma overflows to -inf, and -inf times the span 0 once gave log P = nan
     def test_bond_at_its_maturity_is_one(self, baseline_factor):
@@ -620,20 +663,24 @@ class TestSpecTwins:
 
     @pytest.mark.parametrize("state", [None, (0.07,)])
     def test_one_factor_is_the_factor_route(self, state):
-        # the summed integrand's one row is the per-factor twin's integrand
+        # the summed integrand's one row is the measure's own cumulant and tilted mean
         heavy = _pinned_and_heavy_specs()[3]
         for spec in (_pinned_spec(1), heavy):
             f = spec.factors[0]
+            lam, sigma, measure = f.lam, f.sigma, f.measure
             x = f.x0 if state is None else state[0]
             for i in range(12):
                 t = 0.29 * i
                 T = t + 1e-8 + 0.47 * i
+                b = lambda s: sigma * (np.expm1(-lam * (T - s)) / lam)
                 log_p = -spec.floor.integral(t, T)
-                log_p += cumulant_time_integral(f, t, T, T, method="quadrature")
+                log_p += gauss_kronrod(lambda s: measure.levy_cumulant(b(s)), t, T,
+                                       abs_tol=1e-13)[0]
                 log_p += bond_B(f, t, T) * x
                 assert bond_price(spec, t, T, state, method="quadrature") == math.exp(log_p)
                 rate = spec.floor.value(T)
-                rate += tilted_time_integral(f, t, T, T, method="quadrature")
+                rate += gauss_kronrod(lambda s: sigma * np.exp(-lam * (T - s))
+                                      * measure.tilted_mean(b(s)), t, T, abs_tol=1e-13)[0]
                 rate += x * math.exp(-f.lam * (T - t))
                 assert forward_rate(spec, t, T, state, method="quadrature") == rate
 

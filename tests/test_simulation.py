@@ -639,6 +639,14 @@ class TestControlVariates:
         est = mc_option_price(spec, OptionSpec(0.9, 1.0, 2.0), 1_000, seed=5)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
+    def test_tiny_lambda_and_epsilon_price_an_option(self):
+        # sigma B(t, T) dwarfs epsilon = 1e-300, so the bond's cumulant log
+        # ratio rounds to -1; the option once raised "math domain error"
+        spec = ModelSpec(factors=(_factor(1e-300, 1.0, 0.01, 2.0, 1e-300),),
+                         floor=ConstantFloor(0.02), horizon=2.0)
+        est = mc_option_price(spec, OptionSpec(0.9, 0.5, 1.0), 1_000, seed=1)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
     def test_bond_control_is_the_bond_jump_sum(self, two_factor_spec):
         _, _, jumps = _discount_and_bond(two_factor_spec, _key(132), 1_000, 2.0, 2.0)
         bond = _jump_sums(two_factor_spec, _key(132), 1_000, [(2.0, "bond")]).sum(axis=0)[0]
