@@ -206,6 +206,8 @@ def _half_line_integral(integrand, slope: float) -> complex:
     The head's first call also takes the tail's nodes, so a price makes one
     vectorized call fewer.  NumPy's floating-point errors are ignored: a
     non-finite value fails the head's error check, or after it the tail's.
+    Division by zero raises instead, which only the log of a cumulant ratio
+    rounded to -1 can cause; :func:`.curves._cumulant_closed` catches it.
     """
     from scipy.special import exp1  # on first use, so `import jumpcurve` loads no scipy
 
@@ -222,7 +224,7 @@ def _half_line_integral(integrand, slope: float) -> complex:
         tail_values.append(values[x.size:])
         return values[:x.size]
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
         head, head_error = gauss_kronrod(head_integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
                                          rel_tol=0.0, breakpoints=_HEAD_MESH)
         if not head_error <= _PRICE_TOL:

@@ -46,7 +46,8 @@ from jumpcurve import (
     tilted_time_integral,
     yield_curve,
 )
-from jumpcurve.quadrature import QuadratureError, gauss_kronrod
+from jumpcurve import curves
+from jumpcurve.quadrature import gauss_kronrod
 
 
 def deterministic_spec(level=0.03, lam=1.0, x0=0.0):
@@ -415,10 +416,16 @@ class TestOverflow:
         est = mc_option_price(spec, option, 1_000, seed=1)
         assert abs(est.value - fourier_call_price(spec, option)) < 5.0 * est.std_error
 
-    def test_huge_sigma_fourier_failure_names_the_strike(self):
-        # at expiry = maturity the Fourier head does not converge on this model
-        with pytest.raises(QuadratureError, match=r"strike=0\.3\b"):
-            fourier_call_price(_big_sigma_spec(), OptionSpec(0.3, 1.0, 1.0))
+    # at expiry = maturity the complex ratio of the Fourier exponent rounds to -1 as
+    # well; its log once gave -inf, and the head ran out of panels
+    @pytest.mark.parametrize("strike", [0.05, 0.3, 0.9])
+    def test_huge_sigma_fourier_price_at_expiry_equals_maturity(self, strike):
+        spec = _big_sigma_spec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            price = fourier_call_price(spec, OptionSpec(strike, 1.0, 1.0))
+        # the payoff (P(1, 1) - K)^+ = 1 - K is known at expiry
+        assert price == pytest.approx((1.0 - strike) * bond_price(spec, 0.0, 1.0), rel=1e-13)
 
     # -alpha sigma overflows to -inf, and -inf times the span 0 once gave log P = nan
     def test_bond_at_its_maturity_is_one(self, baseline_factor):
@@ -588,14 +595,14 @@ class TestBitExactness:
         # the closed forms pinned above, so a change of route in any one of them
         # shows here; u stays where Re(i u) sigma < eps
         assert self.twin_digest(spec_twins_of=(1,)) == (
-            "42dcda5f67c88493c797e322cc18faefcc610ee117378549259f616e502a3ad0"
+            "f6eece5f64e1fbd40254aaad28ad5876960912a9aa3a7de5276d6735d89e93b2"
         )
 
     def test_multi_factor_spec_twin_digest(self):
         # a spec twin integrates the factor-summed integrand in one adaptive
         # pass, on panels no single factor's twin uses, so these sit apart
         assert self.twin_digest(spec_twins_of=(2, 3), factor_twins=False) == (
-            "ee76950e064ed1fba9ddf4e090b189db1a71d5268d2b1018ac21f50d2b5d0985"
+            "efb11afc6887edddd943123203d027ffd96fb82f5ea4fb694fef6653aa89cb10"
         )
 
     @pytest.mark.parametrize(
@@ -663,7 +670,8 @@ class TestSpecTwins:
 
     @pytest.mark.parametrize("state", [None, (0.07,)])
     def test_one_factor_is_the_factor_route(self, state):
-        # the summed integrand's one row is the measure's own cumulant and tilted mean
+        # the summed integrand's one row is the measure's own cumulant and tilted mean,
+        # on the twins' graded initial mesh
         heavy = _pinned_and_heavy_specs()[3]
         for spec in (_pinned_spec(1), heavy):
             f = spec.factors[0]
@@ -674,13 +682,15 @@ class TestSpecTwins:
                 T = t + 1e-8 + 0.47 * i
                 b = lambda s: sigma * (np.expm1(-lam * (T - s)) / lam)
                 log_p = -spec.floor.integral(t, T)
+                mesh = curves._twin_mesh(t, T)
                 log_p += gauss_kronrod(lambda s: measure.levy_cumulant(b(s)), t, T,
-                                       abs_tol=1e-13)[0]
+                                       abs_tol=1e-13, breakpoints=mesh)[0]
                 log_p += bond_B(f, t, T) * x
                 assert bond_price(spec, t, T, state, method="quadrature") == math.exp(log_p)
                 rate = spec.floor.value(T)
                 rate += gauss_kronrod(lambda s: sigma * np.exp(-lam * (T - s))
-                                      * measure.tilted_mean(b(s)), t, T, abs_tol=1e-13)[0]
+                                      * measure.tilted_mean(b(s)), t, T, abs_tol=1e-13,
+                                      breakpoints=mesh)[0]
                 rate += x * math.exp(-f.lam * (T - t))
                 assert forward_rate(spec, t, T, state, method="quadrature") == rate
 
@@ -698,6 +708,56 @@ class TestSpecTwins:
                     rate = forward_rate(spec, t, T)
                     assert forward_rate(spec, t, T, method="quadrature") == pytest.approx(
                         rate, rel=2e-14, abs=0.0)
+
+    def test_twins_settle_in_their_first_call(self, monkeypatch):
+        # the graded initial mesh resolves each twin in one vectorized round;
+        # from a single panel they took about three, and up to five
+        calls = []
+
+        def counting(factory):
+            def counted_factory(columns, T):
+                integrand = factory(columns, T)
+                calls.append(0)
+
+                def counted(s):
+                    calls[-1] += 1
+                    return integrand(s)
+
+                return counted
+
+            return counted_factory
+
+        monkeypatch.setattr(curves, "_summed_cumulant", counting(curves._summed_cumulant))
+        monkeypatch.setattr(curves, "_summed_tilted", counting(curves._summed_tilted))
+        for n in (1, 2, 3):
+            spec = _pinned_spec(n)
+            for i in range(13):
+                t = 0.25 * i
+                for T in (t + 1e-9, t + 0.3, t + 1.7, t + 4.0, 10.0):
+                    bond_price(spec, t, T, method="quadrature")
+                    forward_rate(spec, t, T, method="quadrature")
+        assert len(calls) == 3 * 13 * 5 * 2
+        assert max(calls) == 1
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.9999999, 3.0])
+    def test_degenerate_spans(self, t):
+        # spans of one to four ulps, and 1e-7 at t near 3, where breakpoints of the
+        # graded mesh round onto an end and leave panels of width 0
+        spans = [math.ulp(t) * k if t else 5e-324 * k for k in (1, 2, 3, 4)] + [1e-7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in _pinned_and_heavy_specs():
+                for T in (t + span for span in spans):
+                    assert bond_price(spec, t, T, method="quadrature") == pytest.approx(
+                        bond_price(spec, t, T), rel=2e-14, abs=0.0)
+                    assert forward_rate(spec, t, T, method="quadrature") == pytest.approx(
+                        forward_rate(spec, t, T), rel=2e-14, abs=0.0)
+                # t1 == t2: an empty integral, 0.0 exactly
+                assert bond_price(spec, t, t, method="quadrature") == 1.0
+                for f in spec.factors:
+                    assert cumulant_time_integral(f, t, t, 5.0, method="quadrature") == 0.0
+                    assert tilted_time_integral(f, t, t, 5.0, method="quadrature") == 0.0
+                    assert factor_exponent(f, 0.0, 0.7, method="quadrature").rho == 0.0
 
 
 class TestPathConstants:
