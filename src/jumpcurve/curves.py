@@ -30,9 +30,8 @@ in Heston-like models", Math. Finance 2010).  Real bond paths have g <= 0 and
 need no check.  Where a real g(t1) dwarfs eps so far that the ratio rounds to
 -1, the logarithm is taken as log(eps - g(t2)) - log(eps - g(t1)) instead, for
 every bond-path caller: bond prices, the pathwise and Monte Carlo bonds and
-the Fourier compensator.  The Fourier exponents' complex ends take the same
-log difference at the nodes where their ratio rounds to -1, as it does at
-expiry = maturity with sigma B(t,T) far beyond eps.
+the Fourier compensator.  The Fourier exponent at expiry = maturity is such
+a real path too, the same for every y, so it takes the same fallback.
 
 The maturity-tilted integral behind forward rates collapses to
 
@@ -54,9 +53,9 @@ panels are the sum's own, and the value moves by about an ulp from the sum of
 per-factor twins.  :func:`.transforms.factor_exponent` keeps its own twin on
 the complex transform path.  Every twin runs through :func:`_twin`, which
 starts from a mesh graded toward the upper end t2, where the bond, tilted and
-transform paths all vary fastest, on a scale of 1/lam.  So a twin settles in
-its first vectorized round: a round costs tens of NumPy calls, while a point
-costs a fraction of a microsecond.
+transform paths all vary fastest, on a scale of 1/lam.  So a twin with
+lam (t2 - t1) up to about 20 settles in its first vectorized round: a round
+costs tens of NumPy calls, while a point costs a fraction of a microsecond.
 
 The path-free parts of both closed forms depend on the factor alone.
 :func:`.model._path_constants` computes them as Python floats: lam, sigma,
@@ -107,19 +106,21 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-13
-_TWIN_GRADES = tuple(2.0 ** (-k / 2) for k in range(1, 15))
+_TWIN_GRADES = tuple(2.0 ** (-k / 2) for k in range(1, 9))
 
 
 def _twin_mesh(t1: float, t2: float) -> tuple:
-    """Breakpoints t2 - (t2 - t1) 2^{-k/2}, k = 1..14, in order: the twins' initial mesh.
+    """Breakpoints t2 - (t2 - t1) 2^{-k/2}, k = 1..8, in order: the twins' initial mesh.
 
     The panels narrow geometrically toward t2, each 1 - 2^{-1/2} = 0.29 of
-    its far end's distance from t2, down to the last one, span / 128 wide.
-    So an integrand that varies like e^{-lam (t2 - s)} settles in one round
-    up to lam (t2 - t1) of about 200; with a ratio of 2 between breakpoints,
-    the wider panels hold enough of e^{-lam (t2 - s)} to need a second round.
-    On a span of a few ulps, breakpoints round onto t1 or t2 and leave panels
-    of width 0.
+    its far end's distance from t2, down to the last one, span / 16 wide.
+    That depth is the least that settles every twin of the test suite's and
+    the benchmark's specs in one round, with lam (t2 - t1) up to about 20; a
+    stiffer factor bisects the panels near t2 for a round or more.  With a
+    ratio of 2 between breakpoints, the wider panels hold too much of
+    e^{-lam (t2 - s)} and a third of the forward-rate twins take a second
+    round.  On a span of a few ulps, breakpoints round onto t1 or t2 and
+    leave panels of width 0.
     """
     span = t2 - t1
     return tuple(t2 - span * grade for grade in _TWIN_GRADES)
@@ -129,9 +130,9 @@ def _twin(method: str, integrand, t1: float, t2: float):
     """int_{t1}^{t2} integrand ds by adaptive quadrature: the twin of a ``method="closed"`` form.
 
     Starts from :func:`_twin_mesh`, graded toward t2, where every twin's
-    integrand varies fastest, so that a twin settles in its first vectorized
-    round: a round costs tens of NumPy calls, a point a fraction of a
-    microsecond.  Acceptance is gauss_kronrod's, at abs_tol 1e-13.
+    integrand varies fastest, so that most twins settle in their first
+    vectorized round: a round costs tens of NumPy calls, a point a fraction
+    of a microsecond.  Acceptance is gauss_kronrod's, at abs_tol 1e-13.
     """
     if method != "quadrature":
         raise ValueError("method must be one of ('closed', 'quadrature')")
@@ -164,20 +165,14 @@ def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
     g1 = g(t1) and g2 = g(t2) and its span t2 - t1.  Real ends are a bond
     path, whose log falls back to log(eps - g2) - log(eps - g1) where
     ``math.log1p`` raises on a ratio rounded to -1; inf or nan where the term
-    overflows.  Complex ends take ``log1p=np.log1p`` and must have passed
-    :func:`_check_half_plane`.  Under ``np.errstate(divide="raise")`` a ratio
-    rounded to -1 raises FloatingPointError, and the ends where it did take
-    the same log difference; without it np.log1p gives -inf there.
+    overflows.  Complex ends take ``log1p=np.log1p``, which never raises, and
+    must have passed :func:`_check_half_plane`.
     """
     _, _, eps, _, drift_rate, scale, weight, _ = c
-    ratio = (g1 - g2) / (eps - g1)
     try:
-        log_ratio = log1p(ratio)
+        log_ratio = log1p((g1 - g2) / (eps - g1))
     except ValueError:  # math.log1p(-1): g1 dwarfs eps so far that the ratio rounded to -1
         log_ratio = math.log(eps - g2) - math.log(eps - g1)
-    except FloatingPointError:  # np.log1p(-1) on complex ends, as above
-        with np.errstate(divide="ignore"):
-            log_ratio = np.where(ratio == -1.0, np.log(eps - g2) - np.log(eps - g1), log1p(ratio))
     return drift_rate * span / scale - weight * log_ratio
 
 

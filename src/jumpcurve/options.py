@@ -126,13 +126,15 @@ def _jump_exponent(c: tuple, t: float, option: OptionSpec):
     factor's bond-path constants ``c`` (a spec's ``_paths`` entry), whose
     y-free terms and half-plane check are computed once: B_k at both ends of
     gamma_k's path, and Re gamma_k = sigma (a B(s,T) - (a-1) B(s,tau)) for every y.
+    At tau = T, gamma_k = sigma B(s,T) for every y, so Psi_k is one value:
+    the complex route's at y = 0, which every node would give bit for bit,
+    or the real bond-path form where sigma B dwarfs eps so far that the
+    ratio rounds to -1 and np.log1p gives -inf.
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
     lam, sigma, eps = c[0], c[1], c[2]
     b_long1, b_short1 = _slope(lam, T - t), _slope(lam, tau - t)
     b_long2, b_short2 = _slope(lam, T - tau), _slope(lam, tau - tau)
-    _check_half_plane(eps, sigma * (a * b_long1 - (a - 1.0) * b_short1),
-                      sigma * (a * b_long2 - (a - 1.0) * b_short2))
     span = tau - t
 
     def psi(u, u_less_1):
@@ -140,6 +142,15 @@ def _jump_exponent(c: tuple, t: float, option: OptionSpec):
         g2 = sigma * (u * b_long2 - u_less_1 * b_short2)
         return _cumulant_closed(c, g1, g2, span, np.log1p)
 
+    if tau == T:
+        at_zero = np.array([a + 0j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = psi(at_zero, at_zero - 1.0)[0]
+        if value.real == math.inf:  # -weight log1p(-1)
+            value = complex(_cumulant_closed(c, sigma * b_long1, 0.0, span))
+        return lambda u, u_less_1: np.broadcast_to(value, np.shape(u))
+    _check_half_plane(eps, sigma * (a * b_long1 - (a - 1.0) * b_short1),
+                      sigma * (a * b_long2 - (a - 1.0) * b_short2))
     return psi
 
 
@@ -206,8 +217,6 @@ def _half_line_integral(integrand, slope: float) -> complex:
     The head's first call also takes the tail's nodes, so a price makes one
     vectorized call fewer.  NumPy's floating-point errors are ignored: a
     non-finite value fails the head's error check, or after it the tail's.
-    Division by zero raises instead, which only the log of a cumulant ratio
-    rounded to -1 can cause; :func:`.curves._cumulant_closed` catches it.
     """
     from scipy.special import exp1  # on first use, so `import jumpcurve` loads no scipy
 
@@ -224,7 +233,7 @@ def _half_line_integral(integrand, slope: float) -> complex:
         tail_values.append(values[x.size:])
         return values[:x.size]
 
-    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         head, head_error = gauss_kronrod(head_integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
                                          rel_tol=0.0, breakpoints=_HEAD_MESH)
         if not head_error <= _PRICE_TOL:

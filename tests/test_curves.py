@@ -595,14 +595,14 @@ class TestBitExactness:
         # the closed forms pinned above, so a change of route in any one of them
         # shows here; u stays where Re(i u) sigma < eps
         assert self.twin_digest(spec_twins_of=(1,)) == (
-            "f6eece5f64e1fbd40254aaad28ad5876960912a9aa3a7de5276d6735d89e93b2"
+            "eef7452bd44f69fbd7d1d0f08bb5ae9f8201c9534942617922d13c582c299ddb"
         )
 
     def test_multi_factor_spec_twin_digest(self):
         # a spec twin integrates the factor-summed integrand in one adaptive
         # pass, on panels no single factor's twin uses, so these sit apart
         assert self.twin_digest(spec_twins_of=(2, 3), factor_twins=False) == (
-            "efb11afc6887edddd943123203d027ffd96fb82f5ea4fb694fef6653aa89cb10"
+            "a9ead0c0f9eedb4ce9c3f0623e9e225ac817185738447bd094b8725e965c9ac2"
         )
 
     @pytest.mark.parametrize(
