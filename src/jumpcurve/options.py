@@ -20,11 +20,14 @@ antiderivative, its principal-branch argument and the half-plane check.  Here
 Psi_k has only the closed form; the test suite keeps its time-quadrature twin.
 
 The y-integral is folded onto [0, inf) by conjugate symmetry.  Adaptive
-Gauss-Kronrod integrates the head [0, A], A = 200, from the mesh 0, A 2^-k
-(k = 10..0), graded toward the poles of w at y = ia and i(a-1); it settles in
-two or three integrand calls.  Beyond A the integrand is the phase e^{isy} of
-the asymptotic slope s times an amplitude c/y^2 + O(1/y^3), where c weighs the
-no-jump outcome P(tau,T) = P_nj, the supremum of P(tau,T).  The c/y^2 term is
+Gauss-Kronrod integrates the head [0, A], A = 200, from the mesh 0, A 2^{-k/2}
+(k = 20..0), graded by a ratio of sqrt 2 toward the poles of w at y = ia and
+i(a-1).  Near the forward at dampenings 1.5 to 3 it settles in its first
+integrand call; far from it an outer panel, where the phase turns fastest, may
+take one or two more, and at a = 1.1, poles 0.1 from the axis, it takes four.
+Beyond A the integrand is the phase e^{isy} of the asymptotic slope s times an
+amplitude c/y^2 + O(1/y^3), where c weighs the no-jump outcome
+P(tau,T) = P_nj, the supremum of P(tau,T).  The c/y^2 term is
 integrated in closed form, c E_2(-isA)/A, and the remainder by the DE Fourier
 rule of :mod:`.quadrature`: at step 0.2 (122 nodes) where 0.5 <= |s| A < 100,
 at step 0.05 (482 nodes) elsewhere.  In the rule's variable x = |s| (y - A) the
@@ -32,14 +35,15 @@ remainder's pole at y = 0 lies |s| A from the tail's start, so below the band
 the coarse step misses it, and above the band it moves prices by an ulp.  A
 high-activity factor can leave the amplitude far from c/y^2 at A: where
 |A^2 amp(A) - c| > 2 |c| the remainder has a shape of its own, and the tail is
-redone on the dense rule in one more call.  So it is where |c| > 0.2 (a large
-dampening in the money), as the coarse rule's error, up to about 3e-16 |c|,
-would pass 1e-16 there.  The first rule's nodes ride in the head's first call,
-so a price makes two or three vectorized calls in all, of 378 to 858 points on
-the test grid.  The integrand's y-free scalars, B_k at the ends of each gamma_k
-path among them, are computed once per price.  As
-K -> P_nj, s = log(P_nj/K) -> 0; below |s| = 1e-10 the rule runs at frequency
-1e-10, which moves the tail by at most 1e-10 int_0^inf x |r(A+x)| dx.  So prices
+redone on the dense rule in one more call of 483 points.  So it is where
+|c| > 0.2 (a large dampening in the money), as the coarse rule's error, up to
+about 3e-16 |c|, would pass 1e-16 there.  The first rule's nodes ride in the
+head's first call, so a price makes one or two vectorized calls in all, of 438
+to 798 points on the test grid: near the forward, one call of 438 or 798.  The
+integrand's y-free scalars, B_k at the ends of each gamma_k path among them,
+are computed once per price.  As K -> P_nj, s = log(P_nj/K) -> 0; below
+|s| = 1e-10 the rule runs at frequency 1e-10, which moves the tail by at most
+1e-10 int_0^inf x |r(A+x)| dx.  So prices
 keep to the sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj
 included.  Far below the forward or at a large dampening the rules cannot reach
 the price: a factor of the integrand beyond e^600, a head error estimate above
@@ -72,7 +76,11 @@ __all__ = [
 # The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE] from _HEAD_MESH, a DE rule
 # beyond it at frequency >= _MIN_FREQUENCY, with the amplitude's 1/y^2 coefficient at _FAR_Y.
 _HEAD_RANGE = 200.0
-_HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** -np.arange(10.0, 0.0, -1.0))
+# breakpoints A 2^{-k/2}, k = 20..1, in order: 21 panels graded toward the poles near y = 0, the
+# first A / 1024 wide.  That depth is the least at which near-the-money prices at a = 1.5 and 2
+# settle in the head's first call: from k = 19..1, whose first panel is sqrt 2 wider, three in
+# five of them take a second call, and from the ratio-2 mesh 0, A 2^-k (k = 10..1) all of them.
+_HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** (-k / 2) for k in range(20, 0, -1))
 _HEAD_ABS_TOL = 1e-11
 _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
@@ -214,8 +222,9 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
 def _half_line_integral(integrand, slope: float) -> complex:
     """int_0^inf integrand(y) dy: graded-mesh head plus the module docstring's DE tail.
 
-    The head's first call also takes the tail's nodes, so a price makes one
-    vectorized call fewer.  NumPy's floating-point errors are ignored: a
+    The head's first call also takes the tail's nodes, so a head that settles
+    in its first round, as it does near the forward, makes the price's one
+    vectorized call.  NumPy's floating-point errors are ignored: a
     non-finite value fails the head's error check, or after it the tail's.
     """
     from scipy.special import exp1  # on first use, so `import jumpcurve` loads no scipy

@@ -7,9 +7,10 @@ panels in one vectorized call, and bisects panels whose local Gauss/Kronrod
 discrepancy exceeds a width-proportional share of the tolerance.  Each round
 of that loop costs a fixed few dozen NumPy calls, while each point costs a
 fraction of a microsecond, so callers that know where their integrand varies
-fast pass a mesh graded there: the time-quadrature twins toward the upper
-end, the Fourier head toward y = 0.  This numerical route is kept alive
-permanently as the cross-check twin of every closed-form integral.  The
+fast pass a mesh graded there by a ratio of sqrt 2, deep enough that most of
+their integrals settle in the first round: the time-quadrature twins toward
+the upper end, the Fourier head toward y = 0.  This numerical route is kept
+alive permanently as the cross-check twin of every closed-form integral.  The
 Fourier rule (Ooura & Mori, J. Comput. Appl. Math. 112, 1999), built once for
 each step h, serves the option-price tail: its error falls like exp(-c/h), so
 the tail takes a coarse step where the remainder is smooth on the scale of the

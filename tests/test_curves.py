@@ -661,7 +661,7 @@ class TestBitExactness:
                 put(fictitious_bond_price(dual, t, T2, state), ois_forward(dual, t, T1, T2, state),
                     libor_forward(dual, t, T1, T2, state))
         assert digest.hexdigest() == (
-            "39635f437fc99f936923a3107bd72490c75756993c2398f2edb3d43fb306bd13"
+            "8731d243dc182cf0f5b2f404419a0246abdb0dd5775c0a97477772198a58dae4"
         )
 
 
