@@ -215,17 +215,9 @@ def load_config(path: str) -> dict:
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     spec = ModelSpec(factors=factors, floor=floor, horizon=horizon)
-    dual = None
-    if spread is not None:
-        try:
-            dual = DualCurveSpec(base=spec, **spread)
-        except InvalidModelError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"dual-curve extension: {exc}") from exc
     return {
         "spec": spec,
-        "dual": dual,
+        "dual": None if spread is None else DualCurveSpec(base=spec, **spread),
         "maturities": maturities,
         "tenor": tenor,
         **settings,

@@ -59,12 +59,13 @@ costs tens of NumPy calls, while a point costs a fraction of a microsecond.
 
 The path-free parts of both closed forms depend on the factor alone.
 :func:`.model._path_constants` computes them as Python floats: lam, sigma,
-eps, alpha eps, -alpha shift, scale, alpha eps / scale and the bond path's
-end value g(T) = sigma B(T,T) = -0.0.  A :class:`.ModelSpec` builds them once
-per factor when it is validated and keeps them in ``_paths``.  The bond
-prices, forward rates, pathwise identities, the Fourier exponents and the
-Monte Carlo affine bond read them from there.  ``calibrate_floor`` and the
-per-factor public functions build their own with the same constructor.
+eps, alpha eps, -alpha shift, scale and alpha eps / scale.  The bond path's
+end value g(T) = sigma B(T,T) is -0.0 for every factor, so the closed forms
+pass it as a literal.  A :class:`.ModelSpec` builds them once per factor
+when it is validated and keeps them in ``_paths``.  The bond prices, forward
+rates, pathwise identities, the Fourier exponents and the Monte Carlo affine
+bond read them from there.  ``calibrate_floor`` and the per-factor public
+functions build their own with the same constructor.
 The constants keep the bits of the expressions above, evaluated left to
 right: -alpha shift span / scale is ((-alpha) shift) span / scale, and
 alpha eps / (eps - g) is (alpha eps) / (eps - g).  So the products
@@ -168,7 +169,7 @@ def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
     overflows.  Complex ends take ``log1p=np.log1p``, which never raises, and
     must have passed :func:`_check_half_plane`.
     """
-    _, _, eps, _, drift_rate, scale, weight, _ = c
+    _, _, eps, _, drift_rate, scale, weight = c
     try:
         log_ratio = log1p((g1 - g2) / (eps - g1))
     except ValueError:  # math.log1p(-1): g1 dwarfs eps so far that the ratio rounded to -1
@@ -178,7 +179,7 @@ def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
 
 def _tilted_closed(c: tuple, b1: float, b2: float) -> float:
     """The module docstring's tilted integral from the bond path's end values b1 and b2."""
-    _, _, eps, alpha_eps, _, _, _, _ = c
+    _, _, eps, alpha_eps, _, _, _ = c
     return alpha_eps / (eps - b2) - alpha_eps / (eps - b1)
 
 
@@ -271,7 +272,7 @@ def _name_overflowing_factor(spec: ModelSpec, t: float, T: float, state) -> None
     for i, (c, x) in enumerate(zip(spec._paths, state)):
         sigma = c[1]
         slope = _slope(c[0], tau)
-        term = _cumulant_closed(c, sigma * slope, c[7], tau) + slope * x
+        term = _cumulant_closed(c, sigma * slope, -0.0, tau) + slope * x  # g(T) = sigma B(T,T)
         if not math.isfinite(term):
             raise OverflowError(
                 f"factor index {i}: the bond's term {term} over [{t}, {T}] overflows "
@@ -304,9 +305,9 @@ def bond_price(
         if T == t:  # exactly, also where -alpha sigma overflows and times the span 0 is nan
             return 1.0
         for c, x in zip(spec._paths, state):
-            lam, sigma, _, _, _, _, _, end = c
+            lam, sigma, _, _, _, _, _ = c
             slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
-            log_p += _cumulant_closed(c, sigma * slope, end, tau)
+            log_p += _cumulant_closed(c, sigma * slope, -0.0, tau)  # g(T) = sigma B(T,T)
             log_p += slope * x
     else:
         log_p += _twin(method, _summed_cumulant(spec._columns, T), t, T)
@@ -340,8 +341,8 @@ def forward_rate(
     tau = T - t
     if method == "closed":
         for c, x in zip(spec._paths, state):
-            lam, sigma, _, _, _, _, _, end = c
-            rate += _tilted_closed(c, sigma * _slope(lam, tau), end)
+            lam, sigma, _, _, _, _, _ = c
+            rate += _tilted_closed(c, sigma * _slope(lam, tau), -0.0)  # g(T) = sigma B(T,T)
             rate += x * math.exp(-lam * tau)
     else:
         rate += _twin(method, _summed_tilted(spec._columns, T), t, T)

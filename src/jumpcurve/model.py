@@ -422,17 +422,15 @@ def _path_constants(factor: FactorParams, shift: float | None = None) -> tuple:
     """A factor's cumulant-path constants as Python floats, in the closed forms' order.
 
     (lam, sigma, eps, alpha eps, -alpha shift, scale = eps lam + shift,
-    alpha eps / scale, sigma B(T,T)): the path-free parts of the closed forms
-    of :mod:`.curves` along a path with the given shift, sigma by default (the
-    bond path), and that path's end value g(T) = -0.0.  A valid factor keeps
-    scale >= sigma > 0.
+    alpha eps / scale): the path-free parts of the closed forms of
+    :mod:`.curves` along a path with the given shift, sigma by default (the
+    bond path).  A valid factor keeps scale >= sigma > 0.
     """
     lam, sigma = float(factor.lam), float(factor.sigma)
     alpha, eps = float(factor.measure.alpha), float(factor.measure.epsilon)
     shift = sigma if shift is None else float(shift)
     scale = eps * lam + shift
-    return (lam, sigma, eps, alpha * eps, -alpha * shift, scale, alpha * eps / scale,
-            sigma * _slope(lam, 0.0))
+    return lam, sigma, eps, alpha * eps, -alpha * shift, scale, alpha * eps / scale
 
 
 def _factor_columns(factors, paths) -> tuple:

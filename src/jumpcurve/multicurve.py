@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import bond_price, forward_rate
-from .model import ConstantFloor, FloorFunction, ModelSpec, SummedFloor
+from .model import ConstantFloor, FloorFunction, InvalidModelError, ModelSpec, SummedFloor
 from .model import _check_interval, _check_state
 from .simulation import _bond_path
 
@@ -69,8 +69,9 @@ class DualCurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "spread_factors", tuple(self.spread_factors))
-        if not 0 <= self.shared_factor_count <= self.base.n_factors:
-            raise ValueError("shared factor count must lie in [0, n]")
+        if not 0 <= self.shared_factor_count <= self.n_base:
+            raise InvalidModelError([f"shared_factor_count {self.shared_factor_count} "
+                                     f"must lie in [0, {self.n_base}]"])
         shared_from = self.n_base - self.shared_factor_count
         factors = tuple(
             replace(f, sigma=2.0 * f.sigma, x0=2.0 * f.x0) if k >= shared_from else f
@@ -81,8 +82,9 @@ class DualCurveSpec:
             floor=SummedFloor((self.base.floor, self.spread_floor)),
             horizon=self.base.horizon,
         )
-        if self.spread_floor.minimum() < 0:
-            raise ValueError("spread floor must be nonnegative everywhere")
+        # after the model check, which rejects a knotless floor that minimum() cannot read
+        if (low := self.spread_floor.minimum()) < 0:
+            raise InvalidModelError([f"spread floor minimum {low} must be nonnegative"])
         object.__setattr__(self, "fictitious", fictitious)
 
     @property

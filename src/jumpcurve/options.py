@@ -43,13 +43,15 @@ to 798 points on the test grid: near the forward, one call of 438 or 798.  The
 integrand's y-free scalars, B_k at the ends of each gamma_k path among them,
 are computed once per price.  As K -> P_nj, s = log(P_nj/K) -> 0; below
 |s| = 1e-10 the rule runs at frequency 1e-10, which moves the tail by at most
-1e-10 int_0^inf x |r(A+x)| dx.  So prices
-keep to the sharp bound C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj
-included.  Far below the forward or at a large dampening the rules cannot reach
-the price: a factor of the integrand beyond e^600, a head error estimate above
-1e-9, a head out of panels or a non-finite integrand value raises QuadratureError
-naming the strike and a.  A time-0 price outside [0, P(0,T)] by more than 1e-9
-raises PricingError, and a smaller excess, noise around a tiny price, is clipped.
+1e-10 int_0^inf x |r(A+x)| dx.  So prices keep to the sharp bound
+C_0 <= P(0,tau) (P_nj - K)^+ at every strike, K = P_nj included, up to the
+head's roundoff, which grows with a and stays inside the 1e-9 PricingError
+tolerance (8.5e-12 above the bound at a = 6).  Far below the forward or at a
+large dampening the rules cannot reach the price: a factor of the integrand
+beyond e^600, a head error estimate above 1e-9, a head out of panels or a
+non-finite integrand value raises QuadratureError naming the strike and a.
+A time-0 price outside [0, P(0,T)] by more than 1e-9 raises PricingError,
+and a smaller excess, noise around a tiny price, is clipped.
 """
 
 from __future__ import annotations

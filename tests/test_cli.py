@@ -30,6 +30,8 @@ BASELINE = {
     "paths": 2000,
 }
 
+_FACTOR_1 = BASELINE["factors"][0]
+
 DETERMINISTIC = {
     "version": 1,
     "horizon": 10.0,
@@ -79,10 +81,8 @@ class TestValidateCommand:
     def test_negative_spread_floor(self, tmp_path, capsys):
         spread = {"variant": "piecewise_linear", "times": [1.0, 2.0], "values": [0.01, -0.01]}
         cfg = write_config(tmp_path, dict(BASELINE, spread_floor=spread))
-        assert main(["--config", cfg, "validate"]) == 2
-        assert capsys.readouterr().err == (
-            "error: dual-curve extension: spread floor must be nonnegative everywhere\n"
-        )
+        assert main(["--config", cfg, "validate"]) == 1
+        assert capsys.readouterr() == ("spread floor minimum -0.01 must be nonnegative\n", "")
 
     @pytest.mark.parametrize(
         "change, report",
@@ -134,21 +134,35 @@ class TestValidateCommand:
         assert (run.returncode, run.stdout, run.stderr) == (code, stdout, stderr)
 
     @pytest.mark.parametrize(
-        "change",
+        "payload, error",
         [
-            {"factors": [dict(BASELINE["factors"][0], **{"lambda": "abc"})]},
-            {"factors": 7},
-            {"grid": {"start": "x"}},
-            {"grid": 5},
-            {"grid": {"count": math.inf}},
+            (dict(BASELINE, factors=[dict(_FACTOR_1, **{"lambda": "abc"})]),
+             "malformed config value: could not convert string to float: 'abc'"),
+            (dict(BASELINE, factors=7), "malformed config value: 'int' object is not iterable"),
+            (dict(BASELINE, grid={"start": "x"}),
+             "malformed config value: could not convert string to float: 'x'"),
+            (dict(BASELINE, grid=5), "config 'grid' must be an object"),
+            (dict(BASELINE, grid={"count": math.inf}), "config 'count' must be of type int, got inf"),
+            (dict(BASELINE, floor={"variant": "constant"}), "floor: constant floor needs 'level'"),
+            (dict(BASELINE, floor={"variant": "piecewise_linear", "times": [1.0]}),
+             "floor: piecewise floor needs 'times' and 'values'"),
+            (dict(BASELINE, factors=[{k: v for k, v in _FACTOR_1.items() if k != "epsilon"}]),
+             "factors[0]: factor needs keys ('lambda', 'sigma', 'x0', 'alpha', 'epsilon')"),
+            ([BASELINE], "config root must be an object"),
+            (dict(BASELINE, tenor=0.0), "config 'tenor' must be positive and finite"),
+            (dict(BASELINE, grid={"start": 3.0, "stop": 1.0}),
+             "grid needs 0 < start <= stop and count >= 1"),
+            ({k: v for k, v in BASELINE.items() if k != "horizon"}, "config missing key 'horizon'"),
         ],
         ids=["string-lambda", "integer-factors", "string-grid-start", "integer-grid",
-             "infinite-grid-count"],
+             "infinite-grid-count", "floor-without-level", "floor-without-values",
+             "factor-without-epsilon", "root-not-an-object", "zero-tenor", "start-past-stop",
+             "no-horizon"],
     )
-    def test_malformed_types(self, tmp_path, capsys, change):
-        cfg = write_config(tmp_path, dict(BASELINE, **change))
+    def test_malformed_types(self, tmp_path, capsys, payload, error):
+        cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "validate"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 class TestInvalidModelLeavesNoOutput:
@@ -547,6 +561,14 @@ class TestCalibrateCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_market_past_the_horizon(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(BASELINE, output=str(tmp_path / "out")))
+        market = tmp_path / "market.csv"
+        market.write_text("maturity,forward_rate\n1.0,0.03\n12.0,0.031\n")
+        assert main(["--config", cfg, "calibrate", "--market", str(market)]) == 1
+        assert capsys.readouterr().err == "error: market maturities exceed the model horizon\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_market_csv(self, tmp_path):
         cfg = write_config(tmp_path, BASELINE)
         market = tmp_path / "empty.csv"
@@ -786,3 +808,62 @@ class TestPriceCommand:
     def test_bond_beyond_horizon(self, tmp_path):
         cfg = write_config(tmp_path, BASELINE)
         assert main(["--config", cfg, "price", "bond", "--maturity", "99.0"]) == 1
+
+
+_ALPHA_50_FACTOR = {"lambda": 2.0, "sigma": 0.5, "x0": 0.0, "alpha": 50.0, "epsilon": 400.0}
+# whole runs on models at the edges of the contract
+EDGE_MODELS = {
+    # no grid: curve reads the knotted floor past its last knot, out to the horizon
+    "piecewise": {k: v for k, v in PIECEWISE_TWO_FACTORS.items() if k != "grid"},
+    # prices sit near 1e-300: the Fourier price must keep below P(0, T), and the
+    # Monte Carlo standard error must not underflow
+    "floor-230": dict(BASELINE, floor={"variant": "constant", "level": 230}),
+    # lambda times a grid time overflows: the closed forms run on Python floats,
+    # which give inf silently
+    "huge-lambda": dict(BASELINE, factors=[dict(_FACTOR_1, **{"lambda": 1e308})]),
+    # sigma B(t, T) dwarfs epsilon and the log's ratio rounds to -1, but the log
+    # itself is finite, so every closed form is too
+    "big-sigma": dict(BASELINE, factors=[dict(_FACTOR_1, sigma=1e20, alpha=1.0, epsilon=1.0)]),
+    # the amplitude at the Fourier head's end is far from its 1/y^2 limit, so the
+    # tail is redone on the dense DE rule
+    "alpha-50": dict(BASELINE, floor={"variant": "constant", "level": 0.01},
+                     factors=[_FACTOR_1, _ALPHA_50_FACTOR]),
+}
+SIX_POINT_MARKET = ("maturity,forward_rate\n"
+                    "0.5,0.03\n1.0,0.032\n2.0,0.035\n4.0,0.036\n6.0,0.035\n9.0,0.034\n")
+
+
+def _option(strike, expiry, maturity):
+    return ["price", "option", "--strike", strike, "--expiry", expiry, "--maturity", maturity]
+
+
+class TestEdgeModelRuns:
+    """Each run exits 0 with nothing on stderr, and a price's analytic value lies
+    within 5 standard errors of its Monte Carlo estimate.  The suite turns a NumPy
+    RuntimeWarning into an error, so a warning fails the run too."""
+
+    @pytest.mark.parametrize("model, argv", [
+        ("piecewise", ["curve"]),
+        ("piecewise", ["calibrate", "--market", "MARKET"]),
+        ("floor-230", ["--seed", "1", "--paths", "1000", "price", "bond", "--maturity", "3"]),
+        ("floor-230", ["--seed", "1", "--paths", "1000", *_option("1e-300", "0.5", "3")]),
+        ("huge-lambda", ["curve"]),
+        ("big-sigma", ["curve"]),
+        ("big-sigma", ["--seed", "1", "--paths", "1000", *_option("0.3", "0.5", "1")]),
+        # at expiry = maturity the Fourier exponent's path is the bond's, whose
+        # log falls back: the price is (1 - K) P(0, 1)
+        ("big-sigma", ["--seed", "1", "--paths", "1000", *_option("0.3", "1", "1")]),
+        ("alpha-50", ["--seed", "1", "--paths", "20000", *_option("0.855", "0.5", "1.5")]),
+    ], ids=["piecewise-curve", "piecewise-calibrate", "floor-230-bond", "floor-230-option",
+            "huge-lambda-curve", "big-sigma-curve", "big-sigma-option", "big-sigma-option-at-maturity",
+            "alpha-50-option"])
+    def test_exits_zero_silently(self, tmp_path, capsys, model, argv):
+        market = tmp_path / "market.csv"
+        market.write_text(SIX_POINT_MARKET)
+        cfg = write_config(tmp_path, dict(EDGE_MODELS[model], output=str(tmp_path / "out")))
+        argv = [str(market) if arg == "MARKET" else arg for arg in argv]
+        assert main(["--config", cfg, *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if "price" in argv:
+            assert abs(float(out.split("z-score")[1])) < 5

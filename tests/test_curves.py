@@ -349,6 +349,11 @@ class TestOverflow:
         with pytest.raises(OverflowError, match="overflows double precision"):
             function(overflowing_spec, 0.0, 0.25)
 
+    def test_quadrature_twin_raises_overflow_error(self, two_factor_spec):
+        # B(0, 5) X on the second factor is -2.16 * 1.7e308 = -inf
+        with pytest.raises(OverflowError, match=r"log P\(0.0, 5.0\) = -inf overflows double"):
+            bond_price(two_factor_spec, 0.0, 5.0, [0.01, 1.7e308], method="quadrature")
+
     # sigma B(0, 1) = -1.07e308 dwarfs epsilon = 10, so (g1 - g2) / (eps - g1)
     # rounds to -1; log1p once failed with "math domain error", naming nothing
     @pytest.mark.parametrize("function", [bond_price, yield_curve])
@@ -492,9 +497,28 @@ class TestCalibration:
         assert np.array_equal(back.maturities, curve.maturities)
         assert np.array_equal(back.rates, curve.rates)
 
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            ForwardCurve(np.array([1.0, 0.5]), np.array([0.01, 0.02]))
+    @pytest.mark.parametrize("maturities, rates, message", [
+        ([1.0, 0.5], [0.01, 0.02], "maturity grid must be strictly increasing"),
+        ([], [], "maturity grid must be a nonempty 1-d array"),
+        ([[0.5, 1.0]], [[0.01, 0.02]], "maturity grid must be a nonempty 1-d array"),
+        ([0.5, 1.0], [0.01], "maturities and rates must match in length"),
+        ([0.5, math.inf], [0.01, 0.02], "curve entries must be finite"),
+        ([0.5, 1.0], [0.01, math.nan], "curve entries must be finite"),
+    ], ids=["unsorted", "empty", "2-d", "mismatched", "infinite-maturity", "nan-rate"])
+    def test_rejects_bad_grid(self, maturities, rates, message):
+        with pytest.raises(ValueError, match=message):
+            ForwardCurve(np.array(maturities), np.array(rates))
+
+    def test_non_numeric_csv_row_names_it(self, tmp_path):
+        path = tmp_path / "fwd.csv"
+        path.write_text("maturity,forward_rate\n0.5,0.01\n1.0,abc\n")
+        with pytest.raises(ValueError, match="row 3: could not convert string to float: 'abc'"):
+            ForwardCurve.from_csv(path)
+
+    def test_needs_a_factor(self):
+        market = ForwardCurve(np.array([1.0, 2.0]), np.array([0.03, 0.031]))
+        with pytest.raises(ValueError, match="need at least one factor"):
+            calibrate_floor((), market)
 
 
 def _pinned_factors():

@@ -103,6 +103,12 @@ class TestValidate:
         )
         assert len(found) == 6
 
+    def test_no_factors_and_unequal_knots_flagged(self):
+        found = violations(factors=(), floor=PiecewiseLinearFloor((0.0, 1.0), (0.01,)),
+                           horizon=5.0)
+        assert found == ("model requires at least one factor",
+                         "floor knot times and values differ in length")
+
     @pytest.mark.parametrize("value", NONFINITE)
     @pytest.mark.parametrize(
         "name, least",
@@ -195,6 +201,8 @@ class TestTiltedMean:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             GammaJumpMeasure(1.0, 1.0).tilted_mean(1.0)
+        with pytest.raises(TypeError, match="tilted_mean is defined for real arguments"):
+            GammaJumpMeasure(1.0, 1.0).tilted_mean(0.5 + 0.1j)
 
 
 class TestSecondMoment:
@@ -216,6 +224,8 @@ class TestFloors:
         floor = ConstantFloor(0.02)
         assert floor.integral(0.5, 2.5) == pytest.approx(0.04, rel=1e-15)
         assert floor.integral(1.0, 1.0) == 0.0
+        with pytest.raises(ValueError, match="integral requires t0 <= t1"):
+            floor.integral(2.5, 0.5)
 
     def test_piecewise_matches_trapezoid(self):
         floor = PiecewiseLinearFloor((0.0, 1.0, 3.0), (0.01, 0.03, 0.0))

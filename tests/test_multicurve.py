@@ -11,6 +11,7 @@ from jumpcurve import (
     DualCurveSpec,
     FactorParams,
     GammaJumpMeasure,
+    InvalidModelError,
     ModelSpec,
     OptionSpec,
     bond_B,
@@ -88,12 +89,14 @@ def random_dual(rng):
 
 class TestDualCurveSpec:
     def test_rejects_negative_spread_floor(self, baseline_spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModelError, match="spread floor minimum -0.001") as info:
             DualCurveSpec(base=baseline_spec, spread_floor=ConstantFloor(-0.001))
+        assert info.value.violations == ("spread floor minimum -0.001 must be nonnegative",)
 
     def test_rejects_bad_shared_count(self, baseline_spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModelError, match="shared_factor_count 2") as info:
             DualCurveSpec(base=baseline_spec, shared_factor_count=2)
+        assert info.value.violations == ("shared_factor_count 2 must lie in [0, 1]",)
 
     def test_effective_state_doubles_shared(self, baseline_spec, spread_factor):
         dual = DualCurveSpec(

@@ -362,6 +362,11 @@ class TestFourierCallPrice:
         with pytest.raises(PricingError, match=re.escape(f"exceeds P(0, 1.0) = {bound} beyond")):
             fourier_call_price(baseline_spec, baseline_option)
 
+    def test_negative_price_beyond_tolerance(self, baseline_spec, baseline_option, monkeypatch):
+        monkeypatch.setattr(options, "_half_line_integral", lambda *args: -1e-9)
+        with pytest.raises(PricingError, match="Fourier price -2e-09 is negative beyond tolerance"):
+            fourier_call_price_at(baseline_spec, baseline_option, None, 0.0)
+
     def test_dampening_invariance(self, baseline_spec):
         prices = [
             fourier_call_price(

@@ -32,6 +32,12 @@ def test_empty_interval():
     assert gauss_kronrod(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_nonfinite_bound_rejected(a, b):
+    with pytest.raises(ValueError, match="finite integration bounds required"):
+        gauss_kronrod(lambda x: x, a, b)
+
+
 def test_budget_exhaustion_raises():
     rng = np.random.default_rng(0)
 

@@ -93,6 +93,11 @@ class TestSimulateJumps:
         with pytest.raises(ValueError, match=f"need 0 < horizon < inf, got horizon={horizon}"):
             simulate_jumps(GammaJumpMeasure(2.0, 10.0), horizon, seed=5)
 
+    @pytest.mark.parametrize("path_index, factor_index", [(2**32, 0), (-1, 0), (0, 2**32)])
+    def test_rejects_indices_past_the_counter_words(self, path_index, factor_index):
+        with pytest.raises(ValueError, match=r"indices must lie in \[0, 2\*\*32\)"):
+            simulate_jumps(GammaJumpMeasure(2.0, 10.0), 1.0, 5, path_index, factor_index)
+
 
 def batched_records(measure, horizon, seed, factor_index, n_paths):
     """Every path's record as the Monte Carlo estimators draw it, in chunks."""
@@ -435,6 +440,11 @@ class TestBondPath:
         for t in (0.25, 0.5, 0.75):
             est = mc_discounted_bond(baseline_spec, t, 1.0, 20_000, seed=23)
             assert abs(est.value - analytic) < 3.0 * est.std_error
+        # at t = 0 nothing is random: the estimate is the bond, bit for bit
+        est = mc_discounted_bond(baseline_spec, 0.0, 1.0, 400, seed=23)
+        assert (est.value, est.std_error, est.plain_value, est.plain_std_error) == (
+            analytic, 0.0, analytic, 0.0)
+        assert est.n_paths == 400
 
     def test_spot_rate_path_representation(self, baseline_spec):
         # R(t,T) from the pathwise bond equals the affine yield at the state
