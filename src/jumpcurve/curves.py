@@ -6,44 +6,47 @@ Bond prices are exponential-affine in the factors,
     B_k(t,T) = (exp(-lam_k (T-t)) - 1) / lam_k  <= 0,
     A_k(t,T) = int_t^T ( -mu(s)/n + int (exp(sigma_k B_k(s,T) z) - 1) nu_k(dz) ) ds.
 
-The jump part of A, the option exponents of :mod:`.options` and the transform
+In units where eps = 1 and sigma = eta = sigma/eps (see :mod:`.model`), the
+jump part of A, the option exponents of :mod:`.options` and the transform
 constant of :mod:`.transforms` are all one integral: the gamma cumulant
-cum(g) = alpha g / (eps - g) along a path  g(s) = c0 + c1 e^{lam s}.  With
-d = eps - c0 the one antiderivative is
+cum(g) = alpha g / (1 - g) along a path  g(s) = c0 + c1 e^{lam s}.  With
+d = 1 - c0 the one antiderivative is
 
     int ds / (d - c1 e^{lam s}) = [lam s - log(d - c1 e^{lam s})] / (d lam),
 
-so that, with  shift = -lam c0  and  scale = eps lam + shift,
+so that, with  shift = -lam c0  and  scale = lam + shift,
 
     int_{t1}^{t2} cum(g(s)) ds
         = -alpha shift (t2-t1) / scale
-          - alpha eps / scale * log( (eps - g(t2)) / (eps - g(t1)) ).
+          - alpha / scale * log( (1 - g(t2)) / (1 - g(t1)) ).
 
-The bond path g = sigma B(s,T) and the option paths have c0 = -sigma/lam, so
-shift = sigma; the transform path i u sigma e^{-lam (t-s)} has c0 = 0, so
-shift = 0.  The logarithm is taken as log1p((g(t1) - g(t2)) / (eps - g(t1))),
+The bond path g = eta B(s,T) and the option paths have c0 = -eta/lam, so
+shift = eta; the transform path i u eta e^{-lam (t-s)} has c0 = 0, so
+shift = 0.  The logarithm is taken as log1p((g(t1) - g(t2)) / (1 - g(t1))),
 which stays exact as t1 -> t2.  For complex g it is the principal branch, and
-that is the right one when Re(eps - g) > 0 at both ends: Re g is monotone in
+that is the right one when Re(1 - g) > 0 at both ends: Re g is monotone in
 s, so the two ends certify the whole path, and the ratio of two right
 half-plane numbers has argument in (-pi, pi) (Lord & Kahl, "Complex logarithms
 in Heston-like models", Math. Finance 2010).  Real bond paths have g <= 0 and
-need no check.  Where a real g(t1) dwarfs eps so far that the ratio rounds to
--1, the logarithm is taken as log(eps - g(t2)) - log(eps - g(t1)) instead, for
+need no check.  Where a real g(t1) dwarfs 1 so far that the ratio rounds to
+-1, the logarithm is taken as log(1 - g(t2)) - log(1 - g(t1)) instead, for
 every bond-path caller: bond prices, the pathwise and Monte Carlo bonds and
 the Fourier compensator.  The Fourier exponent at expiry = maturity is such
 a real path too, the same for every y, so it takes the same fallback.
 
 The maturity-tilted integral behind forward rates collapses to
 
-    int_{t1}^{t2} sigma e^{-lam(T-s)} alpha eps / (eps - sigma B(s,T))^2 ds
-        = alpha eps / (eps - sigma B(t2,T)) - alpha eps / (eps - sigma B(t1,T)).
+    int_{t1}^{t2} eta e^{-lam(T-s)} alpha / (1 - eta B(s,T))^2 ds
+        = alpha ((b2 - b1) / ((1 - b1) (1 - b2))),   b_i = eta B(t_i,T),
+
+one fraction, where alpha / (1 - b2) - alpha / (1 - b1) would cancel.
 
 Each public closed form branches once on ``method``: ``"closed"`` evaluates it
 from the path's two end values in scalar arithmetic (complex ends on the
 transform path), and ``"quadrature"`` runs its twin, the same integrand in
 NumPy on adaptive Gauss-Kronrod nodes, kept as a permanent oracle against
 derivation errors.  Any other name raises ValueError.  Each bond-path integral
-has one twin integrand, the factor-summed sum_k cum_k(sigma_k B_k(s,T)) or its
+has one twin integrand, the factor-summed sum_k cum_k(eta_k B_k(s,T)) or its
 tilted sum, on (k, 1) factor columns.  The spec-level twins of ``bond_price``
 and ``forward_rate`` integrate it in one adaptive pass on the columns that a
 :class:`.ModelSpec` builds once in ``_columns``; ``cumulant_time_integral``
@@ -57,21 +60,13 @@ transform paths all vary fastest, on a scale of 1/lam.  So a twin with
 lam (t2 - t1) up to about 20 settles in its first vectorized round: a round
 costs tens of NumPy calls, while a point costs a fraction of a microsecond.
 
-The path-free parts of both closed forms depend on the factor alone.
-:func:`.model._path_constants` computes them as Python floats: lam, sigma,
-eps, alpha eps, -alpha shift, scale and alpha eps / scale.  The bond path's
-end value g(T) = sigma B(T,T) is -0.0 for every factor, so the closed forms
-pass it as a literal.  A :class:`.ModelSpec` builds them once per factor
-when it is validated and keeps them in ``_paths``.  The bond prices, forward
-rates, pathwise identities, the Fourier exponents and the Monte Carlo affine
-bond read them from there.  ``calibrate_floor`` and the per-factor public
-functions build their own with the same constructor.
-The constants keep the bits of the expressions above, evaluated left to
-right: -alpha shift span / scale is ((-alpha) shift) span / scale, and
-alpha eps / (eps - g) is (alpha eps) / (eps - g).  So the products
-(-alpha) shift and alpha eps are cached, but no reciprocal is, and
-alpha eps / eps is never folded to alpha.  Times pass the interval check as
-Python floats, so no NumPy scalar reaches this arithmetic.
+The path-free parts of both closed forms, lam, eta, alpha, -alpha shift, scale
+and alpha / scale, are Python floats from :func:`.model._path_constants`, which
+a :class:`.ModelSpec` keeps per factor in ``_paths`` and ``calibrate_floor`` and
+the per-factor functions call themselves.  The bond path's end value
+g(T) = eta B(T,T) is -0.0 for every factor, so the closed forms pass it as a
+literal.  Times pass the interval check as Python floats, so no NumPy scalar
+reaches this arithmetic.
 """
 
 from __future__ import annotations
@@ -152,10 +147,10 @@ def bond_B_dT(factor: FactorParams, t: float, T: float) -> float:
     return -math.exp(-factor.lam * (T - t))
 
 
-def _check_half_plane(eps: float, re_g1: float, re_g2: float) -> None:
-    """ValueError unless Re g < eps at both ends of a complex path: the principal log's condition."""
-    if eps <= max(re_g1, re_g2):
-        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
+def _check_half_plane(re_g1: float, re_g2: float) -> None:
+    """ValueError unless Re g < 1 at both ends of a complex path: the principal log's condition."""
+    if 1.0 <= max(re_g1, re_g2):
+        raise ValueError("cumulant argument left the half-plane Re(g) < 1, g in units of epsilon")
 
 
 def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
@@ -164,29 +159,28 @@ def _cumulant_closed(c: tuple, g1, g2, span: float, log1p=math.log1p):
     The module docstring's closed form on a path's constants ``c`` (of
     :func:`.model._path_constants` with that shift), from its end values
     g1 = g(t1) and g2 = g(t2) and its span t2 - t1.  Real ends are a bond
-    path, whose log falls back to log(eps - g2) - log(eps - g1) where
+    path, whose log falls back to log(1 - g2) - log(1 - g1) where
     ``math.log1p`` raises on a ratio rounded to -1; inf or nan where the term
     overflows.  Complex ends take ``log1p=np.log1p``, which never raises, and
     must have passed :func:`_check_half_plane`.
     """
-    _, _, eps, _, drift_rate, scale, weight = c
+    _, _, _, drift_rate, scale, weight = c
     try:
-        log_ratio = log1p((g1 - g2) / (eps - g1))
-    except ValueError:  # math.log1p(-1): g1 dwarfs eps so far that the ratio rounded to -1
-        log_ratio = math.log(eps - g2) - math.log(eps - g1)
+        log_ratio = log1p((g1 - g2) / (1.0 - g1))
+    except ValueError:  # math.log1p(-1): g1 dwarfs 1 so far that the ratio rounded to -1
+        log_ratio = math.log(1.0 - g2) - math.log(1.0 - g1)
     return drift_rate * span / scale - weight * log_ratio
 
 
 def _tilted_closed(c: tuple, b1: float, b2: float) -> float:
     """The module docstring's tilted integral from the bond path's end values b1 and b2."""
-    _, _, eps, alpha_eps, _, _, _ = c
-    return alpha_eps / (eps - b2) - alpha_eps / (eps - b1)
+    return c[2] * ((b2 - b1) / ((1.0 - b1) * (1.0 - b2)))
 
 
 def _bond_ends(c: tuple, t1: float, t2: float, T: float) -> tuple:
-    """The bond path's end values sigma B(t1,T) and sigma B(t2,T), on a factor's constants."""
-    lam, sigma = c[0], c[1]
-    return sigma * _slope(lam, T - t1), sigma * _slope(lam, T - t2)
+    """The bond path's end values eta B(t1,T) and eta B(t2,T), on a factor's constants."""
+    lam, eta = c[0], c[1]
+    return eta * _slope(lam, T - t1), eta * _slope(lam, T - t2)
 
 
 def cumulant_time_integral(
@@ -196,17 +190,17 @@ def cumulant_time_integral(
     T: float,
     method: str = "closed",
 ) -> float:
-    """int_{t1}^{t2} cum(sigma B(s,T)) ds, the jump part of A over [t1, t2].
+    """int_{t1}^{t2} cum(eta B(s,T)) ds, the jump part of A over [t1, t2].
 
     Requires t1 <= t2 <= T.  The bond path of the module docstring (shift
-    sigma); ``method="quadrature"`` runs its twin, which must agree.
+    eta); ``method="quadrature"`` runs its twin, which must agree.
     """
     t1, t2 = _check_interval(t1, t2, T, ("t1", "t2", "T"))
     T = float(T)
     c = _path_constants(factor)
     if method == "closed":
         return _cumulant_closed(c, *_bond_ends(c, t1, t2, T), t2 - t1)
-    return _twin(method, _summed_cumulant(_factor_columns((factor,), (c,)), T), t1, t2)
+    return _twin(method, _summed_cumulant(_factor_columns((c,)), T), t1, t2)
 
 
 def tilted_time_integral(
@@ -227,37 +221,37 @@ def tilted_time_integral(
     c = _path_constants(factor)
     if method == "closed":
         return _tilted_closed(c, *_bond_ends(c, t1, t2, T))
-    return _twin(method, _summed_tilted(_factor_columns((factor,), (c,)), T), t1, t2)
+    return _twin(method, _summed_tilted(_factor_columns((c,)), T), t1, t2)
 
 
 def _summed_cumulant(columns: tuple, T: float):
-    """s -> sum_k cum_k(sigma_k B_k(s,T)) on factor columns, the bond-path twins' integrand.
+    """s -> sum_k cum_k(eta_k B_k(s,T)) on factor columns, the bond-path twins' integrand.
 
-    Row k is alpha_k b / (eps_k - b) at b = sigma_k B_k(s,T), the expression of
-    ``levy_cumulant``.  The bond path stays at or below 0 < eps, where its
-    half-plane check cannot fail, so none is made.
+    Row k is alpha_k b / (1 - b) at b = eta_k B_k(s,T), the expression of
+    ``levy_cumulant`` with eps = 1.  The bond path stays at or below 0 < 1,
+    where its half-plane check cannot fail, so none is made.
     """
-    lam, sigma, alpha, eps, _ = columns
+    lam, eta, alpha = columns
 
     def integrand(s):
-        b = sigma * (np.expm1(-lam * (T - s)) / lam)
-        return np.add.reduce(alpha * b / (eps - b), axis=0)
+        b = eta * (np.expm1(-lam * (T - s)) / lam)
+        return np.add.reduce(alpha * b / (1.0 - b), axis=0)
 
     return integrand
 
 
 def _summed_tilted(columns: tuple, T: float):
-    """s -> sum_k sigma_k e^{-lam_k(T-s)} tilted mean_k, the tilted twins' integrand.
+    """s -> sum_k eta_k e^{-lam_k(T-s)} tilted mean_k, the tilted twins' integrand.
 
-    On factor columns, row k takes the mean at b = sigma_k B_k(s,T) as
-    (alpha_k eps_k) / (eps_k - b)^2, the expression of ``tilted_mean``.
+    On factor columns, row k takes the mean at b = eta_k B_k(s,T) as
+    alpha_k / (1 - b)^2, the expression of ``tilted_mean`` with eps = 1.
     """
-    lam, sigma, _, eps, alpha_eps = columns
+    lam, eta, alpha = columns
 
     def integrand(s):
         decay = -lam * (T - s)
-        b = sigma * (np.expm1(decay) / lam)
-        return np.add.reduce(sigma * np.exp(decay) * (alpha_eps / (eps - b) ** 2), axis=0)
+        b = eta * (np.expm1(decay) / lam)
+        return np.add.reduce(eta * np.exp(decay) * (alpha / (1.0 - b) ** 2), axis=0)
 
     return integrand
 
@@ -269,14 +263,13 @@ def _name_overflowing_factor(spec: ModelSpec, t: float, T: float, state) -> None
     finite, so that the loop itself checks nothing.
     """
     tau = T - t
-    for i, (c, x) in enumerate(zip(spec._paths, state)):
-        sigma = c[1]
+    for i, (c, x, f) in enumerate(zip(spec._paths, state, spec.factors)):
         slope = _slope(c[0], tau)
-        term = _cumulant_closed(c, sigma * slope, -0.0, tau) + slope * x  # g(T) = sigma B(T,T)
+        term = _cumulant_closed(c, c[1] * slope, -0.0, tau) + slope * x  # g(T) = eta B(T,T)
         if not math.isfinite(term):
             raise OverflowError(
                 f"factor index {i}: the bond's term {term} over [{t}, {T}] overflows "
-                f"double precision (sigma={sigma})")
+                f"double precision (sigma={f.sigma})")
 
 
 def bond_price(
@@ -291,7 +284,7 @@ def bond_price(
     ``state`` defaults to the time-0 factor values, which prices the bond at
     t = 0.  Strictly positive; equals 1 at t = T; bounded above by
     exp(-int_t^T mu) whenever every factor value is nonnegative.  Finite
-    also where sigma B(t,T) dwarfs epsilon so far that the cumulant log's
+    also where eta B(t,T) dwarfs 1 so far that the cumulant log's
     ratio rounds to -1 (see :func:`_cumulant_closed`).  Raises OverflowError
     when the closed forms overflow double precision, naming the factor index
     and sigma of the first factor whose term is not finite.
@@ -302,12 +295,11 @@ def bond_price(
     log_p = -spec.floor.integral(t, T)
     tau = T - t
     if method == "closed":
-        if T == t:  # exactly, also where -alpha sigma overflows and times the span 0 is nan
+        if T == t:  # exactly, also where -alpha eta overflows and times the span 0 is nan
             return 1.0
         for c, x in zip(spec._paths, state):
-            lam, sigma, _, _, _, _, _ = c
-            slope = _slope(lam, tau)  # B(t,T): one expm1 for the jump and the state term
-            log_p += _cumulant_closed(c, sigma * slope, -0.0, tau)  # g(T) = sigma B(T,T)
+            slope = _slope(c[0], tau)  # B(t,T): one expm1 for the jump and the state term
+            log_p += _cumulant_closed(c, c[1] * slope, -0.0, tau)  # g(T) = eta B(T,T)
             log_p += slope * x
     else:
         log_p += _twin(method, _summed_cumulant(spec._columns, T), t, T)
@@ -331,7 +323,7 @@ def forward_rate(
 
     f(t,T) = mu(T) + sum_k int_t^T sigma e^{-lam(T-s)} tilted-mean ds
            + sum_k X_k e^{-lam (T-t)},
-    which collapses to mu(T) - sum_k cum(sigma B_k(t,T)) + decayed state in
+    which collapses to mu(T) - sum_k cum(eta B_k(t,T)) + decayed state in
     closed form.  Satisfies f(t,t) = r(t).  Raises OverflowError when the
     closed forms overflow double precision.
     """
@@ -341,9 +333,8 @@ def forward_rate(
     tau = T - t
     if method == "closed":
         for c, x in zip(spec._paths, state):
-            lam, sigma, _, _, _, _, _ = c
-            rate += _tilted_closed(c, sigma * _slope(lam, tau), -0.0)  # g(T) = sigma B(T,T)
-            rate += x * math.exp(-lam * tau)
+            rate += _tilted_closed(c, c[1] * _slope(c[0], tau), -0.0)  # g(T) = eta B(T,T)
+            rate += x * math.exp(-c[0] * tau)
     else:
         rate += _twin(method, _summed_tilted(spec._columns, T), t, T)
         for c, x in zip(spec._paths, state):

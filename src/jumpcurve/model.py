@@ -22,6 +22,10 @@ integral  int (exp(b z) - 1) nu(dz),  which the gamma measure evaluates in
 closed form as  alpha * b / (epsilon - b)  for Re(b) < epsilon.  Since the
 measure has an exponential moment of every order below epsilon, epsilon is
 the effective exponential-moment boundary of the model.
+A factor's jumps sigma z have rate alpha and Exp(epsilon / sigma) sizes, so the
+model reads sigma and epsilon only as eta = sigma / epsilon, which a
+:class:`ModelSpec` refuses at 0 or inf.  Model-level formulas run with
+epsilon = 1 and jumps eta E, E ~ Exp(1); only the measure keeps epsilon.
 """
 
 from __future__ import annotations
@@ -339,6 +343,8 @@ class ModelSpec:
                 problems.append(f"factor {i}: alpha must be positive and finite")
             if not 0 < f.measure.epsilon < inf:
                 problems.append(f"factor {i}: epsilon must be positive and finite")
+            elif 0 < f.sigma < inf and not 0 < _jump_scale(f) < inf:
+                problems.append(f"factor {i}: sigma/epsilon must be positive and finite")
         problems.extend(_floor_violations(self.floor, "floor"))
         if not 0 < self.horizon < inf:
             problems.append("horizon must be positive and finite")
@@ -348,7 +354,7 @@ class ModelSpec:
         object.__setattr__(self, "_state0", tuple(float(f.x0) for f in self.factors))
         # built after the checks: an invalid factor raises above, never in the constants
         object.__setattr__(self, "_paths", tuple(_path_constants(f) for f in self.factors))
-        object.__setattr__(self, "_columns", _factor_columns(self.factors, self._paths))
+        object.__setattr__(self, "_columns", _factor_columns(self._paths))
 
     @property
     def n_factors(self) -> int:
@@ -418,31 +424,32 @@ def _slope(lam: float, tau: float) -> float:
     return math.expm1(-lam * tau) / lam
 
 
+def _jump_scale(factor: FactorParams) -> float:
+    """eta = sigma / epsilon on Python floats, where an overflow gives inf with no NumPy warning."""
+    return float(factor.sigma) / float(factor.measure.epsilon)
+
+
 def _path_constants(factor: FactorParams, shift: float | None = None) -> tuple:
     """A factor's cumulant-path constants as Python floats, in the closed forms' order.
 
-    (lam, sigma, eps, alpha eps, -alpha shift, scale = eps lam + shift,
-    alpha eps / scale): the path-free parts of the closed forms of
-    :mod:`.curves` along a path with the given shift, sigma by default (the
-    bond path).  A valid factor keeps scale >= sigma > 0.
+    (lam, eta, alpha, -alpha shift, scale = lam + shift, alpha / scale): the
+    path-free parts of the closed forms of :mod:`.curves` along a path with
+    the given shift, eta by default (the bond path).  A valid factor keeps
+    scale >= eta > 0.
     """
-    lam, sigma = float(factor.lam), float(factor.sigma)
-    alpha, eps = float(factor.measure.alpha), float(factor.measure.epsilon)
-    shift = sigma if shift is None else float(shift)
-    scale = eps * lam + shift
-    return lam, sigma, eps, alpha * eps, -alpha * shift, scale, alpha * eps / scale
+    lam, eta, alpha = float(factor.lam), _jump_scale(factor), float(factor.measure.alpha)
+    shift = eta if shift is None else float(shift)
+    scale = lam + shift
+    return lam, eta, alpha, -alpha * shift, scale, alpha / scale
 
 
-def _factor_columns(factors, paths) -> tuple:
-    """The factors' (lam, sigma, alpha, eps, alpha eps) as (k, 1) float columns.
+def _factor_columns(paths) -> tuple:
+    """The factors' (lam, eta, alpha) from their path constants, as (k, 1) float columns.
 
     The bond-path quadrature twins of :mod:`.curves` evaluate their factors'
-    integrand at once on these, one row per factor.  alpha eps is the Python
-    float of the factor's path constants in ``paths``, which overflows to inf
-    with no NumPy warning.
+    integrand at once on these, one row per factor.
     """
-    table = np.array([(c[0], c[1], f.measure.alpha, c[2], c[3]) for f, c in zip(factors, paths)],
-                     dtype=float)
+    table = np.array([c[:3] for c in paths], dtype=float)
     return tuple(np.ascontiguousarray(table.T)[:, :, None])
 
 
@@ -466,19 +473,18 @@ def conditional_moments(
     """Conditional mean and variance of r(t) given the factor values at u.
 
     mean = mu(t) + sum_k ( X_k(u) e^{-lam (t-u)}
-                           + sigma_k (1 - e^{-lam (t-u)})/lam * int z nu_k(dz) )
-    var  = sum_k sigma_k^2 (1 - e^{-2 lam (t-u)})/(2 lam) * int z^2 nu_k(dz)
+                           + eta_k (1 - e^{-lam (t-u)})/lam * alpha_k )
+    var  = sum_k eta_k^2 (1 - e^{-2 lam (t-u)})/(2 lam) * 2 alpha_k
 
-    With u = 0 and the initial state this gives the unconditional moments.
+    with the jumps eta E, E ~ Exp(1).  With u = 0 and the initial state this
+    gives the unconditional moments.
     """
     u, t = _check_interval(u, t, spec.horizon, ("u", "t", "horizon"))
     state = _check_state(state, spec.n_factors)
     dt = t - u
     mean = spec.floor.value(t)
     var = 0.0
-    for x_u, f in zip(state, spec.factors):
-        lam, sigma = f.lam, f.sigma
-        mean += (x_u * math.exp(-lam * dt)
-                 + sigma * (-math.expm1(-lam * dt)) / lam * f.measure.mean_jump())
-        var += sigma**2 * (-math.expm1(-2.0 * lam * dt)) / (2.0 * lam) * f.measure.second_moment()
+    for x_u, (lam, eta, alpha, *_) in zip(state, spec._paths):
+        mean += x_u * math.exp(-lam * dt) + eta * (-math.expm1(-lam * dt)) / lam * alpha
+        var += eta**2 * (-math.expm1(-2.0 * lam * dt)) / (2.0 * lam) * (2.0 * alpha)
     return float(mean), float(var)

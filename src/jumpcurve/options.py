@@ -11,10 +11,10 @@ with dampening a > 1 and
     Theta(y) = (a+iy-1) ( int_0^tau mu - sum_k x_k B_k(0,tau) )
                - (a+iy) sum_k int_0^tau cum_k( sigma_k B_k(s,T) ) ds,
     Psi_k(y) = int_t^tau cum_k( gamma_k(s,y) ) ds,
-    gamma_k(s,y) = sigma_k [ (a+iy) B_k(s,T) - (a+iy-1) B_k(s,tau) ].
+    gamma_k(s,y) = eta_k [ (a+iy) B_k(s,T) - (a+iy-1) B_k(s,tau) ],  eps = 1 (:mod:`.curves`).
 
 Re(gamma) <= 0 for a > 1 (B is more negative at the longer maturity).
-gamma_k(., y) is a cumulant path with c0 = -sigma/lam, so Psi_k is the one
+gamma_k(., y) is a cumulant path with c0 = -eta/lam, so Psi_k is the one
 cumulant-path integral of :mod:`.curves`, whose module docstring states the
 antiderivative, its principal-branch argument and the half-plane check.  Here
 Psi_k has only the closed form; the test suite keeps its time-quadrature twin.
@@ -132,24 +132,24 @@ class OptionSpec:
 def _jump_exponent(c: tuple, t: float, option: OptionSpec):
     """Psi_k from t to expiry in closed form, as a function of (u, u - 1) at u = a + iy.
 
-    The cumulant-path integral of :mod:`.curves` with shift sigma, on the
+    The cumulant-path integral of :mod:`.curves` with shift eta, on the
     factor's bond-path constants ``c`` (a spec's ``_paths`` entry), whose
     y-free terms and half-plane check are computed once: B_k at both ends of
-    gamma_k's path, and Re gamma_k = sigma (a B(s,T) - (a-1) B(s,tau)) for every y.
-    At tau = T, gamma_k = sigma B(s,T) for every y, so Psi_k is one value:
+    gamma_k's path, and Re gamma_k = eta (a B(s,T) - (a-1) B(s,tau)) for every y.
+    At tau = T, gamma_k = eta B(s,T) for every y, so Psi_k is one value:
     the complex route's at y = 0, which every node would give bit for bit,
-    or the real bond-path form where sigma B dwarfs eps so far that the
+    or the real bond-path form where eta B dwarfs 1 so far that the
     ratio rounds to -1 and np.log1p gives -inf.
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
-    lam, sigma, eps = c[0], c[1], c[2]
+    lam, eta = c[0], c[1]
     b_long1, b_short1 = _slope(lam, T - t), _slope(lam, tau - t)
     b_long2, b_short2 = _slope(lam, T - tau), _slope(lam, tau - tau)
     span = tau - t
 
     def psi(u, u_less_1):
-        g1 = sigma * (u * b_long1 - u_less_1 * b_short1)
-        g2 = sigma * (u * b_long2 - u_less_1 * b_short2)
+        g1 = eta * (u * b_long1 - u_less_1 * b_short1)
+        g2 = eta * (u * b_long2 - u_less_1 * b_short2)
         return _cumulant_closed(c, g1, g2, span, np.log1p)
 
     if tau == T:
@@ -157,10 +157,10 @@ def _jump_exponent(c: tuple, t: float, option: OptionSpec):
         with np.errstate(divide="ignore", invalid="ignore"):
             value = psi(at_zero, at_zero - 1.0)[0]
         if value.real == math.inf:  # -weight log1p(-1)
-            value = complex(_cumulant_closed(c, sigma * b_long1, 0.0, span))
+            value = complex(_cumulant_closed(c, eta * b_long1, 0.0, span))
         return lambda u, u_less_1: np.broadcast_to(value, np.shape(u))
-    _check_half_plane(eps, sigma * (a * b_long1 - (a - 1.0) * b_short1),
-                      sigma * (a * b_long2 - (a - 1.0) * b_short2))
+    _check_half_plane(eta * (a * b_long1 - (a - 1.0) * b_short1),
+                      eta * (a * b_long2 - (a - 1.0) * b_short2))
     return psi
 
 

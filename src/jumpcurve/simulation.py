@@ -40,11 +40,12 @@ Each estimate is regression-adjusted by a control of known mean (Glasserman,
 *Monte Carlo Methods in Financial Engineering*, 2004, section 4.1; see
 :func:`_estimate`), and also reports the plain sample mean.  The bond and the
 discounted bond are exponentials of a constant plus the jump sum
-J = sum_k sigma_k sum_{u_j <= t} B_k(u_j, T) z_j, which is their control; its
-mean and variance come from the jump measure's moments, never from the
-affine bond formula those estimates check.  The option's control is the
-discounted bond exp(-I_tau) P(tau, T), whose mean is P(0, T).  The README
-gives the variance reductions measured on the baseline model.
+J = sum_k sigma_k sum_{u_j <= t} B_k(u_j, T) z_j = sum_k eta_k sum B_k E_j, with
+z_j = E_j / eps and eta = sigma / eps, which is their control; its mean and
+variance come from the jump measure's moments, never from the affine bond
+formula those estimates check.  The option's control is the discounted bond
+exp(-I_tau) P(tau, T), whose mean is P(0, T).  The README gives the variance
+reductions measured on the baseline model.
 """
 
 from __future__ import annotations
@@ -235,9 +236,10 @@ def _exponential(hi, lo, rate: float, out: np.ndarray) -> np.ndarray:
 def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: int, paths: range):
     """Jump records of a range of path indices, drawn in 2-d blocks.
 
-    Yields ``(rows, times, sizes)``: row i of ``times``/``sizes`` holds
+    Yields ``(rows, times, draws)``: row i of ``times``/``draws`` holds
     consecutive jumps of ``paths[rows[i]]``, times beyond the horizon
-    included.  A block is about three standard deviations wider than the
+    included, with Exp(1) size draws E, whose E / epsilon keeps an Exp(epsilon)
+    quantile's bits.  A block is about three standard deviations wider than the
     mean jump count; only rows whose last time is still within the horizon
     draw another.  Each row accumulates its gaps in sequence, so a jump's
     time does not depend on the block width either.  The arrays yielded
@@ -265,7 +267,7 @@ def _jump_blocks(measure: GammaJumpMeasure, horizon: float, key, factor_index: i
             times = _exponential(w0, w1, measure.alpha, np.empty((rows.size, width)))
             times[:, 0] += last
             np.cumsum(times, axis=1, out=times)
-            yield start + rows, times, _exponential(w2, w3, measure.epsilon, np.empty_like(times))
+            yield start + rows, times, _exponential(w2, w3, 1.0, np.empty_like(times))
             more = times[:, -1] <= horizon
             rows, last, first = rows[more], times[more, -1], first + width
 
@@ -321,23 +323,23 @@ def _path_jump_sum(spec: ModelSpec, path, t: float, T: float, kind: str) -> floa
 def _jump_sums(spec: ModelSpec, key, n_paths: int, evals) -> np.ndarray:
     """Weighted jump sums of every factor and path, shape (factors, evals, paths).
 
-    Entry (k, m, p) is  sigma_k sum_{u_j <= t} w(t - u_j) z_j  over path p's
+    Entry (k, m, p) is  eta_k sum_{u_j <= t} w(t - u_j) E_j  over path p's
     factor-k jumps for the m-th ``(t, kind)`` of ``evals``, with the weights
-    of :func:`_jump_weights`: "decay" gives X_k(t), "bond" gives -I_t.
-    ``key`` comes from :func:`_key`.  Weights and their products with the
-    sizes share one buffer per factor, sized by the first block, the largest.
+    of :func:`_jump_weights` and the draws of :func:`_jump_blocks`: "decay"
+    gives X_k(t), "bond" gives -I_t.  ``key`` comes from :func:`_key`.  Weights
+    and their products with the draws share one buffer per factor, sized by the first block.
     """
     horizon = max(t for t, _ in evals)
     out = np.zeros((spec.n_factors, len(evals), n_paths))
-    for k, f in enumerate(spec.factors):
+    for k, (f, c) in enumerate(zip(spec.factors, spec._paths)):
         buffer = None
-        for rows, times, sizes in _jump_blocks(f.measure, horizon, key, k, range(n_paths)):
+        for rows, times, draws in _jump_blocks(f.measure, horizon, key, k, range(n_paths)):
             if buffer is None:
                 buffer = np.empty(times.size)
             weights = buffer[:times.size].reshape(times.shape)
             for m, (t, kind) in enumerate(evals):
                 _jump_weights(f, times, t, t, kind, weights)
-                out[k, m, rows] += f.sigma * np.multiply(weights, sizes, out=weights).sum(axis=1)
+                out[k, m, rows] += c[1] * np.multiply(weights, draws, out=weights).sum(axis=1)
     return out
 
 
@@ -366,9 +368,9 @@ def _record(measure, horizon: float, key, path_index: int, factor_index: int) ->
     path = range(path_index, path_index + 1)
     blocks = list(_jump_blocks(measure, horizon, key, factor_index, path))
     times = np.concatenate([times[0] for _, times, _ in blocks])
-    sizes = np.concatenate([sizes[0] for _, _, sizes in blocks])
+    draws = np.concatenate([draws[0] for _, _, draws in blocks])
     keep = times <= horizon
-    return JumpRecord(times=times[keep], sizes=sizes[keep])
+    return JumpRecord(times=times[keep], sizes=draws[keep] / measure.epsilon)
 
 
 def evolve_factor(factor, jumps: JumpRecord, grid) -> np.ndarray:
@@ -598,12 +600,12 @@ def _exp_tail(x: float, k: int) -> float:
 
 
 def _jump_moments(spec: ModelSpec, t: float, T: float) -> tuple:
-    """Mean and variance of the jump sum  J = sum_k sigma_k sum_{u_j <= t} B_k(u_j, T) z_j.
+    """Mean and variance of the jump sum  J = sum_k eta_k sum_{u_j <= t} B_k(u_j, T) E_j.
 
     From the jump measure's moments alone (Campbell's theorem): jumps arrive
-    at rate alpha with E z = 1/epsilon and E z^2 = 2/epsilon^2, so
-    E J = sum_k sigma_k alpha_k E z int_0^t B_k(u, T) du and
-    Var J = sum_k sigma_k^2 alpha_k E z^2 int_0^t B_k(u, T)^2 du.  With
+    at rate alpha with Exp(1) draws, E E = 1 and E E^2 = 2, so
+    E J = sum_k eta_k alpha_k int_0^t B_k(u, T) du and
+    Var J = sum_k eta_k^2 2 alpha_k int_0^t B_k(u, T)^2 du.  With
     a = lam (T - t), b = lam T and the tails T_k of :func:`_exp_tail`,
     int_0^t B du = (T_2(a) - T_2(b)) / lam^2 and
     int_0^t B^2 du = (h(b) - h(a)) / lam^3,  h(x) = 2 T_3(x) - T_3(2x) / 2,
@@ -612,18 +614,18 @@ def _jump_moments(spec: ModelSpec, t: float, T: float) -> tuple:
     OverflowError, naming the factor, where lam^3 overflows a float.
     """
     mean = var = 0.0
-    for k, f in enumerate(spec.factors):
+    for k, (lam, eta, alpha, *_) in enumerate(spec._paths):
         try:
-            lam2, lam3 = f.lam**2, f.lam**3
+            lam2, lam3 = lam**2, lam**3
         except OverflowError:
             raise OverflowError(f"factor index {k}: lambda**3 of the jump moments overflows "
-                                f"(lambda={f.lam})") from None
-        a, b = f.lam * (T - t), f.lam * T
+                                f"(lambda={lam})") from None
+        a, b = lam * (T - t), lam * T
         first = (_exp_tail(a, 2) - _exp_tail(b, 2)) / lam2
         second = (2.0 * (_exp_tail(b, 3) - _exp_tail(a, 3))
                   - (_exp_tail(2.0 * b, 3) - _exp_tail(2.0 * a, 3)) / 2.0) / lam3
-        mean += f.sigma * f.measure.mean_jump() * first
-        var += f.sigma**2 * f.measure.second_moment() * second
+        mean += eta * alpha * first
+        var += eta**2 * (2.0 * alpha) * second
     return mean, var
 
 
@@ -632,7 +634,7 @@ def _discount_and_bond(spec: ModelSpec, key, n_paths: int, t: float, T: float):
 
     Per jump B(u, t) + B(t, T) e^{-lam (t - u)} = B(u, T), so the log of
     exp(-I_t) P(t, T) is a constant plus the third array, the jump sum
-    sum_k sigma_k sum_{u_j <= t} B_k(u_j, T) z_j  of :func:`_jump_moments`.
+    sum_k eta_k sum_{u_j <= t} B_k(u_j, T) E_j  of :func:`_jump_moments`.
     """
     sums = _jump_sums(spec, key, n_paths, [(t, "decay"), (t, "bond")])
     jumps = sums[:, 1].sum(axis=0)
@@ -655,7 +657,7 @@ def mc_bond_curve(spec: ModelSpec, maturities, n_paths: int, seed: int):
     """Bond-price estimates for several maturities from one shared path set.
 
     exp(-I_T) is the exponential of a constant plus the jump sum
-    sum_k sigma_k sum_{u_j <= T} B_k(u_j, T) z_j, which
+    sum_k eta_k sum_{u_j <= T} B_k(u_j, T) E_j, which
     is the control; its mean and variance come from the jump moments
     (:func:`_jump_moments`), never from the affine bond formula the
     estimate checks.

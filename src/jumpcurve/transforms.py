@@ -6,11 +6,11 @@ The short rate at time t has the affine characteristic function
     psi_k(t,u) = i u e^{-lam_k t},
     rho_k(t,u) = int_0^t cum_k( i u sigma_k e^{-lam_k (t-s)} ) ds,
 
-where cum_k is the jump-measure cumulant.  The path i u sigma e^{-lam (t-s)}
-has c0 = 0, so rho_k is the one cumulant-path integral of :mod:`.curves`
-with shift 0; its module docstring states the antiderivative and the
-principal-branch argument, which holds whenever Re(i u) sigma < eps.  On the
-real axis u = -i v the same closed form gives :func:`short_rate_mgf`.
+where cum_k is the jump-measure cumulant.  With eps = 1, the path
+i u eta e^{-lam (t-s)}, eta = sigma/eps, has c0 = 0: rho_k is the cumulant-path
+integral of :mod:`.curves` with shift 0, whose principal branch holds whenever
+Re(i u) eta < 1.  On the real axis u = -i v the same closed form gives
+:func:`short_rate_mgf`.
 The driving subordinator itself has CF  exp( i u alpha t / (eps - i u) ):
 a Poisson(alpha t) mixture of Gamma(m, eps) laws, with an atom exp(-alpha t)
 at zero (:func:`levy_zero_atom`) and on x > 0 the randomized gamma density
@@ -57,20 +57,21 @@ def factor_exponent(
     """Affine exponent (psi, rho) of one factor at transform argument u.
 
     The constant term is the time integral of the gamma cumulant along the
-    decaying argument i u sigma e^{-lam (t-s)}, by the principal-log
-    antiderivative; ``method="quadrature"`` runs its adaptive twin.
-    Raises ValueError unless u is finite and Re(i u) sigma < eps, where the cumulant converges.
+    decaying argument i u eta e^{-lam (t-s)}, eta = sigma/eps, by the principal-log
+    antiderivative; ``method="quadrature"`` runs its adaptive twin in sigma and eps.
+    Raises ValueError unless u is finite and Re(i u) eta < 1, where the cumulant converges.
     """
     t, _ = _check_interval(t, t)
     if not cmath.isfinite(u):
         raise ValueError(f"need a finite u, got u={u}")
-    lam, sigma = factor.lam, factor.sigma
-    g1, g2 = 1j * u * sigma * math.exp(-lam * t), 1j * u * sigma  # the path at s = 0 and s = t
-    _check_half_plane(factor.measure.epsilon, g1.real, g2.real)
+    c = _path_constants(factor, 0.0)
+    lam, eta = c[0], c[1]
+    g1, g2 = 1j * u * eta * math.exp(-lam * t), 1j * u * eta  # the path at s = 0 and s = t
+    _check_half_plane(g1.real, g2.real)
     if method == "closed":
-        rho = _cumulant_closed(_path_constants(factor, 0.0), g1, g2, t, np.log1p)
+        rho = _cumulant_closed(c, g1, g2, t, np.log1p)
     else:
-        cumulant = factor.measure.levy_cumulant
+        cumulant, sigma = factor.measure.levy_cumulant, factor.sigma
         rho = _twin(method, lambda s: cumulant(1j * u * sigma * np.exp(-lam * (t - s))), 0.0, t)
     return AffineExponent(psi=complex(1j * u * math.exp(-lam * t)), rho=complex(rho))
 
@@ -91,9 +92,9 @@ def short_rate_char_fn(spec: ModelSpec, t: float, u: float) -> complex:
 def short_rate_mgf(spec: ModelSpec, t: float, v: float) -> float:
     """E[exp(v r_t)]: the characteristic function at u = -i v, in closed form.
 
-    Defined for v below min_k eps_k / sigma_k.
+    Defined for v below min_k 1 / eta_k = eps_k / sigma_k.
     """
-    bound = min(f.measure.epsilon / f.sigma for f in spec.factors)
+    bound = min(1.0 / c[1] for c in spec._paths)
     if not -math.inf < v < bound:
         raise ValueError(f"need a finite v below min eps/sigma = {bound}, got v={v}")
     return short_rate_char_fn(spec, t, -1j * v).real

@@ -1,12 +1,19 @@
-"""Independent quadrature oracles used to freeze expected values."""
+"""Independent oracles, by quadrature and by decimal arithmetic, used to freeze expected values."""
 
 import cmath
+import decimal
 import math
 
 import numpy as np
 from scipy import integrate
 
-from jumpcurve import bond_price, cumulant_time_integral, evolve_factor, integrated_rate
+from jumpcurve import (
+    ConstantFloor,
+    bond_price,
+    cumulant_time_integral,
+    evolve_factor,
+    integrated_rate,
+)
 from jumpcurve.options import _integrand_factory
 from jumpcurve.quadrature import QuadratureError, fourier_rule, gauss_kronrod
 from jumpcurve.simulation import _jump_free_integral, _path_jump_sum
@@ -62,6 +69,60 @@ def tilted_z_oracle(measure, b):
     return value
 
 
+_DIGITS = 40
+
+
+def _decimal_floor(floor, t, T):
+    """(mu(T), int_t^T mu) of a constant or piecewise-linear floor, exact in Decimal."""
+    D = decimal.Decimal
+    if isinstance(floor, ConstantFloor):
+        return D(floor.level), D(floor.level) * (T - t)
+    xs, ys = [D(x) for x in floor.times], [D(y) for y in floor.values]
+
+    def value(s):
+        if s <= xs[0]:
+            return ys[0]
+        if s >= xs[-1]:
+            return ys[-1]
+        j = max(i for i, x in enumerate(xs) if x <= s)
+        return ys[j] + (ys[j + 1] - ys[j]) * (s - xs[j]) / (xs[j + 1] - xs[j])
+
+    breaks = [t, *(x for x in xs if t < x < T), T]
+    return value(T), sum((value(a) + value(b)) / 2 * (b - a) for a, b in zip(breaks, breaks[1:]))
+
+
+def decimal_bond_and_forward(spec, t, T, state=None):
+    """(P(t,T), f(t,T)) at a state, the initial one by default, by the closed forms in 40 digits.
+
+    Written in sigma and epsilon, as the paper states the model, so it shares
+    no arithmetic with the library's jump-scale units: with B = (e^{-lam tau} - 1)/lam,
+
+        log P = -int_t^T mu + sum_k [ -alpha sigma tau / (eps lam + sigma)
+                  - alpha eps / (eps lam + sigma) log(eps / (eps - sigma B)) + B x ],
+        f     = mu(T) + sum_k [ -alpha sigma B / (eps - sigma B) + x e^{-lam tau} ].
+
+    Times, parameters and knots enter as the exact values of their floats.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = _DIGITS
+        t, T = D(t), D(T)
+        tau = T - t
+        level, integral = _decimal_floor(spec.floor, t, T)
+        log_p, rate = -integral, level
+        state = [f.x0 for f in spec.factors] if state is None else state
+        for f, x in zip(spec.factors, state, strict=True):
+            lam, sigma, x = D(f.lam), D(f.sigma), D(x)
+            alpha, eps = D(f.measure.alpha), D(f.measure.epsilon)
+            slope = ((-lam * tau).exp() - 1) / lam
+            scale = eps * lam + sigma
+            jump = sigma * slope
+            log_p += (-alpha * sigma * tau / scale
+                      - alpha * eps / scale * (eps / (eps - jump)).ln() + slope * x)
+            rate += -alpha * jump / (eps - jump) + x * (-lam * tau).exp()
+        return float(log_p.exp()), float(rate)
+
+
 def qawfe_half_line_integral(integrand, slope):
     """int_0^inf integrand(y) dy by adaptive head plus scipy QAWFE tail.
 
@@ -91,16 +152,17 @@ def qawfe_call_price(spec, option, path=None, t=0.0):
     return 2.0 * qawfe_half_line_integral(integrand, slope).real
 
 
-def jump_coefficient(factor, s, u, option):
+def jump_coefficient(factor, s, u, option, scale=None):
     """gamma_k(s, y) = sigma_k [u B_k(s,T) - (u-1) B_k(s,tau)] at u = a + iy, for s in [0, tau].
 
-    Scalar s on math.expm1, as the closed forms take it; array s on numpy's.
+    ``scale`` multiplies the bracket in place of sigma_k when given.  Scalar s
+    on math.expm1, as the closed forms take it; array s on numpy's.
     """
     lam = factor.lam
     expm1 = math.expm1 if isinstance(s, float) else np.expm1
     b_long = expm1(-lam * (option.bond_maturity - s)) / lam
     b_short = expm1(-lam * (option.option_maturity - s)) / lam
-    return factor.sigma * (u * b_long - (u - 1.0) * b_short)
+    return (factor.sigma if scale is None else scale) * (u * b_long - (u - 1.0) * b_short)
 
 
 def closed_jump_exponent(factor, t, y, option):
@@ -108,16 +170,18 @@ def closed_jump_exponent(factor, t, y, option):
 
     The route that ``options._jump_exponent`` replaced, kept as its bit
     reference: gamma_k at both ends, the half-plane check and the constants
-    are recomputed at every call, in the order the closed form takes them.
+    are recomputed at every call, in the order the closed form takes them,
+    in units where epsilon = 1 and sigma = eta = sigma/epsilon.
     """
-    alpha, eps = factor.measure.alpha, factor.measure.epsilon
+    alpha, eta = factor.measure.alpha, factor.sigma / factor.measure.epsilon
     tau, u = option.option_maturity, option.dampening + 1j * np.asarray(y)
-    g1, g2 = jump_coefficient(factor, t, u, option), jump_coefficient(factor, tau, u, option)
-    if eps <= max(np.max(g1.real), np.max(g2.real)):
-        raise ValueError(f"cumulant argument left the half-plane Re(g) < epsilon={eps}")
-    scale = eps * factor.lam + factor.sigma
-    ratio = (g1 - g2) / (eps - g1)
-    return -alpha * factor.sigma * (tau - t) / scale - alpha * eps / scale * np.log1p(ratio)
+    g1 = jump_coefficient(factor, t, u, option, eta)
+    g2 = jump_coefficient(factor, tau, u, option, eta)
+    if 1.0 <= max(np.max(g1.real), np.max(g2.real)):
+        raise ValueError("cumulant argument left the half-plane Re(g) < 1")
+    scale = factor.lam + eta
+    ratio = (g1 - g2) / (1.0 - g1)
+    return -alpha * eta * (tau - t) / scale - alpha / scale * np.log1p(ratio)
 
 
 def quadrature_jump_exponent(factor, t, y, option):

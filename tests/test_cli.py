@@ -479,9 +479,9 @@ class TestCurveCommand:
         assert not (tmp_path / "out").exists()
 
     def test_huge_sigma_gives_one_error_line(self, tmp_path):
-        # sigma B(0, 0.25) dwarfs epsilon; the run once ended in "error: math
-        # domain error", naming nothing
-        factor = dict(BASELINE["factors"][0], sigma=1.7e308)
+        # eta = sigma/epsilon = 1.7e308, so -alpha eta overflows; the run once ended
+        # in "error: math domain error", naming nothing
+        factor = dict(BASELINE["factors"][0], sigma=1.7e308, epsilon=1.0)
         cfg = write_config(tmp_path, dict(BASELINE, factors=[factor], output=str(tmp_path / "out")))
         src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
         run = subprocess.run(
@@ -493,6 +493,22 @@ class TestCurveCommand:
         assert run.stderr.startswith("error: factor index 0: ") and _one_error_line(run.stderr)
         assert run.stderr.endswith("(sigma=1.7e+308)\n")
         assert not (tmp_path / "out").exists()
+
+    def test_huge_sigma_at_a_large_epsilon_writes_the_curve(self, tmp_path):
+        # eta = 1.7e308 / 10 = 1.7e307: -alpha eta is finite, and the curve prices
+        factor = dict(BASELINE["factors"][0], sigma=1.7e308)
+        cfg = write_config(tmp_path, dict(BASELINE, factors=[factor], output=str(tmp_path / "out")))
+        src = os.path.dirname(os.path.dirname(jumpcurve.__file__))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "jumpcurve.cli",
+             "--config", cfg, "curve"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        with open(tmp_path / "out" / "curve.csv", encoding="utf-8") as handle:
+            rows = handle.read().splitlines()[1:]
+        assert len(rows) == BASELINE["grid"]["count"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_underflowing_forward_names_the_bond(self, tmp_path, capsys):
         # P(0, 3.25) underflows to 0.0; the OIS forward once failed with
@@ -550,14 +566,15 @@ class TestCalibrateCommand:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_floor_reports_error(self, tmp_path, capsys):
-        # alpha * epsilon overflows, so the fitted floor levels would be NaN
-        factor = dict(BASELINE["factors"][0], alpha=1e308, epsilon=1e308)
-        cfg = write_config(tmp_path, dict(BASELINE, factors=[factor], output=str(tmp_path / "out")))
+        # each factor's tilt at maturity 1 is 1.5e308, so the fitted floor level is -inf
+        factor = dict(BASELINE["factors"][0], sigma=10.0, alpha=1.7e308, epsilon=1.0)
+        cfg = write_config(tmp_path, dict(BASELINE, factors=[factor, factor],
+                                          output=str(tmp_path / "out")))
         market = tmp_path / "market.csv"
         market.write_text("maturity,forward_rate\n1.0,0.03\n2.0,0.031\n")
         assert main(["--config", cfg, "calibrate", "--market", str(market)]) == 1
         assert capsys.readouterr().err == (
-            "error: calibrated floor level at maturity 1.0 is nan, not finite\n"
+            "error: calibrated floor level at maturity 1.0 is -inf, not finite\n"
         )
         assert not (tmp_path / "out").exists()
 

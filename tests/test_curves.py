@@ -48,6 +48,7 @@ from jumpcurve import (
 )
 from jumpcurve import curves
 from jumpcurve.quadrature import gauss_kronrod
+from oracles import decimal_bond_and_forward
 
 
 def deterministic_spec(level=0.03, lam=1.0, x0=0.0):
@@ -341,7 +342,10 @@ class TestOverflow:
 
     @pytest.fixture
     def overflowing_spec(self):
-        factor = FactorParams(lam=3.2, sigma=0.25, x0=0.01, measure=GammaJumpMeasure(1e308, 24.0))
+        # eta = 480 / 24 = 20, so the bond's drift -alpha eta overflows; the forward
+        # f(0, 0.25) adds the jumps' 1.3e308 and the decayed state's 7.6e307
+        huge = 1.7e308
+        factor = FactorParams(lam=3.2, sigma=480.0, x0=huge, measure=GammaJumpMeasure(huge, 24.0))
         return ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
 
     @pytest.mark.parametrize("function", [bond_price, forward_rate, yield_curve])
@@ -349,17 +353,28 @@ class TestOverflow:
         with pytest.raises(OverflowError, match="overflows double precision"):
             function(overflowing_spec, 0.0, 0.25)
 
+    def test_huge_alpha_with_a_small_jump_scale_prices(self):
+        # eta = 0.25 / 24: -alpha eta = -1.04e306 is finite, so P(0, 0.25)
+        # underflows to 0.0 and f(0, 0.25) = 1.79e305 is finite; the closed forms
+        # in sigma and epsilon once overflowed in alpha epsilon = 2.4e309
+        factor = FactorParams(lam=3.2, sigma=0.25, x0=0.01, measure=GammaJumpMeasure(1e308, 24.0))
+        spec = ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
+        assert bond_price(spec, 0.0, 0.25) == 0.0
+        rate = forward_rate(spec, 0.0, 0.25)
+        assert rate == pytest.approx(1.7893414627796925e305, rel=1e-15)
+        assert forward_rate(spec, 0.0, 0.25, method="quadrature") == pytest.approx(rate, rel=1e-12)
+
     def test_quadrature_twin_raises_overflow_error(self, two_factor_spec):
         # B(0, 5) X on the second factor is -2.16 * 1.7e308 = -inf
         with pytest.raises(OverflowError, match=r"log P\(0.0, 5.0\) = -inf overflows double"):
             bond_price(two_factor_spec, 0.0, 5.0, [0.01, 1.7e308], method="quadrature")
 
-    # sigma B(0, 1) = -1.07e308 dwarfs epsilon = 10, so (g1 - g2) / (eps - g1)
-    # rounds to -1; log1p once failed with "math domain error", naming nothing
+    # eta = 1.7e308 at epsilon = 1, so -alpha eta = -inf; the cumulant log once
+    # failed with "math domain error", naming nothing
     @pytest.mark.parametrize("function", [bond_price, yield_curve])
     @pytest.mark.parametrize("index", [0, 1])
     def test_huge_sigma_names_the_factor(self, baseline_factor, function, index):
-        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 1.0))
         factors = (huge, baseline_factor) if index == 0 else (baseline_factor, huge)
         spec = ModelSpec(factors=factors, floor=ConstantFloor(0.02), horizon=10.0)
         with pytest.raises(OverflowError, match=rf"^factor index {index}: .*\(sigma=1\.7e\+308\)$"):
@@ -367,19 +382,36 @@ class TestOverflow:
         # the forward rate's closed form has no such log
         assert math.isfinite(forward_rate(spec, 0.0, 1.0))
 
-    # at T = 1e-300 the ratio stays clear of -1, and -alpha sigma = -inf reaches
+    # at T = 1e-300 the ratio stays clear of -1, and -alpha eta = -inf reaches
     # log P through the ordinary path; its error once named neither
     @pytest.mark.parametrize("function", [bond_price, yield_curve])
     @pytest.mark.parametrize("index", [0, 1])
     def test_huge_sigma_at_a_tiny_maturity_names_the_factor(self, baseline_factor, function,
                                                              index):
-        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 1.0))
         factors = (huge, baseline_factor) if index == 0 else (baseline_factor, huge)
         spec = ModelSpec(factors=factors, floor=ConstantFloor(0.02), horizon=10.0)
         for T in (1e-300, 1e-10):
             with pytest.raises(OverflowError,
                                match=rf"^factor index {index}: .*\(sigma=1\.7e\+308\)$"):
                 function(spec, 0.0, T)
+
+    # sigma = 1.7e308 at epsilon = 10 is eta = 1.7e307: -alpha eta is finite, so
+    # the bond prices, where the closed forms in sigma and epsilon overflowed and
+    # the twin ran out of panels
+    @pytest.mark.parametrize("index", [None, 0, 1])
+    def test_huge_sigma_at_a_large_epsilon_prices_as_its_twin(self, baseline_factor, index):
+        huge = FactorParams(lam=1.0, sigma=1.7e308, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0))
+        factors = {None: (huge,), 0: (huge, baseline_factor), 1: (baseline_factor, huge)}[index]
+        spec = ModelSpec(factors=factors, floor=ConstantFloor(0.02), horizon=10.0)
+        for T in (1e-10, 0.25, 1.0, 5.0):
+            price = bond_price(spec, 0.0, T)
+            assert 0.0 < price < 1.0
+            assert bond_price(spec, 0.0, T, method="quadrature") == pytest.approx(price, rel=1e-12)
+            assert math.isfinite(yield_curve(spec, 0.0, T))
+            assert math.isfinite(forward_rate(spec, 0.0, T))
+        if index is not None:
+            assert bond_price(spec, 0.0, 1.0) == 0.12208766525395814
 
     # sigma B(0, 1) = -6.3e19 against epsilon = 1: the ratio rounds to -1 but
     # its log, about -45, and the price are finite; the closed form once raised
@@ -441,11 +473,12 @@ class TestOverflow:
             assert bond_price(spec, t, t, [0.3, 7.0]) == 1.0
 
     def test_calibrated_level_names_maturity(self):
-        # alpha * epsilon overflows, so every fitted level would be NaN
-        factor = FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(1e308, 1e308))
+        # each factor's tilt at maturity 1 is 1.5e308, so their sum and the fitted level
+        # are infinite
+        factor = FactorParams(lam=1.0, sigma=10.0, x0=0.01, measure=GammaJumpMeasure(1.7e308, 1.0))
         market = ForwardCurve(np.array([1.0, 2.0]), np.array([0.03, 0.031]))
-        with pytest.raises(OverflowError, match="level at maturity 1.0 is nan"):
-            calibrate_floor((factor,), market)
+        with pytest.raises(OverflowError, match="level at maturity 1.0 is -inf"):
+            calibrate_floor((factor, factor), market)
 
 
 class TestCalibration:
@@ -551,19 +584,22 @@ class TestBitExactness:
     @pytest.mark.parametrize(
         "n, t, T, state, price, rate",
         [
-            (1, 0.0, 1.0, None, "0x1.d0cf804a0e971p-1", "0x1.240464c94c6adp-3"),
-            (1, 0.5, 0.5 + 1e-9, (0.07,), "0x1.ffffffff3a168p-1", "0x1.70a3d7132c6ccp-4"),
-            (2, 0.25, 4.0, None, "0x1.d7ff3e954cf08p-2", "0x1.0ec55f44149d1p-2"),
-            (2, 1.0, 1.0 + 1e-6, (0.03, 0.01), "0x1.fffffe278d809p-1", "0x1.c28fc89b9cf84p-5"),
-            (3, 0.0, 5.0, None, "0x1.46d72bbfc7011p-2", "0x1.208aacd34dd3cp-2"),
-            (3, 2.5, 6.5, (0.02, 0.0, 0.05), "0x1.b202e4bcc1651p-2", "0x1.199e7d80096b3p-2"),
-            (3, 2.9999999, 3.0, None, "0x1.ffffffdbec198p-1", "0x1.58106f59971bap-5"),
+            (1, 0.0, 1.0, None, "0x1.d0cf804a0e971p-1", "0x1.240464c94c6acp-3"),
+            (1, 0.5, 0.5 + 1e-9, (0.07,), "0x1.ffffffff3a168p-1", "0x1.70a3d7132c6cap-4"),
+            (2, 0.25, 4.0, None, "0x1.d7ff3e954cf08p-2", "0x1.0ec55f44149d5p-2"),
+            (2, 1.0, 1.0 + 1e-6, (0.03, 0.01), "0x1.fffffe278d809p-1", "0x1.c28fc89b9cf8bp-5"),
+            (3, 0.0, 5.0, None, "0x1.46d72bbfc7011p-2", "0x1.208aacd34dd38p-2"),
+            (3, 2.5, 6.5, (0.02, 0.0, 0.05), "0x1.b202e4bcc1651p-2", "0x1.199e7d80096adp-2"),
+            (3, 2.9999999, 3.0, None, "0x1.ffffffdbec198p-1", "0x1.58106f599720dp-5"),
         ],
     )
     def test_bond_price_and_forward_rate(self, n, t, T, state, price, rate):
         spec = _pinned_spec(n)
         assert bond_price(spec, t, T, state).hex() == price
         assert forward_rate(spec, t, T, state).hex() == rate
+        # the pins sit within 1e-15 of the 40-digit reference
+        for pin, reference in zip((price, rate), decimal_bond_and_forward(spec, t, T, state)):
+            assert float.fromhex(pin) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     def test_dense_grid_digest(self):
         # 120 distinct times to maturity per spec: numpy's log1p/expm1 differ from
@@ -578,7 +614,7 @@ class TestBitExactness:
                     digest.update(bond_price(spec, t, t + dT).hex().encode())
                     digest.update(forward_rate(spec, t, t + dT).hex().encode())
         assert digest.hexdigest() == (
-            "56227414d097b49235b5939b87e358b93483c149d9546a25b298ed632425af7e"
+            "348b468c764ecf7266a9b871714df15d181b43d7d0f4684519a9b0495043a7f2"
         )
 
     @staticmethod
@@ -619,25 +655,25 @@ class TestBitExactness:
         # the closed forms pinned above, so a change of route in any one of them
         # shows here; u stays where Re(i u) sigma < eps
         assert self.twin_digest(spec_twins_of=(1,)) == (
-            "eef7452bd44f69fbd7d1d0f08bb5ae9f8201c9534942617922d13c582c299ddb"
+            "f82118948dfb2d441bd58a838b063e956c140450257db63893fe66a264b57ae6"
         )
 
     def test_multi_factor_spec_twin_digest(self):
         # a spec twin integrates the factor-summed integrand in one adaptive
         # pass, on panels no single factor's twin uses, so these sit apart
         assert self.twin_digest(spec_twins_of=(2, 3), factor_twins=False) == (
-            "a9ead0c0f9eedb4ce9c3f0623e9e225ac817185738447bd094b8725e965c9ac2"
+            "012a557e2ed61639e3547bf830e814772fa00292f71b1e301312b3f9d115f46c"
         )
 
     @pytest.mark.parametrize(
         "n, levels",
         [
-            (1, ["-0x1.f1e8f7643f4f2p-5", "-0x1.93cf71823687ep-4",
-                 "-0x1.0f687098a1920p-3", "-0x1.32bb39f24e7b7p-3"]),
-            (2, ["-0x1.7e212ba32f4eep-4", "-0x1.20f30adf7c6fcp-3",
-                 "-0x1.8410db98186dep-3", "-0x1.cfca04be174cdp-3"]),
-            (3, ["-0x1.989cc8d9bdc6ep-4", "-0x1.312405924c57cp-3",
-                 "-0x1.950fdc65a3d1ep-3", "-0x1.e0d3d06f4fe0dp-3"]),
+            (1, ["-0x1.f1e8f7643f506p-5", "-0x1.93cf71823687cp-4",
+                 "-0x1.0f687098a1920p-3", "-0x1.32bb39f24e7b4p-3"]),
+            (2, ["-0x1.7e212ba32f4f6p-4", "-0x1.20f30adf7c6fap-3",
+                 "-0x1.8410db98186dfp-3", "-0x1.cfca04be174c7p-3"]),
+            (3, ["-0x1.989cc8d9bdca1p-4", "-0x1.312405924c58cp-3",
+                 "-0x1.950fdc65a3d29p-3", "-0x1.e0d3d06f4fe05p-3"]),
         ],
     )
     def test_calibrated_floor(self, n, levels):
@@ -685,8 +721,40 @@ class TestBitExactness:
                 put(fictitious_bond_price(dual, t, T2, state), ois_forward(dual, t, T1, T2, state),
                     libor_forward(dual, t, T1, T2, state))
         assert digest.hexdigest() == (
-            "8731d243dc182cf0f5b2f404419a0246abdb0dd5775c0a97477772198a58dae4"
+            "2180d2504d909be8370b4b6f4317887117305511354092f660b14b4187ab9e5b"
         )
+
+
+class TestDecimalReference:
+    """The closed forms against 40-digit decimal arithmetic in sigma and epsilon."""
+
+    def test_dense_grid(self):
+        # the dense-grid digest's points; the forward's two-term tilted form once
+        # cancelled to 1.5e-14 here
+        for spec in _pinned_and_heavy_specs():
+            for i in range(60):
+                t = 0.07 * i
+                for dT in (1e-9 * (i + 1), 0.05 + 0.0917 * i):
+                    price, rate = decimal_bond_and_forward(spec, t, t + dT)
+                    assert bond_price(spec, t, t + dT) == pytest.approx(price, rel=1e-15, abs=0.0)
+                    assert forward_rate(spec, t, t + dT) == pytest.approx(rate, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e15, 1e20, 1e308])
+    def test_tilted_closed_form_does_not_cancel(self, scale):
+        # alpha = epsilon = scale: alpha eps / (eps - b2) - alpha eps / (eps - b1) once
+        # read f(0, 1) = 0.625 at 1e15, 0.0 at 1e20 and nan at 1e308, against 0.63212
+        factor = FactorParams(lam=1.0, sigma=1.0, x0=0.0, measure=GammaJumpMeasure(scale, scale))
+        spec = ModelSpec(factors=(factor,), floor=ConstantFloor(0.0), horizon=10.0)
+        for T in (0.25, 1.0, 5.0):
+            twin = forward_rate(spec, 0.0, T, method="quadrature")
+            assert forward_rate(spec, 0.0, T) == pytest.approx(twin, rel=1e-12, abs=0.0)
+            for t1, t2 in ((0.0, T), (0.0, 0.5 * T), (0.5 * T, T)):
+                twin = tilted_time_integral(factor, t1, t2, T, method="quadrature")
+                assert tilted_time_integral(factor, t1, t2, T) == pytest.approx(
+                    twin, rel=1e-12, abs=0.0)
+        market = ForwardCurve(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        levels = calibrate_floor((factor,), market)
+        assert all(map(math.isfinite, levels.values))
 
 
 class TestSpecTwins:
@@ -694,17 +762,19 @@ class TestSpecTwins:
 
     @pytest.mark.parametrize("state", [None, (0.07,)])
     def test_one_factor_is_the_factor_route(self, state):
-        # the summed integrand's one row is the measure's own cumulant and tilted mean,
-        # on the twins' graded initial mesh
+        # the summed integrand's one row is the cumulant and tilted mean of the
+        # measure with epsilon = 1 along eta B, eta = sigma/epsilon, on the twins'
+        # graded initial mesh
         heavy = _pinned_and_heavy_specs()[3]
         for spec in (_pinned_spec(1), heavy):
             f = spec.factors[0]
-            lam, sigma, measure = f.lam, f.sigma, f.measure
+            lam, eta = f.lam, f.sigma / f.measure.epsilon
+            measure = GammaJumpMeasure(f.measure.alpha, 1.0)
             x = f.x0 if state is None else state[0]
             for i in range(12):
                 t = 0.29 * i
                 T = t + 1e-8 + 0.47 * i
-                b = lambda s: sigma * (np.expm1(-lam * (T - s)) / lam)
+                b = lambda s: eta * (np.expm1(-lam * (T - s)) / lam)
                 log_p = -spec.floor.integral(t, T)
                 mesh = curves._twin_mesh(t, T)
                 log_p += gauss_kronrod(lambda s: measure.levy_cumulant(b(s)), t, T,
@@ -712,7 +782,7 @@ class TestSpecTwins:
                 log_p += bond_B(f, t, T) * x
                 assert bond_price(spec, t, T, state, method="quadrature") == math.exp(log_p)
                 rate = spec.floor.value(T)
-                rate += gauss_kronrod(lambda s: sigma * np.exp(-lam * (T - s))
+                rate += gauss_kronrod(lambda s: eta * np.exp(-lam * (T - s))
                                       * measure.tilted_mean(b(s)), t, T, abs_tol=1e-13,
                                       breakpoints=mesh)[0]
                 rate += x * math.exp(-f.lam * (T - t))

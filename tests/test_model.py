@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestValidate:
         )
         found = violations(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
         assert found == (f"factor 1: {name} must be {least} and finite",)
+
+    @pytest.mark.parametrize("param", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("sigma, epsilon", [(1e-300, 1e300), (1e300, 1e-300), (5e-324, 2.0)],
+                             ids=["zero", "inf", "half-subnormal"])
+    def test_jump_scale_out_of_range_flagged(self, baseline_factor, sigma, epsilon, param):
+        # sigma and epsilon pass their own checks, but sigma/epsilon rounds to 0 or
+        # overflows; on Python floats, so a NumPy scalar pair gives no warning
+        factor = FactorParams(lam=1.0, sigma=param(sigma), x0=0.01,
+                              measure=GammaJumpMeasure(2.0, param(epsilon)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = violations(factors=(baseline_factor, factor), floor=ConstantFloor(0.02),
+                               horizon=10.0)
+        assert found == ("factor 2: sigma/epsilon must be positive and finite",)
 
     @pytest.mark.parametrize("value", NONFINITE)
     def test_nonfinite_floor_and_horizon_flagged(self, baseline_factor, value):

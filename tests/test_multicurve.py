@@ -322,7 +322,10 @@ class TestOverflow:
         ],
     )
     def test_inherits_overflow_error(self, spread_factor, function, args):
-        factor = FactorParams(lam=3.2, sigma=0.25, x0=0.01, measure=GammaJumpMeasure(1e308, 24.0))
+        # eta = 480 / 24 = 20, so the bond's drift -alpha eta overflows; the forward
+        # f(0, 1) adds the jumps' 1.6e308 and the decayed state's 1.0e308
+        huge = 1.7e308
+        factor = FactorParams(lam=0.5, sigma=480.0, x0=huge, measure=GammaJumpMeasure(huge, 24.0))
         base = ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
         dual = DualCurveSpec(base=base, spread_factors=(spread_factor,),
                              spread_floor=ConstantFloor(0.005))

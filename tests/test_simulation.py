@@ -100,12 +100,15 @@ class TestSimulateJumps:
 
 
 def batched_records(measure, horizon, seed, factor_index, n_paths):
-    """Every path's record as the Monte Carlo estimators draw it, in chunks."""
+    """Every path's record as the Monte Carlo estimators draw it, in chunks.
+
+    The blocks hold Exp(1) size draws E; a record's sizes are E / epsilon.
+    """
     times, sizes = [[] for _ in range(n_paths)], [[] for _ in range(n_paths)]
-    for rows, t, z in _jump_blocks(measure, horizon, _key(seed), factor_index, range(n_paths)):
-        for row, t_row, z_row in zip(rows, t, z):
+    for rows, t, e in _jump_blocks(measure, horizon, _key(seed), factor_index, range(n_paths)):
+        for row, t_row, e_row in zip(rows, t, e):
             times[row].append(t_row)
-            sizes[row].append(z_row)
+            sizes[row].append(e_row / measure.epsilon)
     records = []
     for t, z in zip(times, sizes):
         t, z = np.concatenate(t), np.concatenate(z)
