@@ -66,12 +66,7 @@ from .model import (
     PiecewiseLinearFloor,
     conditional_moments,
 )
-from .multicurve import (
-    DualCurveSpec,
-    fictitious_bond_price,
-    libor_forward,
-    ois_forward,
-)
+from .multicurve import DualCurveSpec, _initial_bonds_and_forwards
 from .options import OptionSpec, PricingError, fourier_call_price
 from .quadrature import QuadratureError
 from .simulation import (
@@ -259,16 +254,8 @@ def cmd_curve(cfg: dict, args) -> int:
             continue
         f_val = forward_rate(spec, 0.0, T)
         f_bar = forward_rate(dual.fictitious, 0.0, T)
-        rows.append((
-            T,
-            bond_price(spec, 0.0, T),
-            fictitious_bond_price(dual, 0.0, T),
-            f_val,
-            f_bar,
-            f_bar - f_val,
-            ois_forward(dual, 0.0, T, T + tenor),
-            libor_forward(dual, 0.0, T, T + tenor),
-        ))
+        p, p_bar, f_ois, l_libor = _initial_bonds_and_forwards(dual, T, tenor)
+        rows.append((T, p, p_bar, f_val, f_bar, f_bar - f_val, f_ois, l_libor))
     if not np.all(np.isfinite(rows)):
         raise OverflowError("curve values overflow double precision")
     header = "maturity,P,f,R" if dual is None else "maturity,P,P_bar,f,f_bar,g,F_ois,L_libor"

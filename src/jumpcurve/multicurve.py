@@ -138,10 +138,15 @@ def _simple_forward(spec: ModelSpec, t: float, T1: float, T2: float, bond) -> fl
     return (p1 / p2 - 1.0) / (T2 - T1)
 
 
+def _bond_forward(spec: ModelSpec, t: float, T1: float, T2: float, state, near=None) -> float:
+    """The simple forward on ``spec``'s closed-form bonds; ``near``, if given, is P(t,T1)."""
+    return _simple_forward(spec, t, T1, T2, lambda T: near if near is not None and T == T1
+                           else bond_price(spec, t, T, state))
+
+
 def ois_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:
     """Simple-compounding forward from the traded discount curve."""
-    state = _states(dual, state)[0]
-    return _simple_forward(dual.base, t, T1, T2, lambda T: bond_price(dual.base, t, T, state))
+    return _bond_forward(dual.base, t, T1, T2, _states(dual, state)[0])
 
 
 def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=None) -> float:
@@ -149,8 +154,14 @@ def libor_forward(dual: DualCurveSpec, t: float, T1: float, T2: float, state=Non
 
     Never below the OIS forward when the spread floor is nonnegative.
     """
-    eff, state = dual.fictitious, _states(dual, state)[1]
-    return _simple_forward(eff, t, T1, T2, lambda T: bond_price(eff, t, T, state))
+    return _bond_forward(dual.fictitious, t, T1, T2, _states(dual, state)[1])
+
+
+def _initial_bonds_and_forwards(dual: DualCurveSpec, T: float, tenor: float) -> tuple:
+    """P(0,T), P_bar(0,T), and the OIS and LIBOR forwards over [T, T + tenor], reusing both."""
+    p, p_bar = bond_price(dual.base, 0.0, T), fictitious_bond_price(dual, 0.0, T)
+    return (p, p_bar, _bond_forward(dual.base, 0.0, T, T + tenor, None, p),
+            _bond_forward(dual.fictitious, 0.0, T, T + tenor, None, p_bar))
 
 
 def libor_path_closed_form(dual: DualCurveSpec, path, t: float, T1: float, T2: float) -> float:

@@ -22,9 +22,10 @@ Psi_k has only the closed form; the test suite keeps its time-quadrature twin.
 The y-integral is folded onto [0, inf) by conjugate symmetry.  Adaptive
 Gauss-Kronrod integrates the head [0, A], A = 200, from the mesh 0, A 2^{-k/2}
 (k = 20..0), graded by a ratio of sqrt 2 toward the poles of w at y = ia and
-i(a-1).  Near the forward at dampenings 1.5 to 3 it settles in its first
-integrand call; far from it an outer panel, where the phase turns fastest, may
-take one or two more, and at a = 1.1, poles 0.1 from the axis, it takes four.
+i(a-1), its first round of 315 nodes built once at import.  Near the forward
+at dampenings 1.5 to 3 it settles in its first integrand call; far from it an
+outer panel, where the phase turns fastest, may take one or two more, and at
+a = 1.1, poles 0.1 from the axis, it takes four.
 Beyond A the integrand is the phase e^{isy} of the asymptotic slope s times an
 amplitude c/y^2 + O(1/y^3), where c weighs the no-jump outcome
 P(tau,T) = P_nj, the supremum of P(tau,T).  The c/y^2 term is
@@ -65,7 +66,7 @@ import numpy as np
 
 from .curves import _bond_ends, _check_half_plane, _cumulant_closed, bond_price
 from .model import ModelSpec, _check_interval, _slope
-from .quadrature import QuadratureError, fourier_rule, gauss_kronrod
+from .quadrature import QuadratureError, _prebuilt_round, fourier_rule, gauss_kronrod
 from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
 
 __all__ = [
@@ -75,7 +76,7 @@ __all__ = [
     "fourier_call_price_at",
 ]
 
-# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE] from _HEAD_MESH, a DE rule
+# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE] from _HEAD_ROUND, a DE rule
 # beyond it at frequency >= _MIN_FREQUENCY, with the amplitude's 1/y^2 coefficient at _FAR_Y.
 _HEAD_RANGE = 200.0
 # breakpoints A 2^{-k/2}, k = 20..1, in order: 21 panels graded toward the poles near y = 0, the
@@ -83,9 +84,12 @@ _HEAD_RANGE = 200.0
 # settle in the head's first call: from k = 19..1, whose first panel is sqrt 2 wider, three in
 # five of them take a second call, and from the ratio-2 mesh 0, A 2^-k (k = 10..1) all of them.
 _HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** (-k / 2) for k in range(20, 0, -1))
+# gauss_kronrod's first round on that mesh, built once at import, so a price does no mesh work
+_HEAD_ROUND = _prebuilt_round(0.0, _HEAD_RANGE, _HEAD_MESH)
 _HEAD_ABS_TOL = 1e-11
 _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
+_FAR_END = np.array([_FAR_Y])
 # the tail's DE rule at step 0.2 (122 nodes) where |s| _HEAD_RANGE lies in _COARSE_TAIL and the
 # amplitude has settled at the head's end, |A^2 amp(A) - c| <= _SETTLED_TAIL |c|, to a lead
 # |c| <= _SMALL_TAIL, below which the coarse rule's error, up to about 3e-16 |c|, stays under
@@ -98,6 +102,7 @@ _MAX_LOG_SIZE = 600.0
 # a time-0 price outside [0, P(0,T)] by more than _PRICE_TOL, or a head error estimate above it,
 # fails: the head accepts panels at their roundoff noise, which a huge integrand makes large
 _PRICE_TOL = 1e-9
+_exp1 = None  # scipy.special.exp1, bound by the first price
 
 
 class PricingError(RuntimeError):
@@ -116,9 +121,10 @@ class OptionSpec:
     def __post_init__(self):
         for name in ("strike", "option_maturity", "bond_maturity", "dampening"):
             # Python floats, as the interval check makes of times: no NumPy scalar reaches the
-            # closed forms, and a str, None, complex or array fails here, not in a comparison
+            # closed forms, and a str, None, complex or array fails here, not in a comparison;
+            # a float skips the slow numbers.Real ABC check
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if not (type(value) is float or isinstance(value, numbers.Real)):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not 0 < self.strike < math.inf:
@@ -229,12 +235,14 @@ def _half_line_integral(integrand, slope: float) -> complex:
     vectorized call.  NumPy's floating-point errors are ignored: a
     non-finite value fails the head's error check, or after it the tail's.
     """
-    from scipy.special import exp1  # on first use, so `import jumpcurve` loads no scipy
+    global _exp1
+    if _exp1 is None:  # bound on first use, so `import jumpcurve` loads no scipy
+        from scipy.special import exp1 as _exp1
 
     freq = max(abs(slope), _MIN_FREQUENCY)
     coarse = _COARSE_TAIL[0] <= freq * _HEAD_RANGE < _COARSE_TAIL[1]
     nodes, weights = fourier_rule(0.2) if coarse else fourier_rule()
-    y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
+    y = np.concatenate((_HEAD_RANGE + nodes / freq, _FAR_END))
     tail_values = []  # the tail's values from the head's first call
 
     def head_integrand(x):
@@ -246,7 +254,7 @@ def _half_line_integral(integrand, slope: float) -> complex:
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         head, head_error = gauss_kronrod(head_integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
-                                         rel_tol=0.0, breakpoints=_HEAD_MESH)
+                                         rel_tol=0.0, breakpoints=_HEAD_ROUND)
         if not head_error <= _PRICE_TOL:
             raise QuadratureError(f"Fourier head error estimate {head_error} exceeds {_PRICE_TOL}")
         amplitude = tail_values[0] * np.exp(-1j * slope * y)
@@ -254,12 +262,12 @@ def _half_line_integral(integrand, slope: float) -> complex:
         if coarse and (abs(amplitude[0] * y[0] ** 2 - lead) > _SETTLED_TAIL * abs(lead)
                        or abs(lead) > _SMALL_TAIL):
             nodes, weights = fourier_rule()  # an unsettled or large amplitude: the dense rule
-            y = np.append(_HEAD_RANGE + nodes / freq, _FAR_Y)
+            y = np.concatenate((_HEAD_RANGE + nodes / freq, _FAR_END))
             amplitude = integrand(y) * np.exp(-1j * slope * y)
         weights = weights if slope >= 0 else weights.conj()
         remainder = (amplitude[:-1] - lead / y[:-1] ** 2) @ weights
         z = -1j * slope * _HEAD_RANGE  # E_2(z) = e^{-z} - z E_1(z), and E_2(0) = 1
-        e2 = cmath.exp(-z) - (z * complex(exp1(z)) if slope else 0.0)
+        e2 = cmath.exp(-z) - (z * complex(_exp1(z)) if slope else 0.0)
         tail = cmath.exp(-z) * remainder / freq + lead * e2 / _HEAD_RANGE
     if not cmath.isfinite(tail):
         raise QuadratureError(f"Fourier tail diverged beyond y={_HEAD_RANGE} (phase slope {slope})")

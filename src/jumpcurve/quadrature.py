@@ -9,7 +9,8 @@ of that loop costs a fixed few dozen NumPy calls, while each point costs a
 fraction of a microsecond, so callers that know where their integrand varies
 fast pass a mesh graded there by a ratio of sqrt 2, deep enough that most of
 their integrals settle in the first round: the time-quadrature twins toward
-the upper end, the Fourier head toward y = 0.  This numerical route is kept
+the upper end, the Fourier head toward y = 0, whose fixed mesh passes a read-only
+first round built once, with the meshed call's bits.  This numerical route is kept
 alive permanently as the cross-check twin of every closed-form integral.  The
 Fourier rule (Ooura & Mori, J. Comput. Appl. Math. 112, 1999), built once for
 each step h, serves the option-price tail: its error falls like exp(-c/h), so
@@ -20,6 +21,7 @@ phase's period and the default step elsewhere.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cache
 from typing import Callable
 
@@ -57,6 +59,31 @@ _GAUSS_SLICE = slice(1, 15, 2)
 _NOISE = 100.0 * np.finfo(float).eps  # roundoff noise per unit of a panel's half-width and size
 
 
+# gauss_kronrod's first round on [a, b]: the setup of its panels, as _panels returns it
+_Round = namedtuple("_Round", "a b panels")
+
+
+def _panels(lo, hi):
+    """One round's setup: (lo, hi, mid, half, points, |hi - lo|) of the panels [lo, hi]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    points = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    return lo, hi, mid, half, points, np.abs(hi - lo)
+
+
+def _first_round(a, b, breakpoints):
+    """The first round on [a, b] from the mesh a, *breakpoints, b: every plain call builds it."""
+    edges = np.array([a, *breakpoints, b], dtype=float)
+    return _Round(a, b, _panels(edges[:-1], edges[1:]))
+
+
+def _prebuilt_round(a: float, b: float, breakpoints=()) -> _Round:
+    """A first round to pass as :func:`gauss_kronrod`'s ``breakpoints``, with read-only arrays."""
+    first = _first_round(a, b, breakpoints)
+    for array in first.panels:
+        array.flags.writeable = False
+    return first
+
+
 def gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -74,17 +101,20 @@ def gauss_kronrod(
     Panels are accepted once their Gauss/Kronrod discrepancy is below the
     panel's width-share of the tolerance; the panel budget guards against
     integrands the rule cannot resolve.  ``breakpoints``, inside the interval
-    and in order from a to b, split [a, b] into the initial mesh.
+    and in order from a to b, split [a, b] into the initial mesh, or are a
+    :func:`_prebuilt_round` of it for these a and b (other ends raise ``ValueError``),
+    whose read-only points ``f`` gets first.  A settled first round returns unconcatenated.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration bounds required")
+    first = breakpoints if isinstance(breakpoints, _Round) else _first_round(a, b, breakpoints)
+    if (first.a, first.b) != (a, b):
+        raise ValueError(f"a round built for [{first.a}, {first.b}] cannot serve [{a}, {b}]")
     if b == a:
         return 0.0, 0.0
-    span = b - a
     add = np.add.reduce
-    edges = np.array([a, *breakpoints, b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    done_values = []  # the accepted panels' Kronrod sums and errors, one array per round
+    lo, hi, mid, half, points, width = first.panels
+    done_values = []  # the accepted panels' Kronrod sums and errors, one array per unsettled round
     done_errors = []
     total_panels = lo.size
     while True:
@@ -93,9 +123,6 @@ def gauss_kronrod(
                 f"adaptive Gauss-Kronrod exceeded {max_panels} panels on "
                 f"[{a}, {b}] (abs_tol={abs_tol}, rel_tol={rel_tol})"
             )
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        points = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
         values = np.asarray(f(points)).reshape(lo.size, _NODES.size)
         # np.add.reduce is what np.sum and .sum call, less their Python wrappers
         kron = add(values * _W_KRONROD, axis=1) * half
@@ -105,24 +132,24 @@ def gauss_kronrod(
         if rel_tol:
             coarse = add(kron) + (add(np.concatenate(done_values)) if done_values else 0.0)
             allowance = max(abs_tol, rel_tol * abs(coarse))
-        ok = err <= allowance * np.abs(hi - lo) / abs(span)
+        ok = err <= allowance * width / abs(b - a)
         if not ok.all():
             # splitting cannot push a panel below its own roundoff noise; needed
             # only where a panel fails its share, as that test and this one are or-ed
             ok |= err <= _NOISE * np.abs(half) * np.abs(values).max(axis=1)
         if ok.all():
-            done_values.append(kron)
-            done_errors.append(err)
+            if done_values:
+                kron = np.concatenate([*done_values, kron])
+                err = np.concatenate([*done_errors, err])
             break
         done_values.append(kron[ok])
         done_errors.append(err[ok])
         bad_lo, bad_hi, bad_mid = lo[~ok], hi[~ok], mid[~ok]
-        lo = np.concatenate([bad_lo, bad_mid])
-        hi = np.concatenate([bad_mid, bad_hi])
+        lo, hi, mid, half, points, width = _panels(np.concatenate([bad_lo, bad_mid]),
+                                                   np.concatenate([bad_mid, bad_hi]))
         total_panels += bad_lo.size
-    value = add(np.concatenate(done_values))
-    error = float(add(np.concatenate(done_errors)))
-    return (complex(value) if np.iscomplexobj(value) else float(value)), error
+    value = add(kron)
+    return (complex(value) if np.iscomplexobj(value) else float(value)), float(add(err))
 
 
 @cache

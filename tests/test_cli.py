@@ -11,7 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jumpcurve
-from jumpcurve import JumpRecord, SimulatedPath, SummedFloor, cli, simulate_path
+from jumpcurve import (
+    JumpRecord,
+    SimulatedPath,
+    SummedFloor,
+    bond_price,
+    cli,
+    fictitious_bond_price,
+    libor_forward,
+    ois_forward,
+    simulate_path,
+)
 from jumpcurve.cli import main
 from jumpcurve.options import PricingError
 from jumpcurve.quadrature import QuadratureError
@@ -437,6 +447,30 @@ class TestCurveCommand:
             assert g == pytest.approx(f_bar - f, abs=1e-12)
             assert L >= F - 1e-12
 
+    def test_dual_curve_prices_each_bond_once_per_row(self, tmp_path, monkeypatch):
+        # P(0,T) and P_bar(0,T) serve their own columns and the forwards' near ends: four bond
+        # prices a row, not six, and the forward columns keep ois_forward's and libor_forward's bits
+        from jumpcurve import curves, multicurve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return curves.bond_price(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bond_price", counting)
+        monkeypatch.setattr(multicurve, "bond_price", counting)
+        cfg = write_config(tmp_path, dict(DUAL_CURVE, output=str(tmp_path / "out")))
+        assert main(["--config", cfg, "curve"]) == 0
+        rows = [list(map(float, line.split(",")))
+                for line in (tmp_path / "out" / "curve.csv").read_text().splitlines()[1:]]
+        assert len(calls) == 4 * len(rows) == 24
+        monkeypatch.undo()
+        loaded = cli.load_config(cfg)
+        dual, tenor = loaded["dual"], loaded["tenor"]
+        for T, P, P_bar, _, _, _, F, L in rows:
+            assert (P, P_bar) == (bond_price(dual.base, 0.0, T), fictitious_bond_price(dual, 0.0, T))
+            assert F == ois_forward(dual, 0.0, T, T + tenor)
+            assert L == libor_forward(dual, 0.0, T, T + tenor)
 
     @pytest.mark.parametrize("horizon, tenor", [(10.0, 0.25), (7.3, 0.246)])
     def test_dual_curve_default_grid_stops_a_tenor_short(self, tmp_path, horizon, tenor):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import re
 import warnings
@@ -25,7 +26,7 @@ from jumpcurve import (
     short_rate_mgf,
     simulate_path,
 )
-from jumpcurve import options
+from jumpcurve import options, quadrature
 from jumpcurve.model import _path_constants
 from jumpcurve.options import (
     PricingError,
@@ -652,6 +653,59 @@ class TestIntegrandCalls:
         assert calls == [*head_calls, 483]
         monkeypatch.setattr(options, "_COARSE_TAIL", (math.inf, math.inf))
         assert fourier_call_price(spec, option) == price
+
+
+class TestPrebuiltHeadRound:
+    """The head's first Gauss-Kronrod round, built once at import, keeps the mesh's bits."""
+
+    def test_a_price_builds_no_first_round_and_a_twin_builds_one(self, baseline_spec,
+                                                                  monkeypatch):
+        built = []
+        first_round = quadrature._first_round
+        monkeypatch.setattr(quadrature, "_first_round",
+                            lambda *args: built.append(args) or first_round(*args))
+        forward = bond_price(baseline_spec, 0.0, 1.5) / bond_price(baseline_spec, 0.0, 0.5)
+        fourier_call_price(baseline_spec, OptionSpec(0.99 * forward, 0.5, 1.5))
+        assert built == []
+        bond_price(baseline_spec, 0.5, 3.0, method="quadrature")
+        assert len(built) == 1
+
+    # the three-round head of the dense-redo test above, and a near-forward one-round head
+    @pytest.mark.parametrize("moneyness, a", [(0.8, 8.0), (1.0, 1.5)])
+    def test_the_round_gives_the_mesh_bits(self, two_factor_spec, moneyness, a):
+        forward = bond_price(two_factor_spec, 0.0, 0.26) / bond_price(two_factor_spec, 0.0, 0.25)
+        integrand, _ = _integrand_factory(
+            two_factor_spec, OptionSpec(moneyness * forward, 0.25, 0.26, a))
+        head = [gauss_kronrod(integrand, 0.0, options._HEAD_RANGE, abs_tol=options._HEAD_ABS_TOL,
+                              rel_tol=0.0, breakpoints=mesh)
+                for mesh in (options._HEAD_ROUND, options._HEAD_MESH)]
+        assert _same_bits(*head)
+
+
+def test_fourier_price_digest(baseline_spec, two_factor_spec):
+    # SHA-256 of float.hex over the time-0 and t = tau/2 path prices on the QAWFE oracle's four
+    # specs: heads of one to five rounds, the coarse tail (438 first-call points), the dense one
+    # (798) and the dense redo (483 more) on alpha_50, at every dampening the module docstring
+    # names; then the three-round head with the redo, and a strike next to P_nj, where |s| A is
+    # about 2e-7: a change of head, tail or integrand arithmetic shows here
+    digest = hashlib.sha256()
+    put = lambda price: digest.update(f"{price.hex()};".encode())
+    for spec in _oracle_specs(baseline_spec, two_factor_spec).values():
+        path = simulate_path(spec, seed=7, path_index=0)
+        for tau, T in ((0.25, 0.26), (0.5, 1.5), (2.0, 5.0)):
+            forward = bond_price(spec, 0.0, T) / bond_price(spec, 0.0, tau)
+            for moneyness in (0.8, 1.0, 1.1):
+                for a in (1.1, 1.5, 2.0, 3.0, 6.0):
+                    option = OptionSpec(forward * moneyness, tau, T, a)
+                    put(fourier_call_price(spec, option))
+                    put(fourier_call_price_at(spec, option, path, 0.5 * tau))
+    forward = bond_price(two_factor_spec, 0.0, 0.26) / bond_price(two_factor_spec, 0.0, 0.25)
+    put(fourier_call_price(two_factor_spec, OptionSpec(0.8 * forward, 0.25, 0.26, 8.0)))
+    p_nj = _no_jump_bond(baseline_spec, baseline_spec.initial_state(), 0.0, 0.5, 1.5)
+    put(fourier_call_price(baseline_spec, OptionSpec(p_nj * (1.0 - 1e-9), 0.5, 1.5)))
+    assert digest.hexdigest() == (
+        "7bb6ebb2978002c4cd7f03074f0239fa9c3859df0921fd0978ff725ed852d219"
+    )
 
 
 def _same_bits(got, expected):

@@ -1,13 +1,14 @@
 import cmath
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from jumpcurve.quadrature import QuadratureError, fourier_rule, gauss_kronrod
+from jumpcurve.quadrature import QuadratureError, _prebuilt_round, fourier_rule, gauss_kronrod
 
 
 def test_polynomial_exact():
@@ -140,3 +141,70 @@ def test_fourier_rule_matches_a_closed_form(h, size):
     assert nodes.size == weights.size == size
     exact = 1.0 + 1j * cmath.exp(-1j) * complex(exp1(-1j))
     assert abs((1.0 + nodes) ** -2 @ weights - exact) < 1e-15
+
+
+def _bits(result):
+    """float.hex of a (value, error) pair's real and imaginary parts and error."""
+    value, err = complex(result[0]), result[1]
+    return value.real.hex(), value.imag.hex(), err.hex()
+
+
+def _peak(x):
+    return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+
+# the frozen integrands from a single panel, and a peak refined from a three-panel mesh
+# in either orientation, each over three rounds or more
+@pytest.mark.parametrize("case", [c for c, _ in FROZEN_SINGLE_PANEL] + [
+    (_peak, 0.0, 1.0, dict(breakpoints=(0.1, 0.5))),
+    (_peak, 1.0, 0.0, dict(breakpoints=(0.5, 0.1), rel_tol=1e-13)),
+], ids=["oscillatory", "peak", "complex", "meshed-peak", "reversed-meshed-peak"])
+def test_prebuilt_round_keeps_every_bit(case):
+    f, a, b, keywords = case
+    keywords = dict(keywords)
+    breakpoints = keywords.pop("breakpoints", ())
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    plain = gauss_kronrod(counted, a, b, breakpoints=breakpoints, **keywords)
+    assert len(sizes) >= 3
+    first = _prebuilt_round(a, b, breakpoints)
+    assert _bits(gauss_kronrod(f, a, b, breakpoints=first, **keywords)) == _bits(plain)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (1.0, 0.0), (-1.0, 1.0), (0.5, 0.5)])
+def test_prebuilt_round_for_other_ends_raises(a, b):
+    first = _prebuilt_round(0.0, 1.0, (0.25, 0.5))
+    with pytest.raises(ValueError, match=r"^a round built for \[0\.0, 1\.0\] cannot serve "
+                                         + re.escape(f"[{a}, {b}]") + "$"):
+        gauss_kronrod(np.cos, a, b, breakpoints=first)
+
+
+def test_prebuilt_round_is_read_only():
+    first = _prebuilt_round(0.0, 1.0, (0.25, 0.5))
+    plain = gauss_kronrod(np.cos, 0.0, 1.0, breakpoints=(0.25, 0.5))
+
+    def writing(x):
+        x *= 2.0
+        return np.cos(x)
+
+    with pytest.raises(ValueError, match="read-only"):
+        gauss_kronrod(writing, 0.0, 1.0, breakpoints=first)
+    assert gauss_kronrod(np.cos, 0.0, 1.0, breakpoints=first) == plain
+    assert all(not array.flags.writeable for array in first.panels)
+
+
+def test_plain_breakpoints_hand_out_writable_points():
+    seen = []
+
+    def writing(x):
+        seen.append(x.flags.writeable)
+        x *= 1.0
+        return np.cos(x)
+
+    assert gauss_kronrod(writing, 0.0, 1.0, breakpoints=(0.25, 0.5)) == gauss_kronrod(
+        np.cos, 0.0, 1.0, breakpoints=(0.25, 0.5))
+    assert seen == [True]
