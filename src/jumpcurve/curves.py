@@ -55,10 +55,11 @@ one-factor spec gives the per-factor twin's bits.  With more factors the
 panels are the sum's own, and the value moves by about an ulp from the sum of
 per-factor twins.  :func:`.transforms.factor_exponent` keeps its own twin on
 the complex transform path.  Every twin runs through :func:`_twin`, which
-starts from a mesh graded toward the upper end t2, where the bond, tilted and
-transform paths all vary fastest, on a scale of 1/lam.  So a twin with
-lam (t2 - t1) up to about 20 settles in its first vectorized round: a round
-costs tens of NumPy calls, while a point costs a fraction of a microsecond.
+starts from a first round planned once in units of the span, graded toward
+the upper end t2, where the bond, tilted and transform paths all vary fastest,
+on a scale of 1/lam.  So a twin with lam (t2 - t1) up to about 20 settles in
+one vectorized round: a round costs tens of NumPy calls, a point a fraction of
+a microsecond.
 
 The path-free parts of both closed forms, lam, eta, alpha, -alpha shift, scale
 and alpha / scale, are Python floats from :func:`.model._path_constants`, which
@@ -87,7 +88,7 @@ from .model import (
     _path_constants,
     _slope,
 )
-from .quadrature import gauss_kronrod
+from .quadrature import _plan, gauss_kronrod
 
 __all__ = [
     "ForwardCurve",
@@ -102,37 +103,23 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-13
-_TWIN_GRADES = tuple(2.0 ** (-k / 2) for k in range(1, 9))
-
-
-def _twin_mesh(t1: float, t2: float) -> tuple:
-    """Breakpoints t2 - (t2 - t1) 2^{-k/2}, k = 1..8, in order: the twins' initial mesh.
-
-    The panels narrow geometrically toward t2, each 1 - 2^{-1/2} = 0.29 of
-    its far end's distance from t2, down to the last one, span / 16 wide.
-    That depth is the least that settles every twin of the test suite's and
-    the benchmark's specs in one round, with lam (t2 - t1) up to about 20; a
-    stiffer factor bisects the panels near t2 for a round or more.  With a
-    ratio of 2 between breakpoints, the wider panels hold too much of
-    e^{-lam (t2 - s)} and a third of the forward-rate twins take a second
-    round.  On a span of a few ulps, breakpoints round onto t1 or t2 and
-    leave panels of width 0.
-    """
-    span = t2 - t1
-    return tuple(t2 - span * grade for grade in _TWIN_GRADES)
+# the twins' first round: gauss_kronrod's plan on the unit mesh 1 - 2^{-k/2}, k = 1..8, in order
+_TWIN_PLAN = _plan(tuple(1.0 - 2.0 ** (-k / 2) for k in range(1, 9)))
 
 
 def _twin(method: str, integrand, t1: float, t2: float):
     """int_{t1}^{t2} integrand ds by adaptive quadrature: the twin of a ``method="closed"`` form.
 
-    Starts from :func:`_twin_mesh`, graded toward t2, where every twin's
-    integrand varies fastest, so that most twins settle in their first
-    vectorized round: a round costs tens of NumPy calls, a point a fraction
-    of a microsecond.  Acceptance is gauss_kronrod's, at abs_tol 1e-13.
+    Starts from :data:`_TWIN_PLAN`, whose panels narrow toward t2, each 0.29
+    of its far end's distance from t2, down to the last, span / 16 wide: the
+    least depth that settles every twin of the tests' and the benchmark's specs
+    in one round, with lam (t2 - t1) up to about 20; a stiffer factor bisects
+    the failing panels near t2.  From a ratio of 2, a third of the forward-rate
+    twins take a second round.  Acceptance is gauss_kronrod's, at abs_tol 1e-13.
     """
     if method != "quadrature":
         raise ValueError("method must be one of ('closed', 'quadrature')")
-    return gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL, breakpoints=_twin_mesh(t1, t2))[0]
+    return gauss_kronrod(integrand, t1, t2, abs_tol=_QUAD_TOL, breakpoints=_TWIN_PLAN)[0]
 
 
 def bond_B(factor: FactorParams, t: float, T: float) -> float:

@@ -7,11 +7,12 @@ panels in one vectorized call, and bisects panels whose local Gauss/Kronrod
 discrepancy exceeds a width-proportional share of the tolerance.  Each round
 of that loop costs a fixed few dozen NumPy calls, while each point costs a
 fraction of a microsecond, so callers that know where their integrand varies
-fast pass a mesh graded there by a ratio of sqrt 2, deep enough that most of
-their integrals settle in the first round: the time-quadrature twins toward
-the upper end, the Fourier head toward y = 0, whose fixed mesh passes a read-only
-first round built once, with the meshed call's bits.  This numerical route is kept
-alive permanently as the cross-check twin of every closed-form integral.  The
+fast build a first round once on a mesh graded there by a ratio of sqrt 2, so
+that most of their integrals settle in it: the Fourier head's toward y = 0,
+with the meshed call's bits, and the time-quadrature twins' toward the upper
+end, as a plan on [0, 1] whose weights carry its panels' half-widths, so that
+a call maps only the points.  This numerical route is kept alive permanently
+as the cross-check twin of every closed-form integral.  The
 Fourier rule (Ooura & Mori, J. Comput. Appl. Math. 112, 1999), built once for
 each step h, serves the option-price tail: its error falls like exp(-c/h), so
 the tail takes a coarse step where the remainder is smooth on the scale of the
@@ -59,8 +60,9 @@ _GAUSS_SLICE = slice(1, 15, 2)
 _NOISE = 100.0 * np.finfo(float).eps  # roundoff noise per unit of a panel's half-width and size
 
 
-# gauss_kronrod's first round on [a, b]: the setup of its panels, as _panels returns it
-_Round = namedtuple("_Round", "a b panels")
+# gauss_kronrod's first round on [a, b]: its panels' setup, as _panels returns it; a plan's is
+# on [0, 1], for any [a, b], with its Kronrod and Kronrod - Gauss weights times their half-widths
+_Round = namedtuple("_Round", "a b panels folded", defaults=(None,))
 
 
 def _panels(lo, hi):
@@ -84,6 +86,18 @@ def _prebuilt_round(a: float, b: float, breakpoints=()) -> _Round:
     return first
 
 
+def _plan(breakpoints) -> _Round:
+    """A read-only first round on the unit mesh 0, *breakpoints, 1 that serves any [a, b]:
+    its widths are shares of the span, and its weights carry their panels' half-widths."""
+    first = _prebuilt_round(0.0, 1.0, breakpoints)
+    difference = _W_KRONROD.copy()
+    difference[_GAUSS_SLICE] -= _W_GAUSS
+    half = first.panels[3][:, None]
+    kronrod, difference = _W_KRONROD * half, difference * half
+    kronrod.flags.writeable = difference.flags.writeable = False
+    return first._replace(folded=(kronrod, difference))
+
+
 def gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -103,17 +117,22 @@ def gauss_kronrod(
     integrands the rule cannot resolve.  ``breakpoints``, inside the interval
     and in order from a to b, split [a, b] into the initial mesh, or are a
     :func:`_prebuilt_round` of it for these a and b (other ends raise ``ValueError``),
-    whose read-only points ``f`` gets first.  A settled first round returns unconcatenated.
+    whose read-only points ``f`` gets first, or a :func:`_plan` on [0, 1] mapped onto
+    [a, b].  A settled first round returns unconcatenated.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration bounds required")
     first = breakpoints if isinstance(breakpoints, _Round) else _first_round(a, b, breakpoints)
-    if (first.a, first.b) != (a, b):
+    folded = first.folded
+    if folded is None and (first.a, first.b) != (a, b):
         raise ValueError(f"a round built for [{first.a}, {first.b}] cannot serve [{a}, {b}]")
     if b == a:
         return 0.0, 0.0
     add = np.add.reduce
     lo, hi, mid, half, points, width = first.panels
+    span, length = b - a, abs(b - a)
+    if folded:  # a plan's widths are shares of the span already
+        points, length = a + span * points, 1.0
     done_values = []  # the accepted panels' Kronrod sums and errors, one array per unsettled round
     done_errors = []
     total_panels = lo.size
@@ -125,22 +144,29 @@ def gauss_kronrod(
             )
         values = np.asarray(f(points)).reshape(lo.size, _NODES.size)
         # np.add.reduce is what np.sum and .sum call, less their Python wrappers
-        kron = add(values * _W_KRONROD, axis=1) * half
-        gauss = add(values[:, _GAUSS_SLICE] * _W_GAUSS, axis=1) * half
-        err = np.abs(kron - gauss)
+        if folded:
+            kron = add(values * folded[0], axis=1) * span
+            err = np.abs(add(values * folded[1], axis=1) * span)
+        else:
+            kron = add(values * _W_KRONROD, axis=1) * half
+            gauss = add(values[:, _GAUSS_SLICE] * _W_GAUSS, axis=1) * half
+            err = np.abs(kron - gauss)
         allowance = abs_tol
         if rel_tol:
-            coarse = add(kron) + (add(np.concatenate(done_values)) if done_values else 0.0)
+            total = add(kron)
+            coarse = total + add(np.concatenate(done_values)) if done_values else total
             allowance = max(abs_tol, rel_tol * abs(coarse))
-        ok = err <= allowance * width / abs(b - a)
-        if not ok.all():
+        ok = err <= allowance * width / length
+        settled = ok.all()
+        if not settled:
+            if folded:  # a plan's round goes on from its panels mapped onto [a, b]
+                lo, hi, mid, half = a + span * lo, a + span * hi, a + span * mid, span * half
+                folded, length = None, abs(span)
             # splitting cannot push a panel below its own roundoff noise; needed
             # only where a panel fails its share, as that test and this one are or-ed
             ok |= err <= _NOISE * np.abs(half) * np.abs(values).max(axis=1)
-        if ok.all():
-            if done_values:
-                kron = np.concatenate([*done_values, kron])
-                err = np.concatenate([*done_errors, err])
+            settled = ok.all()
+        if settled:
             break
         done_values.append(kron[ok])
         done_errors.append(err[ok])
@@ -148,7 +174,10 @@ def gauss_kronrod(
         lo, hi, mid, half, points, width = _panels(np.concatenate([bad_lo, bad_mid]),
                                                    np.concatenate([bad_mid, bad_hi]))
         total_panels += bad_lo.size
-    value = add(kron)
+    if done_values:
+        kron = np.concatenate([*done_values, kron])
+        err = np.concatenate([*done_errors, err])
+    value = total if rel_tol and not done_values else add(kron)  # a settled first round's sum
     return (complex(value) if np.iscomplexobj(value) else float(value)), float(add(err))
 
 

@@ -101,6 +101,7 @@ _S5, _S6, _S26 = (_const(n, np.uint64) for n in (5, 6, 26))
 _MINUS_ULP = _const(-(2.0**-53), float)
 # relative spread below which a control is constant up to rounding (see _estimate)
 _CONSTANT_SPREAD = 2.0**-40
+_DOT_BLOCK = 10_000  # the longest dot OpenBLAS runs on one thread, whatever its thread count
 
 
 @dataclass(frozen=True)
@@ -496,15 +497,23 @@ def _coefficient(deviations: np.ndarray, control: np.ndarray, control_var: float
     shift = math.frexp(max(-lo, hi))[1]
     dc = np.ldexp(control, -shift)
     dc -= dc.sum() / dc.size
-    variance = max(dc @ dc, (control.size - 1) * math.ldexp(control_var, -2 * shift))
-    return math.ldexp(float(deviations @ dc / variance), -shift)
+    variance = max(_dot(dc, dc), (control.size - 1) * math.ldexp(control_var, -2 * shift))
+    return math.ldexp(_dot(deviations, dc) / variance, -shift)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y as plain dots of at most _DOT_BLOCK elements added in order, at any thread count."""
+    total = x[:_DOT_BLOCK] @ y[:_DOT_BLOCK]
+    for start in range(_DOT_BLOCK, x.size, _DOT_BLOCK):
+        total += x[start:start + _DOT_BLOCK] @ y[start:start + _DOT_BLOCK]
+    return float(total)
 
 
 def _standard_error(residuals: np.ndarray, shift: int) -> float:
     """sqrt(sum r^2 / (n - 1) / n) from the squares of r 2^-shift, which scales it exactly."""
     scaled = np.ldexp(residuals, -shift)
     n = residuals.size
-    return math.ldexp(math.sqrt(float(scaled @ scaled) / (n - 1) / n), shift)
+    return math.ldexp(math.sqrt(_dot(scaled, scaled) / (n - 1) / n), shift)
 
 
 def _estimate(

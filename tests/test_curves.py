@@ -46,7 +46,7 @@ from jumpcurve import (
     tilted_time_integral,
     yield_curve,
 )
-from jumpcurve import curves
+from jumpcurve import curves, quadrature, transforms
 from jumpcurve.quadrature import gauss_kronrod
 from oracles import decimal_bond_and_forward
 
@@ -655,14 +655,14 @@ class TestBitExactness:
         # the closed forms pinned above, so a change of route in any one of them
         # shows here; u stays where Re(i u) sigma < eps
         assert self.twin_digest(spec_twins_of=(1,)) == (
-            "f82118948dfb2d441bd58a838b063e956c140450257db63893fe66a264b57ae6"
+            "574baa0850038b6f3aee42fed13a820e3727f59415c03e850e2a4999c9b59a7a"
         )
 
     def test_multi_factor_spec_twin_digest(self):
         # a spec twin integrates the factor-summed integrand in one adaptive
         # pass, on panels no single factor's twin uses, so these sit apart
         assert self.twin_digest(spec_twins_of=(2, 3), factor_twins=False) == (
-            "012a557e2ed61639e3547bf830e814772fa00292f71b1e301312b3f9d115f46c"
+            "f8ce5e9970f896a0cdc95c0fc6396ecbd6e255756b9aaa6ceada323cd534c385"
         )
 
     @pytest.mark.parametrize(
@@ -763,8 +763,8 @@ class TestSpecTwins:
     @pytest.mark.parametrize("state", [None, (0.07,)])
     def test_one_factor_is_the_factor_route(self, state):
         # the summed integrand's one row is the cumulant and tilted mean of the
-        # measure with epsilon = 1 along eta B, eta = sigma/epsilon, on the twins'
-        # graded initial mesh
+        # measure with epsilon = 1 along eta B, eta = sigma/epsilon, from the twins'
+        # planned first round
         heavy = _pinned_and_heavy_specs()[3]
         for spec in (_pinned_spec(1), heavy):
             f = spec.factors[0]
@@ -776,15 +776,14 @@ class TestSpecTwins:
                 T = t + 1e-8 + 0.47 * i
                 b = lambda s: eta * (np.expm1(-lam * (T - s)) / lam)
                 log_p = -spec.floor.integral(t, T)
-                mesh = curves._twin_mesh(t, T)
                 log_p += gauss_kronrod(lambda s: measure.levy_cumulant(b(s)), t, T,
-                                       abs_tol=1e-13, breakpoints=mesh)[0]
+                                       abs_tol=1e-13, breakpoints=curves._TWIN_PLAN)[0]
                 log_p += bond_B(f, t, T) * x
                 assert bond_price(spec, t, T, state, method="quadrature") == math.exp(log_p)
                 rate = spec.floor.value(T)
                 rate += gauss_kronrod(lambda s: eta * np.exp(-lam * (T - s))
                                       * measure.tilted_mean(b(s)), t, T, abs_tol=1e-13,
-                                      breakpoints=mesh)[0]
+                                      breakpoints=curves._TWIN_PLAN)[0]
                 rate += x * math.exp(-f.lam * (T - t))
                 assert forward_rate(spec, t, T, state, method="quadrature") == rate
 
@@ -852,6 +851,67 @@ class TestSpecTwins:
                     assert cumulant_time_integral(f, t, t, 5.0, method="quadrature") == 0.0
                     assert tilted_time_integral(f, t, t, 5.0, method="quadrature") == 0.0
                     assert factor_exponent(f, 0.0, 0.7, method="quadrature").rho == 0.0
+
+
+class TestTwinPlan:
+    """Every twin's first round comes from curves._TWIN_PLAN, built once in units of the span."""
+
+    def test_a_settling_twin_builds_no_round(self, monkeypatch):
+        built = []
+        for name in ("_first_round", "_panels"):
+            monkeypatch.setattr(quadrature, name, lambda *args, name=name, build=getattr(
+                quadrature, name): built.append(name) or build(*args))
+        spec = _pinned_spec(3)
+        for t, T in ((0.0, 1e-9), (0.5, 3.0), (1.0, 10.0)):
+            bond_price(spec, t, T, method="quadrature")
+            forward_rate(spec, t, T, method="quadrature")
+            for f in spec.factors:
+                cumulant_time_integral(f, 0.5 * t, t, T, method="quadrature")
+                tilted_time_integral(f, 0.5 * t, t, T, method="quadrature")
+                factor_exponent(f, T, 2.0 - 0.5j, method="quadrature")
+        assert built == []
+
+    @pytest.mark.parametrize("lam", [15.0, 20.0, 60.0])
+    def test_a_stiff_twin_goes_on_from_its_failing_panels_only(self, lam, monkeypatch):
+        # lam (T - t) = 60, three times the plan's reach: a panel near T fails and is
+        # bisected, while the panels that passed keep their sums and round one runs once
+        factor = FactorParams(lam=lam, sigma=2.0, x0=0.01, measure=GammaJumpMeasure(3.0, 5.0))
+        spec = ModelSpec(factors=(factor,), floor=ConstantFloor(0.02), horizon=10.0)
+        t, T = 0.5, 0.5 + 60.0 / lam
+        calls = {}
+        for name in ("_summed_cumulant", "_summed_tilted"):
+            factory = getattr(curves, name)
+            sizes = calls[name] = []
+            monkeypatch.setattr(curves, name, lambda columns, T, factory=factory, sizes=sizes: (
+                lambda s, integrand=factory(columns, T): sizes.append(s.size) or integrand(s)))
+        assert bond_price(spec, t, T, method="quadrature") == pytest.approx(
+            bond_price(spec, t, T), rel=2e-14, abs=0.0)
+        assert forward_rate(spec, t, T, method="quadrature") == pytest.approx(
+            forward_rate(spec, t, T), rel=2e-14, abs=0.0)
+        assert calls["_summed_tilted"][1:]  # the forward twin takes a second round
+        for sizes in calls.values():
+            assert sizes[0] == curves._TWIN_PLAN.panels[4].size == 135
+            # two halves of 15 points for each failing panel, fewer than the plan's 9
+            assert all(size % 30 == 0 and size < 135 for size in sizes[1:])
+
+    def test_plan_values_match_the_mesh(self, monkeypatch):
+        # every twin of the twin digests' grid, against gauss_kronrod on the absolute
+        # mesh the plan's unit edges map to: the same panels, so they differ by the
+        # rounding of nodes and sums
+        twin, seen = curves._twin, []
+
+        def compared(method, integrand, t1, t2):
+            value = twin(method, integrand, t1, t2)
+            mesh = tuple(t2 - (t2 - t1) * 2.0 ** (-k / 2) for k in range(1, 9))
+            meshed = gauss_kronrod(integrand, t1, t2, abs_tol=1e-13, breakpoints=mesh)[0]
+            assert value == pytest.approx(meshed, rel=2e-14, abs=0.0)
+            seen.append(value)
+            return value
+
+        monkeypatch.setattr(curves, "_twin", compared)
+        monkeypatch.setattr(transforms, "_twin", compared)
+        TestBitExactness.twin_digest(spec_twins_of=(1, 2, 3))
+        assert len(seen) == 568 and any(value != 0.0 for value in seen)
 
 
 class TestPathConstants:

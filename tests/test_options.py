@@ -658,8 +658,8 @@ class TestIntegrandCalls:
 class TestPrebuiltHeadRound:
     """The head's first Gauss-Kronrod round, built once at import, keeps the mesh's bits."""
 
-    def test_a_price_builds_no_first_round_and_a_twin_builds_one(self, baseline_spec,
-                                                                  monkeypatch):
+    def test_a_price_builds_no_first_round_and_a_plain_call_builds_one(self, baseline_spec,
+                                                                       monkeypatch):
         built = []
         first_round = quadrature._first_round
         monkeypatch.setattr(quadrature, "_first_round",
@@ -667,8 +667,8 @@ class TestPrebuiltHeadRound:
         forward = bond_price(baseline_spec, 0.0, 1.5) / bond_price(baseline_spec, 0.0, 0.5)
         fourier_call_price(baseline_spec, OptionSpec(0.99 * forward, 0.5, 1.5))
         assert built == []
-        bond_price(baseline_spec, 0.5, 3.0, method="quadrature")
-        assert len(built) == 1
+        gauss_kronrod(np.cos, 0.5, 3.0, breakpoints=(1.0, 2.0))
+        assert built == [(0.5, 3.0, (1.0, 2.0))]
 
     # the three-round head of the dense-redo test above, and a near-forward one-round head
     @pytest.mark.parametrize("moneyness, a", [(0.8, 8.0), (1.0, 1.5)])

@@ -8,7 +8,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from jumpcurve.quadrature import QuadratureError, _prebuilt_round, fourier_rule, gauss_kronrod
+from jumpcurve.quadrature import (
+    QuadratureError,
+    _plan,
+    _prebuilt_round,
+    fourier_rule,
+    gauss_kronrod,
+)
 
 
 def test_polynomial_exact():
@@ -208,3 +214,36 @@ def test_plain_breakpoints_hand_out_writable_points():
     assert gauss_kronrod(writing, 0.0, 1.0, breakpoints=(0.25, 0.5)) == gauss_kronrod(
         np.cos, 0.0, 1.0, breakpoints=(0.25, 0.5))
     assert seen == [True]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.0, 7.0), (7.0, 2.0), (-1.0, -1.0 + 1e-3)])
+def test_plan_serves_any_span(a, b):
+    # one round on the mesh the unit edges map to, up to the rounding of nodes and sums
+    plan = _plan((0.25, 0.5, 0.75))
+    f = lambda x: np.exp(-x) * np.cos(x)
+    value, err = gauss_kronrod(f, a, b, breakpoints=plan)
+    meshed, meshed_err = gauss_kronrod(f, a, b, breakpoints=[a + (b - a) * v for v in (0.25, 0.5, 0.75)])
+    assert value == pytest.approx(meshed, rel=1e-15, abs=0.0)
+    assert max(err, meshed_err) < 1e-14 * abs(value)
+    assert gauss_kronrod(f, b, a, breakpoints=plan)[0] == pytest.approx(-value, rel=1e-15)
+    assert gauss_kronrod(f, a, a, breakpoints=plan) == (0.0, 0.0)
+
+
+def test_a_plan_goes_on_from_its_failing_panels():
+    # the peak at 0.3 fails in the plan's first three panels; the last keeps its round-one sum
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _peak(x)
+
+    value, _ = gauss_kronrod(counted, 0.0, 1.0, breakpoints=_plan((0.25, 0.5, 0.75)))
+    assert value == pytest.approx(_peak_exact(), rel=1e-12)
+    assert [x.size for x in calls[:2]] == [60, 90] and len(calls) > 3
+    assert max(x.max() for x in calls[1:]) < 0.75
+
+
+def test_plan_is_read_only():
+    plan = _plan((0.25, 0.5))
+    assert (plan.a, plan.b) == (0.0, 1.0)
+    assert all(not array.flags.writeable for array in (*plan.panels, *plan.folded))

@@ -1,9 +1,13 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jumpcurve
 from jumpcurve import (
     ConstantFloor,
     FactorParams,
@@ -32,6 +36,8 @@ from jumpcurve import (
 )
 from jumpcurve.simulation import (
     _CHUNK,
+    _DOT_BLOCK,
+    _dot,
     _discount_and_bond,
     _estimate,
     _jump_blocks,
@@ -574,6 +580,21 @@ class TestMonteCarloEstimators:
             call(baseline_spec)
 
 
+# the Monte Carlo estimates of one bond and one option at 20 000 paths, as float.hex
+BLAS_THREADS_SCRIPT = """
+from jumpcurve import (ConstantFloor, FactorParams, GammaJumpMeasure, ModelSpec, OptionSpec,
+                       mc_bond_price, mc_option_price)
+spec = ModelSpec(factors=(
+    FactorParams(lam=1.0, sigma=1.0, x0=0.01, measure=GammaJumpMeasure(2.0, 10.0)),
+    FactorParams(lam=0.5, sigma=0.6, x0=0.02, measure=GammaJumpMeasure(1.0, 25.0)),
+), floor=ConstantFloor(0.015), horizon=10.0)
+for est in (mc_bond_price(spec, 2.0, 20_000, seed=7),
+            mc_option_price(spec, OptionSpec(0.8, 1.0, 2.0), 20_000, seed=8)):
+    print(*(getattr(est, name).hex() for name in
+            ("value", "std_error", "plain_value", "plain_std_error", "beta")), est.n_paths)
+"""
+
+
 def plain_mean(values):
     """The sample mean as the estimators computed it before the control variates."""
     return float(np.sum(values) / values.size)
@@ -659,6 +680,26 @@ class TestControlVariates:
                          floor=ConstantFloor(0.02), horizon=2.0)
         est = mc_option_price(spec, OptionSpec(0.9, 0.5, 1.0), 1_000, seed=1)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
+    @pytest.mark.parametrize("n", [1, 7, _DOT_BLOCK, _DOT_BLOCK + 1, 3 * _DOT_BLOCK + 17])
+    def test_dot_is_the_plain_one_up_to_a_block(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        if n <= _DOT_BLOCK:
+            assert _dot(x, y).hex() == float(x @ y).hex()
+        assert _dot(x, y) == pytest.approx(math.fsum(x * y), rel=1e-12, abs=1e-12)
+
+    def test_estimates_keep_their_bits_at_any_blas_thread_count(self):
+        # OpenBLAS threads a dot of more than 10 000 elements, and its sum then
+        # follows the thread count: at 20 000 paths the standard errors moved
+        runs = [subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpcurve.__file__)),
+                     OPENBLAS_NUM_THREADS=str(threads)),
+        ) for threads in (1, 2)]
+        for run in runs:
+            assert (run.returncode, run.stderr) == (0, "")
+        assert runs[0].stdout == runs[1].stdout and len(runs[0].stdout.split()) == 12
 
     def test_bond_control_is_the_bond_jump_sum(self, two_factor_spec):
         _, _, jumps = _discount_and_bond(two_factor_spec, _key(132), 1_000, 2.0, 2.0)
