@@ -22,10 +22,11 @@ Psi_k has only the closed form; the test suite keeps its time-quadrature twin.
 The y-integral is folded onto [0, inf) by conjugate symmetry.  Adaptive
 Gauss-Kronrod integrates the head [0, A], A = 200, from the mesh 0, A 2^{-k/2}
 (k = 20..0), graded by a ratio of sqrt 2 toward the poles of w at y = ia and
-i(a-1), its first round of 315 nodes built once at import.  Near the forward
-at dampenings 1.5 to 3 it settles in its first integrand call; far from it an
-outer panel, where the phase turns fastest, may take one or two more, and at
-a = 1.1, poles 0.1 from the axis, it takes four.
+i(a-1), its first round of 315 nodes planned once at import, like the time
+twins' of :mod:`.curves`.  Near the forward at dampenings 1.5 to 3 it settles
+in its first integrand call; far from it an outer panel, where the phase turns
+fastest, may take one or two more, and at a = 1.1, poles 0.1 from the axis, it
+takes four.
 Beyond A the integrand is the phase e^{isy} of the asymptotic slope s times an
 amplitude c/y^2 + O(1/y^3), where c weighs the no-jump outcome
 P(tau,T) = P_nj, the supremum of P(tau,T).  The c/y^2 term is
@@ -66,7 +67,7 @@ import numpy as np
 
 from .curves import _bond_ends, _check_half_plane, _cumulant_closed, bond_price
 from .model import ModelSpec, _check_interval, _slope
-from .quadrature import QuadratureError, _prebuilt_round, fourier_rule, gauss_kronrod
+from .quadrature import QuadratureError, _plan, fourier_rule, gauss_kronrod
 from .simulation import _jump_free_integral, _path_jump_sum, integrated_rate
 
 __all__ = [
@@ -76,16 +77,15 @@ __all__ = [
     "fourier_call_price_at",
 ]
 
-# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE] from _HEAD_ROUND, a DE rule
+# The y-integral: adaptive Gauss-Kronrod on [0, _HEAD_RANGE] from _HEAD_PLAN, a DE rule
 # beyond it at frequency >= _MIN_FREQUENCY, with the amplitude's 1/y^2 coefficient at _FAR_Y.
 _HEAD_RANGE = 200.0
-# breakpoints A 2^{-k/2}, k = 20..1, in order: 21 panels graded toward the poles near y = 0, the
-# first A / 1024 wide.  That depth is the least at which near-the-money prices at a = 1.5 and 2
+# gauss_kronrod's first round, planned once, so a price does no mesh work: breakpoints
+# A 2^{-k/2}, k = 20..1, in order, 21 panels graded toward the poles near y = 0, the first
+# A / 1024 wide.  That depth is the least at which near-the-money prices at a = 1.5 and 2
 # settle in the head's first call: from k = 19..1, whose first panel is sqrt 2 wider, three in
 # five of them take a second call, and from the ratio-2 mesh 0, A 2^-k (k = 10..1) all of them.
-_HEAD_MESH = tuple(_HEAD_RANGE * 2.0 ** (-k / 2) for k in range(20, 0, -1))
-# gauss_kronrod's first round on that mesh, built once at import, so a price does no mesh work
-_HEAD_ROUND = _prebuilt_round(0.0, _HEAD_RANGE, _HEAD_MESH)
+_HEAD_PLAN = _plan(tuple(2.0 ** (-k / 2) for k in range(20, 0, -1)))
 _HEAD_ABS_TOL = 1e-11
 _MIN_FREQUENCY = 1e-10
 _FAR_Y = 1e8
@@ -176,15 +176,16 @@ def _payoff_weight(u, u_less_1, log_p: float, log_k: float):
 
 
 def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path=None):
-    """Vectorized integrand y -> w(y) exp(Theta + sum_k Psi_k [+ path terms]), and its slope.
+    """Vectorized integrand y -> w(y) exp(Theta + sum_k Psi_k [+ path terms]), slope, P(0,T).
 
     Psi_k runs from t to expiry.  Given a path, the exponent gains the time-t
     terms  I_t + (a+iy) S_T - (a+iy-1) S_tau  with
     S_m = sum_k sum_{u_j <= t} sigma_k B_k(u_j, m) z_j;  they are linear in
     (a+iy), so the two jump sums are collected once.  The slope is the
-    asymptotic d/dy of the phase, the Fourier frequency of the tail.  Every
-    y-free scalar is computed here, once per price; the integrand takes the
-    rules' own nodes, finite by construction, and checks none of them.
+    asymptotic d/dy of the phase, the Fourier frequency of the tail; P(0,T)
+    bounds a time-0 price.  Every y-free scalar is computed here, once per
+    price; the integrand takes the rules' own nodes, finite by construction,
+    and checks none of them.
     """
     tau, T, a = option.option_maturity, option.bond_maturity, option.dampening
     p0T = bond_price(spec, 0.0, T)
@@ -224,7 +225,7 @@ def _integrand_factory(spec: ModelSpec, option: OptionSpec, t: float = 0.0, path
             exponent = exponent + (i_t + u * sum_long - u_less_1 * sum_short)
         return _payoff_weight(u, u_less_1, log_p, log_k) * np.exp(exponent)
 
-    return integrand, slope
+    return integrand, slope, p0T
 
 
 def _half_line_integral(integrand, slope: float) -> complex:
@@ -254,7 +255,7 @@ def _half_line_integral(integrand, slope: float) -> complex:
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         head, head_error = gauss_kronrod(head_integrand, 0.0, _HEAD_RANGE, abs_tol=_HEAD_ABS_TOL,
-                                         rel_tol=0.0, breakpoints=_HEAD_ROUND)
+                                         rel_tol=0.0, breakpoints=_HEAD_PLAN)
         if not head_error <= _PRICE_TOL:
             raise QuadratureError(f"Fourier head error estimate {head_error} exceeds {_PRICE_TOL}")
         amplitude = tail_values[0] * np.exp(-1j * slope * y)
@@ -297,7 +298,7 @@ def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -
     if path is None and t:
         raise ValueError(f"a time-t price needs a path, got path=None at t={t}")
     try:  # the module docstring says when the rules fail; the error names the option
-        integrand, slope = _integrand_factory(spec, option, t, path)
+        integrand, slope, p0T = _integrand_factory(spec, option, t, path)
         price = 2.0 * _half_line_integral(integrand, slope).real
     except QuadratureError as exc:
         raise QuadratureError(
@@ -307,7 +308,7 @@ def fourier_call_price_at(spec: ModelSpec, option: OptionSpec, path, t: float) -
             f"Fourier price {price} is negative beyond tolerance; "
             "the quadrature did not converge"
         )
-    bound = math.inf if t else bond_price(spec, 0.0, option.bond_maturity)
+    bound = math.inf if t else p0T
     if price > bound + _PRICE_TOL:
         raise PricingError(f"Fourier price {price} exceeds P(0, {option.bond_maturity}) = "
                            f"{bound} beyond tolerance; the quadrature did not converge")

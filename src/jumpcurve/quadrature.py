@@ -7,14 +7,14 @@ panels in one vectorized call, and bisects panels whose local Gauss/Kronrod
 discrepancy exceeds a width-proportional share of the tolerance.  Each round
 of that loop costs a fixed few dozen NumPy calls, while each point costs a
 fraction of a microsecond, so callers that know where their integrand varies
-fast build a first round once on a mesh graded there by a ratio of sqrt 2, so
-that most of their integrals settle in it: the Fourier head's toward y = 0,
-with the meshed call's bits, and the time-quadrature twins' toward the upper
-end, as a plan on [0, 1] whose weights carry its panels' half-widths, so that
-a call maps only the points.  This numerical route is kept alive permanently
-as the cross-check twin of every closed-form integral.  The
-Fourier rule (Ooura & Mori, J. Comput. Appl. Math. 112, 1999), built once for
-each step h, serves the option-price tail: its error falls like exp(-c/h), so
+fast plan a first round once on a mesh graded there by a ratio of sqrt 2, so
+that most of their integrals settle in it: the Fourier head's toward y = 0 and
+the time-quadrature twins' toward the upper end.  A plan lies on [0, 1], with
+weights that carry its panels' half-widths, so a call maps only the points
+onto its [a, b].  This numerical route is kept alive permanently as the
+cross-check twin of every closed-form integral.  The Fourier rule (Ooura &
+Mori, J. Comput. Appl. Math. 112, 1999), built once for each step h, serves
+the option-price tail: its error falls like exp(-c/h), so
 the tail takes a coarse step where the remainder is smooth on the scale of the
 phase's period and the default step elsewhere.
 """
@@ -60,9 +60,9 @@ _GAUSS_SLICE = slice(1, 15, 2)
 _NOISE = 100.0 * np.finfo(float).eps  # roundoff noise per unit of a panel's half-width and size
 
 
-# gauss_kronrod's first round on [a, b]: its panels' setup, as _panels returns it; a plan's is
-# on [0, 1], for any [a, b], with its Kronrod and Kronrod - Gauss weights times their half-widths
-_Round = namedtuple("_Round", "a b panels folded", defaults=(None,))
+# gauss_kronrod's first round planned on [0, 1] for any [a, b]: its panels' setup, as _panels
+# returns it, and their Kronrod and Kronrod - Gauss weights times their half-widths
+_Plan = namedtuple("_Plan", "panels kronrod difference")
 
 
 def _panels(lo, hi):
@@ -72,30 +72,18 @@ def _panels(lo, hi):
     return lo, hi, mid, half, points, np.abs(hi - lo)
 
 
-def _first_round(a, b, breakpoints):
-    """The first round on [a, b] from the mesh a, *breakpoints, b: every plain call builds it."""
-    edges = np.array([a, *breakpoints, b], dtype=float)
-    return _Round(a, b, _panels(edges[:-1], edges[1:]))
-
-
-def _prebuilt_round(a: float, b: float, breakpoints=()) -> _Round:
-    """A first round to pass as :func:`gauss_kronrod`'s ``breakpoints``, with read-only arrays."""
-    first = _first_round(a, b, breakpoints)
-    for array in first.panels:
-        array.flags.writeable = False
-    return first
-
-
-def _plan(breakpoints) -> _Round:
+def _plan(breakpoints) -> _Plan:
     """A read-only first round on the unit mesh 0, *breakpoints, 1 that serves any [a, b]:
     its widths are shares of the span, and its weights carry their panels' half-widths."""
-    first = _prebuilt_round(0.0, 1.0, breakpoints)
+    edges = np.array([0.0, *breakpoints, 1.0])
+    panels = _panels(edges[:-1], edges[1:])
     difference = _W_KRONROD.copy()
     difference[_GAUSS_SLICE] -= _W_GAUSS
-    half = first.panels[3][:, None]
-    kronrod, difference = _W_KRONROD * half, difference * half
-    kronrod.flags.writeable = difference.flags.writeable = False
-    return first._replace(folded=(kronrod, difference))
+    half = panels[3][:, None]
+    plan = _Plan(panels, _W_KRONROD * half, difference * half)
+    for array in (*plan.panels, plan.kronrod, plan.difference):
+        array.flags.writeable = False
+    return plan
 
 
 def gauss_kronrod(
@@ -116,23 +104,22 @@ def gauss_kronrod(
     panel's width-share of the tolerance; the panel budget guards against
     integrands the rule cannot resolve.  ``breakpoints``, inside the interval
     and in order from a to b, split [a, b] into the initial mesh, or are a
-    :func:`_prebuilt_round` of it for these a and b (other ends raise ``ValueError``),
-    whose read-only points ``f`` gets first, or a :func:`_plan` on [0, 1] mapped onto
-    [a, b].  A settled first round returns unconcatenated.
+    :func:`_plan` on [0, 1], whose panels map onto [a, b].  A settled first
+    round returns unconcatenated.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration bounds required")
-    first = breakpoints if isinstance(breakpoints, _Round) else _first_round(a, b, breakpoints)
-    folded = first.folded
-    if folded is None and (first.a, first.b) != (a, b):
-        raise ValueError(f"a round built for [{first.a}, {first.b}] cannot serve [{a}, {b}]")
     if b == a:
         return 0.0, 0.0
     add = np.add.reduce
-    lo, hi, mid, half, points, width = first.panels
     span, length = b - a, abs(b - a)
-    if folded:  # a plan's widths are shares of the span already
+    plan = breakpoints if isinstance(breakpoints, _Plan) else None
+    if plan:  # a plan's widths are shares of the span already
+        lo, hi, mid, half, points, width = plan.panels
         points, length = a + span * points, 1.0
+    else:
+        edges = np.array([a, *breakpoints, b], dtype=float)
+        lo, hi, mid, half, points, width = _panels(edges[:-1], edges[1:])
     done_values = []  # the accepted panels' Kronrod sums and errors, one array per unsettled round
     done_errors = []
     total_panels = lo.size
@@ -144,9 +131,9 @@ def gauss_kronrod(
             )
         values = np.asarray(f(points)).reshape(lo.size, _NODES.size)
         # np.add.reduce is what np.sum and .sum call, less their Python wrappers
-        if folded:
-            kron = add(values * folded[0], axis=1) * span
-            err = np.abs(add(values * folded[1], axis=1) * span)
+        if plan:
+            kron = add(values * plan.kronrod, axis=1) * span
+            err = np.abs(add(values * plan.difference, axis=1) * span)
         else:
             kron = add(values * _W_KRONROD, axis=1) * half
             gauss = add(values[:, _GAUSS_SLICE] * _W_GAUSS, axis=1) * half
@@ -159,9 +146,9 @@ def gauss_kronrod(
         ok = err <= allowance * width / length
         settled = ok.all()
         if not settled:
-            if folded:  # a plan's round goes on from its panels mapped onto [a, b]
+            if plan:  # a plan's round goes on from its panels mapped onto [a, b]
                 lo, hi, mid, half = a + span * lo, a + span * hi, a + span * mid, span * half
-                folded, length = None, abs(span)
+                plan, length = None, abs(span)
             # splitting cannot push a panel below its own roundoff noise; needed
             # only where a panel fails its share, as that test and this one are or-ed
             ok |= err <= _NOISE * np.abs(half) * np.abs(values).max(axis=1)

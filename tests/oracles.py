@@ -148,7 +148,7 @@ def qawfe_half_line_integral(integrand, slope):
 
 def qawfe_call_price(spec, option, path=None, t=0.0):
     """Time-t call price through :func:`qawfe_half_line_integral`."""
-    integrand, slope = _integrand_factory(spec, option, t, path)
+    integrand, slope, _ = _integrand_factory(spec, option, t, path)
     return 2.0 * qawfe_half_line_integral(integrand, slope).real
 
 

@@ -165,7 +165,7 @@ class TestDriftExponent:
 
     @staticmethod
     def drift_exponent(spec, option, y):
-        integrand, _ = _integrand_factory(spec, option)
+        integrand, _, _ = _integrand_factory(spec, option)
         weight = TestPayoffWeight.weight(y, option, bond_price(spec, 0.0, option.bond_maturity))
         jumps = sum(_psi(f, 0.0, y, option) for f in spec.factors)
         return cmath.log(integrand(y) / weight) - jumps
@@ -397,7 +397,7 @@ class TestFourierCallPrice:
     def test_conjugate_symmetry_of_integrand(self, baseline_spec, baseline_option):
         from jumpcurve.options import _integrand_factory
 
-        integrand, _ = _integrand_factory(baseline_spec, baseline_option)
+        integrand, _, _ = _integrand_factory(baseline_spec, baseline_option)
         full, _ = gauss_kronrod(integrand, -150.0, 150.0, abs_tol=1e-13)
         half, _ = gauss_kronrod(integrand, 0.0, 150.0, abs_tol=1e-13)
         assert full.real == pytest.approx(2.0 * half.real, abs=1e-12)
@@ -578,8 +578,8 @@ class TestIntegrandCalls:
         calls = []
 
         def counting_factory(*args):
-            integrand, slope = _integrand_factory(*args)
-            return (lambda y: calls.append(y.size) or integrand(y)), slope
+            integrand, *rest = _integrand_factory(*args)
+            return (lambda y: calls.append(y.size) or integrand(y)), *rest
 
         monkeypatch.setattr(options, "_integrand_factory", counting_factory)
         return calls
@@ -655,31 +655,47 @@ class TestIntegrandCalls:
         assert fourier_call_price(spec, option) == price
 
 
-class TestPrebuiltHeadRound:
-    """The head's first Gauss-Kronrod round, built once at import, keeps the mesh's bits."""
+class TestHeadPlan:
+    """The head's first Gauss-Kronrod round, planned once on [0, 1], maps onto 0, A 2^{-k/2}."""
 
-    def test_a_price_builds_no_first_round_and_a_plain_call_builds_one(self, baseline_spec,
-                                                                       monkeypatch):
+    def test_the_plan_maps_onto_the_mesh_bit_for_bit(self):
+        lo, hi = options._HEAD_PLAN.panels[:2]
+        mesh = [0.0, *(200.0 * 2.0 ** (-k / 2) for k in range(20, 0, -1)), 200.0]
+        assert options._HEAD_PLAN.panels[4].size == 315
+        assert (0.0 + options._HEAD_RANGE * np.append(lo, hi[-1])).tolist() == mesh
+
+    def test_a_price_builds_no_round_and_a_plain_call_builds_one(self, baseline_spec,
+                                                                 monkeypatch):
         built = []
-        first_round = quadrature._first_round
-        monkeypatch.setattr(quadrature, "_first_round",
-                            lambda *args: built.append(args) or first_round(*args))
+        panels = quadrature._panels
+        monkeypatch.setattr(quadrature, "_panels",
+                            lambda *args: built.append(args) or panels(*args))
         forward = bond_price(baseline_spec, 0.0, 1.5) / bond_price(baseline_spec, 0.0, 0.5)
         fourier_call_price(baseline_spec, OptionSpec(0.99 * forward, 0.5, 1.5))
         assert built == []
         gauss_kronrod(np.cos, 0.5, 3.0, breakpoints=(1.0, 2.0))
-        assert built == [(0.5, 3.0, (1.0, 2.0))]
+        assert [(lo.tolist(), hi.tolist()) for lo, hi in built] == [
+            ([0.5, 1.0, 2.0], [1.0, 2.0, 3.0])]
 
-    # the three-round head of the dense-redo test above, and a near-forward one-round head
+    # the three-round head of the dense-redo test above, and a near-forward one-round head:
+    # the plan's round and the mesh's take the same calls, and differ by the rounding of
+    # nodes and sums
     @pytest.mark.parametrize("moneyness, a", [(0.8, 8.0), (1.0, 1.5)])
-    def test_the_round_gives_the_mesh_bits(self, two_factor_spec, moneyness, a):
+    def test_the_plan_gives_the_mesh_values(self, two_factor_spec, moneyness, a):
         forward = bond_price(two_factor_spec, 0.0, 0.26) / bond_price(two_factor_spec, 0.0, 0.25)
-        integrand, _ = _integrand_factory(
+        integrand, _, _ = _integrand_factory(
             two_factor_spec, OptionSpec(moneyness * forward, 0.25, 0.26, a))
-        head = [gauss_kronrod(integrand, 0.0, options._HEAD_RANGE, abs_tol=options._HEAD_ABS_TOL,
-                              rel_tol=0.0, breakpoints=mesh)
-                for mesh in (options._HEAD_ROUND, options._HEAD_MESH)]
-        assert _same_bits(*head)
+        heads = []
+        for mesh in (options._HEAD_PLAN, [200.0 * 2.0 ** (-k / 2) for k in range(20, 0, -1)]):
+            sizes = []
+            value, err = gauss_kronrod(lambda y: sizes.append(y.size) or integrand(y), 0.0,
+                                       options._HEAD_RANGE, abs_tol=options._HEAD_ABS_TOL,
+                                       rel_tol=0.0, breakpoints=mesh)
+            heads.append((value, err, sizes))
+        (plan, plan_err, plan_sizes), (meshed, meshed_err, meshed_sizes) = heads
+        assert plan_sizes == meshed_sizes and len(plan_sizes) == (3 if a == 8.0 else 1)
+        assert abs(plan - meshed) <= 1e-15 * abs(meshed)
+        assert plan_err == pytest.approx(meshed_err, rel=0.01)
 
 
 def test_fourier_price_digest(baseline_spec, two_factor_spec):
@@ -704,7 +720,7 @@ def test_fourier_price_digest(baseline_spec, two_factor_spec):
     p_nj = _no_jump_bond(baseline_spec, baseline_spec.initial_state(), 0.0, 0.5, 1.5)
     put(fourier_call_price(baseline_spec, OptionSpec(p_nj * (1.0 - 1e-9), 0.5, 1.5)))
     assert digest.hexdigest() == (
-        "7bb6ebb2978002c4cd7f03074f0239fa9c3859df0921fd0978ff725ed852d219"
+        "c257531d12797bd4af56045485501232d9ebc8719408e1ec2779cab597434797"
     )
 
 
@@ -754,7 +770,7 @@ class TestIntegrandOracle:
             path = simulate_path(spec, seed=data.draw(st.integers(0, 1000), label="path seed"))
             t = data.draw(st.floats(0.0, tau), label="t")
         head, tail = _nodes(data, "head"), _nodes(data, "tail")
-        integrand, _ = _integrand_factory(spec, option, t, path)
+        integrand, _, _ = _integrand_factory(spec, option, t, path)
         oracle = per_factor_integrand(spec, option, t, path)
         for y in (head, tail):
             assert _same_bits(integrand(y), oracle(y))

@@ -1,17 +1,16 @@
 import cmath
 import hashlib
 import math
-import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
+from jumpcurve import curves, options
 from jumpcurve.quadrature import (
     QuadratureError,
     _plan,
-    _prebuilt_round,
     fourier_rule,
     gauss_kronrod,
 )
@@ -149,58 +148,8 @@ def test_fourier_rule_matches_a_closed_form(h, size):
     assert abs((1.0 + nodes) ** -2 @ weights - exact) < 1e-15
 
 
-def _bits(result):
-    """float.hex of a (value, error) pair's real and imaginary parts and error."""
-    value, err = complex(result[0]), result[1]
-    return value.real.hex(), value.imag.hex(), err.hex()
-
-
 def _peak(x):
     return 1.0 / (1e-4 + (x - 0.3) ** 2)
-
-
-# the frozen integrands from a single panel, and a peak refined from a three-panel mesh
-# in either orientation, each over three rounds or more
-@pytest.mark.parametrize("case", [c for c, _ in FROZEN_SINGLE_PANEL] + [
-    (_peak, 0.0, 1.0, dict(breakpoints=(0.1, 0.5))),
-    (_peak, 1.0, 0.0, dict(breakpoints=(0.5, 0.1), rel_tol=1e-13)),
-], ids=["oscillatory", "peak", "complex", "meshed-peak", "reversed-meshed-peak"])
-def test_prebuilt_round_keeps_every_bit(case):
-    f, a, b, keywords = case
-    keywords = dict(keywords)
-    breakpoints = keywords.pop("breakpoints", ())
-    sizes = []
-
-    def counted(x):
-        sizes.append(x.size)
-        return f(x)
-
-    plain = gauss_kronrod(counted, a, b, breakpoints=breakpoints, **keywords)
-    assert len(sizes) >= 3
-    first = _prebuilt_round(a, b, breakpoints)
-    assert _bits(gauss_kronrod(f, a, b, breakpoints=first, **keywords)) == _bits(plain)
-
-
-@pytest.mark.parametrize("a, b", [(0.0, 2.0), (1.0, 0.0), (-1.0, 1.0), (0.5, 0.5)])
-def test_prebuilt_round_for_other_ends_raises(a, b):
-    first = _prebuilt_round(0.0, 1.0, (0.25, 0.5))
-    with pytest.raises(ValueError, match=r"^a round built for \[0\.0, 1\.0\] cannot serve "
-                                         + re.escape(f"[{a}, {b}]") + "$"):
-        gauss_kronrod(np.cos, a, b, breakpoints=first)
-
-
-def test_prebuilt_round_is_read_only():
-    first = _prebuilt_round(0.0, 1.0, (0.25, 0.5))
-    plain = gauss_kronrod(np.cos, 0.0, 1.0, breakpoints=(0.25, 0.5))
-
-    def writing(x):
-        x *= 2.0
-        return np.cos(x)
-
-    with pytest.raises(ValueError, match="read-only"):
-        gauss_kronrod(writing, 0.0, 1.0, breakpoints=first)
-    assert gauss_kronrod(np.cos, 0.0, 1.0, breakpoints=first) == plain
-    assert all(not array.flags.writeable for array in first.panels)
 
 
 def test_plain_breakpoints_hand_out_writable_points():
@@ -216,7 +165,8 @@ def test_plain_breakpoints_hand_out_writable_points():
     assert seen == [True]
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.0, 7.0), (7.0, 2.0), (-1.0, -1.0 + 1e-3)])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (-1.0, 1.0), (2.0, 7.0),
+                                  (7.0, 2.0), (-1.0, -1.0 + 1e-3)])
 def test_plan_serves_any_span(a, b):
     # one round on the mesh the unit edges map to, up to the rounding of nodes and sums
     plan = _plan((0.25, 0.5, 0.75))
@@ -227,6 +177,29 @@ def test_plan_serves_any_span(a, b):
     assert max(err, meshed_err) < 1e-14 * abs(value)
     assert gauss_kronrod(f, b, a, breakpoints=plan)[0] == pytest.approx(-value, rel=1e-15)
     assert gauss_kronrod(f, a, a, breakpoints=plan) == (0.0, 0.0)
+
+
+# the frozen integrands from a single panel, and a peak refined from a three-panel mesh
+# in either orientation, each over three rounds or more
+@pytest.mark.parametrize("case", [c for c, _ in FROZEN_SINGLE_PANEL] + [
+    (_peak, 0.0, 1.0, dict(breakpoints=(0.1, 0.5))),
+    (_peak, 1.0, 0.0, dict(breakpoints=(0.5, 0.1), rel_tol=1e-13)),
+], ids=["oscillatory", "peak", "complex", "meshed-peak", "reversed-meshed-peak"])
+def test_a_plan_takes_the_rounds_of_its_mesh(case):
+    # a plan's failing panels go on from [a, b], so it bisects as the mesh it maps onto does
+    f, a, b, keywords = case
+    keywords = dict(keywords)
+    breakpoints = keywords.pop("breakpoints", ())
+    plan = _plan(tuple((v - a) / (b - a) for v in breakpoints))
+    runs = []
+    for mesh in (plan, breakpoints):
+        sizes = []
+        value, _ = gauss_kronrod(lambda x: sizes.append(x.size) or f(x), a, b, breakpoints=mesh,
+                                 **keywords)
+        runs.append((value, sizes))
+    (value, sizes), (meshed, meshed_sizes) = runs
+    assert sizes == meshed_sizes and len(sizes) >= 3
+    assert value == pytest.approx(meshed, rel=1e-15, abs=0.0)
 
 
 def test_a_plan_goes_on_from_its_failing_panels():
@@ -243,7 +216,16 @@ def test_a_plan_goes_on_from_its_failing_panels():
     assert max(x.max() for x in calls[1:]) < 0.75
 
 
-def test_plan_is_read_only():
-    plan = _plan((0.25, 0.5))
-    assert (plan.a, plan.b) == (0.0, 1.0)
-    assert all(not array.flags.writeable for array in (*plan.panels, *plan.folded))
+@pytest.mark.parametrize("plan", [_plan((0.25, 0.5)), curves._TWIN_PLAN, options._HEAD_PLAN],
+                         ids=["unit", "twins", "head"])
+def test_plan_is_read_only(plan):
+    assert all(not array.flags.writeable for array in (*plan.panels, plan.kronrod, plan.difference))
+    value = gauss_kronrod(np.cos, 2.0, 3.0, breakpoints=plan)
+
+    def writing(x):  # f gets the points mapped onto [a, b], not the plan's own
+        x *= 2.0
+        return np.cos(x)
+
+    assert gauss_kronrod(writing, 2.0, 3.0, breakpoints=plan) == gauss_kronrod(
+        lambda x: np.cos(2.0 * x), 2.0, 3.0, breakpoints=plan)
+    assert gauss_kronrod(np.cos, 2.0, 3.0, breakpoints=plan) == value
